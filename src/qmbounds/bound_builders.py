@@ -7,18 +7,18 @@ program for the asymptotic collective bound.  Recovery helpers pull the
 optimal estimator operators back out of solved problems.
 
 Rank deficiency is the load-bearing design concern here.  When the state
-has a kernel, the naive block program has cost-free recession directions
-(the kernel diagonal of the error operator), its infimum is approached
-but never attained, and an interior-point method limps along the ray.
-The default path therefore compresses the error-operator rows onto the
-support of the state, which removes every free direction while leaving
-the infimum unchanged; the uncompressed path (available via a flag, and
-the literal printed construction) gets a tiny objective penalty on the
-recession directions instead so that it remains solvable.
+has a kernel, the textbook block program has cost-free recession
+directions (the kernel diagonal of the error operator), its infimum is
+approached but never attained, and an interior-point method limps along
+the ray.  The block program is therefore always posed with its
+error-operator rows compressed onto the support of the state, which
+removes every free direction while leaving the infimum unchanged.  On a
+full-rank block the compression is the identity and the program is the
+textbook one.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,7 +27,6 @@ from .model import StatisticalModel, sld
 from .sdp_core import SDPProblem, SDPSolution, make_problem, solve, write_sdpa
 
 RANK_TOL = 1e-10
-DEFAULT_JUNK_PENALTY = 1e-9
 DEFAULT_TOL = 1e-9
 
 
@@ -60,13 +59,11 @@ class NHMeta:
 
     num_params: int
     dim: int
-    compressed: bool
     block_offsets: tuple[int, ...]
     block_sizes: tuple[int, ...]
     support_ranks: tuple[int, ...]
     rotations: tuple[np.ndarray, ...]
     group_counts: dict[str, int]
-    junk_blocks: dict[int, np.ndarray]
     theta: tuple[float, ...]
 
 
@@ -155,11 +152,19 @@ def _resolve_blocks(model: StatisticalModel, use_blocks: bool | None):
 
 
 def _support_rotation(s_block: np.ndarray):
-    """Eigenvectors of the state block reordered support-first."""
+    """Support rank of a state block and a unitary that puts the support first.
+
+    A full-rank block keeps its own basis (the identity), so its compressed
+    program is the textbook one; otherwise the eigenvectors are reordered
+    support-first.
+    """
     w, u = herm_eig(s_block)
     mask = w > RANK_TOL
+    r = int(mask.sum())
+    if r == len(w):
+        return r, np.eye(r, dtype=complex)
     order = np.concatenate([np.where(mask)[0], np.where(~mask)[0]])
-    return int(mask.sum()), u[:, order], w[order]
+    return r, u[:, order]
 
 
 def _place(shape_offsets, entries) -> np.ndarray:
@@ -206,40 +211,130 @@ def _feasible_estimators(model: StatisticalModel) -> list[np.ndarray]:
     ]
 
 
-def _build_nh_compressed(model, blocks):
-    """Support-compressed block program.
+def _functional_rank(tmat: np.ndarray, n: int) -> int:
+    """Rank of the unbiasedness system, whose rows are the state and the n
+    derivative expectation functionals on the estimator space.
+
+    Fewer than n + 1 independent rows means no family of unbiased
+    estimators exists, so no program is posed.
+    """
+    rank = np.linalg.matrix_rank(tmat, tol=1e-10)
+    if rank < n + 1:
+        raise BoundError(
+            "unbiasedness system is rank deficient: the state and derivative "
+            "functionals are linearly dependent on the estimator space"
+        )
+    return rank
+
+
+def _nh_layout(n: int, r: int, dl: int):
+    """Slots of [[L, X], [X^T, 1]]: n error rows of size r, then the corner."""
+    return [(j * r, r) for j in range(n)] + [(n * r, dl)]
+
+
+def _assemble_nh(blocks, ranks, s_sup, hints, cons, b, counts) -> SDPProblem:
+    """Finish a block program whose leading pin rows are already in cons.
+
+    Appends the Hermiticity pins of the off-diagonal error blocks and the
+    fully pinned identity corner to cons, b and counts, poses the
+    objective sum_j Tr[S L_jj] with s_sup the support square of each state
+    block, and builds the problem.  hints[bi] holds the n estimator rows
+    (r x d_l, support basis) that seed a strictly feasible primal point;
+    the identity-corner duals seed the dual one.
+    """
+    n = len(hints[0])
+    layouts = [_nh_layout(n, r, dl) for r, (off, dl) in zip(ranks, blocks)]
+    objective = {
+        bi: realify(_place(layouts[bi], [(j, j, s_sup[bi]) for j in range(n)]))
+        for bi in range(len(blocks))
+    }
+    sup_bases = [gellmann_basis(r).ops for r in ranks]
+    start_len = len(cons)
+    for j in range(n):
+        for k in range(j + 1, n):
+            for bi in range(len(blocks)):
+                for op in sup_bases[bi]:
+                    cons.append(
+                        {bi: realify(_place(layouts[bi], [(j, k, 1j * op)]))}
+                    )
+                    b.append(0.0)
+    counts["error_block_symmetry"] = len(cons) - start_len
+    start_len = len(cons)
+    corner_rows = []
+    for bi, (off, dl) in enumerate(blocks):
+        for a, op in enumerate(gellmann_basis(dl).ops):
+            if a == 0:
+                corner_rows.append(len(cons))
+            cons.append({bi: realify(_place(layouts[bi], [(n, n, op)]))})
+            b.append(2.0 * np.sqrt(dl) if a == 0 else 0.0)
+    counts["identity_corner"] = len(cons) - start_len
+
+    primal = []
+    for (off, dl), r, xt in zip(blocks, ranks, hints):
+        lam = 1.0 + 2.0 * float(np.linalg.norm(np.vstack(xt), 2)) ** 2
+        y0 = np.zeros((n * r + dl, n * r + dl), dtype=complex)
+        y0[: n * r, : n * r] = lam * np.eye(n * r)
+        y0[n * r :, n * r :] = np.eye(dl)
+        for j in range(n):
+            y0[j * r : (j + 1) * r, n * r :] = xt[j]
+            y0[n * r :, j * r : (j + 1) * r] = xt[j].conj().T
+        primal.append(realify(y0))
+    dual = np.zeros(len(cons))
+    for row, (off, dl) in zip(corner_rows, blocks):
+        dual[row] = -np.sqrt(dl)
+    return make_problem(
+        [2 * (n * r + dl) for r, (off, dl) in zip(ranks, blocks)],
+        objective,
+        cons,
+        b,
+        scale=0.5,
+        primal_hint=tuple(primal),
+        dual_hint=dual,
+    )
+
+
+def build_nh_sdp(
+    model: StatisticalModel,
+    *,
+    use_blocks: bool | None = None,
+) -> tuple[SDPProblem, NHMeta]:
+    """Standard-form program for the separable-measurement MSE bound.
 
     Variable per model block: [[L, X], [X^T, 1]] with the error rows
     restricted to the support of the state block (L is nr x nr, each X
     slot is r x d).  The estimator's kernel-kernel corner and the kernel
     rows of L never enter the objective or the expectation pins, and any
     PSD-feasible point of the uncompressed program compresses to one of
-    equal cost, so the optimum here equals the uncompressed infimum while
-    every cost-free direction is gone (both cones get strictly feasible
-    points, which the uncompressed program provably lacks dual-side).
-    Cross entries of a pin matrix are doubled because the compressed
-    variable keeps only the support rows of each estimator: the kernel
-    rows, which would have contributed the adjoint half, are implicit.
+    equal cost, so the optimum equals the uncompressed infimum while every
+    cost-free direction is gone.  On a full-rank block (r = d) this is the
+    textbook layout.
+
+    Five constraint families pin, in order: the state expectations of the
+    estimators, their derivative expectations, Hermiticity of each
+    estimator on the support square, Hermiticity of the off-diagonal L
+    blocks, and the identity corner.  The realified embedding doubles
+    inner products and off-diagonal placements carry an adjoint mirror, so
+    an expectation pin Tr[A X] = c appears with right-hand side 4c
+    (diagonal-slot pins double only once: 2c); the recorded scale of 1/2
+    undoes the realification factor in reported objectives.  Cross entries
+    of a pin matrix are doubled because the compressed variable keeps only
+    the support rows of each estimator: the kernel rows, which would have
+    contributed the adjoint half, are implicit.
     """
     n = model.num_params
-    rots = []
+    blocks = _resolve_blocks(model, use_blocks)
     ranks = []
-    layouts = []
-    s_rot = []
-    d_rot = []
+    rots = []
+    pins = []  # per block: rotated support rows of S, then of each dS_j
     for off, dl in blocks:
         sb = model.state[off : off + dl, off : off + dl]
-        r, v, _ = _support_rotation(sb)
-        rots.append(v)
+        r, v = _support_rotation(sb)
         ranks.append(r)
-        layouts.append(
-            [(j * r, r) for j in range(n)] + [(n * r, dl)]
-        )
-        s_rot.append(hermitize(v.conj().T @ sb @ v))
-        d_rot.append(
-            [v.conj().T @ dm[off : off + dl, off : off + dl] @ v for dm in model.derivs]
-        )
-        for e, dr in enumerate(d_rot[-1]):
+        rots.append(v)
+        d_rot = [
+            v.conj().T @ dm[off : off + dl, off : off + dl] @ v for dm in model.derivs
+        ]
+        for e, dr in enumerate(d_rot):
             kk = dr[r:, r:]
             if kk.size and np.max(np.abs(kk)) > 1e-10:
                 raise BoundError(
@@ -247,22 +342,19 @@ def _build_nh_compressed(model, blocks):
                     "the kernel of the state: its expectation pin would be "
                     "satisfiable at zero cost and the bound would be meaningless"
                 )
-
-    objective = {}
-    for bi, (off, dl) in enumerate(blocks):
-        r = ranks[bi]
-        srad = s_rot[bi][:r, :r]
-        objective[bi] = realify(
-            _place(layouts[bi], [(j, j, srad) for j in range(n)])
-        )
-
-    sup_bases = [
-        [np.eye(r, dtype=complex) / np.sqrt(r)] + _traceless_gellmann(r)
-        if r > 1
-        else [np.eye(1, dtype=complex)]
-        for r in ranks
+        rows = []
+        for m in [hermitize(v.conj().T @ sb @ v)] + d_rot:
+            m = m[:r, :].copy()
+            m[:, r:] *= 2.0
+            rows.append(m)
+        pins.append(rows)
+    # expectation functionals on the block-diagonal estimators of the program
+    tmat = [
+        np.concatenate([t[o : o + dl, o : o + dl].ravel() for o, dl in blocks])
+        for t in (model.state, *model.derivs)
     ]
-    corner_bases = [gellmann_basis(dl).ops for off, dl in blocks]
+    _functional_rank(np.array(tmat), n)
+    layouts = [_nh_layout(n, r, dl) for r, (off, dl) in zip(ranks, blocks)]
 
     # The program variable holds the centered estimators W_j = X_j - theta_j,
     # whose quadratic form is the MSE about the true value; the recovery step
@@ -274,29 +366,28 @@ def _build_nh_compressed(model, blocks):
     counts = {}
     # state-expectation pins: Tr[S W_j] = theta_j (1 - Tr S) = 0
     for j in range(n):
-        row = {}
-        for bi, (off, dl) in enumerate(blocks):
-            r = ranks[bi]
-            m = s_rot[bi][:r, :].copy()
-            m[:, r:] *= 2.0
-            row[bi] = realify(_place(layouts[bi], [(j, n, m)]))
-        cons.append(row)
+        cons.append(
+            {
+                bi: realify(_place(layouts[bi], [(j, n, pins[bi][0])]))
+                for bi in range(len(blocks))
+            }
+        )
         b.append(4.0 * model.theta[j] * (1.0 - tr_s))
     counts["state_expectation"] = n
     # derivative pins: Tr[dS_j W_k] = delta_jk - theta_k Tr[dS_j]
     for k in range(n):
         for j in range(n):
-            row = {}
-            for bi, (off, dl) in enumerate(blocks):
-                r = ranks[bi]
-                m = d_rot[bi][j][:r, :].copy()
-                m[:, r:] *= 2.0
-                row[bi] = realify(_place(layouts[bi], [(k, n, m)]))
-            cons.append(row)
+            cons.append(
+                {
+                    bi: realify(_place(layouts[bi], [(k, n, pins[bi][1 + j])]))
+                    for bi in range(len(blocks))
+                }
+            )
             b.append(4.0 * ((1.0 if j == k else 0.0) - model.theta[k] * tr_d[j]))
     counts["derivative_expectation"] = n * n
     # estimator Hermiticity on the support square; cross entries are free
     # complex coordinates representing a Hermitian pair, so no pin needed
+    sup_bases = [gellmann_basis(r).ops for r in ranks]
     start_len = len(cons)
     for j in range(n):
         for bi, (off, dl) in enumerate(blocks):
@@ -307,248 +398,29 @@ def _build_nh_compressed(model, blocks):
                 cons.append({bi: realify(_place(layouts[bi], [(j, n, m)]))})
                 b.append(0.0)
     counts["estimator_hermitian"] = len(cons) - start_len
-    # Hermiticity of the off-diagonal error blocks
-    start_len = len(cons)
-    for j in range(n):
-        for k in range(j + 1, n):
-            for bi, (off, dl) in enumerate(blocks):
-                for op in sup_bases[bi]:
-                    cons.append(
-                        {bi: realify(_place(layouts[bi], [(j, k, 1j * op)]))}
-                    )
-                    b.append(0.0)
-    counts["error_block_symmetry"] = len(cons) - start_len
-    # identity corner, fully pinned
-    start_len = len(cons)
-    g5_first_rows = []
-    for bi, (off, dl) in enumerate(blocks):
-        for a, op in enumerate(corner_bases[bi]):
-            if a == 0:
-                g5_first_rows.append(len(cons))
-            cons.append({bi: realify(_place(layouts[bi], [(n, n, op)]))})
-            b.append(2.0 * np.sqrt(dl) if a == 0 else 0.0)
-    counts["identity_corner"] = len(cons) - start_len
 
     eye_full = np.eye(model.dim, dtype=complex)
     w0 = [
         x - model.theta[j] * eye_full
         for j, x in enumerate(_feasible_estimators(model))
     ]
-    primal = []
-    for bi, (off, dl) in enumerate(blocks):
-        r = ranks[bi]
-        v = rots[bi]
-        xt = [
-            (v.conj().T @ x[off : off + dl, off : off + dl] @ v)[:r, :] for x in w0
-        ]
-        stack = np.vstack(xt)
-        lam = 1.0 + 2.0 * float(np.linalg.norm(stack, 2)) ** 2
-        y0 = np.zeros((n * r + dl, n * r + dl), dtype=complex)
-        y0[: n * r, : n * r] = lam * np.eye(n * r)
-        y0[n * r :, n * r :] = np.eye(dl)
-        for j in range(n):
-            y0[j * r : (j + 1) * r, n * r :] = xt[j]
-            y0[n * r :, j * r : (j + 1) * r] = xt[j].conj().T
-        primal.append(realify(y0))
-    dual = np.zeros(len(cons))
-    for row, (off, dl) in zip(g5_first_rows, blocks):
-        dual[row] = -np.sqrt(dl)
-
-    problem = make_problem(
-        [2 * (n * ranks[bi] + dl) for bi, (off, dl) in enumerate(blocks)],
-        objective,
-        cons,
-        b,
-        scale=0.5,
-        primal_hint=tuple(primal),
-        dual_hint=dual,
-    )
-    meta = NHMeta(
-        num_params=n,
-        dim=model.dim,
-        compressed=True,
-        block_offsets=tuple(off for off, dl in blocks),
-        block_sizes=tuple(dl for off, dl in blocks),
-        support_ranks=tuple(ranks),
-        rotations=tuple(rots),
-        group_counts=counts,
-        junk_blocks={},
-        theta=tuple(float(t) for t in model.theta),
-    )
-    return problem, meta
-
-
-def _build_nh_printed(model, blocks):
-    """Literal five-group construction over the full operator basis.
-
-    One PSD block of size (n+1) d per model block; every slot keeps its
-    full dimension and groups 3-5 run over the complete d^2-element
-    basis.  For a rank-deficient state this program's infimum is not
-    attained (the kernel diagonal of L is cost-free), so the caller
-    applies the junk penalty recorded in the metadata.
-    """
-    n = model.num_params
-    ranks = []
-    junk: dict[int, np.ndarray] = {}
-    s_blocks = []
-    d_blocks = []
-    layouts = []
-    for bi, (off, dl) in enumerate(blocks):
-        sb = model.state[off : off + dl, off : off + dl]
-        s_blocks.append(sb)
-        d_blocks.append([dm[off : off + dl, off : off + dl] for dm in model.derivs])
-        r, v, _ = _support_rotation(sb)
-        ranks.append(r)
-        layouts.append([(j * dl, dl) for j in range(n + 1)])
-        if r < dl:
-            kern = v[:, r:]
-            kproj = hermitize(kern @ kern.conj().T)
-            junk[bi] = realify(
-                _place(layouts[bi], [(j, j, kproj) for j in range(n)])
-            )
-
-    objective = {
-        bi: realify(_place(layouts[bi], [(j, j, s_blocks[bi]) for j in range(n)]))
-        for bi, (off, dl) in enumerate(blocks)
-    }
-    bases = [gellmann_basis(dl).ops for off, dl in blocks]
-
-    # centered estimators W_j = X_j - theta_j, as in the compressed builder
-    tr_s = float(np.trace(model.state).real)
-    tr_d = [float(np.trace(dm).real) for dm in model.derivs]
-    cons: list[dict[int, np.ndarray]] = []
-    b: list[float] = []
-    counts = {}
-    for j in range(n):
-        cons.append(
-            {
-                bi: realify(_place(layouts[bi], [(j, n, s_blocks[bi])]))
-                for bi, (off, dl) in enumerate(blocks)
-            }
-        )
-        b.append(4.0 * model.theta[j] * (1.0 - tr_s))
-    counts["state_expectation"] = n
-    for k in range(n):
-        for j in range(n):
-            cons.append(
-                {
-                    bi: realify(_place(layouts[bi], [(k, n, d_blocks[bi][j])]))
-                    for bi, (off, dl) in enumerate(blocks)
-                }
-            )
-            b.append(4.0 * ((1.0 if j == k else 0.0) - model.theta[k] * tr_d[j]))
-    counts["derivative_expectation"] = n * n
-    start_len = len(cons)
-    for j in range(n):
-        for bi, (off, dl) in enumerate(blocks):
-            for op in bases[bi]:
-                cons.append({bi: realify(_place(layouts[bi], [(j, n, 1j * op)]))})
-                b.append(0.0)
-    counts["estimator_hermitian"] = len(cons) - start_len
-    start_len = len(cons)
-    for j in range(n):
-        for k in range(j + 1, n):
-            for bi, (off, dl) in enumerate(blocks):
-                for op in bases[bi]:
-                    cons.append(
-                        {bi: realify(_place(layouts[bi], [(j, k, 1j * op)]))}
-                    )
-                    b.append(0.0)
-    counts["error_block_symmetry"] = len(cons) - start_len
-    start_len = len(cons)
-    g5_first_rows = []
-    for bi, (off, dl) in enumerate(blocks):
-        for a, op in enumerate(bases[bi]):
-            if a == 0:
-                g5_first_rows.append(len(cons))
-            cons.append({bi: realify(_place(layouts[bi], [(n, n, op)]))})
-            b.append(2.0 * np.sqrt(dl) if a == 0 else 0.0)
-    counts["identity_corner"] = len(cons) - start_len
-
-    eye_full = np.eye(model.dim, dtype=complex)
-    w0 = [
-        x - model.theta[j] * eye_full
-        for j, x in enumerate(_feasible_estimators(model))
+    hints = [
+        [(v.conj().T @ w[off : off + dl, off : off + dl] @ v)[:r, :] for w in w0]
+        for (off, dl), r, v in zip(blocks, ranks, rots)
     ]
-    primal = []
-    for bi, (off, dl) in enumerate(blocks):
-        xb = [hermitize(x[off : off + dl, off : off + dl]) for x in w0]
-        stack = np.vstack(xb)
-        lam = 1.0 + 2.0 * float(np.linalg.norm(stack, 2)) ** 2
-        y0 = np.zeros(((n + 1) * dl, (n + 1) * dl), dtype=complex)
-        y0[: n * dl, : n * dl] = lam * np.eye(n * dl)
-        y0[n * dl :, n * dl :] = np.eye(dl)
-        for j in range(n):
-            y0[j * dl : (j + 1) * dl, n * dl :] = xb[j]
-            y0[n * dl :, j * dl : (j + 1) * dl] = xb[j]
-        primal.append(realify(y0))
-    dual = np.zeros(len(cons))
-    for row, (off, dl) in zip(g5_first_rows, blocks):
-        dual[row] = -np.sqrt(dl)
-
-    problem = make_problem(
-        [2 * (n + 1) * dl for off, dl in blocks],
-        objective,
-        cons,
-        b,
-        scale=0.5,
-        primal_hint=tuple(primal),
-        dual_hint=dual,
-    )
-    rots = []
-    for bi, (off, dl) in enumerate(blocks):
-        sb = s_blocks[bi]
-        _, v, _ = _support_rotation(sb)
-        rots.append(v)
+    s_sup = [rows[0][:, :r] for rows, r in zip(pins, ranks)]
+    problem = _assemble_nh(blocks, ranks, s_sup, hints, cons, b, counts)
     meta = NHMeta(
         num_params=n,
         dim=model.dim,
-        compressed=False,
         block_offsets=tuple(off for off, dl in blocks),
         block_sizes=tuple(dl for off, dl in blocks),
         support_ranks=tuple(ranks),
         rotations=tuple(rots),
         group_counts=counts,
-        junk_blocks=junk,
         theta=tuple(float(t) for t in model.theta),
     )
     return problem, meta
-
-
-def build_nh_sdp(
-    model: StatisticalModel,
-    *,
-    use_reduced_basis: bool | None = None,
-    use_blocks: bool | None = None,
-) -> tuple[SDPProblem, NHMeta]:
-    """Standard-form program for the separable-measurement MSE bound.
-
-    Five constraint families pin, in order: the state expectations of the
-    estimators, their derivative expectations, Hermiticity of each
-    estimator, Hermiticity of the off-diagonal L blocks, and the identity
-    corner.  The realified embedding doubles inner products and
-    off-diagonal placements carry an adjoint mirror, so an expectation
-    pin Tr[A X] = c appears with right-hand side 4c (diagonal-slot pins
-    double only once: 2c); the recorded scale of 1/2 undoes the
-    realification factor in reported objectives.  The estimator variable
-    is centered at the working point, making the optimum the MSE about
-    theta; recovery adds theta back.
-
-    By default (and always when the state is full rank on every block,
-    where the two formulations are literally identical) the rank-reduced
-    support-compressed form is built; use_reduced_basis=False forces the
-    uncompressed textbook layout.
-    """
-    blocks = _resolve_blocks(model, use_blocks)
-    deficient = False
-    for off, dl in blocks:
-        r, _, _ = _support_rotation(model.state[off : off + dl, off : off + dl])
-        if r < dl:
-            deficient = True
-    reduce_flag = deficient if use_reduced_basis is None else use_reduced_basis
-    if reduce_flag and deficient:
-        return _build_nh_compressed(model, blocks)
-    return _build_nh_printed(model, blocks)
 
 
 def recover_nh_estimators(
@@ -557,13 +429,14 @@ def recover_nh_estimators(
     """Pull (L, X) back out of a solved program.
 
     Returns the n x n grid of d x d error-operator blocks and the n
-    estimator matrices, assembled over the model's block structure.  For
-    a compressed solve the estimators are lifted to Hermitian operators
-    with a zero kernel-kernel corner, and L is completed so that the
-    block matrix [[L, X], [X^T, 1]] stays PSD: the diagonal L blocks are
-    Hermitian, while the off-diagonal blocks keep a skew remainder in
-    their kernel-cross entries (the uncompressed program only attains
-    full Hermiticity there in the limit of infinite kernel weight).
+    estimator matrices, assembled over the model's block structure.  The
+    estimators are lifted to Hermitian operators with a zero kernel-kernel
+    corner, and L is completed so that the block matrix [[L, X], [X^T, 1]]
+    stays PSD: the diagonal L blocks are Hermitian, while the off-diagonal
+    blocks keep a skew remainder in their kernel-cross entries (the
+    textbook program only attains full Hermiticity there in the limit of
+    infinite kernel weight).  On a full-rank block the completion adds
+    nothing beyond rounding.
     """
     n = meta.num_params
     d = meta.dim
@@ -571,38 +444,24 @@ def recover_nh_estimators(
     xs = [np.zeros((d, d), dtype=complex) for _ in range(n)]
     for bi, (off, dl) in enumerate(zip(meta.block_offsets, meta.block_sizes)):
         yc = derealify(solution.primal[bi])
-        if not meta.compressed:
-            for j in range(n):
-                xj = yc[j * dl : (j + 1) * dl, n * dl : (n + 1) * dl]
-                xs[j][off : off + dl, off : off + dl] = hermitize(xj)
-                for k in range(n):
-                    ljk = yc[j * dl : (j + 1) * dl, k * dl : (k + 1) * dl]
-                    lkj = yc[k * dl : (k + 1) * dl, j * dl : (j + 1) * dl]
-                    lgrid[j, k, off : off + dl, off : off + dl] = hermitize(
-                        0.5 * (ljk + lkj)
-                    )
-            continue
         r = meta.support_ranks[bi]
         v = meta.rotations[bi]
         xt = []
         for j in range(n):
             row = yc[j * r : (j + 1) * r, n * r :]
-            a = hermitize(row[:, :r])
             xrot = np.zeros((dl, dl), dtype=complex)
-            xrot[:r, :r] = a
+            xrot[:r, :r] = hermitize(row[:, :r])
             xrot[:r, r:] = row[:, r:]
             xrot[r:, :r] = row[:, r:].conj().T
-            xt.append((np.hstack([a, row[:, r:]]), xrot))
+            xt.append(xrot)
             xs[j][off : off + dl, off : off + dl] = hermitize(v @ xrot @ v.conj().T)
         for j in range(n):
             for k in range(n):
                 ljk = yc[j * r : (j + 1) * r, k * r : (k + 1) * r]
                 lkj = yc[k * r : (k + 1) * r, j * r : (j + 1) * r]
                 lsup = 0.5 * (ljk + lkj.conj().T)
-                xj, xk = xt[j][1], xt[k][1]
-                prod = xj @ xk
-                lrot = prod.astype(complex).copy()
-                lrot[:r, :r] += lsup - xt[j][0] @ xt[k][0].conj().T
+                lrot = xt[j] @ xt[k]
+                lrot[:r, :r] += lsup - xt[j][:r] @ xt[k][:r].conj().T
                 lgrid[j, k, off : off + dl, off : off + dl] = v @ lrot @ v.conj().T
     for j in range(n):
         for k in range(n):
@@ -649,60 +508,39 @@ def nagaoka_hayashi_bound(
     *,
     tol: float = DEFAULT_TOL,
     max_iter: int = 200,
-    use_reduced_basis: bool | None = None,
     use_blocks: bool | None = None,
-    junk_penalty: float | None = None,
     dump_path=None,
 ) -> BoundResult:
     """Attainable-MSE bound over separable measurements, via the SDP.
 
-    On the default compressed path the program is solved as built.  On
-    the uncompressed path with a rank-deficient state, a tiny penalty
-    (default 1e-9) bounds the cost-free kernel directions, and the
-    reported value is evaluated against the unpenalized objective; the
-    residual bias scales as the square root of the penalty, so this path
-    is a few-digit approximation only (the compressed default is exact).
+    The support-compressed program has no cost-free directions, so its
+    optimum is attained and the program is solved as built.  The value is
+    reported only after the recovered estimators pass the unbiasedness
+    check and the recovered block matrix passes the PSD check.
     """
-    problem, meta = build_nh_sdp(
-        model, use_reduced_basis=use_reduced_basis, use_blocks=use_blocks
-    )
+    problem, meta = build_nh_sdp(model, use_blocks=use_blocks)
     if dump_path is not None:
         with open(dump_path, "w") as fh:
             fh.write(write_sdpa(problem))
-    lam = junk_penalty
-    if lam is None:
-        lam = DEFAULT_JUNK_PENALTY if meta.junk_blocks else 0.0
-    solved_problem = problem
-    if lam and meta.junk_blocks:
-        new_obj = dict(problem.objective)
-        for bi, jb in meta.junk_blocks.items():
-            new_obj[bi] = new_obj[bi] + lam * jb
-        solved_problem = replace(problem, objective=new_obj)
-    sol = solve(solved_problem, tol=tol, max_iter=max_iter)
+    sol = solve(problem, tol=tol, max_iter=max_iter)
     if sol.status != "optimal":
         raise BoundError(
             f"solver finished with status {sol.status!r} "
             f"(gap {sol.gap:.2e}, iterations {sol.iterations})",
-            problem=solved_problem,
+            problem=problem,
         )
-    raw = sum(
-        float(np.vdot(problem.objective[bi], sol.primal[bi]))
-        for bi in problem.objective
-    )
-    value = problem.scale * raw
-    penalty_paid = sol.primal_obj - value
     lgrid, xs = recover_nh_estimators(meta, sol)
     ub_err = _unbiasedness_errors(model, xs)
     if ub_err > 1e-6:
         raise BoundError(
             f"recovered estimators violate unbiasedness by {ub_err:.2e}",
-            problem=solved_problem,
+            problem=problem,
         )
     floor = _schur_floor(lgrid, xs, meta.num_params, meta.dim)
     if floor < -1e-7:
         raise BoundError(
             f"recovered block matrix has eigenvalue {floor:.2e}",
-            problem=solved_problem,
+            problem=problem,
         )
     stats = {
         "iterations": sol.iterations,
@@ -711,14 +549,11 @@ def nagaoka_hayashi_bound(
         "dual_infeas": sol.dual_infeas,
         "constraints": problem.num_constraints,
         "sdp_block_dims": problem.block_dims,
-        "compressed": meta.compressed,
-        "junk_penalty_weight": lam,
-        "junk_penalty_paid": penalty_paid,
         "unbiasedness_error": ub_err,
         "schur_min_eig": floor,
     }
     return BoundResult(
-        value=value,
+        value=sol.primal_obj,
         kind="nagaoka_hayashi",
         X=xs,
         L=lgrid,
@@ -757,7 +592,6 @@ def _coord_vec(maps, total, x: np.ndarray) -> np.ndarray:
 def build_holevo_sdp(
     model: StatisticalModel,
     *,
-    use_reduced_basis: bool | None = None,
     use_blocks: bool | None = None,
 ):
     """Factorized program for the collective-measurement bound.
@@ -775,14 +609,9 @@ def build_holevo_sdp(
     s_blocks = [model.state[off : off + dl, off : off + dl] for off, dl in blocks]
     ops: list[np.ndarray] = []
     for bi, ((off, dl), sb) in enumerate(zip(blocks, s_blocks)):
-        r, v, _ = _support_rotation(sb)
-        reduce_here = (r < dl) if use_reduced_basis is None else use_reduced_basis
-        if reduce_here and r < dl:
-            keep = v[:, :r]
-            proj = hermitize(keep @ keep.conj().T)
-            basis = gellmann_basis(dl, proj)
-        else:
-            basis = gellmann_basis(dl)
+        r, v = _support_rotation(sb)
+        keep = v[:, :r]
+        basis = gellmann_basis(dl, hermitize(keep @ keep.conj().T))
         for op in basis.ops:
             full = np.zeros((model.dim, model.dim), dtype=complex)
             full[off : off + dl, off : off + dl] = op
@@ -793,12 +622,7 @@ def build_holevo_sdp(
     tmat = np.array(
         [[np.trace(te @ op).real for op in ops] for te in targets]
     )
-    rank = np.linalg.matrix_rank(tmat, tol=1e-10)
-    if rank < n + 1:
-        raise BoundError(
-            "unbiasedness system is rank deficient: the state and derivative "
-            "functionals are linearly dependent on the estimator space"
-        )
+    rank = _functional_rank(tmat, n)
     # centered estimators W_j = X_j - theta_j, as in the block-program builder
     tr_s = float(np.trace(model.state).real)
     tr_d = [float(np.trace(dm).real) for dm in model.derivs]
@@ -887,14 +711,11 @@ def holevo_bound(
     *,
     tol: float = DEFAULT_TOL,
     max_iter: int = 200,
-    use_reduced_basis: bool | None = None,
     use_blocks: bool | None = None,
     dump_path=None,
 ) -> BoundResult:
     """Collective-measurement lower bound on the MSE trace."""
-    problem, meta = build_holevo_sdp(
-        model, use_reduced_basis=use_reduced_basis, use_blocks=use_blocks
-    )
+    problem, meta = build_holevo_sdp(model, use_blocks=use_blocks)
     if dump_path is not None:
         with open(dump_path, "w") as fh:
             fh.write(write_sdpa(problem))
@@ -963,59 +784,21 @@ def nh_u_bound(
     n = len(xs_in)
     if n < 1 or any(x.shape != (d, d) for x in xs_in):
         raise BoundError("estimators must be square matrices matching the state")
-    r, v, w = _support_rotation(state)
-    srad = hermitize(v.conj().T @ state @ v)[:r, :r]
+    r, v = _support_rotation(state)
+    s_sup = hermitize(v.conj().T @ state @ v)[:r, :r]
     xt = [(v.conj().T @ x @ v)[:r, :] for x in xs_in]
-    layout = [(j * r, r) for j in range(n)] + [(n * r, d)]
-    sup_basis = (
-        [np.eye(r, dtype=complex) / np.sqrt(r)] + _traceless_gellmann(r)
-        if r > 1
-        else [np.eye(1, dtype=complex)]
-    )
-    corner_basis = gellmann_basis(d).ops
-
+    layout = _nh_layout(n, r, d)
     cons = []
     b = []
     for j in range(n):
         for a in range(r):
             for c in range(d):
-                m = np.zeros((r, d), dtype=complex)
-                m[a, c] = 1.0
-                cons.append({0: realify(_place(layout, [(j, n, m)]))})
-                b.append(4.0 * xt[j][a, c].real)
-                m = np.zeros((r, d), dtype=complex)
-                m[a, c] = 1j
-                cons.append({0: realify(_place(layout, [(j, n, m)]))})
-                b.append(4.0 * xt[j][a, c].imag)
-    for j in range(n):
-        for k in range(j + 1, n):
-            for op in sup_basis:
-                cons.append({0: realify(_place(layout, [(j, k, 1j * op)]))})
-                b.append(0.0)
-    for a, op in enumerate(corner_basis):
-        cons.append({0: realify(_place(layout, [(n, n, op)]))})
-        b.append(2.0 * np.sqrt(d) if a == 0 else 0.0)
-
-    objective = realify(_place(layout, [(j, j, srad) for j in range(n)]))
-    stack = np.vstack(xt)
-    lam = 1.0 + 2.0 * float(np.linalg.norm(stack, 2)) ** 2
-    y0 = np.zeros((n * r + d, n * r + d), dtype=complex)
-    y0[: n * r, : n * r] = lam * np.eye(n * r)
-    y0[n * r :, n * r :] = np.eye(d)
-    for j in range(n):
-        y0[j * r : (j + 1) * r, n * r :] = xt[j]
-        y0[n * r :, j * r : (j + 1) * r] = xt[j].conj().T
-    dual = np.zeros(len(cons))
-    dual[len(cons) - len(corner_basis)] = -np.sqrt(d)
-    problem = make_problem(
-        [2 * (n * r + d)],
-        {0: objective},
-        cons,
-        b,
-        scale=0.5,
-        primal_hint=(realify(y0),),
-        dual_hint=dual,
-    )
+                for unit, target in ((1.0, xt[j][a, c].real), (1j, xt[j][a, c].imag)):
+                    m = np.zeros((r, d), dtype=complex)
+                    m[a, c] = unit
+                    cons.append({0: realify(_place(layout, [(j, n, m)]))})
+                    b.append(4.0 * target)
+    problem = _assemble_nh([(0, d)], [r], [s_sup], [xt], cons, b, {})
     sol = solve(problem, tol=tol, max_iter=max_iter)
     if sol.status != "optimal":
         raise BoundError(

@@ -15,10 +15,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -88,27 +86,6 @@ class RunConfig:
 
 
 BOUND_NAMES = ("sld", "holevo", "nh")
-
-
-def _worker_count(jobs: int) -> int:
-    cap = os.environ.get("QMB_THREADS")
-    limit = os.cpu_count() or 1
-    if cap is not None:
-        try:
-            limit = int(cap)
-        except ValueError:
-            raise CliError(f"QMB_THREADS must be an integer, got {cap!r}")
-        if limit < 1:
-            raise CliError("QMB_THREADS must be >= 1")
-    return max(1, min(jobs, limit))
-
-
-def _parallel_map(fn, items):
-    workers = _worker_count(len(items))
-    if workers == 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 def _load_model(config: RunConfig, overrides: dict | None = None):
@@ -243,19 +220,11 @@ def run_sweep(config: RunConfig) -> int:
                 f"grid axis '{name}' is not sweepable for model "
                 f"'{config.model}'"
             )
-    points = _grid_points(config.grid)
-
-    def solve_point(item):
-        index, values = item
-        model = _load_model(config, overrides=dict(zip(axis_names, values)))
-        rows, failed = _bound_rows(model, which, config.tol)
-        return index, values, rows, failed
-
-    results = _parallel_map(solve_point, list(enumerate(points)))
-    results.sort(key=lambda r: r[0])
     out_rows = []
     any_failed = False
-    for index, values, rows, failed in results:
+    for index, values in enumerate(_grid_points(config.grid)):
+        model = _load_model(config, overrides=dict(zip(axis_names, values)))
+        rows, failed = _bound_rows(model, which, config.tol)
         any_failed = any_failed or failed
         for row in rows:
             record = {"index": index}
@@ -289,8 +258,8 @@ def run_fig1(config: RunConfig) -> int:
     if not (0.0 <= start <= stop < 1.0):
         raise CliError("eps grid must satisfy 0 <= start <= stop < 1")
     grid = np.linspace(start, stop, steps) if steps > 1 else [start]
-
-    def solve_point(eps):
+    rows = []
+    for eps in grid:
         row = {"eps": float(eps)}
         for count, params in ((1, "x"), (2, "xy"), (3, "xyz")):
             model = phase_damping_model(float(eps), params=params)
@@ -298,9 +267,7 @@ def run_fig1(config: RunConfig) -> int:
             cn = nagaoka_hayashi_bound(model, tol=config.tol).value
             row[f"prec_h{count}"] = count / ch
             row[f"prec_nh{count}"] = count / cn
-        return row
-
-    rows = _parallel_map(solve_point, list(grid))
+        rows.append(row)
     _emit(config, FIG1_COLUMNS, rows)
     return 0
 

@@ -28,7 +28,7 @@ from qmbounds.model import (
     random_model,
     sld_bound,
 )
-from qmbounds.sdp_core import read_sdpa, solve
+from qmbounds.sdp_core import check_certificate, read_sdpa, solve
 
 
 def two_param_dephasing_optimizers(eps):
@@ -103,7 +103,6 @@ class TestProgramShape:
     def test_compressed_constraint_families(self):
         m = phase_damping_model(0.3, params="xy")
         problem, meta = build_nh_sdp(m)
-        assert meta.compressed
         assert meta.support_ranks == (2,)
         assert problem.block_dims == (16,)
         assert meta.group_counts == {
@@ -115,20 +114,6 @@ class TestProgramShape:
         }
         assert problem.num_constraints == 34
 
-    def test_uncompressed_constraint_families(self):
-        m = phase_damping_model(0.3, params="xy")
-        problem, meta = build_nh_sdp(m, use_reduced_basis=False)
-        assert not meta.compressed
-        assert problem.block_dims == (24,)
-        assert meta.group_counts == {
-            "state_expectation": 2,
-            "derivative_expectation": 4,
-            "estimator_hermitian": 32,
-            "error_block_symmetry": 16,
-            "identity_corner": 16,
-        }
-        assert problem.num_constraints == 70
-
     def test_block_structure_follows_model_blocks(self):
         m = interferometer_model([np.sqrt(0.7), np.sqrt(0.3)], 0.1)
         problem, meta = build_nh_sdp(m)
@@ -139,7 +124,11 @@ class TestProgramShape:
     def test_full_rank_state_uses_plain_layout(self):
         m = random_model(seed=5, dim=3, num_params=2)
         problem, meta = build_nh_sdp(m)
-        assert not meta.compressed
+        n, d = 2, 3
+        assert meta.support_ranks == meta.block_sizes == (d,)
+        np.testing.assert_array_equal(meta.rotations[0], np.eye(d))
+        assert meta.group_counts["estimator_hermitian"] == n * d * d
+        assert meta.group_counts["error_block_symmetry"] == n * (n - 1) // 2 * d * d
         assert problem.block_dims == (2 * (2 + 1) * 3,)
 
 
@@ -194,11 +183,6 @@ class TestDephasingFamily:
         m = phase_damping_model(eps, params="xyz")
         want = 2.0 + 1.0 / (1.0 - eps) ** 2
         assert holevo_bound(m).value == pytest.approx(want, abs=1e-6)
-
-    def test_compressed_and_plain_layouts_agree(self, dephasing_xy):
-        model, r = dephasing_xy
-        rf = nagaoka_hayashi_bound(model, use_reduced_basis=False)
-        assert abs(rf.value - r.value) <= 1e-6
 
 
 class TestResultInvariants:
@@ -314,6 +298,60 @@ class TestRecoveredOptimizers:
         c_nh = nagaoka_hayashi_bound(m).value
         assert c_sld <= c_h + 1e-6
         assert c_h <= c_nh + 2e-6
+
+
+def random_unitary(rng, d):
+    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    q, r = np.linalg.qr(g)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def rank_deficient_model(d, r, n, seed):
+    """random_model compressed onto a random rank-r projector P.
+
+    The state becomes P S P / Tr[P S P]; each derivative loses its
+    kernel-kernel corner, and its trace is taken off inside the support.
+    """
+    base = random_model(seed=seed, dim=d, num_params=n)
+    rng = np.random.default_rng(1000 + seed)
+    q = random_unitary(rng, d)[:, :r]
+    p = q @ q.conj().T
+    k = np.eye(d) - p
+    state = p @ base.state @ p
+    state = 0.5 * (state + state.conj().T) / np.trace(state).real
+    derivs = []
+    for dm in base.derivs:
+        dm = dm - k @ dm @ k
+        dm = dm - np.trace(dm).real * p / r
+        derivs.append(0.5 * (dm + dm.conj().T))
+    return dataclasses.replace(base, state=state, derivs=tuple(derivs))
+
+
+class TestRankDeficientModels:
+    """The support-compressed program on generic rank-deficient states."""
+
+    @pytest.mark.parametrize("d,r,n", [(3, 2, 2), (4, 2, 2), (4, 3, 3), (5, 3, 2)])
+    def test_ordering_certificates_and_unitary_invariance(self, d, r, n):
+        m = rank_deficient_model(d, r, n, seed=d + 10 * r + 100 * n)
+        assert build_nh_sdp(m)[1].support_ranks == (r,)
+        rh = holevo_bound(m)
+        rn = nagaoka_hayashi_bound(m)
+        assert sld_bound(m) <= rh.value + 1e-6
+        assert rh.value <= rn.value + 2e-6
+        assert check_certificate(rh.problem, rh.solution).passed
+        assert check_certificate(rn.problem, rn.solution).passed
+        assert rn.solver_stats["schur_min_eig"] >= -1e-7
+
+        u = random_unitary(np.random.default_rng(d * r * n), d)
+        rotated = dataclasses.replace(
+            m,
+            state=u @ m.state @ u.conj().T,
+            derivs=tuple(u @ dm @ u.conj().T for dm in m.derivs),
+        )
+        assert holevo_bound(rotated).value == pytest.approx(rh.value, rel=1e-7)
+        assert nagaoka_hayashi_bound(rotated).value == pytest.approx(
+            rn.value, rel=1e-7
+        )
 
 
 class TestFixedEstimatorBound:

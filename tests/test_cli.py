@@ -10,7 +10,7 @@ from qmbounds.cli import (
     RunConfig,
     main,
 )
-from qmbounds.model import model_to_dict, phase_damping_model
+from qmbounds.model import model_to_dict, phase_damping_model, random_model
 
 
 def run(capsys, argv):
@@ -101,6 +101,17 @@ class TestBoundsCommand:
         assert code == 2
         assert "state" in err
 
+    def test_dependent_derivatives_exit_one_naming_the_bound(self, capsys, tmp_path):
+        # four derivatives of a qubit state cannot be linearly independent
+        path = tmp_path / "dependent.json"
+        path.write_text(json.dumps(model_to_dict(random_model(0, 2, 4))))
+        code, _, err = run(
+            capsys, ["bounds", "--model-json", str(path), "--bounds", "nh"]
+        )
+        assert code == 1
+        assert "nh: unbiasedness system is rank deficient" in err
+        assert "Traceback" not in err
+
     def test_unreadable_json_exits_two(self, capsys, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
@@ -138,8 +149,7 @@ class TestSweepCommand:
             )
             assert row["ok"] == "true"
 
-    def test_byte_stable_output(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("QMB_THREADS", "2")
+    def test_byte_stable_output(self, tmp_path):
         argv = [
             "sweep", "--model", "pd", "--params", "xy",
             "--grid", "eps=0.1:0.7:4", "--bounds", "holevo,nh",
@@ -148,16 +158,6 @@ class TestSweepCommand:
         assert main(argv + ["--out", str(a)]) == 0
         assert main(argv + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
-
-    def test_single_worker_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("QMB_THREADS", "1")
-        code, out, _ = run(
-            capsys,
-            ["sweep", "--model", "pd", "--params", "x",
-             "--grid", "eps=0.2:0.4:2", "--bounds", "nh"],
-        )
-        assert code == 0
-        assert len(csv_rows(out)) == 2
 
     def test_unknown_axis_rejected(self, capsys):
         code, _, err = run(
