@@ -45,7 +45,7 @@ from .model import (
     phase_damping_model,
     sld_bound,
 )
-from .sdp_core import check_certificate, read_sdpa, solve
+from .sdp_core import SDPError, check_certificate, read_sdpa, solve
 
 
 class CliError(ValueError):
@@ -545,7 +545,7 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except BoundError as exc:
+    except (BoundError, SDPError) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 1
 

@@ -13,7 +13,7 @@ import logging
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
+from scipy.linalg import LinAlgError, cho_factor, cho_solve, qr
 
 logger = logging.getLogger(__name__)
 
@@ -94,14 +94,6 @@ def _as_sym(mat: np.ndarray, dim: int, what: str) -> np.ndarray:
     return 0.5 * (m + m.T)
 
 
-def _vec_blocks(bm: BlockMat, block_dims: tuple[int, ...]) -> np.ndarray:
-    parts = []
-    for l, d in enumerate(block_dims):
-        mat = bm.get(l)
-        parts.append(mat.ravel() if mat is not None else np.zeros(d * d))
-    return np.concatenate(parts)
-
-
 def make_problem(
     block_dims,
     objective: BlockMat,
@@ -113,8 +105,10 @@ def make_problem(
 ) -> SDPProblem:
     """Validate, symmetrize, and dedupe a standard-form problem.
 
-    Linearly dependent constraint rows (relative tolerance 1e-10) are
-    dropped; a dropped row whose right-hand side is inconsistent with the
+    Rows are taken in input order, and a row is dropped when it lies within
+    1e-10 relative (of max(1, its norm)) of the span of the rows kept before
+    it; the kept rows keep their order, and the dual hint is subset to
+    them.  A dropped row whose right-hand side is inconsistent with the
     rows that imply it raises, since the problem is then infeasible at
     construction time.
     """
@@ -166,33 +160,68 @@ def make_problem(
     )
 
 
+def _support_columns(cons, dims) -> np.ndarray:
+    """Rows as vectorised block matrices, restricted to the columns that are
+    nonzero in at least one row: the zero columns add nothing to any inner
+    product or norm."""
+    parts = []
+    for l, d in enumerate(dims):
+        touching = [(i, con[l].ravel()) for i, con in enumerate(cons) if l in con]
+        mask = np.zeros(d * d, dtype=bool)
+        for _, vec in touching:
+            mask |= vec != 0.0
+        cols = np.flatnonzero(mask)
+        part = np.zeros((len(cons), len(cols)))
+        for i, vec in touching:
+            part[i] = vec[cols]
+        parts.append(part)
+    return np.hstack(parts) if parts else np.zeros((len(cons), 0))
+
+
 def _dedupe_rows(cons, bvec, dims):
-    rows = [_vec_blocks(c, dims) for c in cons]
+    rows = _support_columns(cons, dims)
+    thresh = DEP_TOL * np.maximum(1.0, np.linalg.norm(rows, axis=1))
+    # Columns of `resid` are the rows minus their projection onto the span
+    # of the rows kept so far; each pass is one unpivoted QR in input order,
+    # whose |R_kk| is row k's distance from the span of the rows before it.
+    resid = rows.T.copy()
     kept: list[int] = []
     dropped: list[int] = []
-    basis: list[np.ndarray] = []
-    for i, row in enumerate(rows):
-        v = row.copy()
-        for q in basis:
-            v -= (q @ v) * q
-        for q in basis:
-            v -= (q @ v) * q
-        nv = np.linalg.norm(v)
-        if nv > DEP_TOL * max(1.0, np.linalg.norm(row)):
-            basis.append(v / nv)
-            kept.append(i)
-        else:
-            dropped.append(i)
+    todo = np.arange(len(cons))
+    while len(todo):
+        # distance to the kept rows only shrinks as more rows are kept, so a
+        # row already within the tolerance is dropped by the greedy rule too
+        near = np.linalg.norm(resid[:, todo], axis=0) <= thresh[todo]
+        dropped.extend(todo[near])
+        todo = todo[~near]
+        if not len(todo):
+            break
+        q, r = qr(resid[:, todo], mode="economic")
+        rdiag = np.zeros(len(todo))
+        rdiag[: min(r.shape)] = np.abs(np.diag(r))
+        small = np.flatnonzero(rdiag <= thresh[todo])
+        if not len(small):
+            kept.extend(todo)
+            break
+        k = small[0]
+        kept.extend(todo[:k])
+        dropped.append(todo[k])
+        rest = todo[k + 1 :]
+        resid[:, rest] -= q[:, :k] @ r[:k, k + 1 :]
+        todo = rest
+    dropped.sort()
     if dropped:
         bscale = 1.0 + (np.max(np.abs(bvec)) if len(bvec) else 0.0)
-        mat = np.array([rows[k] for k in kept]).T if kept else np.zeros((len(rows[0]), 0))
-        for i in dropped:
-            coef = np.linalg.lstsq(mat, rows[i], rcond=None)[0] if kept else np.zeros(0)
-            implied = float(coef @ bvec[kept]) if kept else 0.0
-            if abs(bvec[i] - implied) > 1e-8 * bscale:
+        if kept:
+            coef = np.linalg.lstsq(rows[kept].T, rows[dropped].T, rcond=None)[0]
+            implied = bvec[kept] @ coef
+        else:
+            implied = np.zeros(len(dropped))
+        for i, value in zip(dropped, implied):
+            if abs(bvec[i] - value) > 1e-8 * bscale:
                 raise SDPError(
                     f"constraint {i} is linearly dependent but its right-hand side "
-                    f"{bvec[i]!r} contradicts the implied value {implied!r}: "
+                    f"{float(bvec[i])!r} contradicts the implied value {float(value)!r}: "
                     "problem is infeasible at construction"
                 )
     return kept, dropped
@@ -239,10 +268,10 @@ def solve(
 ) -> SDPSolution:
     """Solve with an infeasible-start path-following method.
 
-    Nesterov-Todd scaling, Mehrotra predictor-corrector, dense per-block
-    Schur complement.  Deterministic: fixed reduction orders, no
-    randomization.  Builder hints on the problem are used as starting
-    points when present.
+    Nesterov-Todd scaling, Mehrotra predictor-corrector, Schur complement
+    per block over the rows that touch it.  Deterministic: fixed reduction
+    orders, no randomization.  Builder hints on the problem are used as
+    starting points when present.
     """
     dims = problem.block_dims
     nb = len(dims)
@@ -250,22 +279,19 @@ def solve(
     nu = float(sum(dims))
     b = problem.b
 
-    A = [np.zeros((m, d, d)) for d in dims]
-    for i, con in enumerate(problem.constraints):
-        for l, mat in con.items():
-            A[l][i] = mat
-    Aflat = [A[l].reshape(m, -1) for l in range(nb)]
+    rows, A = _row_classes(problem)
+    Aflat = [A[l].reshape(len(rows[l]), d * d) for l, d in enumerate(dims)]
     C = [problem.objective.get(l, np.zeros((d, d))) for l, d in enumerate(dims)]
     c_scale = 1.0 + max((float(np.max(np.abs(cb))) for cb in C), default=0.0)
     b_scale = 1.0 + (float(np.max(np.abs(b))) if m else 0.0)
 
     Y = _initial_primal(problem, dims)
-    y, Z = _initial_dual(problem, A, C, dims, m)
+    y, Z = _initial_dual(problem, rows, A, C, dims, m)
 
     def constraint_values(blocks):
         out = np.zeros(m)
         for l in range(nb):
-            out += Aflat[l] @ blocks[l].ravel()
+            out[rows[l]] += Aflat[l] @ blocks[l].ravel()
         return out
 
     def metrics():
@@ -273,7 +299,7 @@ def solve(
         dobj = float(b @ y)
         rp = b - constraint_values(Y)
         Rd = [
-            C[l] - (Aflat[l].T @ y).reshape(dims[l], dims[l]) - Z[l]
+            C[l] - (Aflat[l].T @ y[rows[l]]).reshape(dims[l], dims[l]) - Z[l]
             for l in range(nb)
         ]
         gap = abs(pobj - dobj) / (1.0 + abs(pobj))
@@ -315,22 +341,22 @@ def solve(
             np.matmul(Gs[l].T[None, :, :], np.matmul(A[l], Gs[l]))
             for l in range(nb)
         ]
-        Abarflat = [Abar[l].reshape(m, -1) for l in range(nb)]
+        Abarflat = [Abar[l].reshape(len(rows[l]), d * d) for l, d in enumerate(dims)]
         Rdbar = [Gs[l].T @ Rd[l] @ Gs[l] for l in range(nb)]
         schur = np.zeros((m, m))
         for l in range(nb):
-            schur += Abarflat[l] @ Abarflat[l].T
+            schur[np.ix_(rows[l], rows[l])] += Abarflat[l] @ Abarflat[l].T
         factor = _chol_jittered(schur)
 
         def directions(T):
             h = rp.copy()
             for l in range(nb):
-                h -= Abarflat[l] @ (T[l] - Rdbar[l]).ravel()
+                h[rows[l]] -= Abarflat[l] @ (T[l] - Rdbar[l]).ravel()
             dy = _solve_refined(factor, schur, h) if m else np.zeros(0)
             dZb = []
             dYb = []
             for l in range(nb):
-                dz = Rdbar[l] - (Abarflat[l].T @ dy).reshape(dims[l], dims[l])
+                dz = Rdbar[l] - (Abarflat[l].T @ dy[rows[l]]).reshape(dims[l], dims[l])
                 dz = 0.5 * (dz + dz.T)
                 dZb.append(dz)
                 dYb.append(T[l] - dz)
@@ -402,14 +428,31 @@ def _initial_primal(problem, dims):
     return Y
 
 
-def _initial_dual(problem, A, C, dims, m):
+def _row_classes(problem):
+    """For each block, the indices of the rows with a nonzero matrix there
+    and those matrices stacked; rows that miss a block are never padded
+    into it."""
+    rows, stacks = [], []
+    for l, d in enumerate(problem.block_dims):
+        idx = [
+            i for i, con in enumerate(problem.constraints)
+            if l in con and np.any(con[l])
+        ]
+        rows.append(np.array(idx, dtype=int))
+        stacks.append(
+            np.array([problem.constraints[i][l] for i in idx], dtype=float).reshape(len(idx), d, d)
+        )
+    return rows, stacks
+
+
+def _initial_dual(problem, rows, A, C, dims, m):
     if problem.dual_hint is not None:
         y = problem.dual_hint.copy()
     else:
         y = np.zeros(m)
     Z = []
     for l, d in enumerate(dims):
-        zb = C[l] - np.tensordot(y, A[l], axes=(0, 0)) if m else C[l].copy()
+        zb = C[l] - np.tensordot(y[rows[l]], A[l], axes=(0, 0))
         zb = 0.5 * (zb + zb.T)
         w = np.linalg.eigvalsh(zb)
         floor = 1e-6 * max(1.0, float(np.max(np.abs(zb))), float(w[-1]) if d else 1.0)

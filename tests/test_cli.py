@@ -322,3 +322,26 @@ class TestSolveSdpCommand:
         )
         assert code == 2
         assert "problem file" in err
+
+    def test_inconsistent_dependent_rows_exit_one(self, capsys, tmp_path):
+        # row 2 is twice row 1, but its right-hand side is 3, not 2
+        path = tmp_path / "bad.dat-s"
+        path.write_text(
+            "2\n1\n2\n1.0 3.0\n0 1 1 1 1.0\n0 1 2 2 1.0\n"
+            "1 1 1 1 1.0\n2 1 1 1 2.0\n"
+        )
+        code, out, err = run(capsys, ["solve-sdp", str(path)])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("solver failure: constraint 1 is linearly dependent")
+        assert len(err.splitlines()) == 1
+        assert "3.0" in err and "np.float64" not in err
+
+    def test_program_without_rows_is_optimal(self, capsys, tmp_path):
+        # the only row is empty, so deduplication leaves no rows at all
+        path = tmp_path / "empty.dat-s"
+        path.write_text("1\n1\n2\n0.0\n0 1 1 1 1.0\n0 1 2 2 1.0\n")
+        code, out, _ = run(capsys, ["solve-sdp", str(path)])
+        assert code == 0
+        assert "status: optimal" in out
+        assert "certificate: pass" in out

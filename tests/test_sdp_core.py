@@ -133,6 +133,54 @@ class TestSolve:
         assert sol.status == "optimal"
         assert sol.gap <= 1e-10
 
+    def test_without_rows(self):
+        problem = make_problem([2], {0: np.eye(2)}, [], [])
+        sol = solve(problem)
+        assert sol.status == "optimal"
+        assert abs(sol.primal_obj) <= 1e-7
+        assert check_certificate(problem, sol).passed
+
+    def test_row_classes_match_one_block(self):
+        # rows touch one, two or all three blocks; some carry an explicit
+        # all-zero matrix in a block they do not constrain
+        rng = np.random.default_rng(5)
+        dims = (3, 4, 2)
+        # (blocks with a random matrix, blocks with an explicit zero matrix)
+        supports = [
+            ((0,), ()), ((1,), (0,)), ((2,), ()), ((0, 1), (2,)), ((1, 2), ()),
+            ((0, 2), ()), ((0, 1, 2), ()), ((0,), (1, 2)), ((1,), ()),
+            ((2,), (1,)), ((0, 1), ()), ((0, 1, 2), ()),
+        ]
+        cons = []
+        for live, zero in supports:
+            con = {l: rand_sym(rng, dims[l]) for l in live}
+            con.update({l: np.zeros((dims[l], dims[l])) for l in zero})
+            cons.append(con)
+        y_feas = []
+        for d in dims:
+            g = rng.standard_normal((d, d))
+            y_feas.append(g @ g.T + 0.5 * np.eye(d))
+        b = [sum(np.vdot(mat, y_feas[l]) for l, mat in con.items()) for con in cons]
+        obj = {}
+        for l, d in enumerate(dims):
+            g = rng.standard_normal((d, d))
+            obj[l] = g @ g.T + 0.1 * np.eye(d)
+        blocked = solve(make_problem(dims, obj, cons, b))
+
+        offsets = np.cumsum((0,) + dims)
+
+        def merge(bm):
+            out = np.zeros((offsets[-1], offsets[-1]))
+            for l, mat in bm.items():
+                out[offsets[l] : offsets[l + 1], offsets[l] : offsets[l + 1]] = mat
+            return {0: out}
+
+        merged = solve(
+            make_problem([offsets[-1]], merge(obj), [merge(c) for c in cons], b)
+        )
+        assert blocked.status == merged.status == "optimal"
+        assert blocked.primal_obj == pytest.approx(merged.primal_obj, rel=1e-7)
+
 
 class TestMakeProblem:
     def test_dependent_rows_dropped(self):
@@ -145,6 +193,65 @@ class TestMakeProblem:
         )
         assert problem.num_constraints == 1
         assert problem.dropped == 2
+
+    def test_in_order_rule_keeps_first_of_each_dependency(self):
+        e11 = np.diag([1.0, 0.0])
+        e22 = np.diag([0.0, 1.0])
+        x = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 2.0], [0.0, 2.0, 1.0]])
+        a1 = {0: e11, 1: x}
+        a2 = {1: np.eye(3)}
+        a3 = {0: e11, 1: x + np.eye(3)}  # a1 + a2
+        a4 = {0: e22, 1: x}
+        a5 = {0: e11 - e22}  # a1 - a4, only in block 0
+        zero = {0: np.zeros((2, 2)), 1: np.zeros((3, 3))}
+        problem = make_problem(
+            [2, 3], {0: np.eye(2), 1: np.eye(3)},
+            [zero, a1, a2, a3, a4, a5],
+            [0.0, 1.0, 2.0, 3.0, 4.0, -3.0],
+            dual_hint=np.arange(6.0),
+        )
+        assert problem.dropped == 3
+        assert problem.b.tolist() == [1.0, 2.0, 4.0]
+        assert problem.dual_hint.tolist() == [1.0, 2.0, 4.0]
+
+    def test_kept_rows_match_gram_schmidt_reference(self):
+        # the greedy in-order rule, row by row with re-orthogonalisation
+        def reference(cons, dims):
+            basis, kept = [], []
+            for i, con in enumerate(cons):
+                row = np.concatenate([
+                    con.get(l, np.zeros((d, d))).ravel() for l, d in enumerate(dims)
+                ])
+                v = row.copy()
+                for _ in range(2):
+                    for q in basis:
+                        v -= (q @ v) * q
+                if np.linalg.norm(v) > 1e-10 * max(1.0, np.linalg.norm(row)):
+                    basis.append(v / np.linalg.norm(v))
+                    kept.append(i)
+            return kept
+
+        rng = np.random.default_rng(3)
+        dims = (3, 2)
+        for trial in range(5):
+            cons = []
+            for _ in range(14):
+                pick = rng.random()
+                if cons and pick < 0.4:
+                    coef = rng.standard_normal(len(cons)) * (rng.random(len(cons)) < 0.5)
+                    cons.append({
+                        l: sum(c * con.get(l, np.zeros((d, d))) for c, con in zip(coef, cons))
+                        for l, d in enumerate(dims)
+                    })
+                elif pick < 0.5:
+                    cons.append({0: np.zeros((3, 3))})
+                else:
+                    blocks = [l for l in range(2) if rng.random() < 0.7] or [trial % 2]
+                    cons.append({l: rand_sym(rng, dims[l]) for l in blocks})
+            y0 = [np.eye(3), np.eye(2)]
+            b = [sum(np.vdot(mat, y0[l]) for l, mat in con.items()) for con in cons]
+            problem = make_problem(dims, {}, cons, b, dual_hint=np.arange(14.0))
+            assert problem.dual_hint.tolist() == [float(i) for i in reference(cons, dims)]
 
     def test_inconsistent_dependent_row_raises(self):
         a = np.zeros((2, 2))
