@@ -24,7 +24,7 @@ import numpy as np
 
 from .linalg import derealify, herm_eig, hermitize, psd_sqrt, realify, trace_abs
 from .model import StatisticalModel, sld
-from .sdp_core import SDPProblem, SDPSolution, make_problem, solve, write_sdpa
+from .sdp_core import SDPProblem, SDPSolution, make_problem, solve
 
 RANK_TOL = 1e-10
 DEFAULT_TOL = 1e-9
@@ -138,7 +138,7 @@ def gellmann_basis(d: int, support_projector: np.ndarray | None = None) -> Basis
     return BasisSet(dim=d, ops=tuple(ops), reduced=True, kept=len(ops))
 
 
-def _resolve_blocks(model: StatisticalModel, use_blocks: bool | None):
+def _resolve_blocks(model: StatisticalModel, use_blocks: bool | None = None):
     if use_blocks is None:
         use_blocks = model.block_dims is not None
     if use_blocks and model.block_dims is not None:
@@ -509,7 +509,6 @@ def nagaoka_hayashi_bound(
     tol: float = DEFAULT_TOL,
     max_iter: int = 200,
     use_blocks: bool | None = None,
-    dump_path=None,
 ) -> BoundResult:
     """Attainable-MSE bound over separable measurements, via the SDP.
 
@@ -519,9 +518,6 @@ def nagaoka_hayashi_bound(
     check and the recovered block matrix passes the PSD check.
     """
     problem, meta = build_nh_sdp(model, use_blocks=use_blocks)
-    if dump_path is not None:
-        with open(dump_path, "w") as fh:
-            fh.write(write_sdpa(problem))
     sol = solve(problem, tol=tol, max_iter=max_iter)
     if sol.status != "optimal":
         raise BoundError(
@@ -589,11 +585,7 @@ def _coord_vec(maps, total, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def build_holevo_sdp(
-    model: StatisticalModel,
-    *,
-    use_blocks: bool | None = None,
-):
+def build_holevo_sdp(model: StatisticalModel):
     """Factorized program for the collective-measurement bound.
 
     Minimizes trace(V) over real symmetric V and unbiased Hermitian X
@@ -605,7 +597,7 @@ def build_holevo_sdp(
     coefficients, and the bound is the negated dual objective.
     """
     n = model.num_params
-    blocks = _resolve_blocks(model, use_blocks)
+    blocks = _resolve_blocks(model)
     s_blocks = [model.state[off : off + dl, off : off + dl] for off, dl in blocks]
     ops: list[np.ndarray] = []
     for bi, ((off, dl), sb) in enumerate(zip(blocks, s_blocks)):
@@ -699,8 +691,6 @@ def build_holevo_sdp(
         "w0": tuple(x0),
         "null_ops": tuple(null_ops),
         "num_params": n,
-        "lmi_dim": dim_lmi,
-        "basis_size": kprime,
         "theta": tuple(float(t) for t in model.theta),
     }
     return problem, meta
@@ -711,14 +701,9 @@ def holevo_bound(
     *,
     tol: float = DEFAULT_TOL,
     max_iter: int = 200,
-    use_blocks: bool | None = None,
-    dump_path=None,
 ) -> BoundResult:
     """Collective-measurement lower bound on the MSE trace."""
-    problem, meta = build_holevo_sdp(model, use_blocks=use_blocks)
-    if dump_path is not None:
-        with open(dump_path, "w") as fh:
-            fh.write(write_sdpa(problem))
+    problem, meta = build_holevo_sdp(model)
     sol = solve(problem, tol=tol, max_iter=max_iter)
     if sol.status != "optimal":
         raise BoundError(

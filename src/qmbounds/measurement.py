@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import hermitize
-from .model import StatisticalModel
+from .model import StatisticalModel, decode_matrix, encode_matrix
 
 
 class MeasurementError(ValueError):
@@ -409,39 +409,10 @@ def sample(
 
 def estimator_to_dict(estimator: Estimator) -> dict:
     """Encode for JSON: complex entries become [re, im] pairs."""
-
-    def enc(mat):
-        return [
-            [[float(v.real), float(v.imag)] for v in row]
-            for row in np.asarray(mat)
-        ]
-
     return {
-        "outcomes": [enc(op) for op in estimator.povm.outcomes],
+        "outcomes": [encode_matrix(op) for op in estimator.povm.outcomes],
         "xi": [[float(v) for v in row] for row in estimator.xi],
     }
-
-
-def _decode_outcome(obj, dim: int, name: str) -> np.ndarray:
-    if not isinstance(obj, list) or len(obj) != dim:
-        raise MeasurementFormatError(f"field '{name}': expected {dim} rows")
-    out = np.zeros((dim, dim), dtype=complex)
-    for i, row in enumerate(obj):
-        if not isinstance(row, list) or len(row) != dim:
-            raise MeasurementFormatError(
-                f"field '{name}': row {i} must have {dim} entries"
-            )
-        for j, entry in enumerate(row):
-            if (
-                not isinstance(entry, list)
-                or len(entry) != 2
-                or not all(isinstance(v, (int, float)) for v in entry)
-            ):
-                raise MeasurementFormatError(
-                    f"field '{name}': entry ({i}, {j}) must be a [re, im] pair"
-                )
-            out[i, j] = complex(entry[0], entry[1])
-    return out
 
 
 def estimator_from_dict(data) -> Estimator:
@@ -460,7 +431,7 @@ def estimator_from_dict(data) -> Estimator:
         )
     dim = len(first)
     ops = [
-        _decode_outcome(op, dim, f"outcomes[{i}]")
+        decode_matrix(op, dim, f"outcomes[{i}]", MeasurementFormatError)
         for i, op in enumerate(outcomes)
     ]
     grid = data.get("xi")

@@ -304,37 +304,38 @@ def sld_bound(model: StatisticalModel) -> float:
     return float(np.trace(np.linalg.inv(fisher)))
 
 
+def encode_matrix(mat) -> list:
+    """A complex matrix for JSON: each entry becomes a [re, im] pair."""
+    return [[[float(v.real), float(v.imag)] for v in row] for row in np.asarray(mat)]
+
+
 def model_to_dict(model: StatisticalModel) -> dict:
     """Encode for JSON: complex entries become [re, im] pairs."""
-
-    def enc(mat):
-        return [[[float(v.real), float(v.imag)] for v in row] for row in np.asarray(mat)]
-
     return {
         "dim": model.dim,
-        "state": enc(model.state),
-        "derivs": [enc(dm) for dm in model.derivs],
+        "state": encode_matrix(model.state),
+        "derivs": [encode_matrix(dm) for dm in model.derivs],
         "theta": [float(t) for t in model.theta],
         "labels": list(model.labels),
     }
 
 
-def _decode_matrix(obj, dim, field: str) -> np.ndarray:
+def decode_matrix(obj, dim, field: str, error: type[Exception]) -> np.ndarray:
+    """Inverse of encode_matrix for a dim x dim matrix; raises `error`
+    naming `field` on a malformed payload."""
     if not isinstance(obj, list) or len(obj) != dim:
-        raise ModelFormatError(f"field '{field}': expected {dim} rows")
+        raise error(f"field '{field}': expected {dim} rows")
     out = np.zeros((dim, dim), dtype=complex)
     for i, row in enumerate(obj):
         if not isinstance(row, list) or len(row) != dim:
-            raise ModelFormatError(f"field '{field}': row {i} must have {dim} entries")
+            raise error(f"field '{field}': row {i} must have {dim} entries")
         for j, entry in enumerate(row):
             if (
                 not isinstance(entry, list)
                 or len(entry) != 2
                 or not all(isinstance(v, (int, float)) for v in entry)
             ):
-                raise ModelFormatError(
-                    f"field '{field}': entry ({i}, {j}) must be a [re, im] pair"
-                )
+                raise error(f"field '{field}': entry ({i}, {j}) must be a [re, im] pair")
             out[i, j] = complex(entry[0], entry[1])
     return out
 
@@ -353,11 +354,12 @@ def model_from_dict(data) -> StatisticalModel:
     dim = data["dim"]
     if not isinstance(dim, int) or dim < 2:
         raise ModelFormatError(f"field 'dim': expected an integer >= 2, got {dim!r}")
-    state = _decode_matrix(data["state"], dim, "state")
+    state = decode_matrix(data["state"], dim, "state", ModelFormatError)
     if not isinstance(data["derivs"], list) or not data["derivs"]:
         raise ModelFormatError("field 'derivs': expected a non-empty list of matrices")
     derivs = tuple(
-        _decode_matrix(dm, dim, f"derivs[{j}]") for j, dm in enumerate(data["derivs"])
+        decode_matrix(dm, dim, f"derivs[{j}]", ModelFormatError)
+        for j, dm in enumerate(data["derivs"])
     )
     theta = data["theta"]
     if not isinstance(theta, list) or not all(isinstance(t, (int, float)) for t in theta):

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve, qr
@@ -35,19 +36,32 @@ class SDPAFormatError(ValueError):
     """Malformed problem text; message carries the offending line."""
 
 
+class ConstraintStore(NamedTuple):
+    """Constraint matrices in coordinate form, as in the sparse text format
+    but with both triangles: entry k says that row `row[k]` has value
+    `val[k]` at flat position `col[k]` = i*d + j of block `block[k]`.  It
+    holds only nonzeros, sorted by (row, block, col)."""
+
+    row: np.ndarray
+    block: np.ndarray
+    col: np.ndarray
+    val: np.ndarray
+
+
 @dataclass(frozen=True)
 class SDPProblem:
     """Standard-form data over a block-diagonal PSD variable.
 
-    `objective` and each constraint matrix are block-sparse: a dict from
-    block index to a dense symmetric matrix of that block's dimension.
-    `dropped` counts linearly dependent constraint rows removed at
-    construction.  Hints are optional strictly feasible starting data.
+    `objective` is block-sparse: a dict from block index to a dense
+    symmetric matrix of that block's dimension.  The constraint matrices
+    live once, in `store`, numbered 0..num_constraints-1.  `dropped` counts
+    linearly dependent constraint rows removed at construction.  Hints are
+    optional strictly feasible starting data.
     """
 
     block_dims: tuple[int, ...]
     objective: BlockMat
-    constraints: tuple[BlockMat, ...]
+    store: ConstraintStore
     b: np.ndarray
     scale: float = 1.0
     dropped: int = 0
@@ -105,12 +119,14 @@ def make_problem(
 ) -> SDPProblem:
     """Validate, symmetrize, and dedupe a standard-form problem.
 
-    Rows are taken in input order, and a row is dropped when it lies within
-    1e-10 relative (of max(1, its norm)) of the span of the rows kept before
-    it; the kept rows keep their order, and the dual hint is subset to
-    them.  A dropped row whose right-hand side is inconsistent with the
-    rows that imply it raises, since the problem is then infeasible at
-    construction time.
+    Each constraint row is a dict from block index to a dense matrix; the
+    symmetrized rows are stored once, as the nonzeros of the problem's
+    `ConstraintStore`.  Rows are taken in input order, and a row is dropped
+    when it lies within 1e-10 relative (of max(1, its norm)) of the span of
+    the rows kept before it; the kept rows keep their order and are
+    renumbered 0..k-1, and the dual hint is subset to them.  A dropped row
+    whose right-hand side is inconsistent with the rows that imply it
+    raises, since the problem is then infeasible at construction time.
     """
     dims = tuple(int(d) for d in block_dims)
     if any(d <= 0 for d in dims):
@@ -122,7 +138,9 @@ def make_problem(
     for l in obj:
         if not 0 <= l < len(dims):
             raise SDPError(f"objective references unknown block {l}")
-    cons: list[BlockMat] = []
+    constraints = list(constraints)
+    m = len(constraints)
+    pieces = []
     for i, con in enumerate(constraints):
         clean = {}
         for l, mat in con.items():
@@ -130,12 +148,13 @@ def make_problem(
             if not 0 <= l < len(dims):
                 raise SDPError(f"constraint {i} references unknown block {l}")
             clean[l] = _as_sym(mat, dims[l], f"constraint {i} block {l}")
-        cons.append(clean)
+        pieces.extend((i, l, col, val) for l, col, val in _nonzeros(clean))
     bvec = np.asarray(b, dtype=float).ravel()
-    if len(bvec) != len(cons):
-        raise SDPError(f"b has length {len(bvec)} but there are {len(cons)} constraints")
+    if len(bvec) != m:
+        raise SDPError(f"b has length {len(bvec)} but there are {m} constraints")
+    store = _coo(pieces)
 
-    kept, dropped = _dedupe_rows(cons, bvec, dims)
+    kept, dropped = _dedupe_rows(store, bvec, dims)
     if primal_hint is not None:
         primal_hint = tuple(
             _as_sym(blk, dims[l], f"primal hint block {l}")
@@ -145,13 +164,17 @@ def make_problem(
             raise SDPError("primal hint must cover every block")
     if dual_hint is not None:
         dual_hint = np.asarray(dual_hint, dtype=float).ravel()
-        if len(dual_hint) != len(cons):
+        if len(dual_hint) != m:
             raise SDPError("dual hint length must match the original constraint count")
         dual_hint = dual_hint[kept]
+    renumber = np.full(m, -1)
+    renumber[kept] = np.arange(len(kept))
+    store = store._replace(row=renumber[store.row])
+    live = store.row >= 0
     return SDPProblem(
         block_dims=dims,
         objective=obj,
-        constraints=tuple(cons[i] for i in kept),
+        store=ConstraintStore(*(a[live] for a in store)),
         b=bvec[kept],
         scale=float(scale),
         dropped=len(dropped),
@@ -160,26 +183,37 @@ def make_problem(
     )
 
 
-def _support_columns(cons, dims) -> np.ndarray:
-    """Rows as vectorised block matrices, restricted to the columns that are
-    nonzero in at least one row: the zero columns add nothing to any inner
-    product or norm."""
-    parts = []
-    for l, d in enumerate(dims):
-        touching = [(i, con[l].ravel()) for i, con in enumerate(cons) if l in con]
-        mask = np.zeros(d * d, dtype=bool)
-        for _, vec in touching:
-            mask |= vec != 0.0
-        cols = np.flatnonzero(mask)
-        part = np.zeros((len(cons), len(cols)))
-        for i, vec in touching:
-            part[i] = vec[cols]
-        parts.append(part)
-    return np.hstack(parts) if parts else np.zeros((len(cons), 0))
+def _nonzeros(bm: BlockMat):
+    """For each block of a block matrix, in index order: the block, and the
+    flat columns and values of its nonzero entries."""
+    for l in sorted(bm):
+        flat = bm[l].ravel()
+        col = np.flatnonzero(flat)
+        yield l, col, flat[col]
 
 
-def _dedupe_rows(cons, bvec, dims):
-    rows = _support_columns(cons, dims)
+def _coo(pieces) -> ConstraintStore:
+    """A store from (row, block, columns, values) pieces in store order."""
+    # an empty piece keeps zip and concatenate defined when there are none
+    empty = (0, 0, np.zeros(0, dtype=int), np.zeros(0))
+    rows, blocks, cols, vals = zip(empty, *pieces)
+    counts = [len(col) for col in cols]
+    return ConstraintStore(
+        np.repeat(rows, counts),
+        np.repeat(blocks, counts),
+        np.concatenate(cols),
+        np.concatenate(vals),
+    )
+
+
+def _dedupe_rows(store: ConstraintStore, bvec, dims):
+    m = len(bvec)
+    # rows as vectorised block matrices, on only the columns that are
+    # nonzero in some row: the others add nothing to any inner product
+    offsets = np.cumsum([0] + [d * d for d in dims])
+    used, pos = np.unique(offsets[store.block] + store.col, return_inverse=True)
+    rows = np.zeros((m, len(used)))
+    rows[store.row, pos] = store.val
     thresh = DEP_TOL * np.maximum(1.0, np.linalg.norm(rows, axis=1))
     # Columns of `resid` are the rows minus their projection onto the span
     # of the rows kept so far; each pass is one unpivoted QR in input order,
@@ -187,7 +221,7 @@ def _dedupe_rows(cons, bvec, dims):
     resid = rows.T.copy()
     kept: list[int] = []
     dropped: list[int] = []
-    todo = np.arange(len(cons))
+    todo = np.arange(m)
     while len(todo):
         # distance to the kept rows only shrinks as more rows are kept, so a
         # row already within the tolerance is dropped by the greedy rule too
@@ -279,8 +313,8 @@ def solve(
     nu = float(sum(dims))
     b = problem.b
 
-    rows, A = _row_classes(problem)
-    Aflat = [A[l].reshape(len(rows[l]), d * d) for l, d in enumerate(dims)]
+    rows, Aflat = _row_classes(problem)
+    A = [Aflat[l].reshape(len(rows[l]), d, d) for l, d in enumerate(dims)]
     C = [problem.objective.get(l, np.zeros((d, d))) for l, d in enumerate(dims)]
     c_scale = 1.0 + max((float(np.max(np.abs(cb))) for cb in C), default=0.0)
     b_scale = 1.0 + (float(np.max(np.abs(b))) if m else 0.0)
@@ -312,7 +346,6 @@ def solve(
     it = 0
     mu0 = None
     stall = 0
-    pobj, dobj, rp, Rd, gap, pinf, dinf, mu = metrics()
     for it in range(max_iter):
         pobj, dobj, rp, Rd, gap, pinf, dinf, mu = metrics()
         if mu0 is None:
@@ -429,19 +462,18 @@ def _initial_primal(problem, dims):
 
 
 def _row_classes(problem):
-    """For each block, the indices of the rows with a nonzero matrix there
-    and those matrices stacked; rows that miss a block are never padded
-    into it."""
+    """For each block, the indices of the rows with entries there and those
+    rows' vectorised matrices stacked densely; rows that miss a block are
+    never padded into it."""
+    store = problem.store
     rows, stacks = [], []
     for l, d in enumerate(problem.block_dims):
-        idx = [
-            i for i, con in enumerate(problem.constraints)
-            if l in con and np.any(con[l])
-        ]
-        rows.append(np.array(idx, dtype=int))
-        stacks.append(
-            np.array([problem.constraints[i][l] for i in idx], dtype=float).reshape(len(idx), d, d)
-        )
+        here = store.block == l
+        idx = np.unique(store.row[here])
+        stack = np.zeros((len(idx), d * d))
+        stack[np.searchsorted(idx, store.row[here]), store.col[here]] = store.val[here]
+        rows.append(idx)
+        stacks.append(stack)
     return rows, stacks
 
 
@@ -488,18 +520,21 @@ def check_certificate(
     Y = solution.primal
     Z = solution.dual_Z
     y = solution.dual_y
-    viol = 0.0
-    for i, con in enumerate(problem.constraints):
-        val = sum(float(np.vdot(mat, Y[l])) for l, mat in con.items())
-        viol = max(viol, abs(val - problem.b[i]))
+    store = problem.store
+    offsets = np.cumsum([0] + [d * d for d in dims])
+    at = offsets[store.block] + store.col  # entry positions in the blocks laid end to end
+    Yflat = np.concatenate([blk.ravel() for blk in Y])
+    values = np.bincount(store.row, weights=store.val * Yflat[at], minlength=m)
+    viol = float(np.max(np.abs(values - problem.b))) if m else 0.0
+    Cflat = np.concatenate(
+        [problem.objective.get(l, np.zeros((d, d))).ravel() for l, d in enumerate(dims)]
+    )
+    Zflat = Cflat - np.bincount(at, weights=y[store.row] * store.val, minlength=offsets[-1])
     dres = 0.0
     min_y = np.inf
     min_z = np.inf
     for l, d in enumerate(dims):
-        zb = problem.objective.get(l, np.zeros((d, d))).copy()
-        for i, con in enumerate(problem.constraints):
-            if l in con:
-                zb = zb - y[i] * con[l]
+        zb = Zflat[offsets[l] : offsets[l + 1]].reshape(d, d)
         dres = max(dres, float(np.max(np.abs(zb - Z[l]))))
         min_y = min(min_y, float(np.linalg.eigvalsh(Y[l])[0]))
         min_z = min(min_z, float(np.linalg.eigvalsh(Z[l])[0]))
@@ -531,7 +566,11 @@ def check_certificate(
 
 
 def write_sdpa(problem: SDPProblem) -> str:
-    """Serialize to the sparse text format; decimal repr round-trips exactly."""
+    """Serialize to the sparse text format; decimal repr round-trips exactly.
+
+    Entries are the upper-triangle nonzeros of the objective (matrix 0) and
+    then of the constraint store, in the store's (row, block, col) order.
+    """
     lines = [f"* scale {problem.scale!r}"]
     m = problem.num_constraints
     lines.append(str(m))
@@ -539,18 +578,19 @@ def write_sdpa(problem: SDPProblem) -> str:
     lines.append(" ".join(str(d) for d in problem.block_dims))
     lines.append(" ".join(repr(float(v)) for v in problem.b))
 
-    def emit(matno, bm):
-        for l in sorted(bm):
-            mat = bm[l]
-            d = mat.shape[0]
-            for i in range(d):
-                for j in range(i, d):
-                    if mat[i, j] != 0.0:
-                        lines.append(f"{matno} {l + 1} {i + 1} {j + 1} {float(mat[i, j])!r}")
+    dims = np.array(problem.block_dims)
 
-    emit(0, problem.objective)
-    for k, con in enumerate(problem.constraints):
-        emit(k + 1, con)
+    def emit(matno, store):
+        i, j = np.divmod(store.col, dims[store.block])
+        upper = i <= j
+        for k, l, ii, jj, v in zip(
+            *(a[upper].tolist() for a in (matno, store.block, i, j, store.val))
+        ):
+            lines.append(f"{k} {l + 1} {ii + 1} {jj + 1} {v!r}")
+
+    objective = _coo((0, l, col, val) for l, col, val in _nonzeros(problem.objective))
+    emit(objective.row, objective)
+    emit(problem.store.row + 1, problem.store)
     return "\n".join(lines) + "\n"
 
 

@@ -28,7 +28,7 @@ from qmbounds.model import (
     random_model,
     sld_bound,
 )
-from qmbounds.sdp_core import check_certificate, read_sdpa, solve
+from qmbounds.sdp_core import check_certificate, read_sdpa, solve, write_sdpa
 
 
 def two_param_dephasing_optimizers(eps):
@@ -452,7 +452,8 @@ class TestFailureModes:
     def test_dump_round_trips_through_text_format(self, tmp_path):
         m = phase_damping_model(0.3, params="xy")
         path = tmp_path / "program.dat-s"
-        r = nagaoka_hayashi_bound(m, dump_path=str(path))
+        r = nagaoka_hayashi_bound(m)
+        path.write_text(write_sdpa(r.problem))
         text = path.read_text()
         parsed = read_sdpa(text)
         assert parsed.num_constraints == r.solver_stats["constraints"]

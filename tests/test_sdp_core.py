@@ -25,6 +25,21 @@ def toy_problem():
     return make_problem([2], {0: np.eye(2)}, [{0: a}], [1.0])
 
 
+def two_block_problem():
+    """Rows: both blocks with an explicit zero block 1; block 1 only; twice
+    the first (dropped); both blocks, given block 1 first."""
+    a0 = np.array([[1.0, 2.0], [2.0, 0.0]])
+    a1 = np.array([[0.0, 0.0, 3.0], [0.0, 0.0, 0.0], [3.0, 0.0, -1.0]])
+    swap = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    return make_problem(
+        [2, 3],
+        {1: np.diag([0.5, 0.0, 2.0]), 0: np.array([[1.0, -0.25], [-0.25, 0.0]])},
+        [{0: a0, 1: np.zeros((3, 3))}, {1: a1}, {0: 2 * a0}, {1: swap, 0: np.eye(2)}],
+        [1.0, 2.0, 2.0, 3.0],
+        scale=0.5,
+    )
+
+
 def random_kkt_problem(seed, dims=(6,), m=8):
     """Random problem with known interior primal and dual points.
 
@@ -132,6 +147,12 @@ class TestSolve:
         sol = solve(problem, tol=1e-10)
         assert sol.status == "optimal"
         assert sol.gap <= 1e-10
+
+    def test_zero_iterations(self):
+        sol = solve(toy_problem(), max_iter=0)
+        assert sol.status == "max_iter"
+        assert sol.iterations == 0
+        assert np.isfinite(sol.gap)
 
     def test_without_rows(self):
         problem = make_problem([2], {0: np.eye(2)}, [], [])
@@ -253,6 +274,18 @@ class TestMakeProblem:
             problem = make_problem(dims, {}, cons, b, dual_hint=np.arange(14.0))
             assert problem.dual_hint.tolist() == [float(i) for i in reference(cons, dims)]
 
+    def test_store_holds_both_triangles_in_file_order(self):
+        problem = two_block_problem()
+        assert problem.dropped == 1
+        assert problem.b.tolist() == [1.0, 2.0, 3.0]
+        # row 2 (twice row 0) is gone and row 3 is now row 2; the explicit
+        # zero block and the zero entries leave nothing behind
+        store = problem.store
+        assert store.row.tolist() == [0, 0, 0, 1, 1, 1, 2, 2, 2, 2]
+        assert store.block.tolist() == [0, 0, 0, 1, 1, 1, 0, 0, 1, 1]
+        assert store.col.tolist() == [0, 1, 2, 2, 6, 8, 0, 3, 1, 3]
+        assert store.val.tolist() == [1.0, 2.0, 2.0, 3.0, 3.0, -1.0, 1.0, 1.0, 1.0, 1.0]
+
     def test_inconsistent_dependent_row_raises(self):
         a = np.zeros((2, 2))
         a[0, 0] = 1.0
@@ -296,10 +329,18 @@ class TestSdpaFormat:
         assert back.block_dims == problem.block_dims
         assert np.array_equal(back.b, problem.b)
         assert back.scale == problem.scale
-        for i in range(problem.num_constraints):
-            for l in problem.constraints[i]:
-                got = back.constraints[i].get(l, np.zeros_like(problem.constraints[i][l]))
-                assert np.array_equal(got, problem.constraints[i][l])
+        for got, want in zip(back.store, problem.store):
+            assert np.array_equal(got, want)
+
+    def test_golden_text(self):
+        # objective first, then the rows in store order, upper triangles only
+        assert write_sdpa(two_block_problem()) == (
+            "* scale 0.5\n3\n2\n2 3\n1.0 2.0 3.0\n"
+            "0 1 1 1 1.0\n0 1 1 2 -0.25\n0 2 1 1 0.5\n0 2 3 3 2.0\n"
+            "1 1 1 1 1.0\n1 1 1 2 2.0\n"
+            "2 2 1 3 3.0\n2 2 3 3 -1.0\n"
+            "3 1 1 1 1.0\n3 1 2 2 1.0\n3 2 1 2 1.0\n"
+        )
 
     def test_hand_written_toy(self):
         text = "\n".join(["1", "1", "2", "1.0", "0 1 1 1 1.0", "0 1 2 2 1.0", "1 1 1 1 1.0"]) + "\n"
