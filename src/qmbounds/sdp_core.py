@@ -6,6 +6,11 @@ The primal problem is  minimize <C, Y>  subject to  <A_i, Y> = b_i, Y >= 0
 with Y block-diagonal; the dual is  maximize b.y  subject to
 Z = C - sum_i y_i A_i >= 0.  Reported objectives carry the problem's
 `scale` factor so callers can hand in data in a doubled embedding.
+
+All dense linear algebra goes through numpy's LAPACK: the Newton system is
+solved with the inverse of its Cholesky factor, and row dedupe uses
+numpy's QR.  No second BLAS library is loaded, so the process has one BLAS
+thread pool, not two that compete for the same cores.
 """
 from __future__ import annotations
 
@@ -14,7 +19,6 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve, qr
 
 logger = logging.getLogger(__name__)
 
@@ -152,8 +156,14 @@ def make_problem(
     bvec = np.asarray(b, dtype=float).ravel()
     if len(bvec) != m:
         raise SDPError(f"b has length {len(bvec)} but there are {m} constraints")
-    store = _coo(pieces)
+    return _from_store(dims, obj, _coo(pieces), bvec, scale, primal_hint, dual_hint)
 
+
+def _from_store(dims, obj, store, bvec, scale=1.0, primal_hint=None, dual_hint=None):
+    """The problem whose rows 0..len(bvec)-1 have the nonzeros in `store`,
+    once the dependent rows are dropped and the kept rows renumbered, as
+    `make_problem` describes; the hints are checked here."""
+    m = len(bvec)
     kept, dropped = _dedupe_rows(store, bvec, dims)
     if primal_hint is not None:
         primal_hint = tuple(
@@ -230,7 +240,7 @@ def _dedupe_rows(store: ConstraintStore, bvec, dims):
         todo = todo[~near]
         if not len(todo):
             break
-        q, r = qr(resid[:, todo], mode="economic")
+        q, r = np.linalg.qr(resid[:, todo], mode="reduced")
         rdiag = np.zeros(len(todo))
         rdiag[: min(r.shape)] = np.abs(np.diag(r))
         small = np.flatnonzero(rdiag <= thresh[todo])
@@ -261,21 +271,36 @@ def _dedupe_rows(store: ConstraintStore, bvec, dims):
     return kept, dropped
 
 
-def _chol_jittered(mat: np.ndarray):
+def _chol_jittered(mat: np.ndarray) -> np.ndarray:
+    """Inverse of the lower Cholesky factor of the Schur matrix `mat`.
+
+    numpy has no triangular solve, so the factor is inverted once per
+    iteration and applied by matrix products in `_solve_refined`.  When
+    the matrix is not numerically positive definite, a growing multiple of
+    its largest diagonal entry is added before factoring again.
+    """
+    if not np.all(np.isfinite(mat)):
+        raise SDPError(
+            "Newton system is not finite: the Schur complement has NaN or inf entries"
+        )
     scale = max(1.0, float(np.max(np.abs(np.diag(mat))))) if len(mat) else 1.0
     eye = np.eye(len(mat))
     for jit in (0.0, 1e-14, 1e-12, 1e-10, 1e-8, 1e-6):
         try:
-            return cho_factor(mat + jit * scale * eye, lower=True)
-        except LinAlgError:
+            lower = np.linalg.cholesky(mat + jit * scale * eye)
+        except np.linalg.LinAlgError:
             continue
+        return np.linalg.inv(lower)
     raise SDPError("Newton system factorization failed: Schur complement is numerically singular")
 
 
-def _solve_refined(factor, mat, rhs):
-    x = cho_solve(factor, rhs)
+def _solve_refined(linv: np.ndarray, mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve `mat x = rhs` with the inverse factor from `_chol_jittered`,
+    then take two steps of iterative refinement against `mat` itself, which
+    also undo the effect of any jitter."""
+    x = linv.T @ (linv @ rhs)
     for _ in range(2):
-        x = x + cho_solve(factor, rhs - mat @ x)
+        x = x + linv.T @ (linv @ (rhs - mat @ x))
     return x
 
 
@@ -379,13 +404,13 @@ def solve(
         schur = np.zeros((m, m))
         for l in range(nb):
             schur[np.ix_(rows[l], rows[l])] += Abarflat[l] @ Abarflat[l].T
-        factor = _chol_jittered(schur)
+        linv = _chol_jittered(schur)
 
         def directions(T):
             h = rp.copy()
             for l in range(nb):
                 h[rows[l]] -= Abarflat[l] @ (T[l] - Rdbar[l]).ravel()
-            dy = _solve_refined(factor, schur, h) if m else np.zeros(0)
+            dy = _solve_refined(linv, schur, h)
             dZb = []
             dYb = []
             for l in range(nb):
@@ -656,10 +681,18 @@ def read_sdpa(text: str) -> SDPProblem:
     except ValueError as exc:
         raise SDPAFormatError(f"line {ln}: bad right-hand-side value") from exc
 
-    objective: BlockMat = {}
-    cons: list[BlockMat] = [dict() for _ in range(m)]
-    seen: set[tuple[int, int, int, int]] = set()
-    for ln, tok in body[4:]:
+    objective, store = _read_entries(body[4:], m, dims, diagonal)
+    return _from_store(dims, objective, store, b, scale)
+
+
+def _read_entries(entries, m, dims, diagonal):
+    """The objective blocks and the constraint store of the entry lines
+    `entries`, (line number, text) pairs.  The constraint entries are
+    mirrored into the lower triangle, explicit zeros are left out, and the
+    store is sorted by (row, block, col)."""
+    # entry value by (matno, blkno, i, j), in file order
+    found: dict[tuple[int, int, int, int], float] = {}
+    for ln, tok in entries:
         fields = tok.split()
         if len(fields) != 5:
             raise SDPAFormatError(f"line {ln}: expected 'matno blkno i j value', got {len(fields)} fields")
@@ -670,8 +703,8 @@ def read_sdpa(text: str) -> SDPProblem:
             raise SDPAFormatError(f"line {ln}: bad entry field") from exc
         if not 0 <= matno <= m:
             raise SDPAFormatError(f"line {ln}: matrix number {matno} out of range 0..{m}")
-        if not 1 <= blkno <= nblocks:
-            raise SDPAFormatError(f"line {ln}: block number {blkno} out of range 1..{nblocks}")
+        if not 1 <= blkno <= len(dims):
+            raise SDPAFormatError(f"line {ln}: block number {blkno} out of range 1..{len(dims)}")
         d = dims[blkno - 1]
         if not (1 <= i <= d and 1 <= j <= d):
             raise SDPAFormatError(f"line {ln}: index ({i}, {j}) exceeds block dimension {d}")
@@ -680,11 +713,26 @@ def read_sdpa(text: str) -> SDPProblem:
         if diagonal[blkno - 1] and i != j:
             raise SDPAFormatError(f"line {ln}: off-diagonal entry in diagonal block {blkno}")
         key = (matno, blkno, i, j)
-        if key in seen:
+        if key in found:
             raise SDPAFormatError(f"line {ln}: duplicate entry for matrix {matno} block {blkno} ({i}, {j})")
-        seen.add(key)
-        target = objective if matno == 0 else cons[matno - 1]
-        blk = target.setdefault(blkno - 1, np.zeros((d, d)))
-        blk[i - 1, j - 1] = value
-        blk[j - 1, i - 1] = value
-    return make_problem(dims, objective, cons, b, scale=scale)
+        found[key] = value
+    keys = np.array(list(found), dtype=np.int64).reshape(-1, 4)
+    matno, l, i, j = (keys - [0, 1, 1, 1]).T
+    val = np.fromiter(found.values(), float, len(found))
+    d = np.array(dims)[l]
+    objective: BlockMat = {}
+    for blk in np.unique(l[matno == 0]).tolist():
+        here = (matno == 0) & (l == blk)
+        mat = np.zeros((dims[blk], dims[blk]))
+        mat[i[here], j[here]] = val[here]
+        mat[j[here], i[here]] = val[here]
+        objective[blk] = mat
+    upper = (matno > 0) & (val != 0)
+    lower = upper & (i != j)
+    row = np.concatenate([matno[upper], matno[lower]]) - 1
+    block = np.concatenate([l[upper], l[lower]])
+    col = np.concatenate([(i * d + j)[upper], (j * d + i)[lower]])
+    value = np.concatenate([val[upper], val[lower]])
+    order = np.lexsort((col, block, row))
+    return objective, ConstraintStore(row[order], block[order], col[order], value[order])
+

@@ -1,9 +1,14 @@
 """End-to-end tests for the command-line front end."""
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qmbounds
 from qmbounds.cli import (
     CliError,
     GridAxis,
@@ -23,6 +28,19 @@ def csv_rows(text):
     lines = text.strip().splitlines()
     header = lines[0].split(",")
     return [dict(zip(header, line.split(","))) for line in lines[1:]]
+
+
+def test_import_loads_one_blas():
+    # numpy's LAPACK is the only one the package uses; scipy would load a
+    # second BLAS with its own thread pool
+    src = str(Path(qmbounds.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    probe = "import sys, qmbounds.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=env, capture_output=True, text=True, check=True, timeout=120,
+    )
+    assert out.stdout.strip() == "[]"
 
 
 class TestConfig:

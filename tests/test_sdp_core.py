@@ -5,6 +5,8 @@ import pytest
 from qmbounds.sdp_core import (
     SDPAFormatError,
     SDPError,
+    _chol_jittered,
+    _solve_refined,
     check_certificate,
     make_problem,
     read_sdpa,
@@ -203,6 +205,38 @@ class TestSolve:
         assert blocked.primal_obj == pytest.approx(merged.primal_obj, rel=1e-7)
 
 
+class TestNewtonSystem:
+    def test_refined_solve_is_accurate_when_ill_conditioned(self):
+        rng = np.random.default_rng(17)
+        q, _ = np.linalg.qr(rng.standard_normal((200, 200)))
+        mat = (q * np.logspace(0, -12, 200)) @ q.T
+        mat = 0.5 * (mat + mat.T)
+        assert np.linalg.cond(mat) == pytest.approx(1e12, rel=0.01)
+        rhs = mat @ rng.standard_normal(200)
+        x = _solve_refined(_chol_jittered(mat), mat, rhs)
+        assert np.linalg.norm(mat @ x - rhs) <= 1e-12 * np.linalg.norm(rhs)
+
+    def test_singular_psd_matrix_is_jittered(self):
+        a = np.array([1.0, 2.0, 3.0])
+        mat = np.outer(a, a)  # rank one, exactly singular
+        lower = np.linalg.inv(_chol_jittered(mat))
+        shift = lower @ lower.T - mat
+        # the factor is of mat plus a small multiple of the identity
+        assert np.abs(shift - np.diag(np.diag(shift))).max() <= 1e-12
+        assert 0.0 < np.diag(shift).min() and np.diag(shift).max() <= 1e-6 * 9.0
+
+    def test_indefinite_matrix_is_singular(self):
+        with pytest.raises(SDPError, match="numerically singular"):
+            _chol_jittered(np.diag([1.0, -1.0]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_matrix_raises(self, bad):
+        mat = np.eye(3)
+        mat[1, 2] = mat[2, 1] = bad
+        with pytest.raises(SDPError, match="not finite"):
+            _chol_jittered(mat)
+
+
 class TestMakeProblem:
     def test_dependent_rows_dropped(self):
         a = np.zeros((2, 2))
@@ -375,6 +409,35 @@ class TestSdpaFormat:
         assert np.array_equal(problem.objective[0], np.diag([3.0, 4.0]))
         with pytest.raises(SDPAFormatError, match="off-diagonal"):
             read_sdpa("1\n1\n-2\n1.0\n0 1 1 2 3.0\n")
+
+    def test_explicit_zero_entry_is_not_stored(self):
+        head = "2\n1\n2\n1.0 2.0\n0 1 1 1 1.0\n1 1 1 1 1.0\n"
+        plain = read_sdpa(head + "2 1 2 2 1.0\n")
+        zeros = read_sdpa(head + "1 1 1 2 0.0\n2 1 1 2 -0.0\n2 1 2 2 1.0\n")
+        for got, want in zip(zeros.store, plain.store):
+            assert np.array_equal(got, want)
+        assert write_sdpa(zeros) == write_sdpa(plain)
+
+    def test_diagonal_block_round_trip(self):
+        text = (
+            "2\n2\n2 -3\n1.0 2.0\n0 1 1 2 0.5\n0 2 3 3 4.0\n"
+            "1 1 1 1 1.0\n1 2 2 2 -1.0\n2 2 1 1 1.0\n2 2 3 3 2.0\n"
+        )
+        problem = read_sdpa(text)
+        assert problem.block_dims == (2, 3)
+        assert problem.objective[0].tolist() == [[0.0, 0.5], [0.5, 0.0]]
+        assert np.array_equal(problem.objective[1], np.diag([0.0, 0.0, 4.0]))
+        store = problem.store
+        assert store.row.tolist() == [0, 0, 1, 1]
+        assert store.block.tolist() == [0, 1, 1, 1]
+        assert store.col.tolist() == [0, 4, 0, 8]
+        assert store.val.tolist() == [1.0, -1.0, 1.0, 2.0]
+        back = read_sdpa(write_sdpa(problem))
+        assert write_sdpa(back) == write_sdpa(problem)
+        for got, want in zip(back.store, store):
+            assert np.array_equal(got, want)
+        for l in (0, 1):
+            assert np.array_equal(back.objective[l], problem.objective[l])
 
     def test_truncated_file(self):
         with pytest.raises(SDPAFormatError, match="missing"):
