@@ -22,35 +22,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import derealify, herm_eig, hermitize, psd_sqrt, realify, trace_abs
-from .model import StatisticalModel, sld
+from .linalg import derealify, hermitize, psd_sqrt, realify, trace_abs
+from .model import BoundError, StatisticalModel, Support, sld, state_support
 from .sdp_core import SDPProblem, SDPSolution, make_problem, solve
 
-RANK_TOL = 1e-10
 DEFAULT_TOL = 1e-9
-
-
-class BoundError(RuntimeError):
-    """Build or solve failure; carries the constructed problem when one exists."""
-
-    def __init__(self, message, problem=None):
-        super().__init__(message)
-        self.problem = problem
-
-
-@dataclass(frozen=True)
-class BasisSet:
-    """Orthonormal Hermitian operator basis with the scaled identity first.
-
-    When built against a support projector of rank r < d the basis spans
-    only the quotient by operators supported entirely inside the kernel,
-    dropping (d-r)^2 elements.
-    """
-
-    dim: int
-    ops: tuple[np.ndarray, ...]
-    reduced: bool
-    kept: int
 
 
 @dataclass(frozen=True)
@@ -99,72 +75,45 @@ def _traceless_gellmann(d: int) -> list[np.ndarray]:
     return ops
 
 
-def gellmann_basis(d: int, support_projector: np.ndarray | None = None) -> BasisSet:
-    """Orthonormal Hermitian basis of d x d operators, identity/sqrt(d) first.
-
-    With a rank-r support projector the returned set spans the quotient of
-    operator space by the kernel-supported operators: the scaled identity,
-    the traceless operators inside the support, and the support-kernel
-    cross operators, d^2 - (d-r)^2 elements in total.
-    """
+def gellmann_basis(d: int) -> tuple[np.ndarray, ...]:
+    """Orthonormal Hermitian basis of d x d operators, identity/sqrt(d) first."""
     if d < 1:
         raise BoundError(f"basis dimension must be >= 1, got {d}")
-    eye = np.eye(d, dtype=complex)
-    if support_projector is None:
-        ops = [eye / np.sqrt(d)] + _traceless_gellmann(d)
-        return BasisSet(dim=d, ops=tuple(ops), reduced=False, kept=len(ops))
-    p = np.asarray(support_projector, dtype=complex)
-    if p.shape != (d, d) or np.max(np.abs(p - p.conj().T)) > 1e-10 or np.max(
-        np.abs(p @ p - p)
-    ) > 1e-8:
-        raise BoundError("support_projector must be a Hermitian orthogonal projector")
-    w, u = herm_eig(p)
-    supp = u[:, w > 0.5]
-    kern = u[:, w <= 0.5]
-    r = supp.shape[1]
-    if r == d:
-        ops = [eye / np.sqrt(d)] + _traceless_gellmann(d)
-        return BasisSet(dim=d, ops=tuple(ops), reduced=False, kept=len(ops))
+    return (np.eye(d, dtype=complex) / np.sqrt(d), *_traceless_gellmann(d))
+
+
+def _quotient_basis(sup: Support) -> list[np.ndarray]:
+    """Orthonormal Hermitian basis of the operators on a state block modulo
+    those supported entirely inside its kernel.
+
+    The scaled identity, the traceless operators inside the support, and
+    the support-kernel cross operators: d^2 - (d-r)^2 elements, built from
+    the columns of `sup.rotation`.  On a full-rank block the rotation is the
+    identity and this is gellmann_basis(d), entry for entry.
+    """
+    v, r = sup.rotation, sup.rank
+    d = v.shape[0]
     if r == 0:
-        raise BoundError("support_projector has rank zero")
-    ops = [eye / np.sqrt(d)]
-    if r > 1:
-        ops.extend(hermitize(supp @ g @ supp.conj().T) for g in _traceless_gellmann(r))
+        return []
+    supp, kern = v[:, :r], v[:, r:]
+    ops = [np.eye(d, dtype=complex) / np.sqrt(d)]
+    ops.extend(hermitize(supp @ g @ supp.conj().T) for g in _traceless_gellmann(r))
     for i in range(r):
         for m in range(d - r):
             uv = np.outer(supp[:, i], kern[:, m].conj())
             ops.append(hermitize((uv + uv.conj().T) / np.sqrt(2)))
             ops.append(hermitize((1j * uv - 1j * uv.conj().T) / np.sqrt(2)))
-    return BasisSet(dim=d, ops=tuple(ops), reduced=True, kept=len(ops))
+    return ops
 
 
 def _resolve_blocks(model: StatisticalModel, use_blocks: bool | None = None):
+    """(offset, size) of each block the programs follow."""
     if use_blocks is None:
         use_blocks = model.block_dims is not None
-    if use_blocks and model.block_dims is not None:
-        offs = []
-        start = 0
-        for b in model.block_dims:
-            offs.append((start, b))
-            start += b
-        return offs
-    return [(0, model.dim)]
-
-
-def _support_rotation(s_block: np.ndarray):
-    """Support rank of a state block and a unitary that puts the support first.
-
-    A full-rank block keeps its own basis (the identity), so its compressed
-    program is the textbook one; otherwise the eigenvectors are reordered
-    support-first.
-    """
-    w, u = herm_eig(s_block)
-    mask = w > RANK_TOL
-    r = int(mask.sum())
-    if r == len(w):
-        return r, np.eye(r, dtype=complex)
-    order = np.concatenate([np.where(mask)[0], np.where(~mask)[0]])
-    return r, u[:, order]
+    if not use_blocks or model.block_dims is None:
+        return [(0, model.dim)]
+    offs = np.cumsum((0,) + model.block_dims[:-1]).tolist()
+    return list(zip(offs, model.block_dims))
 
 
 def _place(shape_offsets, entries) -> np.ndarray:
@@ -189,7 +138,8 @@ def _feasible_estimators(model: StatisticalModel) -> list[np.ndarray]:
 
     theta_j * P + sum_k (J^-1)_kj L_k satisfies both expectation pin
     families when the Fisher matrix is invertible; a pseudo-inverse keeps
-    the hint usable (if inexact) otherwise.
+    the hint usable (if inexact) otherwise.  P projects onto the support
+    that sld found.
     """
     data = sld(model)
     fisher = data.fisher
@@ -198,8 +148,7 @@ def _feasible_estimators(model: StatisticalModel) -> list[np.ndarray]:
         jinv = np.linalg.inv(fisher)
     else:
         jinv = np.linalg.pinv(fisher, rcond=1e-9)
-    wS, uS = herm_eig(model.state)
-    keep = uS[:, wS > RANK_TOL]
+    keep = data.support.vecs[:, data.support.mask]
     proj = hermitize(keep @ keep.conj().T)
     n = model.num_params
     return [
@@ -248,7 +197,7 @@ def _assemble_nh(blocks, ranks, s_sup, hints, cons, b, counts) -> SDPProblem:
         bi: realify(_place(layouts[bi], [(j, j, s_sup[bi]) for j in range(n)]))
         for bi in range(len(blocks))
     }
-    sup_bases = [gellmann_basis(r).ops for r in ranks]
+    sup_bases = [gellmann_basis(r) for r in ranks]
     start_len = len(cons)
     for j in range(n):
         for k in range(j + 1, n):
@@ -262,7 +211,7 @@ def _assemble_nh(blocks, ranks, s_sup, hints, cons, b, counts) -> SDPProblem:
     start_len = len(cons)
     corner_rows = []
     for bi, (off, dl) in enumerate(blocks):
-        for a, op in enumerate(gellmann_basis(dl).ops):
+        for a, op in enumerate(gellmann_basis(dl)):
             if a == 0:
                 corner_rows.append(len(cons))
             cons.append({bi: realify(_place(layouts[bi], [(n, n, op)]))})
@@ -323,25 +272,18 @@ def build_nh_sdp(
     """
     n = model.num_params
     blocks = _resolve_blocks(model, use_blocks)
-    ranks = []
-    rots = []
+    sups = state_support(model.state, model.derivs, blocks)
+    # a block with no support carries no pin and no cost, like the empty
+    # quotient basis Holevo gives it
+    blocks, sups = zip(*[(blk, sup) for blk, sup in zip(blocks, sups) if sup.rank])
+    ranks = [sup.rank for sup in sups]
+    rots = [sup.rotation for sup in sups]
     pins = []  # per block: rotated support rows of S, then of each dS_j
-    for off, dl in blocks:
+    for (off, dl), r, v in zip(blocks, ranks, rots):
         sb = model.state[off : off + dl, off : off + dl]
-        r, v = _support_rotation(sb)
-        ranks.append(r)
-        rots.append(v)
         d_rot = [
             v.conj().T @ dm[off : off + dl, off : off + dl] @ v for dm in model.derivs
         ]
-        for e, dr in enumerate(d_rot):
-            kk = dr[r:, r:]
-            if kk.size and np.max(np.abs(kk)) > 1e-10:
-                raise BoundError(
-                    f"derivative {e} has weight {np.max(np.abs(kk)):.2e} inside "
-                    "the kernel of the state: its expectation pin would be "
-                    "satisfiable at zero cost and the bound would be meaningless"
-                )
         rows = []
         for m in [hermitize(v.conj().T @ sb @ v)] + d_rot:
             m = m[:r, :].copy()
@@ -387,7 +329,7 @@ def build_nh_sdp(
     counts["derivative_expectation"] = n * n
     # estimator Hermiticity on the support square; cross entries are free
     # complex coordinates representing a Hermitian pair, so no pin needed
-    sup_bases = [gellmann_basis(r).ops for r in ranks]
+    sup_bases = [gellmann_basis(r) for r in ranks]
     start_len = len(cons)
     for j in range(n):
         for bi, (off, dl) in enumerate(blocks):
@@ -481,6 +423,17 @@ def recover_nh_estimators(
     return lgrid, tuple(w + th[j] * eye for j, w in enumerate(ws))
 
 
+def _solve_optimal(problem: SDPProblem, tol: float, max_iter: int) -> SDPSolution:
+    sol = solve(problem, tol=tol, max_iter=max_iter)
+    if sol.status != "optimal":
+        raise BoundError(
+            f"solver finished with status {sol.status!r} "
+            f"(gap {sol.gap:.2e}, iterations {sol.iterations})",
+            problem=problem,
+        )
+    return sol
+
+
 def _unbiasedness_errors(model: StatisticalModel, xs) -> float:
     worst = 0.0
     for j, x in enumerate(xs):
@@ -489,6 +442,26 @@ def _unbiasedness_errors(model: StatisticalModel, xs) -> float:
             target = 1.0 if j == k else 0.0
             worst = max(worst, abs(np.trace(dm @ x).real - target))
     return worst
+
+
+def _checked_stats(model, xs, problem: SDPProblem, sol: SDPSolution) -> dict:
+    """Solver stats of a bound, once its recovered estimators xs pass the
+    unbiasedness check."""
+    ub_err = _unbiasedness_errors(model, xs)
+    if ub_err > 1e-6:
+        raise BoundError(
+            f"recovered estimators violate unbiasedness by {ub_err:.2e}",
+            problem=problem,
+        )
+    return {
+        "iterations": sol.iterations,
+        "status": sol.status,
+        "primal_infeas": sol.primal_infeas,
+        "dual_infeas": sol.dual_infeas,
+        "constraints": problem.num_constraints,
+        "sdp_block_dims": problem.block_dims,
+        "unbiasedness_error": ub_err,
+    }
 
 
 def _schur_floor(lgrid, xs, n, d) -> float:
@@ -518,36 +491,16 @@ def nagaoka_hayashi_bound(
     check and the recovered block matrix passes the PSD check.
     """
     problem, meta = build_nh_sdp(model, use_blocks=use_blocks)
-    sol = solve(problem, tol=tol, max_iter=max_iter)
-    if sol.status != "optimal":
-        raise BoundError(
-            f"solver finished with status {sol.status!r} "
-            f"(gap {sol.gap:.2e}, iterations {sol.iterations})",
-            problem=problem,
-        )
+    sol = _solve_optimal(problem, tol, max_iter)
     lgrid, xs = recover_nh_estimators(meta, sol)
-    ub_err = _unbiasedness_errors(model, xs)
-    if ub_err > 1e-6:
-        raise BoundError(
-            f"recovered estimators violate unbiasedness by {ub_err:.2e}",
-            problem=problem,
-        )
+    stats = _checked_stats(model, xs, problem, sol)
     floor = _schur_floor(lgrid, xs, meta.num_params, meta.dim)
     if floor < -1e-7:
         raise BoundError(
             f"recovered block matrix has eigenvalue {floor:.2e}",
             problem=problem,
         )
-    stats = {
-        "iterations": sol.iterations,
-        "status": sol.status,
-        "primal_infeas": sol.primal_infeas,
-        "dual_infeas": sol.dual_infeas,
-        "constraints": problem.num_constraints,
-        "sdp_block_dims": problem.block_dims,
-        "unbiasedness_error": ub_err,
-        "schur_min_eig": floor,
-    }
+    stats["schur_min_eig"] = floor
     return BoundResult(
         value=sol.primal_obj,
         kind="nagaoka_hayashi",
@@ -558,31 +511,6 @@ def nagaoka_hayashi_bound(
         problem=problem,
         solution=sol,
     )
-
-
-def _support_coords(s_blocks, blocks):
-    """Per-block weighted support rows: the map X -> D^(1/2) U^dag X restricted
-    to each block, whose Gram matrix reproduces Tr[X_j S X_k]."""
-    maps = []
-    total = 0
-    for (off, dl), sb in zip(blocks, s_blocks):
-        w, u = herm_eig(sb)
-        mask = w > RANK_TOL
-        rows = (u[:, mask] * np.sqrt(w[mask])).conj().T
-        maps.append((off, dl, rows))
-        total += rows.shape[0] * dl
-    return maps, total
-
-
-def _coord_vec(maps, total, x: np.ndarray) -> np.ndarray:
-    out = np.zeros(total, dtype=complex)
-    pos = 0
-    for off, dl, rows in maps:
-        seg = rows @ x[off : off + dl, off : off + dl]
-        cnt = seg.size
-        out[pos : pos + cnt] = seg.ravel()
-        pos += cnt
-    return out
 
 
 def build_holevo_sdp(model: StatisticalModel):
@@ -598,13 +526,10 @@ def build_holevo_sdp(model: StatisticalModel):
     """
     n = model.num_params
     blocks = _resolve_blocks(model)
-    s_blocks = [model.state[off : off + dl, off : off + dl] for off, dl in blocks]
+    sups = state_support(model.state, model.derivs, blocks)
     ops: list[np.ndarray] = []
-    for bi, ((off, dl), sb) in enumerate(zip(blocks, s_blocks)):
-        r, v = _support_rotation(sb)
-        keep = v[:, :r]
-        basis = gellmann_basis(dl, hermitize(keep @ keep.conj().T))
-        for op in basis.ops:
+    for (off, dl), sup in zip(blocks, sups):
+        for op in _quotient_basis(sup):
             full = np.zeros((model.dim, model.dim), dtype=complex)
             full[off : off + dl, off : off + dl] = op
             ops.append(full)
@@ -640,12 +565,22 @@ def build_holevo_sdp(model: StatisticalModel):
     null_ops = [
         sum(null[a, bidx] * ops[a] for a in range(kprime)) for bidx in range(q)
     ]
-    maps, km = _support_coords(s_blocks, blocks)
+    # weighted support rows D^(1/2) U^dag of each block: the Gram matrix of
+    # the coordinates of X reproduces Tr[X_j S X_k]
+    maps = [
+        (off, dl, (sup.vecs[:, sup.mask] * np.sqrt(sup.vals[sup.mask])).conj().T)
+        for (off, dl), sup in zip(blocks, sups)
+    ]
+
+    def coords(x):
+        return np.concatenate(
+            [(rows @ x[off : off + dl, off : off + dl]).ravel() for off, dl, rows in maps]
+        )
+
+    m0 = np.stack([coords(x) for x in x0], axis=1)
+    km = m0.shape[0]
     dim_lmi = n + km
-    m0 = np.zeros((km, n), dtype=complex)
-    for j in range(n):
-        m0[:, j] = _coord_vec(maps, km, x0[j])
-    null_cols = [_coord_vec(maps, km, op) for op in null_ops]
+    null_cols = [coords(op) for op in null_ops]
 
     g0 = np.zeros((dim_lmi, dim_lmi), dtype=complex)
     g0[n:, n:] = np.eye(km)
@@ -704,13 +639,7 @@ def holevo_bound(
 ) -> BoundResult:
     """Collective-measurement lower bound on the MSE trace."""
     problem, meta = build_holevo_sdp(model)
-    sol = solve(problem, tol=tol, max_iter=max_iter)
-    if sol.status != "optimal":
-        raise BoundError(
-            f"solver finished with status {sol.status!r} "
-            f"(gap {sol.gap:.2e}, iterations {sol.iterations})",
-            problem=problem,
-        )
+    sol = _solve_optimal(problem, tol, max_iter)
     n = meta["num_params"]
     xs = []
     yvec = sol.dual_y
@@ -721,21 +650,7 @@ def holevo_bound(
             if key[0] == "x" and key[1] == j:
                 x = x + yvec[t] * meta["null_ops"][key[2]]
         xs.append(hermitize(x) + meta["theta"][j] * eye)
-    ub_err = _unbiasedness_errors(model, xs)
-    if ub_err > 1e-6:
-        raise BoundError(
-            f"recovered estimators violate unbiasedness by {ub_err:.2e}",
-            problem=problem,
-        )
-    stats = {
-        "iterations": sol.iterations,
-        "status": sol.status,
-        "primal_infeas": sol.primal_infeas,
-        "dual_infeas": sol.dual_infeas,
-        "constraints": problem.num_constraints,
-        "sdp_block_dims": problem.block_dims,
-        "unbiasedness_error": ub_err,
-    }
+    stats = _checked_stats(model, xs, problem, sol)
     return BoundResult(
         value=sol.dual_obj,
         kind="holevo",
@@ -769,7 +684,8 @@ def nh_u_bound(
     n = len(xs_in)
     if n < 1 or any(x.shape != (d, d) for x in xs_in):
         raise BoundError("estimators must be square matrices matching the state")
-    r, v = _support_rotation(state)
+    sup = state_support(state)[0]
+    r, v = sup.rank, sup.rotation
     s_sup = hermitize(v.conj().T @ state @ v)[:r, :r]
     xt = [(v.conj().T @ x @ v)[:r, :] for x in xs_in]
     layout = _nh_layout(n, r, d)
@@ -784,12 +700,7 @@ def nh_u_bound(
                     cons.append({0: realify(_place(layout, [(j, n, m)]))})
                     b.append(4.0 * target)
     problem = _assemble_nh([(0, d)], [r], [s_sup], [xt], cons, b, {})
-    sol = solve(problem, tol=tol, max_iter=max_iter)
-    if sol.status != "optimal":
-        raise BoundError(
-            f"solver finished with status {sol.status!r}", problem=problem
-        )
-    return sol.primal_obj
+    return _solve_optimal(problem, tol, max_iter).primal_obj
 
 
 def nagaoka_explicit_two_obs(state: np.ndarray, x1: np.ndarray, x2: np.ndarray) -> float:

@@ -104,7 +104,13 @@ def _load_model(config: RunConfig, overrides: dict | None = None):
             return model_from_dict(payload)
         except (ModelFormatError, ModelError) as exc:
             raise CliError(f"bad model file: {exc}")
-    name = config.model
+    try:
+        return _builtin_model(config.model, opts)
+    except ModelError as exc:
+        raise CliError(str(exc))
+
+
+def _builtin_model(name, opts):
     if name == "pd":
         return phase_damping_model(opts["eps"], params=opts["params"])
     if name == "ifo":
@@ -129,21 +135,21 @@ def _bound_rows(model, which, tol):
     failed = False
     for name in which:
         t0 = time.perf_counter()
-        if name == "sld":
-            value = sld_bound(model)
-            gap, ok = 0.0, True
-        else:
-            fn = holevo_bound if name == "holevo" else nagaoka_hayashi_bound
-            try:
+        try:
+            if name == "sld":
+                value = sld_bound(model)
+                gap, ok = 0.0, True
+            else:
+                fn = holevo_bound if name == "holevo" else nagaoka_hayashi_bound
                 result = fn(model, tol=tol)
                 value = result.value
                 gap = result.gap
                 ok = result.solver_stats["status"] == "optimal" and gap <= max(
                     tol, 1e-7
                 )
-            except BoundError as exc:
-                value, gap, ok = float("nan"), float("nan"), False
-                print(f"{name}: {exc}", file=sys.stderr)
+        except BoundError as exc:
+            value, gap, ok = float("nan"), float("nan"), False
+            print(f"{name}: {exc}", file=sys.stderr)
         if not ok:
             failed = True
         rows.append(

@@ -5,7 +5,9 @@ from __future__ import annotations
 import numpy as np
 
 HERM_RTOL = 1e-12
-PSD_CLAMP = 1e-10
+# eigenvalues of a state at or below this are its kernel; model.state_support
+# and psd_sqrt are the two places that split a spectrum
+SUPPORT_TOL = 1e-10
 
 
 class LinalgError(ValueError):
@@ -57,15 +59,17 @@ def trace_abs(a: np.ndarray) -> float:
 def psd_sqrt(s: np.ndarray) -> np.ndarray:
     """Hermitian PSD square root.
 
-    Eigenvalues in [-1e-10, 0) are treated as rounding noise and clamped
-    to zero; anything below that is a genuine negativity and is rejected.
+    Uses the support threshold SUPPORT_TOL of model.state_support: an
+    eigenvalue below -SUPPORT_TOL is a genuine negativity and is rejected,
+    and every eigenvalue up to +SUPPORT_TOL is set to zero, so the root
+    vanishes on the kernel that the bounds use.
     """
     w, u = herm_eig(s)
-    if w[0] < -PSD_CLAMP:
+    if w[0] < -SUPPORT_TOL:
         raise LinalgError(f"psd_sqrt: matrix has negative eigenvalue {w[0]:.3e}")
-    # zero everything below the clamp, not just negatives: sqrt amplifies
+    # zero everything up to the threshold, not just negatives: sqrt amplifies
     # eigenvalue noise of order 1e-17 to 1e-9 otherwise
-    w = np.where(w < PSD_CLAMP, 0.0, w)
+    w = np.where(w <= SUPPORT_TOL, 0.0, w)
     return hermitize((u * np.sqrt(w)) @ u.conj().T)
 
 

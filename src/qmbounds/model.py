@@ -1,7 +1,8 @@
 """Statistical models: the parametrized-state data type, built-in model
 families (dephased two-qubit states, lossy interferometer with
-definite-photon probes), random models for property tests, symmetric
-logarithmic derivatives, and the classical Fisher-trace bound."""
+definite-photon probes), random models for property tests, the support
+rule shared by all three bounds, symmetric logarithmic derivatives, and
+the classical Fisher-trace bound."""
 from __future__ import annotations
 
 import warnings
@@ -10,13 +11,20 @@ from math import comb
 
 import numpy as np
 
-from .linalg import herm_defect, herm_eig, hermitize
-
-SUPPORT_CUTOFF = 1e-10
+from .linalg import SUPPORT_TOL, herm_defect, herm_eig, hermitize
 
 
 class ModelError(ValueError):
     pass
+
+
+class BoundError(RuntimeError):
+    """A bound that is undefined for the model, or whose program failed to
+    build or solve; carries the constructed problem when one exists."""
+
+    def __init__(self, message, problem=None):
+        super().__init__(message)
+        self.problem = problem
 
 
 class ModelFormatError(ValueError):
@@ -106,9 +114,64 @@ def _off_block_mass(mat: np.ndarray, blocks: tuple[int, ...]) -> float:
 
 
 @dataclass(frozen=True)
+class Support:
+    """Eigendecomposition of a state block, ascending, split at SUPPORT_TOL:
+    `mask` marks the support, the eigenvalues above the threshold."""
+
+    vals: np.ndarray
+    vecs: np.ndarray
+    mask: np.ndarray
+
+    @property
+    def rank(self) -> int:
+        return int(self.mask.sum())
+
+    @property
+    def rotation(self) -> np.ndarray:
+        """Unitary whose first `rank` columns span the support: the identity
+        on a full-rank block, so that programs posed in this frame are the
+        textbook ones, else the eigenvectors reordered support-first."""
+        if self.mask.all():
+            return np.eye(len(self.vals), dtype=complex)
+        return np.hstack([self.vecs[:, self.mask], self.vecs[:, ~self.mask]])
+
+
+def state_support(state, derivs=(), blocks=None) -> tuple[Support, ...]:
+    """The support rule of all three bounds: one Support per diagonal block
+    (offset, size) of `state`, or one for the whole state by default.
+
+    The bounds are posed on the support, and S L + L S = 2 dS has no
+    solution when dS has weight inside the kernel.  So a derivative whose
+    kernel-kernel corner has spectral norm above SUPPORT_TOL, largest over
+    the blocks, is a BoundError.  The norm does not depend on the kernel
+    basis the eigensolver picks, so a state and its blocks agree.
+    """
+    supports = []
+    weights = np.zeros(len(derivs))
+    for off, dl in blocks or [(0, len(state))]:
+        w, u = herm_eig(state[off : off + dl, off : off + dl])
+        mask = w > SUPPORT_TOL
+        kern = u[:, ~mask]
+        for e, dm in enumerate(derivs):
+            kk = kern.conj().T @ dm[off : off + dl, off : off + dl] @ kern
+            if kk.size:
+                weights[e] = max(weights[e], np.linalg.norm(kk, 2))
+        supports.append(Support(w, u, mask))
+    for e, weight in enumerate(weights):
+        if weight > SUPPORT_TOL:
+            raise BoundError(
+                f"derivative {e} has weight {weight:.2e} inside "
+                "the kernel of the state: its expectation pin would be "
+                "satisfiable at zero cost and the bound would be meaningless"
+            )
+    return tuple(supports)
+
+
+@dataclass(frozen=True)
 class SLDData:
     operators: tuple[np.ndarray, ...]
     fisher: np.ndarray
+    support: Support
 
 
 def phase_damping_model(epsilon: float, params: str = "xyz") -> StatisticalModel:
@@ -266,12 +329,14 @@ def random_model(seed: int, dim: int, num_params: int) -> StatisticalModel:
 def sld(model: StatisticalModel) -> SLDData:
     """Symmetric logarithmic derivatives and their Fisher information.
 
-    Solves S L + L S = 2 dS in the eigenbasis of S; components with
-    eigenvalue sum at or below the support cutoff are set to zero.
+    Solves S L + L S = 2 dS in the eigenbasis of S from state_support,
+    which raises BoundError when a derivative has weight inside the
+    kernel; the kernel-kernel components of L are set to zero.
     """
-    w, u = herm_eig(model.state)
+    sup = state_support(model.state, model.derivs)[0]
+    w, u = sup.vals, sup.vecs
     denom = w[:, None] + w[None, :]
-    ok = denom > SUPPORT_CUTOFF
+    ok = sup.mask[:, None] | sup.mask[None, :]
     ops = []
     for dm in model.derivs:
         dtil = u.conj().T @ dm @ u
@@ -284,14 +349,15 @@ def sld(model: StatisticalModel) -> SLDData:
         for k in range(j, n):
             val = 0.5 * np.trace(s @ (ops[j] @ ops[k] + ops[k] @ ops[j])).real
             fisher[j, k] = fisher[k, j] = val
-    return SLDData(operators=tuple(ops), fisher=fisher)
+    return SLDData(operators=tuple(ops), fisher=fisher, support=sup)
 
 
 def sld_bound(model: StatisticalModel) -> float:
     """Trace of the inverse SLD Fisher information.
 
-    Falls back to the pseudo-inverse, with a warning, when the Fisher
-    matrix is singular on the parameter set.
+    Raises BoundError, as sld does, when a derivative has weight inside
+    the kernel of the state.  Falls back to the pseudo-inverse, with a
+    warning, when the Fisher matrix is singular on the parameter set.
     """
     fisher = sld(model).fisher
     w = np.linalg.eigvalsh(fisher)

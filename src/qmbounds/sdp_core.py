@@ -595,13 +595,15 @@ def write_sdpa(problem: SDPProblem) -> str:
 
     Entries are the upper-triangle nonzeros of the objective (matrix 0) and
     then of the constraint store, in the store's (row, block, col) order.
+    A problem without constraint rows has no right-hand-side line.
     """
     lines = [f"* scale {problem.scale!r}"]
     m = problem.num_constraints
     lines.append(str(m))
     lines.append(str(len(problem.block_dims)))
     lines.append(" ".join(str(d) for d in problem.block_dims))
-    lines.append(" ".join(repr(float(v)) for v in problem.b))
+    if m:
+        lines.append(" ".join(repr(float(v)) for v in problem.b))
 
     dims = np.array(problem.block_dims)
 
@@ -623,7 +625,9 @@ def read_sdpa(text: str) -> SDPProblem:
     """Parse the sparse text format written by write_sdpa.
 
     Negative dims on the block line declare diagonal blocks; their entries
-    must be on-diagonal and the block is stored dense.  Raises
+    must be on-diagonal and the block is stored dense.  A right-hand-side
+    line follows the block line only when the constraint count is nonzero
+    (blank lines are skipped, so none is needed to hold its place).  Raises
     SDPAFormatError with the offending line number on malformed input.
     """
     raw = text.splitlines()
@@ -672,16 +676,20 @@ def read_sdpa(text: str) -> SDPProblem:
         raise SDPAFormatError(f"line {ln}: zero block dimension")
     dims = tuple(abs(d) for d in signed_dims)
     diagonal = [d < 0 for d in signed_dims]
-    ln, tok = take(3, "right-hand side")
-    bfields = tok.replace(",", " ").split()
-    if len(bfields) != m:
-        raise SDPAFormatError(f"line {ln}: expected {m} right-hand-side values, got {len(bfields)}")
-    try:
-        b = np.array([float(f) for f in bfields])
-    except ValueError as exc:
-        raise SDPAFormatError(f"line {ln}: bad right-hand-side value") from exc
+    b = np.zeros(0)
+    first_entry = 3
+    if m:
+        ln, tok = take(3, "right-hand side")
+        bfields = tok.replace(",", " ").split()
+        if len(bfields) != m:
+            raise SDPAFormatError(f"line {ln}: expected {m} right-hand-side values, got {len(bfields)}")
+        try:
+            b = np.array([float(f) for f in bfields])
+        except ValueError as exc:
+            raise SDPAFormatError(f"line {ln}: bad right-hand-side value") from exc
+        first_entry = 4
 
-    objective, store = _read_entries(body[4:], m, dims, diagonal)
+    objective, store = _read_entries(body[first_entry:], m, dims, diagonal)
     return _from_store(dims, objective, store, b, scale)
 
 

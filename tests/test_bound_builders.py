@@ -5,12 +5,14 @@ family or an independent evaluation (explicit two-observable formula,
 commuting-case trace) computed without going through the SDP.
 """
 import dataclasses
+import re
 
 import numpy as np
 import pytest
 
 from qmbounds.bound_builders import (
     BoundError,
+    _quotient_basis,
     build_holevo_sdp,
     build_nh_sdp,
     gellmann_basis,
@@ -27,6 +29,7 @@ from qmbounds.model import (
     phase_damping_model,
     random_model,
     sld_bound,
+    state_support,
 )
 from qmbounds.sdp_core import check_certificate, read_sdpa, solve, write_sdpa
 
@@ -58,45 +61,53 @@ def unbias_residual(model, xs):
 class TestGellmannBasis:
     def test_qubit_basis_is_orthonormal(self):
         b = gellmann_basis(2)
-        assert len(b.ops) == 4
-        assert not b.reduced
+        assert len(b) == 4
         gram = np.array(
-            [[np.vdot(p, q).real for q in b.ops] for p in b.ops]
+            [[np.vdot(p, q).real for q in b] for p in b]
         )
         np.testing.assert_allclose(gram, np.eye(4), atol=1e-12)
 
     def test_identity_comes_first(self):
         b = gellmann_basis(3)
         np.testing.assert_allclose(
-            b.ops[0], np.eye(3) / np.sqrt(3), atol=1e-12
+            b[0], np.eye(3) / np.sqrt(3), atol=1e-12
         )
-        assert len(b.ops) == 9
+        assert len(b) == 9
 
     def test_all_elements_hermitian(self):
         b = gellmann_basis(4)
-        for op in b.ops:
+        for op in b:
             np.testing.assert_allclose(op, op.conj().T, atol=1e-12)
 
     def test_support_projection_drops_kernel_block(self):
-        proj = np.diag([1.0, 1.0, 0.0, 0.0]).astype(complex)
-        b = gellmann_basis(4, support_projector=proj)
-        assert b.reduced
-        assert b.kept == 12
-        assert len(b.ops) == 12
+        # a rank-2 state on a random basis: the quotient basis is built from
+        # its support and kernel eigenvectors
+        rng = np.random.default_rng(3)
+        u, _ = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+        state = u @ np.diag([0.0, 0.0, 0.3, 0.7]) @ u.conj().T
+        (sup,) = state_support(state)
+        assert sup.rank == 2
+        b = _quotient_basis(sup)
+        assert len(b) == 12
         gram = np.array(
-            [[np.vdot(p, q).real for q in b.ops] for p in b.ops]
+            [[np.vdot(p, q).real for q in b] for p in b]
         )
         np.testing.assert_allclose(gram, np.eye(12), atol=1e-12)
-        kernel = np.eye(4) - proj
-        for op in b.ops:
+        kernel = u[:, :2] @ u[:, :2].conj().T
+        for op in b:
             # nothing kept may live entirely inside the kernel corner
             outside = np.max(np.abs(op - kernel @ op @ kernel))
             assert outside > 1e-6
 
+    def test_full_rank_quotient_is_the_whole_basis(self):
+        (sup,) = state_support(np.diag([0.2, 0.3, 0.5]).astype(complex))
+        for got, want in zip(_quotient_basis(sup), gellmann_basis(3), strict=True):
+            assert np.array_equal(got, want)
+
     def test_dimension_one(self):
         b = gellmann_basis(1)
-        assert len(b.ops) == 1
-        np.testing.assert_allclose(b.ops[0], [[1.0]], atol=1e-12)
+        assert len(b) == 1
+        np.testing.assert_allclose(b[0], [[1.0]], atol=1e-12)
 
 
 class TestProgramShape:
@@ -353,6 +364,29 @@ class TestRankDeficientModels:
             rn.value, rel=1e-7
         )
 
+    def test_block_outside_the_support_adds_nothing(self):
+        # the state and its derivatives vanish on a second, one-dim block
+        m = phase_damping_model(0.3, params="xy")
+
+        def pad(a):
+            out = np.zeros((5, 5), dtype=complex)
+            out[:4, :4] = a
+            return out
+
+        padded = StatisticalModel(
+            dim=5,
+            state=pad(m.state),
+            derivs=tuple(pad(dm) for dm in m.derivs),
+            theta=m.theta,
+            labels=m.labels,
+            block_dims=(4, 1),
+        )
+        assert sld_bound(padded) == pytest.approx(sld_bound(m), rel=1e-12)
+        assert holevo_bound(padded).value == pytest.approx(holevo_bound(m).value, rel=1e-7)
+        assert nagaoka_hayashi_bound(padded).value == pytest.approx(
+            nagaoka_hayashi_bound(m).value, rel=1e-7
+        )
+
 
 class TestFixedEstimatorBound:
     def test_commuting_pair_reduces_to_second_moments(self):
@@ -448,6 +482,65 @@ class TestFailureModes:
         )
         with pytest.raises(BoundError):
             build_nh_sdp(m)
+
+    @pytest.mark.parametrize(
+        "case, message",
+        [
+            ("3x3", "derivative 0 has weight 2.00e-01 inside the kernel"),
+            ("ifo eta=1", "derivative 1 has weight 3.00e-01 inside the kernel"),
+            ("ifo eta=1-1e-10", "derivative 1 has weight 3.00e-01 inside the kernel"),
+            ("2x2", "derivative 0 has weight 1.00e+00 inside the kernel"),
+        ],
+    )
+    def test_kernel_weight_is_one_error_for_every_bound(self, case, message):
+        # the SLD equation has no solution here, so no bound may report a value
+        amps = [np.sqrt(0.7), np.sqrt(0.3)]
+        m = {
+            "3x3": lambda: StatisticalModel(
+                dim=3,
+                state=np.diag([0.6, 0.4, 0.0]).astype(complex),
+                derivs=(
+                    np.array(
+                        [[0.1, 0.2, 0], [0.2, 0.1, 0], [0, 0, -0.2]], dtype=complex
+                    ),
+                ),
+                theta=(0.0,),
+                labels=("a",),
+            ),
+            "ifo eta=1": lambda: interferometer_model(amps, 1.0),
+            "ifo eta=1-1e-10": lambda: interferometer_model(amps, 1.0 - 1e-10),
+            "2x2": lambda: StatisticalModel(
+                dim=2,
+                state=np.diag([1.0, 0.0]).astype(complex),
+                derivs=(np.diag([1.0, -1.0]).astype(complex),),
+                theta=(0.0,),
+                labels=("a",),
+            ),
+        }[case]()
+        seen = set()
+        for bound in (sld_bound, holevo_bound, nagaoka_hayashi_bound):
+            with pytest.raises(BoundError, match=re.escape(message)) as info:
+                bound(m)
+            seen.add(str(info.value))
+        assert len(seen) == 1
+
+    def test_kernel_weight_does_not_depend_on_the_basis(self):
+        # the kernel corner [[.1, .1], [.1, .1]] has spectral norm .2; a
+        # change of basis mixes the kernel vectors but keeps that norm
+        d = np.diag([-0.1, -0.1, 0.1, 0.1]).astype(complex)
+        d[2, 3] = d[3, 2] = 0.1
+        u = random_unitary(np.random.default_rng(5), 4)
+        for rot in (np.eye(4), u):
+            m = StatisticalModel(
+                dim=4,
+                state=rot @ np.diag([0.5, 0.5, 0.0, 0.0]) @ rot.conj().T,
+                derivs=(rot @ d @ rot.conj().T,),
+                theta=(0.0,),
+                labels=("a",),
+            )
+            for bound in (sld_bound, holevo_bound, nagaoka_hayashi_bound):
+                with pytest.raises(BoundError, match="derivative 0 has weight 2.00e-01"):
+                    bound(m)
 
     def test_dump_round_trips_through_text_format(self, tmp_path):
         m = phase_damping_model(0.3, params="xy")

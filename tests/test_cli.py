@@ -130,6 +130,37 @@ class TestBoundsCommand:
         assert "nh: unbiasedness system is rank deficient" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--model", "ifo", "--a1sq", "0.3", "--eta", "1.5"], "eta must lie in (0, 1]"),
+            (["--model", "pd", "--eps", "1.5"], "epsilon must lie in [0, 1]"),
+            (["--model", "hb", "--N", "3"], "photon number must be even"),
+        ],
+    )
+    def test_out_of_range_model_parameter_exits_two(self, capsys, argv, message):
+        code, out, err = run(capsys, ["bounds"] + argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and message in err
+        assert "Traceback" not in err
+
+    def test_kernel_weight_fails_every_bound_alike(self, capsys):
+        # at eta = 1 the eta derivative lives on the empty one-loss block
+        code, out, err = run(
+            capsys, ["bounds", "--model", "ifo", "--a1sq", "0.3", "--eta", "1.0"]
+        )
+        assert code == 1
+        rows = csv_rows(out)
+        assert [r["bound"] for r in rows] == ["sld", "holevo", "nh"]
+        assert all(r["value"] == "nan" and r["ok"] == "false" for r in rows)
+        lines = err.splitlines()
+        assert [line.split(": ", 1)[0] for line in lines] == ["sld", "holevo", "nh"]
+        messages = {line.split(": ", 1)[1] for line in lines}
+        assert len(messages) == 1
+        assert "derivative 1 has weight 3.00e-01 inside the kernel" in messages.pop()
+        assert "Traceback" not in err
+
     def test_unreadable_json_exits_two(self, capsys, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
@@ -176,6 +207,15 @@ class TestSweepCommand:
         assert main(argv + ["--out", str(a)]) == 0
         assert main(argv + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_out_of_range_grid_point_exits_two(self, capsys):
+        code, out, err = run(
+            capsys, ["sweep", "--model", "pd", "--grid", "eps=0:1.2:3"]
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "epsilon must lie in [0, 1]" in err
+        assert "Traceback" not in err
 
     def test_unknown_axis_rejected(self, capsys):
         code, _, err = run(
@@ -354,6 +394,16 @@ class TestSolveSdpCommand:
         assert err.startswith("solver failure: constraint 1 is linearly dependent")
         assert len(err.splitlines()) == 1
         assert "3.0" in err and "np.float64" not in err
+
+    def test_written_program_without_rows_is_optimal(self, capsys, tmp_path):
+        from qmbounds.sdp_core import make_problem, write_sdpa
+
+        path = tmp_path / "norows.dat-s"
+        path.write_text(write_sdpa(make_problem([2], {0: np.eye(2)}, [], [])))
+        code, out, err = run(capsys, ["solve-sdp", str(path)])
+        assert code == 0, err
+        assert "status: optimal" in out
+        assert "certificate: pass" in out
 
     def test_program_without_rows_is_optimal(self, capsys, tmp_path):
         # the only row is empty, so deduplication leaves no rows at all

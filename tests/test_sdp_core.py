@@ -376,6 +376,16 @@ class TestSdpaFormat:
             "3 1 1 1 1.0\n3 1 2 2 1.0\n3 2 1 2 1.0\n"
         )
 
+    def test_round_trip_without_rows(self):
+        problem = make_problem([2], {0: np.eye(2)}, [], [])
+        text = write_sdpa(problem)
+        back = read_sdpa(text)
+        assert back.num_constraints == 0
+        assert write_sdpa(back) == text
+        assert np.array_equal(back.objective[0], problem.objective[0])
+        for got, want in zip(back.store, problem.store):
+            assert np.array_equal(got, want)
+
     def test_hand_written_toy(self):
         text = "\n".join(["1", "1", "2", "1.0", "0 1 1 1 1.0", "0 1 2 2 1.0", "1 1 1 1 1.0"]) + "\n"
         problem = read_sdpa(text)
