@@ -533,21 +533,17 @@ def build_holevo_sdp(model: StatisticalModel):
             full = np.zeros((model.dim, model.dim), dtype=complex)
             full[off : off + dl, off : off + dl] = op
             ops.append(full)
-    kprime = len(ops)
-    # affine solve of the unbiasedness system over the basis coefficients
-    targets = [model.state] + list(model.derivs)
-    tmat = np.array(
-        [[np.trace(te @ op).real for op in ops] for te in targets]
-    )
+    basis = np.array(ops).reshape(len(ops), model.dim, model.dim)
+    # affine solve of the unbiasedness system over the basis coefficients:
+    # tmat[t, a] = Re Tr[target_t op_a]
+    targets = np.array([model.state] + list(model.derivs))
+    tmat = (targets.reshape(n + 1, -1) @ basis.transpose(0, 2, 1).reshape(len(ops), -1).T).real
     rank = _functional_rank(tmat, n)
     # centered estimators W_j = X_j - theta_j, as in the block-program builder
     tr_s = float(np.trace(model.state).real)
     tr_d = [float(np.trace(dm).real) for dm in model.derivs]
-    rhs = np.zeros((n + 1, n))
-    for j in range(n):
-        rhs[0, j] = model.theta[j] * (1.0 - tr_s)
-        for k in range(n):
-            rhs[1 + k, j] = (1.0 if j == k else 0.0) - model.theta[j] * tr_d[k]
+    theta = np.asarray(model.theta, dtype=float)
+    rhs = np.vstack([theta * (1.0 - tr_s), np.eye(n) - np.outer(tr_d, theta)])
     coef0, _, _, _ = np.linalg.lstsq(tmat, rhs, rcond=None)
     resid = np.max(np.abs(tmat @ coef0 - rhs))
     if resid > 1e-8:
@@ -556,15 +552,11 @@ def build_holevo_sdp(model: StatisticalModel):
             "no unbiased estimator exists for this model"
         )
     _, sv, vt = np.linalg.svd(tmat)
-    null = vt[rank:].T  # kprime x q
+    null = vt[rank:].T  # one column per free direction
     q = null.shape[1]
 
-    x0 = [
-        sum(coef0[a, j] * ops[a] for a in range(kprime)) for j in range(n)
-    ]
-    null_ops = [
-        sum(null[a, bidx] * ops[a] for a in range(kprime)) for bidx in range(q)
-    ]
+    x0 = np.tensordot(coef0, basis, axes=(0, 0))
+    null_ops = np.tensordot(null, basis, axes=(0, 0))
     # weighted support rows D^(1/2) U^dag of each block: the Gram matrix of
     # the coordinates of X reproduces Tr[X_j S X_k]
     maps = [
@@ -608,10 +600,7 @@ def build_holevo_sdp(model: StatisticalModel):
             var_index.append(("x", j, bidx))
 
     tau = 1.0 + 2.0 * float(np.linalg.norm(m0, 2)) ** 2
-    dual0 = np.zeros(len(cons))
-    for t, key in enumerate(var_index):
-        if key[0] == "v" and key[1] == key[2]:
-            dual0[t] = tau
+    dual0 = np.array([tau if key[0] == "v" and key[1] == key[2] else 0.0 for key in var_index])
     problem = make_problem(
         [2 * dim_lmi],
         objective,

@@ -5,7 +5,6 @@ rule shared by all three bounds, symmetric logarithmic derivatives, and
 the classical Fisher-trace bound."""
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from math import comb
 
@@ -356,17 +355,17 @@ def sld_bound(model: StatisticalModel) -> float:
     """Trace of the inverse SLD Fisher information.
 
     Raises BoundError, as sld does, when a derivative has weight inside
-    the kernel of the state.  Falls back to the pseudo-inverse, with a
-    warning, when the Fisher matrix is singular on the parameter set.
+    the kernel of the state, and when the Fisher matrix is singular on the
+    parameter set: some combination of the parameters is then not
+    identifiable, and the bound is infinite.
     """
     fisher = sld(model).fisher
     w = np.linalg.eigvalsh(fisher)
     if w[0] <= 1e-10 * max(1.0, float(w[-1])):
-        warnings.warn(
-            "Fisher information is singular; using its pseudo-inverse",
-            stacklevel=2,
+        raise BoundError(
+            f"SLD Fisher information is singular (smallest eigenvalue {w[0]:.2e}, "
+            f"largest {w[-1]:.2e}): the parameters are not all identifiable"
         )
-        return float(np.trace(np.linalg.pinv(fisher, rcond=1e-10)))
     return float(np.trace(np.linalg.inv(fisher)))
 
 

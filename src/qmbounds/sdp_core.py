@@ -7,6 +7,10 @@ with Y block-diagonal; the dual is  maximize b.y  subject to
 Z = C - sum_i y_i A_i >= 0.  Reported objectives carry the problem's
 `scale` factor so callers can hand in data in a doubled embedding.
 
+The solver forms each block's Schur complement by one of two formulas,
+picked by cost: from the congruences G^T A_i G, or from factors that a
+small cover of each row gives (see `solve`).
+
 All dense linear algebra goes through numpy's LAPACK: the Newton system is
 solved with the inverse of its Cholesky factor, and row dedupe uses
 numpy's QR.  No second BLAS library is loaded, so the process has one BLAS
@@ -327,10 +331,21 @@ def solve(
 ) -> SDPSolution:
     """Solve with an infeasible-start path-following method.
 
-    Nesterov-Todd scaling, Mehrotra predictor-corrector, Schur complement
-    per block over the rows that touch it.  Deterministic: fixed reduction
-    orders, no randomization.  Builder hints on the problem are used as
-    starting points when present.
+    Nesterov-Todd scaling G per block, Mehrotra predictor-corrector.  Schur
+    entry (i, j) of a block is Tr(W A_i W A_j), W = G G^T, over the m rows
+    that touch the block, by the formula `_factored_pays` picks for it.
+    Dense: the Gram matrix of the congruences G^T A_i G, about
+    2md^3 + m^2 d^2 multiply-adds in dimension d.  Factored: row i is zero
+    outside the rows and columns of its greedy cover H, so with
+    B_i = A_i[:, H] it is exactly E_H B_i^T + B_i E_H^T - E_H A_i[H, H] E_H^T
+    = U_i S_i U_i^T, with U_i = [E_H, B_i].  With F_i = G^T U_i and
+    Q = F^T F the entry is Tr(S_i Q_ij S_j Q_ji), about kmd^2 + 4k^2 m^2 d
+    multiply-adds for covers of width k, used when that count (with the
+    directions' products and a fixed overhead) is the smaller.  Its factors
+    give each direction's right-hand side and dZ, with no m x d^2 stack.
+
+    Deterministic: fixed reduction orders, no randomization.  Builder
+    hints on the problem are used as starting points when present.
     """
     dims = problem.block_dims
     nb = len(dims)
@@ -338,29 +353,25 @@ def solve(
     nu = float(sum(dims))
     b = problem.b
 
-    rows, Aflat = _row_classes(problem)
-    A = [Aflat[l].reshape(len(rows[l]), d, d) for l, d in enumerate(dims)]
+    formulas = _block_formulas(problem)
     C = [problem.objective.get(l, np.zeros((d, d))) for l, d in enumerate(dims)]
     c_scale = 1.0 + max((float(np.max(np.abs(cb))) for cb in C), default=0.0)
     b_scale = 1.0 + (float(np.max(np.abs(b))) if m else 0.0)
 
     Y = _initial_primal(problem, dims)
-    y, Z = _initial_dual(problem, rows, A, C, dims, m)
+    y, Z = _initial_dual(problem, formulas, C)
 
     def constraint_values(blocks):
         out = np.zeros(m)
-        for l in range(nb):
-            out[rows[l]] += Aflat[l] @ blocks[l].ravel()
+        for f, blk in zip(formulas, blocks):
+            out[f.rows] += f.values(blk)
         return out
 
     def metrics():
         pobj = sum(float(np.vdot(C[l], Y[l])) for l in range(nb))
         dobj = float(b @ y)
         rp = b - constraint_values(Y)
-        Rd = [
-            C[l] - (Aflat[l].T @ y[rows[l]]).reshape(dims[l], dims[l]) - Z[l]
-            for l in range(nb)
-        ]
+        Rd = [C[l] - f.combination(y[f.rows]) - Z[l] for l, f in enumerate(formulas)]
         gap = abs(pobj - dobj) / (1.0 + abs(pobj))
         pinf = (float(np.max(np.abs(rp))) if m else 0.0) / b_scale
         dinf = max(float(np.max(np.abs(r))) for r in Rd) / c_scale
@@ -389,36 +400,22 @@ def solve(
             status = "infeasible_suspect"
             break
 
-        Gs, Gis, sigmas = [], [], []
-        for l in range(nb):
-            G, Gi, sig = _nt_factor(Y[l], Z[l])
-            Gs.append(G)
-            Gis.append(Gi)
-            sigmas.append(sig)
-        Abar = [
-            np.matmul(Gs[l].T[None, :, :], np.matmul(A[l], Gs[l]))
-            for l in range(nb)
-        ]
-        Abarflat = [Abar[l].reshape(len(rows[l]), d * d) for l, d in enumerate(dims)]
+        Gs, Gis, sigmas = zip(*(_nt_factor(Y[l], Z[l]) for l in range(nb)))
+        scaled = [(f.rows, *f.scaled(G)) for f, G in zip(formulas, Gs)]
         Rdbar = [Gs[l].T @ Rd[l] @ Gs[l] for l in range(nb)]
         schur = np.zeros((m, m))
-        for l in range(nb):
-            schur[np.ix_(rows[l], rows[l])] += Abarflat[l] @ Abarflat[l].T
+        for rows, part, _, _ in scaled:
+            schur[np.ix_(rows, rows)] += part
         linv = _chol_jittered(schur)
 
         def directions(T):
             h = rp.copy()
-            for l in range(nb):
-                h[rows[l]] -= Abarflat[l] @ (T[l] - Rdbar[l]).ravel()
+            for l, (rows, _, apply, _) in enumerate(scaled):
+                h[rows] -= apply(T[l] - Rdbar[l])
             dy = _solve_refined(linv, schur, h)
-            dZb = []
-            dYb = []
-            for l in range(nb):
-                dz = Rdbar[l] - (Abarflat[l].T @ dy[rows[l]]).reshape(dims[l], dims[l])
-                dz = 0.5 * (dz + dz.T)
-                dZb.append(dz)
-                dYb.append(T[l] - dz)
-            return dy, dYb, dZb
+            dZb = [Rdbar[l] - adjoint(dy[rows]) for l, (rows, _, _, adjoint) in enumerate(scaled)]
+            dZb = [0.5 * (dz + dz.T) for dz in dZb]
+            return dy, [T[l] - dz for l, dz in enumerate(dZb)], dZb
 
         T_aff = [-np.diag(sig) for sig in sigmas]
         dy_a, dYb_a, dZb_a = directions(T_aff)
@@ -486,30 +483,11 @@ def _initial_primal(problem, dims):
     return Y
 
 
-def _row_classes(problem):
-    """For each block, the indices of the rows with entries there and those
-    rows' vectorised matrices stacked densely; rows that miss a block are
-    never padded into it."""
-    store = problem.store
-    rows, stacks = [], []
-    for l, d in enumerate(problem.block_dims):
-        here = store.block == l
-        idx = np.unique(store.row[here])
-        stack = np.zeros((len(idx), d * d))
-        stack[np.searchsorted(idx, store.row[here]), store.col[here]] = store.val[here]
-        rows.append(idx)
-        stacks.append(stack)
-    return rows, stacks
-
-
-def _initial_dual(problem, rows, A, C, dims, m):
-    if problem.dual_hint is not None:
-        y = problem.dual_hint.copy()
-    else:
-        y = np.zeros(m)
+def _initial_dual(problem, formulas, C):
+    y = np.zeros(problem.num_constraints) if problem.dual_hint is None else problem.dual_hint.copy()
     Z = []
-    for l, d in enumerate(dims):
-        zb = C[l] - np.tensordot(y[rows[l]], A[l], axes=(0, 0))
+    for l, (d, f) in enumerate(zip(problem.block_dims, formulas)):
+        zb = C[l] - f.combination(y[f.rows])
         zb = 0.5 * (zb + zb.T)
         w = np.linalg.eigvalsh(zb)
         floor = 1e-6 * max(1.0, float(np.max(np.abs(zb))), float(w[-1]) if d else 1.0)
@@ -519,6 +497,120 @@ def _initial_dual(problem, rows, A, C, dims, m):
             zb = zb + (floor - w[0]) * np.eye(d)
         Z.append(zb)
     return y, Z
+
+
+class _DenseRows(NamedTuple):
+    """A block's rows as a dense (m, d, d) stack.  `values` and `combination`
+    are (<A_i, Y>)_i and sum_i v_i A_i over these rows."""
+
+    rows: np.ndarray
+    stack: np.ndarray
+    work: np.ndarray  # two stacks reused by every iteration, not allocated anew
+
+    def values(self, Y):
+        return self.stack.reshape(len(self.rows), Y.size) @ Y.ravel()
+
+    def combination(self, v):
+        d = self.stack.shape[1]
+        return (self.stack.reshape(len(self.rows), d * d).T @ v).reshape(d, d)
+
+    def scaled(self, G):
+        """The block's Schur part, X -> (Tr(G^T A_i G X))_i, and
+        v -> sum_i v_i G^T A_i G."""
+        tmp = np.matmul(self.stack, G, out=self.work[0])
+        abar = np.matmul(G.T, tmp, out=self.work[1]).reshape(len(self.rows), G.size)
+        return abar @ abar.T, lambda X: abar @ X.ravel(), lambda v: (abar.T @ v).reshape(G.shape)
+
+
+class _FactoredRows(NamedTuple):
+    """A block's rows as the cover factors of `solve`, where U_i S_i is
+    [B'_i, E_H] and B'_i is B_i with its rows H zeroed."""
+
+    rows: np.ndarray
+    cover: np.ndarray  # (m, k)
+    cols: np.ndarray  # (d, m, 2k): [B'_i, B_i] in cols[:, i, :]
+    entries: tuple  # the block's nonzeros: row position, flat position, value
+
+    def values(self, Y):
+        row, at, val = self.entries
+        return np.bincount(row, weights=val * Y.ravel()[at], minlength=len(self.rows))
+
+    def combination(self, v):
+        row, at, val = self.entries
+        d = len(self.cols)
+        return np.bincount(at, weights=v[row] * val, minlength=d * d).reshape(d, d)
+
+    def scaled(self, G):
+        """As `_DenseRows.scaled`, from F_i = G^T U_i and F_i S_i."""
+        (m, k), d = self.cover.shape, len(G)
+        GE = G[self.cover].transpose(2, 0, 1)
+        GB = (G.T @ self.cols.reshape(d, 2 * m * k)).reshape(d, m, 2 * k)
+        F = np.concatenate([GE, GB[:, :, k:]], axis=2).reshape(d, 2 * m * k)
+        FS = np.concatenate([GB[:, :, :k], GE], axis=2).reshape(d, 2 * m * k)
+        P = F.T @ FS  # block (i, j) is Q_ij S_j
+        # block sums by products with ones, which numpy does faster than sum
+        ones = np.ones(2 * k)
+        schur = ones @ ((P * P.T).reshape(m, 2 * k, m, 2 * k) @ ones)
+        return (schur, lambda X: (np.ones(d) @ ((X @ F) * FS)).reshape(m, 2 * k) @ ones,
+                lambda v: (FS * np.repeat(v, 2 * k)) @ F.T)
+
+
+def _factored_pays(m: int, d: int, k: int) -> bool:
+    """Whether the factored formula takes fewer multiply-adds per iteration
+    than the dense one for m rows of cover width k in dimension d.  Besides
+    the Schur parts, each counts its products in two directions (4md^2
+    against 8kmd^2), and the factored one 1e6 more for its ten or so extra
+    numpy calls."""
+    dense = 2 * m * d**3 + m * m * d * d + 4 * m * d * d
+    return 9 * k * m * d * d + 4 * k * k * m * m * d + 10**6 < dense
+
+
+def _greedy_cover(r, i, j, m, d):
+    """Greedy vertex covers of m d x d nonzero patterns, with entries at
+    (i[e], j[e]) of pattern r[e], as an (m, k) index array; None once k is
+    too large for `_factored_pays`.  Each pass adds to every cover the index
+    that covers most uncovered entries, ties to the lowest.  A pattern
+    already covered takes index 0: a cover stays a cover when it grows, and
+    a repeated index gets an empty B column, which adds nothing."""
+    todo = np.ones(len(r), dtype=bool)
+    picks = []
+    while todo.any():
+        if not _factored_pays(m, d, len(picks) + 1):
+            return None
+        ends = np.concatenate([i[todo], j[todo & (i != j)]])  # a diagonal entry counts once
+        deg = np.bincount(np.concatenate([r[todo], r[todo & (i != j)]]) * d + ends, minlength=m * d)
+        pick = np.argmax(deg.reshape(m, d), axis=1)
+        picks.append(pick)
+        todo &= (i != pick[r]) & (j != pick[r])
+    return np.stack(picks, axis=1) if picks else None
+
+
+def _block_formulas(problem):
+    """Each block's rows (those with entries there, never padded in), in the
+    factored formula when their greedy covers make it pay, else the dense."""
+    store = problem.store
+    formulas = []
+    for l, d in enumerate(problem.block_dims):
+        here = store.block == l
+        rows, r = np.unique(store.row[here], return_inverse=True)
+        i, j = np.divmod(store.col[here], d)
+        val = store.val[here]
+        H = _greedy_cover(r, i, j, len(rows), d)
+        if H is None:
+            stack = np.zeros((len(rows), d, d))
+            stack[r, i, j] = val
+            formulas.append(_DenseRows(rows, stack, np.empty((2,) + stack.shape)))
+            continue
+        k = H.shape[1]
+        slot = np.full((len(rows), d), -1)
+        slot[np.arange(len(rows))[:, None], H] = np.arange(k)
+        b = slot[r, j] >= 0  # the entries of B_i
+        cols = np.zeros((d, len(rows), 2 * k))
+        cols[i[b], r[b], k + slot[r[b], j[b]]] = val[b]
+        cols[:, :, :k] = cols[:, :, k:]
+        cols[H, np.arange(len(rows))[:, None], :k] = 0.0
+        formulas.append(_FactoredRows(rows, H, cols, (r, i * d + j, val)))
+    return formulas
 
 
 def _nt_factor(Yb: np.ndarray, Zb: np.ndarray):

@@ -161,6 +161,18 @@ class TestBoundsCommand:
         assert "derivative 1 has weight 3.00e-01 inside the kernel" in messages.pop()
         assert "Traceback" not in err
 
+    def test_unidentifiable_parameters_fail_every_bound(self, capsys):
+        # a probe with no photon in the second arm carries no phase information
+        code, out, err = run(
+            capsys, ["bounds", "--model", "ifo", "--amps", "1,0", "--eta", "0.5"]
+        )
+        assert code == 1
+        rows = csv_rows(out)
+        assert [r["bound"] for r in rows] == ["sld", "holevo", "nh"]
+        assert all(r["value"] == "nan" and r["ok"] == "false" for r in rows)
+        assert "sld: SLD Fisher information is singular" in err
+        assert "Traceback" not in err
+
     def test_unreadable_json_exits_two(self, capsys, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")

@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 from qmbounds.model import (
+    BoundError,
     ModelError,
     ModelFormatError,
     StatisticalModel,
@@ -249,14 +250,14 @@ class TestSld:
         assert data.fisher[0, 0] == pytest.approx(1.0, abs=1e-10)
         assert sld_bound(m) == pytest.approx(1.0, abs=1e-10)
 
-    def test_singular_fisher_warns(self):
+    def test_singular_fisher_raises(self):
         # two identical parameters make J rank deficient
         m = phase_damping_model(0.3, "x")
         twin = StatisticalModel(
             dim=4, state=m.state, derivs=(m.derivs[0], m.derivs[0]),
             theta=(0.0, 0.0), labels=("a", "b"),
         )
-        with pytest.warns(UserWarning, match="singular"):
+        with pytest.raises(BoundError, match="Fisher information is singular"):
             sld_bound(twin)
 
 

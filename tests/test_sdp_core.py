@@ -1,11 +1,25 @@
 """Tests for the SDP data structures, solver, certificates, and text I/O."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from qmbounds import sdp_core
+from qmbounds.bound_builders import build_holevo_sdp, build_nh_sdp
+from qmbounds.model import (
+    holland_burnett_probe,
+    interferometer_model,
+    phase_damping_model,
+    random_model,
+)
 from qmbounds.sdp_core import (
     SDPAFormatError,
     SDPError,
+    _block_formulas,
     _chol_jittered,
+    _DenseRows,
+    _FactoredRows,
+    _nt_factor,
     _solve_refined,
     check_certificate,
     make_problem,
@@ -235,6 +249,122 @@ class TestNewtonSystem:
         mat[1, 2] = mat[2, 1] = bad
         with pytest.raises(SDPError, match="not finite"):
             _chol_jittered(mat)
+
+
+def dense_rows(problem, l):
+    """The constraint matrices of block l, as an (m, d, d) stack over the
+    rows that touch the block."""
+    store = problem.store
+    d = problem.block_dims[l]
+    here = store.block == l
+    rows, pos = np.unique(store.row[here], return_inverse=True)
+    stack = np.zeros((len(rows), d, d))
+    stack[pos, store.col[here] // d, store.col[here] % d] = store.val[here]
+    return rows, stack
+
+
+def holevo_programs():
+    hb = build_holevo_sdp(interferometer_model(holland_burnett_probe(4), 0.6))[0]
+    rnd = build_holevo_sdp(random_model(3, 4, 2))[0]
+    return {"hb N=4": hb, "random d=4": rnd, "random d=4 read back": read_sdpa(write_sdpa(rnd))}
+
+
+class TestSchurFormulas:
+    @pytest.mark.parametrize("name", ["hb N=4", "random d=4", "random d=4 read back"])
+    def test_factored_rows_match_dense_reference(self, name):
+        problem = holevo_programs()[name]
+        (formula,) = _block_formulas(problem)
+        assert isinstance(formula, _FactoredRows)
+        assert formula.cover.shape[1] == 2
+        rows, A = dense_rows(problem, 0)
+        assert np.array_equal(formula.rows, rows)
+        # a generic NT scaling, from random positive definite Y and Z
+        rng = np.random.default_rng(11)
+        d = problem.block_dims[0]
+        Y, Z = (g @ g.T + np.eye(d) for g in rng.standard_normal((2, d, d)))
+        G = _nt_factor(Y, Z)[0]
+        W = G @ G.T
+        X = rand_sym(rng, d)
+        v = rng.standard_normal(len(rows))
+        WA = np.matmul(W, A)
+        Abar = np.matmul(G.T, np.matmul(A, G))
+        ref_schur = np.einsum("iab,jba->ij", WA, WA)  # Tr(W A_i W A_j)
+        ref_h = np.einsum("iab,ab->i", Abar, X)
+        ref_dz = np.tensordot(v, Abar, axes=1)
+        schur, apply, adjoint = formula.scaled(G)
+
+        def rel(got, ref):
+            return np.max(np.abs(got - ref)) / np.max(np.abs(ref))
+
+        assert rel(schur, ref_schur) <= 1e-12
+        assert rel(apply(X), ref_h) <= 1e-12
+        assert rel(adjoint(v), ref_dz) <= 1e-12
+        assert rel(formula.values(Y), np.einsum("iab,ab->i", A, Y)) <= 1e-12
+        assert rel(formula.combination(v), np.tensordot(v, A, axes=1)) <= 1e-12
+
+    def test_nh_and_small_blocks_keep_dense_formula(self):
+        programs = [
+            build_nh_sdp(interferometer_model(holland_burnett_probe(4), 0.6))[0],
+            build_nh_sdp(random_model(3, 4, 2))[0],
+            build_holevo_sdp(phase_damping_model(0.5, "xyz"))[0],
+            build_holevo_sdp(interferometer_model([0.7**0.5, 0.3**0.5], 0.5))[0],
+        ]
+        dims = [d for p in programs for d in p.block_dims]
+        assert min(dims) <= 6
+        for problem in programs:
+            for l, formula in enumerate(_block_formulas(problem)):
+                assert isinstance(formula, _DenseRows)
+                rows, A = dense_rows(problem, l)
+                assert np.array_equal(formula.rows, rows)
+                assert np.array_equal(formula.stack, A)
+
+    def test_mixed_cover_widths_solve_as_dense(self, monkeypatch):
+        # rows of cover width 1 to 3 in a 40-dim block beside a dense 3-dim
+        # block: one row holds a single diagonal entry, the rest are
+        # E_H B^T + B E_H^T for random H and B
+        rng = np.random.default_rng(3)
+        dims = (40, 3)
+        cons = []
+        for i in range(60):
+            H = rng.choice(dims[0], size=1 + i % 3, replace=False)
+            B = np.zeros((dims[0], len(H)))
+            if i:
+                B[rng.choice(dims[0], size=5, replace=False)] = rng.standard_normal((5, len(H)))
+            E = np.eye(dims[0])[:, H]
+            con = {0: E @ B.T + B @ E.T + E @ rand_sym(rng, len(H)) @ E.T}
+            if i % 4 == 0:
+                con[1] = rand_sym(rng, dims[1])
+            cons.append(con)
+        y_feas, obj = [], {}
+        for l, d in enumerate(dims):
+            g, h = rng.standard_normal((2, d, d))
+            y_feas.append(g @ g.T + np.eye(d))
+            obj[l] = h @ h.T + np.eye(d)
+        b = [sum(np.vdot(mat, y_feas[l]) for l, mat in con.items()) for con in cons]
+        problem = make_problem(dims, obj, cons, b)
+        formulas = _block_formulas(problem)
+        assert isinstance(formulas[0], _FactoredRows) and isinstance(formulas[1], _DenseRows)
+        assert formulas[0].cover.shape[1] == 3
+        factored = solve(problem)
+        monkeypatch.setattr(sdp_core, "_factored_pays", lambda m, d, k: False)
+        dense = solve(problem)
+        assert factored.status == dense.status == "optimal"
+        assert factored.iterations == dense.iterations
+        assert factored.primal_obj == pytest.approx(dense.primal_obj, rel=1e-9)
+        assert check_certificate(problem, factored).passed
+
+    def test_large_holevo_solve_builds_no_dense_stack(self):
+        # the 204-dim block has 197 rows, so one m x d^2 stack is 66 MB; the
+        # dense formula peaked at 257 MB here
+        problem = build_holevo_sdp(random_model(3, 10, 2))[0]
+        tracemalloc.start()
+        try:
+            sol = solve(problem)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sol.status == "optimal"
+        assert peak <= 64 * 2**20
 
 
 class TestMakeProblem:
