@@ -4,7 +4,10 @@ The main entry points translate a StatisticalModel into standard-form
 problems for sdp_core: a block-embedded program whose optimum is the
 attainable-MSE bound over separable measurements, and a factorized
 program for the asymptotic collective bound.  Recovery helpers pull the
-optimal estimator operators back out of solved problems.
+optimal estimator operators back out of solved problems.  Constraint rows
+are emitted as the complex upper-triangle entries of each Hermitian block
+and realified once, by `linalg.realify_entries`, into the entry format of
+`make_problem`; only objectives and hints are built as dense matrices.
 
 Rank deficiency is the load-bearing design concern here.  When the state
 has a kernel, the textbook block program has cost-free recession
@@ -22,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import derealify, hermitize, psd_sqrt, realify, trace_abs
+from .linalg import derealify, hermitize, psd_sqrt, realify, realify_entries, trace_abs
 from .model import BoundError, StatisticalModel, Support, sld, state_support
 from .sdp_core import SDPProblem, SDPSolution, make_problem, solve
 
@@ -116,21 +119,24 @@ def _resolve_blocks(model: StatisticalModel, use_blocks: bool | None = None):
     return list(zip(offs, model.block_dims))
 
 
-def _place(shape_offsets, entries) -> np.ndarray:
-    """Assemble a Hermitian matrix from (row_block, col_block, mat) triples.
+def _entries(first: int, block: int, stack: np.ndarray, oi, oj):
+    """Constraint entries of matrices stack[k] placed at (oi[k], oj[k]) of
+    a Hermitian block, in row first + k: (row, block, i, j, z) arrays of the
+    nonzeros on or above the diagonal, whose adjoint mirror is implied.  oi
+    and oj may be scalars."""
+    k, a, c = np.nonzero(stack)
+    i = np.broadcast_to(oi, len(stack))[k] + a
+    j = np.broadcast_to(oj, len(stack))[k] + c
+    up = i <= j
+    return first + k[up], np.full(np.count_nonzero(up), block), i[up], j[up], stack[k, a, c][up]
 
-    shape_offsets maps a block index to (offset, size); the adjoint mirror
-    of every off-diagonal entry is filled in automatically.
-    """
-    total = shape_offsets[-1][0] + shape_offsets[-1][1]
-    full = np.zeros((total, total), dtype=complex)
-    for bi, bj, mat in entries:
-        oi, si = shape_offsets[bi]
-        oj, sj = shape_offsets[bj]
-        full[oi : oi + si, oj : oj + sj] += mat
-        if bi != bj:
-            full[oj : oj + sj, oi : oi + si] += mat.conj().T
-    return full
+
+def _realified(pieces, dims):
+    """`make_problem` entries of the realified rows, from the `_entries`
+    pieces of Hermitian blocks of dimensions `dims`."""
+    row, block, i, j, z = (np.concatenate(a) for a in zip(*pieces))
+    k, i, j, val = realify_entries(i, j, z, np.asarray(dims)[block])
+    return row[k], block[k], i, j, val
 
 
 def _feasible_estimators(model: StatisticalModel) -> list[np.ndarray]:
@@ -176,50 +182,42 @@ def _functional_rank(tmat: np.ndarray, n: int) -> int:
     return rank
 
 
-def _nh_layout(n: int, r: int, dl: int):
-    """Slots of [[L, X], [X^T, 1]]: n error rows of size r, then the corner."""
-    return [(j * r, r) for j in range(n)] + [(n * r, dl)]
+def _assemble_nh(blocks, ranks, s_sup, hints, pieces, b, counts) -> SDPProblem:
+    """Finish a block program whose leading pin rows are already in pieces.
 
-
-def _assemble_nh(blocks, ranks, s_sup, hints, cons, b, counts) -> SDPProblem:
-    """Finish a block program whose leading pin rows are already in cons.
-
-    Appends the Hermiticity pins of the off-diagonal error blocks and the
-    fully pinned identity corner to cons, b and counts, poses the
+    The variable of block bi is [[L, X], [X^T, 1]]: n error rows of size
+    r = ranks[bi], then the d_l-dim corner.  Appends the Hermiticity pins
+    of the off-diagonal error blocks and the fully pinned identity corner
+    to pieces (the `_entries` of the rows), b and counts, poses the
     objective sum_j Tr[S L_jj] with s_sup the support square of each state
     block, and builds the problem.  hints[bi] holds the n estimator rows
     (r x d_l, support basis) that seed a strictly feasible primal point;
     the identity-corner duals seed the dual one.
     """
     n = len(hints[0])
-    layouts = [_nh_layout(n, r, dl) for r, (off, dl) in zip(ranks, blocks)]
-    objective = {
-        bi: realify(_place(layouts[bi], [(j, j, s_sup[bi]) for j in range(n)]))
-        for bi in range(len(blocks))
-    }
-    sup_bases = [gellmann_basis(r) for r in ranks]
-    start_len = len(cons)
+    sup_bases = [1j * np.array(gellmann_basis(r)) for r in ranks]
+    start_len = len(b)
     for j in range(n):
         for k in range(j + 1, n):
-            for bi in range(len(blocks)):
-                for op in sup_bases[bi]:
-                    cons.append(
-                        {bi: realify(_place(layouts[bi], [(j, k, 1j * op)]))}
-                    )
-                    b.append(0.0)
-    counts["error_block_symmetry"] = len(cons) - start_len
-    start_len = len(cons)
+            for bi, r in enumerate(ranks):
+                pieces.append(_entries(len(b), bi, sup_bases[bi], j * r, k * r))
+                b.extend([0.0] * len(sup_bases[bi]))
+    counts["error_block_symmetry"] = len(b) - start_len
+    start_len = len(b)
     corner_rows = []
-    for bi, (off, dl) in enumerate(blocks):
-        for a, op in enumerate(gellmann_basis(dl)):
-            if a == 0:
-                corner_rows.append(len(cons))
-            cons.append({bi: realify(_place(layouts[bi], [(n, n, op)]))})
-            b.append(2.0 * np.sqrt(dl) if a == 0 else 0.0)
-    counts["identity_corner"] = len(cons) - start_len
+    for bi, (r, (off, dl)) in enumerate(zip(ranks, blocks)):
+        ops = np.array(gellmann_basis(dl))
+        corner_rows.append(len(b))
+        pieces.append(_entries(len(b), bi, ops, n * r, n * r))
+        b.extend([2.0 * np.sqrt(dl)] + [0.0] * (len(ops) - 1))
+    counts["identity_corner"] = len(b) - start_len
 
-    primal = []
-    for (off, dl), r, xt in zip(blocks, ranks, hints):
+    objective, primal = {}, []
+    for bi, ((off, dl), r, xt) in enumerate(zip(blocks, ranks, hints)):
+        g = np.zeros((n * r + dl, n * r + dl), dtype=complex)
+        for j in range(n):
+            g[j * r : (j + 1) * r, j * r : (j + 1) * r] += s_sup[bi]
+        objective[bi] = realify(g)
         lam = 1.0 + 2.0 * float(np.linalg.norm(np.vstack(xt), 2)) ** 2
         y0 = np.zeros((n * r + dl, n * r + dl), dtype=complex)
         y0[: n * r, : n * r] = lam * np.eye(n * r)
@@ -228,13 +226,14 @@ def _assemble_nh(blocks, ranks, s_sup, hints, cons, b, counts) -> SDPProblem:
             y0[j * r : (j + 1) * r, n * r :] = xt[j]
             y0[n * r :, j * r : (j + 1) * r] = xt[j].conj().T
         primal.append(realify(y0))
-    dual = np.zeros(len(cons))
+    dual = np.zeros(len(b))
     for row, (off, dl) in zip(corner_rows, blocks):
         dual[row] = -np.sqrt(dl)
+    dims = [n * r + dl for r, (off, dl) in zip(ranks, blocks)]
     return make_problem(
-        [2 * (n * r + dl) for r, (off, dl) in zip(ranks, blocks)],
+        [2 * d for d in dims],
         objective,
-        cons,
+        _realified(pieces, dims),
         b,
         scale=0.5,
         primal_hint=tuple(primal),
@@ -280,15 +279,10 @@ def build_nh_sdp(
     rots = [sup.rotation for sup in sups]
     pins = []  # per block: rotated support rows of S, then of each dS_j
     for (off, dl), r, v in zip(blocks, ranks, rots):
-        sb = model.state[off : off + dl, off : off + dl]
-        d_rot = [
-            v.conj().T @ dm[off : off + dl, off : off + dl] @ v for dm in model.derivs
-        ]
-        rows = []
-        for m in [hermitize(v.conj().T @ sb @ v)] + d_rot:
-            m = m[:r, :].copy()
-            m[:, r:] *= 2.0
-            rows.append(m)
+        sl = slice(off, off + dl)
+        rot = [v.conj().T @ dm[sl, sl] @ v for dm in model.derivs]
+        rows = np.array([hermitize(v.conj().T @ model.state[sl, sl] @ v)] + rot)[:, :r, :]
+        rows[:, :, r:] *= 2.0
         pins.append(rows)
     # expectation functionals on the block-diagonal estimators of the program
     tmat = [
@@ -296,50 +290,34 @@ def build_nh_sdp(
         for t in (model.state, *model.derivs)
     ]
     _functional_rank(np.array(tmat), n)
-    layouts = [_nh_layout(n, r, dl) for r, (off, dl) in zip(ranks, blocks)]
 
     # The program variable holds the centered estimators W_j = X_j - theta_j,
     # whose quadratic form is the MSE about the true value; the recovery step
     # adds theta back so reported estimators satisfy Tr[S X_j] = theta_j.
     tr_s = float(np.trace(model.state).real)
     tr_d = [float(np.trace(dm).real) for dm in model.derivs]
-    cons: list[dict[int, np.ndarray]] = []
-    b: list[float] = []
-    counts = {}
-    # state-expectation pins: Tr[S W_j] = theta_j (1 - Tr S) = 0
-    for j in range(n):
-        cons.append(
-            {
-                bi: realify(_place(layouts[bi], [(j, n, pins[bi][0])]))
-                for bi in range(len(blocks))
-            }
-        )
-        b.append(4.0 * model.theta[j] * (1.0 - tr_s))
-    counts["state_expectation"] = n
-    # derivative pins: Tr[dS_j W_k] = delta_jk - theta_k Tr[dS_j]
-    for k in range(n):
-        for j in range(n):
-            cons.append(
-                {
-                    bi: realify(_place(layouts[bi], [(k, n, pins[bi][1 + j])]))
-                    for bi in range(len(blocks))
-                }
-            )
-            b.append(4.0 * ((1.0 if j == k else 0.0) - model.theta[k] * tr_d[j]))
-    counts["derivative_expectation"] = n * n
+    # state-expectation pins: Tr[S W_j] = theta_j (1 - Tr S) = 0, in row j;
+    # derivative pins: Tr[dS_j W_k] = delta_jk - theta_k Tr[dS_j], in row
+    # n + k n + j.  The pin on W_k sits in slot (k, n) of each block.
+    slot = np.concatenate([np.arange(n), np.repeat(np.arange(n), n)])
+    pin = np.concatenate([np.zeros(n, dtype=int), np.tile(np.arange(1, n + 1), n)])
+    pieces = [_entries(0, bi, pins[bi][pin], slot * r, n * r) for bi, r in enumerate(ranks)]
+    b = [4.0 * model.theta[j] * (1.0 - tr_s) for j in range(n)]
+    b.extend(
+        4.0 * ((1.0 if j == k else 0.0) - model.theta[k] * tr_d[j])
+        for k in range(n)
+        for j in range(n)
+    )
+    counts = {"state_expectation": n, "derivative_expectation": n * n}
     # estimator Hermiticity on the support square; cross entries are free
     # complex coordinates representing a Hermitian pair, so no pin needed
-    sup_bases = [gellmann_basis(r) for r in ranks]
-    start_len = len(cons)
+    sup_bases = [1j * np.array(gellmann_basis(r)) for r in ranks]
+    start_len = len(b)
     for j in range(n):
-        for bi, (off, dl) in enumerate(blocks):
-            r = ranks[bi]
-            for op in sup_bases[bi]:
-                m = np.zeros((r, dl), dtype=complex)
-                m[:, :r] = 1j * op
-                cons.append({bi: realify(_place(layouts[bi], [(j, n, m)]))})
-                b.append(0.0)
-    counts["estimator_hermitian"] = len(cons) - start_len
+        for bi, r in enumerate(ranks):
+            pieces.append(_entries(len(b), bi, sup_bases[bi], j * r, n * r))
+            b.extend([0.0] * len(sup_bases[bi]))
+    counts["estimator_hermitian"] = len(b) - start_len
 
     eye_full = np.eye(model.dim, dtype=complex)
     w0 = [
@@ -351,7 +329,7 @@ def build_nh_sdp(
         for (off, dl), r, v in zip(blocks, ranks, rots)
     ]
     s_sup = [rows[0][:, :r] for rows, r in zip(pins, ranks)]
-    problem = _assemble_nh(blocks, ranks, s_sup, hints, cons, b, counts)
+    problem = _assemble_nh(blocks, ranks, s_sup, hints, pieces, b, counts)
     meta = NHMeta(
         num_params=n,
         dim=model.dim,
@@ -572,7 +550,7 @@ def build_holevo_sdp(model: StatisticalModel):
     m0 = np.stack([coords(x) for x in x0], axis=1)
     km = m0.shape[0]
     dim_lmi = n + km
-    null_cols = [coords(op) for op in null_ops]
+    null_cols = np.array([coords(op) for op in null_ops]).reshape(q, km)
 
     g0 = np.zeros((dim_lmi, dim_lmi), dtype=complex)
     g0[n:, n:] = np.eye(km)
@@ -580,31 +558,25 @@ def build_holevo_sdp(model: StatisticalModel):
     g0[:n, n:] = m0.conj().T
     objective = {0: realify(hermitize(g0))}
 
-    cons = []
-    b = []
-    var_index = []  # ("v", j, k) or ("x", j, bidx) in dual-vector order
+    # row (j, k) of V is -1 at (j, k) and its mirror; the rows of X_j put
+    # minus each free direction's coordinates in row j of the M^dag slot
+    vj, vk = np.triu_indices(n)
+    nv = len(vj)
+    pieces = [(np.arange(nv), np.zeros(nv, dtype=int), vj, vk, -np.ones(nv))]
+    b = [-2.0 if j == k else 0.0 for j, k in zip(vj, vk)]
+    var_index = [("v", j, k) for j, k in zip(vj.tolist(), vk.tolist())]
+    border = -null_cols.conj()[:, None, :]
     for j in range(n):
-        for k in range(j, n):
-            g = np.zeros((dim_lmi, dim_lmi), dtype=complex)
-            g[j, k] = g[k, j] = 1.0
-            cons.append({0: -realify(g)})
-            b.append(-2.0 if j == k else 0.0)
-            var_index.append(("v", j, k))
-    for j in range(n):
-        for bidx in range(q):
-            g = np.zeros((dim_lmi, dim_lmi), dtype=complex)
-            g[n:, j] = null_cols[bidx]
-            g[j, n:] = null_cols[bidx].conj()
-            cons.append({0: -realify(hermitize(g))})
-            b.append(0.0)
-            var_index.append(("x", j, bidx))
+        pieces.append(_entries(nv + j * q, 0, border, j, n))
+        var_index.extend(("x", j, bidx) for bidx in range(q))
+    b.extend([0.0] * (n * q))
 
     tau = 1.0 + 2.0 * float(np.linalg.norm(m0, 2)) ** 2
     dual0 = np.array([tau if key[0] == "v" and key[1] == key[2] else 0.0 for key in var_index])
     problem = make_problem(
         [2 * dim_lmi],
         objective,
-        cons,
+        _realified(pieces, [dim_lmi]),
         b,
         scale=-0.5,
         primal_hint=(np.eye(2 * dim_lmi),),
@@ -677,18 +649,14 @@ def nh_u_bound(
     r, v = sup.rank, sup.rotation
     s_sup = hermitize(v.conj().T @ state @ v)[:r, :r]
     xt = [(v.conj().T @ x @ v)[:r, :] for x in xs_in]
-    layout = _nh_layout(n, r, d)
-    cons = []
-    b = []
-    for j in range(n):
-        for a in range(r):
-            for c in range(d):
-                for unit, target in ((1.0, xt[j][a, c].real), (1j, xt[j][a, c].imag)):
-                    m = np.zeros((r, d), dtype=complex)
-                    m[a, c] = unit
-                    cons.append({0: realify(_place(layout, [(j, n, m)]))})
-                    b.append(4.0 * target)
-    problem = _assemble_nh([(0, d)], [r], [s_sup], [xt], cons, b, {})
+    # one row per real and imaginary part of each entry (a, c) of X_j's
+    # slot, which sits at offset (j r, n r)
+    j, a, c = (np.repeat(x.ravel(), 2) for x in np.indices((n, r, d)))
+    rows = np.arange(len(j))
+    pieces = [(rows, np.zeros_like(rows), j * r + a, n * r + c, np.tile([1.0, 1j], n * r * d))]
+    xa = np.array(xt)
+    b = (4.0 * np.stack([xa.real, xa.imag], axis=-1).ravel()).tolist()
+    problem = _assemble_nh([(0, d)], [r], [s_sup], [xt], pieces, b, {})
     return _solve_optimal(problem, tol, max_iter).primal_obj
 
 

@@ -53,6 +53,8 @@ class StatisticalModel:
         state = np.asarray(self.state, dtype=complex)
         if state.shape != (d, d):
             raise ModelError(f"state must be {d} x {d}, got {state.shape}")
+        if not np.all(np.isfinite(state)):
+            raise ModelError("state has non-finite entries")
         if herm_defect(state) > 1e-10 * max(1.0, float(np.max(np.abs(state)))):
             raise ModelError("state is not Hermitian")
         state = hermitize(state)
@@ -65,6 +67,8 @@ class StatisticalModel:
             dm = np.asarray(dm, dtype=complex)
             if dm.shape != (d, d):
                 raise ModelError(f"derivative {j} must be {d} x {d}, got {dm.shape}")
+            if not np.all(np.isfinite(dm)):
+                raise ModelError(f"derivative {j} has non-finite entries")
             if herm_defect(dm) > 1e-10 * max(1.0, float(np.max(np.abs(dm)))):
                 raise ModelError(f"derivative {j} is not Hermitian")
             if abs(np.trace(dm)) > 1e-10:
@@ -73,6 +77,8 @@ class StatisticalModel:
         if not derivs:
             raise ModelError("at least one parameter derivative is required")
         theta = tuple(float(t) for t in self.theta)
+        if not np.all(np.isfinite(theta)):
+            raise ModelError(f"theta {theta!r} has non-finite values")
         labels = tuple(str(s) for s in self.labels)
         if len(theta) != len(derivs) or len(labels) != len(derivs):
             raise ModelError(
@@ -402,6 +408,8 @@ def decode_matrix(obj, dim, field: str, error: type[Exception]) -> np.ndarray:
             ):
                 raise error(f"field '{field}': entry ({i}, {j}) must be a [re, im] pair")
             out[i, j] = complex(entry[0], entry[1])
+            if not np.isfinite(out[i, j]):
+                raise error(f"field '{field}': entry ({i}, {j}) is not finite")
     return out
 
 

@@ -7,6 +7,11 @@ with Y block-diagonal; the dual is  maximize b.y  subject to
 Z = C - sum_i y_i A_i >= 0.  Reported objectives carry the problem's
 `scale` factor so callers can hand in data in a doubled embedding.
 
+Constraint rows have one input format, the entry lines of the sparse text
+format: (row, block, i, j, value) for the upper-triangle nonzeros of each
+A_i.  Builders and `read_sdpa` both hand these to `make_problem`, which
+keeps them once, in a `ConstraintStore`.
+
 The solver forms each block's Schur complement by one of two formulas,
 picked by cost: from the congruences G^T A_i G, or from factors that a
 small cover of each row gives (see `solve`).
@@ -19,6 +24,7 @@ thread pool, not two that compete for the same cores.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -110,6 +116,8 @@ def _as_sym(mat: np.ndarray, dim: int, what: str) -> np.ndarray:
     m = np.asarray(mat, dtype=float)
     if m.shape != (dim, dim):
         raise SDPError(f"{what}: expected shape ({dim}, {dim}), got {m.shape}")
+    if not np.all(np.isfinite(m)):
+        raise SDPError(f"{what}: matrix has non-finite entries")
     scale = max(1.0, float(np.max(np.abs(m)))) if m.size else 1.0
     if np.max(np.abs(m - m.T)) > 1e-10 * scale:
         raise SDPError(f"{what}: matrix is not symmetric")
@@ -119,55 +127,42 @@ def _as_sym(mat: np.ndarray, dim: int, what: str) -> np.ndarray:
 def make_problem(
     block_dims,
     objective: BlockMat,
-    constraints,
+    entries,
     b,
     scale: float = 1.0,
     primal_hint=None,
     dual_hint=None,
 ) -> SDPProblem:
-    """Validate, symmetrize, and dedupe a standard-form problem.
+    """Validate, store, and dedupe a standard-form problem.
 
-    Each constraint row is a dict from block index to a dense matrix; the
-    symmetrized rows are stored once, as the nonzeros of the problem's
-    `ConstraintStore`.  Rows are taken in input order, and a row is dropped
-    when it lies within 1e-10 relative (of max(1, its norm)) of the span of
-    the rows kept before it; the kept rows keep their order and are
-    renumbered 0..k-1, and the dual hint is subset to them.  A dropped row
-    whose right-hand side is inconsistent with the rows that imply it
-    raises, since the problem is then infeasible at construction time.
+    The constraint rows come as the entry lines of the sparse text format,
+    0-based: `entries` is (row, block, i, j, value) arrays, one element per
+    upper-triangle entry (i <= j) of a symmetric row matrix, rows numbered
+    0..len(b)-1.  Each (row, block, i, j) appears at most once.  The
+    entries are mirrored into the lower triangle, zeros are left out, and
+    the rest is sorted by (row, block, col) into the problem's
+    `ConstraintStore`.  A row is dropped when it lies within 1e-10 relative
+    (of max(1, its norm)) of the span of the rows kept before it; the kept
+    rows keep their order and are renumbered 0..k-1, and the dual hint is
+    subset to them.  A dropped row whose right-hand side is inconsistent
+    with the rows that imply it raises, since the problem is then
+    infeasible at construction time.
     """
     dims = tuple(int(d) for d in block_dims)
     if any(d <= 0 for d in dims):
         raise SDPError(f"block dims must be positive, got {dims}")
+    for l in objective:
+        if not 0 <= int(l) < len(dims):
+            raise SDPError(f"objective references unknown block {l}")
     obj = {
-        int(l): _as_sym(mat, dims[l], f"objective block {l}")
+        int(l): _as_sym(mat, dims[int(l)], f"objective block {l}")
         for l, mat in objective.items()
     }
-    for l in obj:
-        if not 0 <= l < len(dims):
-            raise SDPError(f"objective references unknown block {l}")
-    constraints = list(constraints)
-    m = len(constraints)
-    pieces = []
-    for i, con in enumerate(constraints):
-        clean = {}
-        for l, mat in con.items():
-            l = int(l)
-            if not 0 <= l < len(dims):
-                raise SDPError(f"constraint {i} references unknown block {l}")
-            clean[l] = _as_sym(mat, dims[l], f"constraint {i} block {l}")
-        pieces.extend((i, l, col, val) for l, col, val in _nonzeros(clean))
     bvec = np.asarray(b, dtype=float).ravel()
-    if len(bvec) != m:
-        raise SDPError(f"b has length {len(bvec)} but there are {m} constraints")
-    return _from_store(dims, obj, _coo(pieces), bvec, scale, primal_hint, dual_hint)
-
-
-def _from_store(dims, obj, store, bvec, scale=1.0, primal_hint=None, dual_hint=None):
-    """The problem whose rows 0..len(bvec)-1 have the nonzeros in `store`,
-    once the dependent rows are dropped and the kept rows renumbered, as
-    `make_problem` describes; the hints are checked here."""
+    if not np.all(np.isfinite(bvec)):
+        raise SDPError("b has non-finite values")
     m = len(bvec)
+    store = _entry_store(entries, dims, m)
     kept, dropped = _dedupe_rows(store, bvec, dims)
     if primal_hint is not None:
         primal_hint = tuple(
@@ -197,27 +192,41 @@ def _from_store(dims, obj, store, bvec, scale=1.0, primal_hint=None, dual_hint=N
     )
 
 
-def _nonzeros(bm: BlockMat):
-    """For each block of a block matrix, in index order: the block, and the
-    flat columns and values of its nonzero entries."""
-    for l in sorted(bm):
-        flat = bm[l].ravel()
-        col = np.flatnonzero(flat)
-        yield l, col, flat[col]
+def _entry_store(entries, dims, m) -> ConstraintStore:
+    """The store of `make_problem`'s (row, block, i, j, value) entries,
+    once they are checked; raises SDPError naming the first bad entry."""
+    row, block, i, j = (np.asarray(a, dtype=np.int64).ravel() for a in entries[:4])
+    val = np.asarray(entries[4], dtype=float).ravel()
+    if not len(row) == len(block) == len(i) == len(j) == len(val):
+        raise SDPError("entry arrays (row, block, i, j, value) differ in length")
 
+    def first(bad, what):
+        if np.any(bad):
+            k = int(np.argmax(bad))
+            raise SDPError(
+                f"entry {k} (row {row[k]}, block {block[k]}, ({i[k]}, {j[k]})): {what}"
+            )
 
-def _coo(pieces) -> ConstraintStore:
-    """A store from (row, block, columns, values) pieces in store order."""
-    # an empty piece keeps zip and concatenate defined when there are none
-    empty = (0, 0, np.zeros(0, dtype=int), np.zeros(0))
-    rows, blocks, cols, vals = zip(empty, *pieces)
-    counts = [len(col) for col in cols]
-    return ConstraintStore(
-        np.repeat(rows, counts),
-        np.repeat(blocks, counts),
-        np.concatenate(cols),
-        np.concatenate(vals),
-    )
+    first((row < 0) | (row >= m), f"row out of range 0..{m - 1}")
+    first((block < 0) | (block >= len(dims)), f"block out of range 0..{len(dims) - 1}")
+    d = np.array(dims)[block]
+    first((i < 0) | (j >= d), "index exceeds the block dimension")
+    first(i > j, "lower-triangle entry; give the upper triangle only")
+    first(~np.isfinite(val), "value is not finite")
+    lower = i != j
+    row = np.concatenate([row, row[lower]])
+    block = np.concatenate([block, block[lower]])
+    col = np.concatenate([i * d + j, (j * d + i)[lower]])
+    val = np.concatenate([val, val[lower]])
+    order = np.lexsort((col, block, row))
+    store = ConstraintStore(row[order], block[order], col[order], val[order])
+    dup = np.flatnonzero(np.all(np.diff(store[:3], axis=1) == 0, axis=0))
+    if len(dup):
+        r, l, col = (int(a[dup[0]]) for a in store[:3])
+        i, j = sorted(divmod(col, dims[l]))
+        raise SDPError(f"duplicate entry for row {r} block {l} ({i}, {j})")
+    live = store.val != 0
+    return store if live.all() else ConstraintStore(*(a[live] for a in store))
 
 
 def _dedupe_rows(store: ConstraintStore, bvec, dims):
@@ -696,20 +705,17 @@ def write_sdpa(problem: SDPProblem) -> str:
     lines.append(" ".join(str(d) for d in problem.block_dims))
     if m:
         lines.append(" ".join(repr(float(v)) for v in problem.b))
-
-    dims = np.array(problem.block_dims)
-
-    def emit(matno, store):
-        i, j = np.divmod(store.col, dims[store.block])
-        upper = i <= j
-        for k, l, ii, jj, v in zip(
-            *(a[upper].tolist() for a in (matno, store.block, i, j, store.val))
-        ):
-            lines.append(f"{k} {l + 1} {ii + 1} {jj + 1} {v!r}")
-
-    objective = _coo((0, l, col, val) for l, col, val in _nonzeros(problem.objective))
-    emit(objective.row, objective)
-    emit(problem.store.row + 1, problem.store)
+    for l in sorted(problem.objective):
+        i, j = np.nonzero(np.triu(problem.objective[l]))
+        for ii, jj, v in zip(i.tolist(), j.tolist(), problem.objective[l][i, j].tolist()):
+            lines.append(f"0 {l + 1} {ii + 1} {jj + 1} {v!r}")
+    store = problem.store
+    i, j = np.divmod(store.col, np.array(problem.block_dims)[store.block])
+    upper = i <= j
+    for k, l, ii, jj, v in zip(
+        *(a[upper].tolist() for a in (store.row, store.block, i, j, store.val))
+    ):
+        lines.append(f"{k + 1} {l + 1} {ii + 1} {jj + 1} {v!r}")
     return "\n".join(lines) + "\n"
 
 
@@ -719,8 +725,10 @@ def read_sdpa(text: str) -> SDPProblem:
     Negative dims on the block line declare diagonal blocks; their entries
     must be on-diagonal and the block is stored dense.  A right-hand-side
     line follows the block line only when the constraint count is nonzero
-    (blank lines are skipped, so none is needed to hold its place).  Raises
-    SDPAFormatError with the offending line number on malformed input.
+    (blank lines are skipped, so none is needed to hold its place).  The
+    constraint entry lines go to `make_problem` as they are, 0-based.
+    Raises SDPAFormatError with the offending line number on malformed
+    input, non-finite numbers included.
     """
     raw = text.splitlines()
     scale = 1.0
@@ -736,6 +744,8 @@ def read_sdpa(text: str) -> SDPProblem:
                     scale = float(parts[1])
                 except ValueError as exc:
                     raise SDPAFormatError(f"line {ln}: bad scale value {parts[1]!r}") from exc
+                if not math.isfinite(scale):
+                    raise SDPAFormatError(f"line {ln}: scale {parts[1]!r} is not finite")
             continue
         body.append((ln, stripped))
 
@@ -779,17 +789,25 @@ def read_sdpa(text: str) -> SDPProblem:
             b = np.array([float(f) for f in bfields])
         except ValueError as exc:
             raise SDPAFormatError(f"line {ln}: bad right-hand-side value") from exc
+        if not np.all(np.isfinite(b)):
+            raise SDPAFormatError(f"line {ln}: right-hand-side value is not finite")
         first_entry = 4
 
-    objective, store = _read_entries(body[first_entry:], m, dims, diagonal)
-    return _from_store(dims, objective, store, b, scale)
+    matno, l, i, j, val = _read_entries(body[first_entry:], m, dims, diagonal)
+    con = matno > 0
+    objective: BlockMat = {}
+    for blk in np.unique(l[~con]).tolist():
+        here = ~con & (l == blk)
+        objective[blk] = np.zeros((dims[blk], dims[blk]))
+        objective[blk][i[here], j[here]] = objective[blk][j[here], i[here]] = val[here]
+    return make_problem(
+        dims, objective, (matno[con] - 1, l[con], i[con], j[con], val[con]), b, scale
+    )
 
 
 def _read_entries(entries, m, dims, diagonal):
-    """The objective blocks and the constraint store of the entry lines
-    `entries`, (line number, text) pairs.  The constraint entries are
-    mirrored into the lower triangle, explicit zeros are left out, and the
-    store is sorted by (row, block, col)."""
+    """The entry lines `entries`, (line number, text) pairs, checked line
+    by line, as (matno, block, i, j, value) arrays; block, i and j 0-based."""
     # entry value by (matno, blkno, i, j), in file order
     found: dict[tuple[int, int, int, int], float] = {}
     for ln, tok in entries:
@@ -801,6 +819,8 @@ def _read_entries(entries, m, dims, diagonal):
             value = float(fields[4])
         except ValueError as exc:
             raise SDPAFormatError(f"line {ln}: bad entry field") from exc
+        if not math.isfinite(value):
+            raise SDPAFormatError(f"line {ln}: entry value {fields[4]!r} is not finite")
         if not 0 <= matno <= m:
             raise SDPAFormatError(f"line {ln}: matrix number {matno} out of range 0..{m}")
         if not 1 <= blkno <= len(dims):
@@ -818,21 +838,4 @@ def _read_entries(entries, m, dims, diagonal):
         found[key] = value
     keys = np.array(list(found), dtype=np.int64).reshape(-1, 4)
     matno, l, i, j = (keys - [0, 1, 1, 1]).T
-    val = np.fromiter(found.values(), float, len(found))
-    d = np.array(dims)[l]
-    objective: BlockMat = {}
-    for blk in np.unique(l[matno == 0]).tolist():
-        here = (matno == 0) & (l == blk)
-        mat = np.zeros((dims[blk], dims[blk]))
-        mat[i[here], j[here]] = val[here]
-        mat[j[here], i[here]] = val[here]
-        objective[blk] = mat
-    upper = (matno > 0) & (val != 0)
-    lower = upper & (i != j)
-    row = np.concatenate([matno[upper], matno[lower]]) - 1
-    block = np.concatenate([l[upper], l[lower]])
-    col = np.concatenate([(i * d + j)[upper], (j * d + i)[lower]])
-    value = np.concatenate([val[upper], val[lower]])
-    order = np.lexsort((col, block, row))
-    return objective, ConstraintStore(row[order], block[order], col[order], value[order])
-
+    return matno, l, i, j, np.fromiter(found.values(), float, len(found))

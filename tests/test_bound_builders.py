@@ -6,6 +6,7 @@ commuting-case trace) computed without going through the SDP.
 """
 import dataclasses
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -463,6 +464,19 @@ class TestHolevoProgram:
         assert meta["num_params"] == 2
         assert len(meta["w0"]) == 2
         assert problem.scale == pytest.approx(-0.5)
+
+    def test_build_holds_no_dense_row_matrices(self):
+        # 197 rows in one 204-dim realified block: a dense float matrix per
+        # row is 0.33 MB, and building the rows that way peaked at 86 MB
+        model = random_model(3, 10, 2)
+        tracemalloc.start()
+        try:
+            problem, _ = build_holevo_sdp(model)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert problem.block_dims == (204,)
+        assert peak <= 32 * 2**20
 
     def test_dual_value_is_reported(self, dephasing_xy):
         model, _ = dephasing_xy

@@ -119,6 +119,37 @@ class TestBoundsCommand:
         assert code == 2
         assert "state" in err
 
+    @pytest.mark.parametrize(
+        "where, message",
+        [
+            ("state", "field 'state': entry (0, 0) is not finite"),
+            ("derivs", "field 'derivs[0]': entry (0, 1) is not finite"),
+            ("theta", "theta (nan, 0.0) has non-finite values"),
+        ],
+    )
+    def test_non_finite_model_file_exits_two(self, capsys, tmp_path, where, message):
+        data = model_to_dict(phase_damping_model(0.5, params="xy"))
+        if where == "state":
+            data["state"][0][0] = [float("nan"), 0.0]
+        elif where == "derivs":
+            data["derivs"][0][0][1] = [float("inf"), 0.0]
+        else:
+            data["theta"][0] = float("nan")
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run(capsys, ["bounds", "--model-json", str(path)])
+        assert code == 2
+        assert out == ""
+        assert message in err and "Traceback" not in err
+
+    def test_non_finite_amplitude_exits_two(self, capsys):
+        code, out, err = run(
+            capsys, ["bounds", "--model", "ifo", "--amps", "nan,1", "--eta", "0.5"]
+        )
+        assert code == 2
+        assert out == ""
+        assert "state has non-finite entries" in err and "Traceback" not in err
+
     def test_dependent_derivatives_exit_one_naming_the_bound(self, capsys, tmp_path):
         # four derivatives of a qubit state cannot be linearly independent
         path = tmp_path / "dependent.json"
@@ -361,6 +392,25 @@ class TestVerifyPovmCommand:
         assert "validity: FAIL" in out
         assert "failing check: positivity" in out
 
+    def test_non_finite_outcome_exits_two(self, capsys, tmp_path):
+        model = phase_damping_model(0.3, params="x")
+        mpath = tmp_path / "model.json"
+        mpath.write_text(json.dumps(model_to_dict(model)))
+        d = model.dim
+        eye = [[[float(i == j), 0.0] for j in range(d)] for i in range(d)]
+        eye[0][0] = [float("nan"), 0.0]
+        zero = [[[0.0, 0.0]] * d for _ in range(d)]
+        ppath = tmp_path / "povm.json"
+        ppath.write_text(json.dumps({"outcomes": [eye, zero], "xi": [[0.0, 0.0]]}))
+        code, out, err = run(
+            capsys,
+            ["verify-povm", "--povm-json", str(ppath), "--model-json", str(mpath)],
+        )
+        assert code == 2
+        assert out == ""
+        assert "field 'outcomes[0]': entry (0, 0) is not finite" in err
+        assert "Traceback" not in err
+
     def test_out_of_range_eta_fails(self, capsys):
         code, _, err = run(
             capsys,
@@ -407,11 +457,29 @@ class TestSolveSdpCommand:
         assert len(err.splitlines()) == 1
         assert "3.0" in err and "np.float64" not in err
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("* scale nan\n1\n1\n2\n1.0\n0 1 1 1 1.0\n1 1 1 1 1.0\n", "line 1: scale 'nan'"),
+            ("1\n1\n2\ninf\n0 1 1 1 1.0\n1 1 1 1 1.0\n", "line 4: right-hand-side value"),
+            ("1\n1\n2\n1.0\n0 1 1 1 1.0\n1 1 1 1 nan\n", "line 6: entry value 'nan'"),
+        ],
+    )
+    def test_non_finite_number_exits_two(self, capsys, tmp_path, text, message):
+        path = tmp_path / "bad.dat-s"
+        path.write_text(text)
+        code, out, err = run(capsys, ["solve-sdp", str(path)])
+        assert code == 2
+        assert out == ""
+        assert message in err and "is not finite" in err
+        assert "Traceback" not in err
+
     def test_written_program_without_rows_is_optimal(self, capsys, tmp_path):
         from qmbounds.sdp_core import make_problem, write_sdpa
+        from test_sdp_core import as_entries
 
         path = tmp_path / "norows.dat-s"
-        path.write_text(write_sdpa(make_problem([2], {0: np.eye(2)}, [], [])))
+        path.write_text(write_sdpa(make_problem([2], {0: np.eye(2)}, as_entries([]), [])))
         code, out, err = run(capsys, ["solve-sdp", str(path)])
         assert code == 0, err
         assert "status: optimal" in out

@@ -52,6 +52,20 @@ class TestStatisticalModel:
             )
 
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_numbers(self, bad):
+        state = 0.5 * np.eye(2, dtype=complex)
+        deriv = np.diag([1.0, -1.0]).astype(complex)
+        cases = [
+            (state + np.diag([bad, 0.0]), deriv, 0.0, "state has non-finite"),
+            (state, deriv + np.array([[0.0, bad], [bad, 0.0]]), 0.0, "derivative 0 has non-finite"),
+            (state, deriv, bad, "theta"),
+        ]
+        for st, dm, theta, match in cases:
+            with pytest.raises(ModelError, match=match):
+                StatisticalModel(dim=2, state=st, derivs=(dm,), theta=(theta,), labels=("a",))
+
+
 class TestPhaseDamping:
     def test_derivative_entries_at_zero_damping(self):
         m = phase_damping_model(0.0, "x")
@@ -287,4 +301,12 @@ class TestJsonSchema:
         data = model_to_dict(phase_damping_model(0.1, "x"))
         data["state"][0][0] = [0.5, 0.0]
         with pytest.raises(ModelFormatError, match="invariant"):
+            model_from_dict(data)
+
+    @pytest.mark.parametrize("field", ["state", "derivs"])
+    def test_non_finite_entry_named(self, field):
+        data = model_to_dict(phase_damping_model(0.1, "x"))
+        mat = data["state"] if field == "state" else data["derivs"][0]
+        mat[1][0] = [0.0, float("inf")]
+        with pytest.raises(ModelFormatError, match=r"entry \(1, 0\) is not finite"):
             model_from_dict(data)

@@ -34,11 +34,22 @@ def rand_sym(rng, d):
     return 0.5 * (a + a.T)
 
 
+def as_entries(cons):
+    """The `make_problem` entries of dense rows: cons[r] maps a block to
+    the symmetric matrix of row r there, given by its upper triangle."""
+    out = []
+    for r, con in enumerate(cons):
+        for l, mat in con.items():
+            i, j = np.triu_indices(len(mat))
+            out.extend((r, l, a, c, v) for a, c, v in zip(i, j, np.asarray(mat)[i, j]))
+    return tuple(np.array(col) for col in zip(*out)) if out else ((),) * 5
+
+
 def toy_problem():
     # minimize trace(Y) over 2x2 PSD Y with Y11 = 1; optimum 1 at diag(1, 0)
     a = np.zeros((2, 2))
     a[0, 0] = 1.0
-    return make_problem([2], {0: np.eye(2)}, [{0: a}], [1.0])
+    return make_problem([2], {0: np.eye(2)}, as_entries([{0: a}]), [1.0])
 
 
 def two_block_problem():
@@ -50,7 +61,7 @@ def two_block_problem():
     return make_problem(
         [2, 3],
         {1: np.diag([0.5, 0.0, 2.0]), 0: np.array([[1.0, -0.25], [-0.25, 0.0]])},
-        [{0: a0, 1: np.zeros((3, 3))}, {1: a1}, {0: 2 * a0}, {1: swap, 0: np.eye(2)}],
+        as_entries([{0: a0, 1: np.zeros((3, 3))}, {1: a1}, {0: 2 * a0}, {1: swap, 0: np.eye(2)}]),
         [1.0, 2.0, 2.0, 3.0],
         scale=0.5,
     )
@@ -75,7 +86,7 @@ def random_kkt_problem(seed, dims=(6,), m=8):
     for l, d in enumerate(dims):
         g = rng.standard_normal((d, d))
         obj[l] = g @ g.T + 0.5 * np.eye(d) + sum(y0[i] * cons[i][l] for i in range(m))
-    problem = make_problem(dims, obj, cons, b)
+    problem = make_problem(dims, obj, as_entries(cons), b)
     primal_value = sum(np.vdot(obj[l], y_feas[l]) for l in range(len(dims)))
     dual_value = float(np.array(b) @ y0)
     return problem, dual_value, primal_value
@@ -119,15 +130,15 @@ class TestSolve:
     def test_scaling_invariance(self):
         obj = {0: np.diag([1.0, 2.0, 3.0])}
         cons = [{0: np.eye(3)}]
-        base = solve(make_problem([3], obj, cons, [1.0]))
-        scaled = solve(make_problem([3], {0: 7 * obj[0]}, cons, [1.0]))
+        base = solve(make_problem([3], obj, as_entries(cons), [1.0]))
+        scaled = solve(make_problem([3], {0: 7 * obj[0]}, as_entries(cons), [1.0]))
         assert scaled.primal_obj == pytest.approx(7 * base.primal_obj, rel=1e-7)
         assert np.max(np.abs(scaled.primal[0] - base.primal[0])) <= 10 * 1e-8
 
     def test_scale_factor_applied(self):
         a = np.zeros((2, 2))
         a[0, 0] = 1.0
-        problem = make_problem([2], {0: np.eye(2)}, [{0: a}], [2.0], scale=0.5)
+        problem = make_problem([2], {0: np.eye(2)}, as_entries([{0: a}]), [2.0], scale=0.5)
         sol = solve(problem)
         assert sol.primal_obj == pytest.approx(1.0, abs=1e-6)
 
@@ -135,7 +146,7 @@ class TestSolve:
         a = np.zeros((2, 2))
         a[0, 0] = 1.0
         problem = make_problem(
-            [2], {0: np.eye(2)}, [{0: a}], [1.0],
+            [2], {0: np.eye(2)}, as_entries([{0: a}]), [1.0],
             primal_hint=(np.diag([1.0, 1.0]),), dual_hint=np.array([0.5]),
         )
         sol = solve(problem)
@@ -152,7 +163,7 @@ class TestSolve:
         e11 = np.zeros((2, 2))
         e11[0, 0] = 1.0
         problem = make_problem(
-            [2], {0: np.eye(2)}, [{0: e11}, {0: np.eye(2)}], [2.0, 1.0]
+            [2], {0: np.eye(2)}, as_entries([{0: e11}, {0: np.eye(2)}]), [2.0, 1.0]
         )
         sol = solve(problem, max_iter=100)
         assert sol.status in ("infeasible_suspect", "max_iter")
@@ -171,7 +182,7 @@ class TestSolve:
         assert np.isfinite(sol.gap)
 
     def test_without_rows(self):
-        problem = make_problem([2], {0: np.eye(2)}, [], [])
+        problem = make_problem([2], {0: np.eye(2)}, as_entries([]), [])
         sol = solve(problem)
         assert sol.status == "optimal"
         assert abs(sol.primal_obj) <= 1e-7
@@ -202,7 +213,7 @@ class TestSolve:
         for l, d in enumerate(dims):
             g = rng.standard_normal((d, d))
             obj[l] = g @ g.T + 0.1 * np.eye(d)
-        blocked = solve(make_problem(dims, obj, cons, b))
+        blocked = solve(make_problem(dims, obj, as_entries(cons), b))
 
         offsets = np.cumsum((0,) + dims)
 
@@ -213,7 +224,7 @@ class TestSolve:
             return {0: out}
 
         merged = solve(
-            make_problem([offsets[-1]], merge(obj), [merge(c) for c in cons], b)
+            make_problem([offsets[-1]], merge(obj), as_entries([merge(c) for c in cons]), b)
         )
         assert blocked.status == merged.status == "optimal"
         assert blocked.primal_obj == pytest.approx(merged.primal_obj, rel=1e-7)
@@ -341,7 +352,7 @@ class TestSchurFormulas:
             y_feas.append(g @ g.T + np.eye(d))
             obj[l] = h @ h.T + np.eye(d)
         b = [sum(np.vdot(mat, y_feas[l]) for l, mat in con.items()) for con in cons]
-        problem = make_problem(dims, obj, cons, b)
+        problem = make_problem(dims, obj, as_entries(cons), b)
         formulas = _block_formulas(problem)
         assert isinstance(formulas[0], _FactoredRows) and isinstance(formulas[1], _DenseRows)
         assert formulas[0].cover.shape[1] == 3
@@ -373,7 +384,7 @@ class TestMakeProblem:
         a[0, 0] = 1.0
         problem = make_problem(
             [2], {0: np.eye(2)},
-            [{0: a}, {0: 2 * a}, {0: np.zeros((2, 2))}],
+            as_entries([{0: a}, {0: 2 * a}, {0: np.zeros((2, 2))}]),
             [1.0, 2.0, 0.0],
         )
         assert problem.num_constraints == 1
@@ -391,7 +402,7 @@ class TestMakeProblem:
         zero = {0: np.zeros((2, 2)), 1: np.zeros((3, 3))}
         problem = make_problem(
             [2, 3], {0: np.eye(2), 1: np.eye(3)},
-            [zero, a1, a2, a3, a4, a5],
+            as_entries([zero, a1, a2, a3, a4, a5]),
             [0.0, 1.0, 2.0, 3.0, 4.0, -3.0],
             dual_hint=np.arange(6.0),
         )
@@ -435,7 +446,7 @@ class TestMakeProblem:
                     cons.append({l: rand_sym(rng, dims[l]) for l in blocks})
             y0 = [np.eye(3), np.eye(2)]
             b = [sum(np.vdot(mat, y0[l]) for l, mat in con.items()) for con in cons]
-            problem = make_problem(dims, {}, cons, b, dual_hint=np.arange(14.0))
+            problem = make_problem(dims, {}, as_entries(cons), b, dual_hint=np.arange(14.0))
             assert problem.dual_hint.tolist() == [float(i) for i in reference(cons, dims)]
 
     def test_store_holds_both_triangles_in_file_order(self):
@@ -454,16 +465,53 @@ class TestMakeProblem:
         a = np.zeros((2, 2))
         a[0, 0] = 1.0
         with pytest.raises(SDPError, match="infeasible at construction"):
-            make_problem([2], {0: np.eye(2)}, [{0: a}, {0: 2 * a}], [1.0, 3.0])
+            make_problem([2], {0: np.eye(2)}, as_entries([{0: a}, {0: 2 * a}]), [1.0, 3.0])
 
     def test_rejects_asymmetric(self):
         bad = np.array([[0.0, 1.0], [0.0, 0.0]])
         with pytest.raises(SDPError, match="not symmetric"):
-            make_problem([2], {0: bad}, [], [])
+            make_problem([2], {0: bad}, as_entries([]), [])
 
     def test_rejects_shape_mismatch(self):
         with pytest.raises(SDPError):
-            make_problem([3], {0: np.eye(2)}, [], [])
+            make_problem([3], {0: np.eye(2)}, as_entries([]), [])
+
+    @pytest.mark.parametrize(
+        "entry, match",
+        [
+            ((0, 0, 1, 0, 1.0), "lower-triangle"),
+            ((0, 2, 0, 0, 1.0), "block out of range"),
+            ((0, -1, 0, 0, 1.0), "block out of range"),
+            ((2, 0, 0, 0, 1.0), "row out of range"),
+            ((-1, 0, 0, 0, 1.0), "row out of range"),
+            ((0, 1, 0, 3, 1.0), "exceeds the block dimension"),
+            ((0, 0, -1, 0, 1.0), "exceeds the block dimension"),
+            ((1, 1, 0, 2, 0.0), "duplicate entry for row 1 block 1 \\(0, 2\\)"),
+            ((0, 0, 0, 1, np.nan), "not finite"),
+            ((0, 0, 0, 1, -np.inf), "not finite"),
+        ],
+    )
+    def test_rejects_bad_entry(self, entry, match):
+        good = [(0, 0, 0, 0, 1.0), (1, 1, 0, 2, 2.0), (1, 0, 1, 1, 1.0)]
+        entries = tuple(np.array(col) for col in zip(*good, entry))
+        with pytest.raises(SDPError, match=match):
+            make_problem([2, 3], {}, entries, [1.0, 2.0])
+        # the good entries alone are a valid problem
+        make_problem([2, 3], {}, tuple(np.array(col) for col in zip(*good)), [1.0, 2.0])
+
+    def test_rejects_entry_arrays_of_unequal_length(self):
+        with pytest.raises(SDPError, match="differ in length"):
+            make_problem([2], {}, ([0], [0], [0], [0, 1], [1.0]), [1.0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_numbers(self, bad):
+        rows = as_entries([{0: np.eye(2)}])
+        with pytest.raises(SDPError, match="b has non-finite"):
+            make_problem([2], {0: np.eye(2)}, rows, [bad])
+        with pytest.raises(SDPError, match="objective block 0: matrix has non-finite"):
+            make_problem([2], {0: np.diag([1.0, bad])}, rows, [1.0])
+        with pytest.raises(SDPError, match="not finite"):
+            make_problem([2], {0: np.eye(2)}, as_entries([{0: np.diag([1.0, bad])}]), [1.0])
 
 
 class TestCertificate:
@@ -507,7 +555,7 @@ class TestSdpaFormat:
         )
 
     def test_round_trip_without_rows(self):
-        problem = make_problem([2], {0: np.eye(2)}, [], [])
+        problem = make_problem([2], {0: np.eye(2)}, as_entries([]), [])
         text = write_sdpa(problem)
         back = read_sdpa(text)
         assert back.num_constraints == 0
@@ -578,6 +626,19 @@ class TestSdpaFormat:
             assert np.array_equal(got, want)
         for l in (0, 1):
             assert np.array_equal(back.objective[l], problem.objective[l])
+
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("* scale nan\n1\n1\n2\n1.0\n1 1 1 1 1.0\n", "line 1: scale 'nan'"),
+            ("1\n1\n2\ninf\n1 1 1 1 1.0\n", "line 4: right-hand-side"),
+            ("1\n1\n2\n1.0\n0 1 1 1 -inf\n1 1 1 1 1.0\n", "line 5: entry value '-inf'"),
+            ("1\n1\n2\n1.0\n1 1 1 2 nan\n", "line 5: entry value 'nan'"),
+        ],
+    )
+    def test_non_finite_number_names_line(self, text, line):
+        with pytest.raises(SDPAFormatError, match=f"{line}.* is not finite"):
+            read_sdpa(text)
 
     def test_truncated_file(self):
         with pytest.raises(SDPAFormatError, match="missing"):
