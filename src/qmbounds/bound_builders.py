@@ -564,15 +564,15 @@ def build_holevo_sdp(model: StatisticalModel):
     nv = len(vj)
     pieces = [(np.arange(nv), np.zeros(nv, dtype=int), vj, vk, -np.ones(nv))]
     b = [-2.0 if j == k else 0.0 for j, k in zip(vj, vk)]
-    var_index = [("v", j, k) for j, k in zip(vj.tolist(), vk.tolist())]
     border = -null_cols.conj()[:, None, :]
     for j in range(n):
         pieces.append(_entries(nv + j * q, 0, border, j, n))
-        var_index.extend(("x", j, bidx) for bidx in range(q))
     b.extend([0.0] * (n * q))
 
+    # the dual hint puts tau on V's diagonal and zero on the X rows
     tau = 1.0 + 2.0 * float(np.linalg.norm(m0, 2)) ** 2
-    dual0 = np.array([tau if key[0] == "v" and key[1] == key[2] else 0.0 for key in var_index])
+    dual0 = np.zeros(nv + n * q)
+    dual0[:nv][vj == vk] = tau
     problem = make_problem(
         [2 * dim_lmi],
         objective,
@@ -583,9 +583,8 @@ def build_holevo_sdp(model: StatisticalModel):
         dual_hint=dual0,
     )
     meta = {
-        "var_index": tuple(var_index),
         "w0": tuple(x0),
-        "null_ops": tuple(null_ops),
+        "null_ops": null_ops,
         "num_params": n,
         "theta": tuple(float(t) for t in model.theta),
     }
@@ -602,15 +601,17 @@ def holevo_bound(
     problem, meta = build_holevo_sdp(model)
     sol = _solve_optimal(problem, tol, max_iter)
     n = meta["num_params"]
-    xs = []
-    yvec = sol.dual_y
+    null_ops = meta["null_ops"]
+    q = len(null_ops)
+    # the dual vector holds V's upper triangle, then each X_j's q free
+    # coefficients in turn
+    ys = sol.dual_y[n * (n + 1) // 2 :].reshape(n, q)
     eye = np.eye(model.dim, dtype=complex)
-    for j in range(n):
-        x = np.array(meta["w0"][j])
-        for t, key in enumerate(meta["var_index"]):
-            if key[0] == "x" and key[1] == j:
-                x = x + yvec[t] * meta["null_ops"][key[2]]
-        xs.append(hermitize(x) + meta["theta"][j] * eye)
+    xs = [
+        hermitize(meta["w0"][j] + np.tensordot(ys[j], null_ops, axes=1))
+        + meta["theta"][j] * eye
+        for j in range(n)
+    ]
     stats = _checked_stats(model, xs, problem, sol)
     return BoundResult(
         value=sol.dual_obj,

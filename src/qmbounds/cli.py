@@ -17,7 +17,6 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -27,6 +26,7 @@ from .bound_builders import (
     nagaoka_hayashi_bound,
 )
 from .measurement import (
+    EIG_TOL,
     MeasurementError,
     MeasurementFormatError,
     check_unbiased,
@@ -52,49 +52,13 @@ class CliError(ValueError):
     """Configuration or input problem; maps to exit code 2."""
 
 
-@dataclass(frozen=True)
-class GridAxis:
-    name: str
-    start: float
-    stop: float
-    steps: int
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated invocation: command, model source, grid, output."""
-
-    command: str
-    model: str | None = None
-    model_path: str | None = None
-    grid: tuple[GridAxis, ...] = ()
-    tol: float = 1e-9
-    out: str | None = None
-    format: str = "csv"
-    options: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if not 0.0 < self.tol <= 1e-2:
-            raise CliError(f"tol must lie in (0, 1e-2], got {self.tol!r}")
-        if self.format not in ("csv", "json"):
-            raise CliError(f"unknown format {self.format!r}")
-        for axis in self.grid:
-            if axis.steps < 1:
-                raise CliError(
-                    f"grid axis '{axis.name}': steps must be >= 1"
-                )
-
-
 BOUND_NAMES = ("sld", "holevo", "nh")
 
 
-def _load_model(config: RunConfig, overrides: dict | None = None):
-    opts = dict(config.options)
-    if overrides:
-        opts.update(overrides)
-    if config.model_path is not None:
+def _load_model(args):
+    if args.model_json is not None:
         try:
-            with open(config.model_path) as fh:
+            with open(args.model_json) as fh:
                 payload = json.load(fh)
         except OSError as exc:
             raise CliError(f"cannot read model file: {exc}")
@@ -104,30 +68,32 @@ def _load_model(config: RunConfig, overrides: dict | None = None):
             return model_from_dict(payload)
         except (ModelFormatError, ModelError) as exc:
             raise CliError(f"bad model file: {exc}")
+    return _builtin_model(args.model, args)
+
+
+def _builtin_model(name, args):
     try:
-        return _builtin_model(config.model, opts)
+        if name == "pd":
+            return phase_damping_model(args.eps, params=args.params)
+        if name == "ifo":
+            return interferometer_model(_ifo_amps(args), args.eta, phi=args.phi)
+        if name == "hb":
+            probe = holland_burnett_probe(args.n_photons)
+            return interferometer_model(probe, args.eta)
     except ModelError as exc:
         raise CliError(str(exc))
-
-
-def _builtin_model(name, opts):
-    if name == "pd":
-        return phase_damping_model(opts["eps"], params=opts["params"])
-    if name == "ifo":
-        if opts.get("amps") is not None:
-            amps = [float(v) for v in opts["amps"]]
-        else:
-            a1sq = opts["a1sq"]
-            if a1sq is None:
-                raise CliError("model 'ifo' needs --a1sq or --amps")
-            if not 0.0 < a1sq < 1.0:
-                raise CliError("--a1sq must lie in (0, 1)")
-            amps = [np.sqrt(1.0 - a1sq), np.sqrt(a1sq)]
-        return interferometer_model(amps, opts["eta"], phi=opts.get("phi", 0.0))
-    if name == "hb":
-        probe = holland_burnett_probe(opts["n_photons"])
-        return interferometer_model(probe, opts["eta"])
     raise CliError("no model given; use --model or --model-json")
+
+
+def _ifo_amps(args):
+    """Probe amplitudes of model 'ifo': --amps, else the split --a1sq."""
+    if args.amps is not None:
+        return args.amps
+    if args.a1sq is None:
+        raise CliError("model 'ifo' needs --a1sq or --amps")
+    if not 0.0 < args.a1sq < 1.0:
+        raise CliError("--a1sq must lie in (0, 1)")
+    return [np.sqrt(1.0 - args.a1sq), np.sqrt(args.a1sq)]
 
 
 def _bound_rows(model, which, tol):
@@ -172,35 +138,38 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _emit(config: RunConfig, columns, rows) -> None:
-    if config.format == "json":
+def _write(args, text: str) -> None:
+    """Send a report to the --out file, or to stdout without one."""
+    if args.out is None:
+        sys.stdout.write(text)
+    else:
+        with open(args.out, "w", newline="\n") as fh:
+            fh.write(text)
+
+
+def _emit(args, columns, rows) -> None:
+    if args.format == "json":
         text = json.dumps(rows, indent=2, default=float) + "\n"
     else:
         lines = [",".join(columns)]
         for row in rows:
             lines.append(",".join(_fmt(row[c]) for c in columns))
         text = "\n".join(lines) + "\n"
-    if config.out is None:
-        sys.stdout.write(text)
-    else:
-        with open(config.out, "w", newline="\n") as fh:
-            fh.write(text)
+    _write(args, text)
 
 
-def run_bounds(config: RunConfig) -> int:
-    model = _load_model(config)
-    which = config.options.get("bounds", BOUND_NAMES)
-    rows, failed = _bound_rows(model, which, config.tol)
-    _emit(config, ("bound", "value", "gap", "seconds", "ok"), rows)
+def run_bounds(args) -> int:
+    model = _load_model(args)
+    rows, failed = _bound_rows(model, args.bounds, args.tol)
+    _emit(args, ("bound", "value", "gap", "seconds", "ok"), rows)
     return 1 if failed else 0
 
 
-def _grid_points(axes: tuple[GridAxis, ...]):
+def _grid_points(axes):
     """Cartesian product in row-major order, indexed from zero."""
     values = [
-        np.linspace(ax.start, ax.stop, ax.steps) if ax.steps > 1
-        else np.array([ax.start])
-        for ax in axes
+        np.linspace(start, stop, steps) if steps > 1 else np.array([start])
+        for _, start, stop, steps in axes
     ]
     points = [()]
     for vals in values:
@@ -208,39 +177,38 @@ def _grid_points(axes: tuple[GridAxis, ...]):
     return points
 
 
-def run_sweep(config: RunConfig) -> int:
-    if config.model is None:
+def run_sweep(args) -> int:
+    if args.model is None:
         raise CliError("sweep needs a builtin --model")
-    if not config.grid:
+    if not args.grid:
         raise CliError("sweep needs at least one --grid axis")
-    which = config.options.get("bounds", BOUND_NAMES)
-    axis_names = [ax.name for ax in config.grid]
+    axis_names = [name for name, _, _, _ in args.grid]
     allowed = {
         "pd": {"eps"},
         "ifo": {"eta", "a1sq"},
         "hb": {"eta"},
-    }[config.model]
+    }[args.model]
     for name in axis_names:
         if name not in allowed:
             raise CliError(
                 f"grid axis '{name}' is not sweepable for model "
-                f"'{config.model}'"
+                f"'{args.model}'"
             )
     out_rows = []
     any_failed = False
-    for index, values in enumerate(_grid_points(config.grid)):
-        model = _load_model(config, overrides=dict(zip(axis_names, values)))
-        rows, failed = _bound_rows(model, which, config.tol)
+    for index, values in enumerate(_grid_points(args.grid)):
+        point = dict(zip(axis_names, values))
+        model = _load_model(argparse.Namespace(**{**vars(args), **point}))
+        rows, failed = _bound_rows(model, args.bounds, args.tol)
         any_failed = any_failed or failed
         for row in rows:
-            record = {"index": index}
-            record.update(dict(zip(axis_names, values)))
+            record = {"index": index, **point}
             record.update(
                 {k: row[k] for k in ("bound", "value", "gap", "ok")}
             )
             out_rows.append(record)
     columns = ["index"] + axis_names + ["bound", "value", "gap", "ok"]
-    _emit(config, tuple(columns), out_rows)
+    _emit(args, tuple(columns), out_rows)
     return 1 if any_failed else 0
 
 
@@ -255,10 +223,8 @@ FIG1_COLUMNS = (
 )
 
 
-def run_fig1(config: RunConfig) -> int:
-    start = config.options.get("eps_start", 0.0)
-    stop = config.options.get("eps_stop", 0.9)
-    steps = config.options.get("steps", 50)
+def run_fig1(args) -> int:
+    start, stop, steps = args.eps_start, args.eps_stop, args.steps
     if steps < 1:
         raise CliError("steps must be >= 1")
     if not (0.0 <= start <= stop < 1.0):
@@ -269,22 +235,21 @@ def run_fig1(config: RunConfig) -> int:
         row = {"eps": float(eps)}
         for count, params in ((1, "x"), (2, "xy"), (3, "xyz")):
             model = phase_damping_model(float(eps), params=params)
-            ch = holevo_bound(model, tol=config.tol).value
-            cn = nagaoka_hayashi_bound(model, tol=config.tol).value
+            ch = holevo_bound(model, tol=args.tol).value
+            cn = nagaoka_hayashi_bound(model, tol=args.tol).value
             row[f"prec_h{count}"] = count / ch
             row[f"prec_nh{count}"] = count / cn
         rows.append(row)
-    _emit(config, FIG1_COLUMNS, rows)
+    _emit(args, FIG1_COLUMNS, rows)
     return 0
 
 
-def _verify_target(config: RunConfig):
-    opts = config.options
-    if opts.get("povm_path") is not None:
-        if config.model_path is None:
+def _verify_target(args):
+    if args.povm_json is not None:
+        if args.model_json is None:
             raise CliError("--povm-json needs --model-json for the model")
         try:
-            with open(opts["povm_path"]) as fh:
+            with open(args.povm_json) as fh:
                 payload = json.load(fh)
         except OSError as exc:
             raise CliError(f"cannot read POVM file: {exc}")
@@ -294,33 +259,32 @@ def _verify_target(config: RunConfig):
             estimator = estimator_from_dict(payload)
         except MeasurementFormatError as exc:
             raise CliError(f"bad POVM file: {exc}")
-        return _load_model(config), estimator
-    builtin = opts.get("builtin")
-    if builtin == "pd":
-        eps = opts["eps"]
-        split = opts.get("split_delta")
-        a = opts.get("a")
-        b = opts.get("b")
+        return _load_model(args), estimator
+    if args.builtin == "pd":
+        a, b, split = args.a, args.b, args.split_delta
         if split is not None and a is None and b is None:
+            # the split form needs delta = (a^2 + b^2)/2, met by a = b = sqrt(delta)
+            if not split >= 0.0:
+                raise MeasurementError(f"split_delta must be non-negative, got {split!r}")
             a = b = float(np.sqrt(split))
         if a is None or b is None:
             raise CliError("builtin 'pd' needs --a and --b (or --split-delta)")
-        estimator = phase_damping_povm(eps, a, b, split_delta=split)
+        estimator = phase_damping_povm(args.eps, a, b, split_delta=split)
         params = "xy" if split is None else "xyz"
-        return phase_damping_model(eps, params=params), estimator
-    if builtin == "ifo":
-        a1sq = opts.get("a1sq")
-        if a1sq is None:
+        model = _builtin_model("pd", argparse.Namespace(eps=args.eps, params=params))
+        return model, estimator
+    if args.builtin == "ifo":
+        if args.a1sq is None:
             raise CliError("builtin 'ifo' needs --a1sq")
-        a0, a1 = float(np.sqrt(1.0 - a1sq)), float(np.sqrt(a1sq))
-        estimator = interferometer_povm(a0, a1, opts["eta"])
-        return interferometer_model([a0, a1], opts["eta"]), estimator
+        a0, a1 = (float(v) for v in _ifo_amps(args))
+        estimator = interferometer_povm(a0, a1, args.eta)
+        return _builtin_model("ifo", args), estimator
     raise CliError("verify-povm needs --builtin {pd,ifo} or --povm-json")
 
 
-def run_verify_povm(config: RunConfig) -> int:
+def run_verify_povm(args) -> int:
     try:
-        model, estimator = _verify_target(config)
+        model, estimator = _verify_target(args)
     except MeasurementError as exc:
         print(f"measurement construction failed: {exc}", file=sys.stderr)
         return 1
@@ -333,7 +297,7 @@ def run_verify_povm(config: RunConfig) -> int:
     lines.append(f"validity: {'pass' if report.passed else 'FAIL'}")
     failed_check = None
     if not report.passed:
-        if any(e < -1e-10 for e in report.min_eigenvalues):
+        if any(e < -EIG_TOL for e in report.min_eigenvalues):
             failed_check = "positivity"
         else:
             failed_check = "completeness"
@@ -349,24 +313,18 @@ def run_verify_povm(config: RunConfig) -> int:
             lines.append(f"variance {label}: {variance:.9g}")
         trace = float(np.trace(v))
         lines.append(f"mse trace: {trace:.9g}")
-        bound = nagaoka_hayashi_bound(model, tol=config.tol).value
+        bound = nagaoka_hayashi_bound(model, tol=args.tol).value
         lines.append(f"bound: {bound:.9g}")
         lines.append(f"deficit: {trace - bound:.3e}")
     else:
         lines.append(f"failing check: {failed_check}")
-    text = "\n".join(lines) + "\n"
-    if config.out is None:
-        sys.stdout.write(text)
-    else:
-        with open(config.out, "w", newline="\n") as fh:
-            fh.write(text)
+    _write(args, "\n".join(lines) + "\n")
     return 1 if failed_check else 0
 
 
-def run_solve_sdp(config: RunConfig) -> int:
-    path = config.options["sdp_path"]
+def run_solve_sdp(args) -> int:
     try:
-        with open(path) as fh:
+        with open(args.file) as fh:
             text = fh.read()
     except OSError as exc:
         raise CliError(f"cannot read problem file: {exc}")
@@ -374,12 +332,8 @@ def run_solve_sdp(config: RunConfig) -> int:
         problem = read_sdpa(text)
     except ValueError as exc:
         raise CliError(f"bad problem file: {exc}")
-    sol = solve(
-        problem,
-        tol=config.tol,
-        max_iter=config.options.get("max_iter", 200),
-    )
-    report = check_certificate(problem, sol, tol=max(config.tol, 1e-7))
+    sol = solve(problem, tol=args.tol, max_iter=args.max_iter)
+    report = check_certificate(problem, sol, tol=max(args.tol, 1e-7))
     lines = [
         f"status: {sol.status}",
         f"iterations: {sol.iterations}",
@@ -392,24 +346,18 @@ def run_solve_sdp(config: RunConfig) -> int:
     lines.append(
         f"certificate: {'pass' if report.passed else 'FAIL'}"
     )
-    sys.stdout.write("\n".join(lines) + "\n")
+    _write(args, "\n".join(lines) + "\n")
     return 0 if sol.status == "optimal" and report.passed else 1
 
 
-def _parse_grid(specs) -> tuple[GridAxis, ...]:
+def _parse_grid(specs):
+    """(name, start, stop, steps) per --grid spec, in the order given."""
     axes = []
     for spec in specs or ():
         try:
             name, rest = spec.split("=", 1)
             start, stop, steps = rest.split(":")
-            axes.append(
-                GridAxis(
-                    name=name.strip(),
-                    start=float(start),
-                    stop=float(stop),
-                    steps=int(steps),
-                )
-            )
+            axes.append((name.strip(), float(start), float(stop), int(steps)))
         except ValueError:
             raise CliError(
                 f"bad grid spec {spec!r}; expected name=start:stop:steps"
@@ -424,10 +372,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, table=True):
         p.add_argument("--tol", type=float, default=1e-9)
         p.add_argument("--out", default=None)
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
+        if table:
+            p.add_argument("--format", choices=("csv", "json"), default="csv")
 
     def model_flags(p):
         p.add_argument("--model", choices=("pd", "ifo", "hb"), default=None)
@@ -458,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, default=50)
 
     p = sub.add_parser("verify-povm", help="measurement saturation report")
-    common(p)
+    common(p, table=False)
     p.add_argument("--builtin", choices=("pd", "ifo"), default=None)
     p.add_argument("--povm-json", dest="povm_json", default=None)
     p.add_argument("--model-json", dest="model_json", default=None)
@@ -469,68 +418,39 @@ def build_parser() -> argparse.ArgumentParser:
                    default=None)
     p.add_argument("--a1sq", type=float, default=None)
     p.add_argument("--eta", type=float, default=0.1)
+    # the 'ifo' model's other flags, at the values verify-povm measures
+    p.set_defaults(amps=None, phi=0.0)
 
     p = sub.add_parser("solve-sdp", help="solve a sparse-format problem file")
-    common(p)
+    common(p, table=False)
     p.add_argument("file")
     p.add_argument("--max-iter", dest="max_iter", type=int, default=200)
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    options: dict = {}
+def _check_args(args: argparse.Namespace) -> None:
+    """The checks argparse cannot make, in a fixed order so that a command
+    with several faults always names the same one. The parsed --bounds,
+    --amps and --grid values replace their strings in `args`."""
     if args.command in ("bounds", "sweep"):
-        which = tuple(
+        args.bounds = tuple(
             s.strip() for s in args.bounds.split(",") if s.strip()
         )
-        for name in which:
+        for name in args.bounds:
             if name not in BOUND_NAMES:
                 raise CliError(f"unknown bound {name!r}")
-        amps = None
         if args.amps is not None:
             try:
-                amps = tuple(float(v) for v in args.amps.split(","))
+                args.amps = tuple(float(v) for v in args.amps.split(","))
             except ValueError:
                 raise CliError(f"bad --amps value {args.amps!r}")
-        options = {
-            "bounds": which,
-            "params": args.params,
-            "eps": args.eps,
-            "n_photons": args.n_photons,
-            "a1sq": args.a1sq,
-            "amps": amps,
-            "eta": args.eta,
-            "phi": args.phi,
-        }
-    elif args.command == "fig1":
-        options = {
-            "eps_start": args.eps_start,
-            "eps_stop": args.eps_stop,
-            "steps": args.steps,
-        }
-    elif args.command == "verify-povm":
-        options = {
-            "builtin": args.builtin,
-            "povm_path": args.povm_json,
-            "eps": args.eps,
-            "a": args.a,
-            "b": args.b,
-            "split_delta": args.split_delta,
-            "a1sq": args.a1sq,
-            "eta": args.eta,
-        }
-    elif args.command == "solve-sdp":
-        options = {"sdp_path": args.file, "max_iter": args.max_iter}
-    return RunConfig(
-        command=args.command,
-        model=getattr(args, "model", None),
-        model_path=getattr(args, "model_json", None),
-        grid=_parse_grid(getattr(args, "grid", None)),
-        tol=args.tol,
-        out=args.out,
-        format=args.format,
-        options=options,
-    )
+    if args.command == "sweep":
+        args.grid = _parse_grid(args.grid)
+    if not 0.0 < args.tol <= 1e-2:
+        raise CliError(f"tol must lie in (0, 1e-2], got {args.tol!r}")
+    for name, _, _, steps in getattr(args, "grid", ()):
+        if steps < 1:
+            raise CliError(f"grid axis '{name}': steps must be >= 1")
 
 
 RUNNERS = {
@@ -543,11 +463,10 @@ RUNNERS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        config = _config_from_args(args)
-        return RUNNERS[config.command](config)
+        _check_args(args)
+        return RUNNERS[args.command](args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -29,6 +29,14 @@ from .linalg import hermitize
 from .model import StatisticalModel, decode_matrix, encode_matrix
 
 
+# validate_povm passes an outcome whose lowest eigenvalue is at least
+# -EIG_TOL and a sum within COMPLETENESS_TOL of the identity (largest entry);
+# check_unbiased passes residuals up to UNBIASED_TOL
+EIG_TOL = 1e-10
+COMPLETENESS_TOL = 1e-9
+UNBIASED_TOL = 1e-8
+
+
 class MeasurementError(ValueError):
     """Invalid measurement data or parameters outside the valid region."""
 
@@ -129,16 +137,14 @@ class SampleResult:
     warning: str | None = None
 
 
-def validate_povm(
-    povm: POVM, *, eig_tol: float = 1e-10, completeness_tol: float = 1e-9
-) -> PovmReport:
+def validate_povm(povm: POVM) -> PovmReport:
     """Check positivity of every outcome and completeness of the sum."""
     floors = tuple(
         float(np.linalg.eigvalsh(hermitize(op))[0]) for op in povm.outcomes
     )
     total = sum(povm.outcomes)
     residual = float(np.max(np.abs(total - np.eye(povm.dim))))
-    ok = all(f >= -eig_tol for f in floors) and residual <= completeness_tol
+    ok = all(f >= -EIG_TOL for f in floors) and residual <= COMPLETENESS_TOL
     return PovmReport(
         min_eigenvalues=floors,
         completeness_residual=residual,
@@ -175,9 +181,7 @@ def mse_matrix(model: StatisticalModel, estimator: Estimator) -> np.ndarray:
     return 0.5 * (v + v.T)
 
 
-def check_unbiased(
-    model: StatisticalModel, estimator: Estimator, *, tol: float = 1e-8
-) -> UnbiasedReport:
+def check_unbiased(model: StatisticalModel, estimator: Estimator) -> UnbiasedReport:
     """Residuals of both local-unbiasedness conditions at the working point."""
     _check_dims(model, estimator)
     p = outcome_probabilities(model.state, estimator.povm)
@@ -195,7 +199,7 @@ def check_unbiased(
         state_residuals=state_res,
         derivative_residuals=deriv_res,
         max_residual=worst,
-        passed=worst <= tol,
+        passed=worst <= UNBIASED_TOL,
     )
 
 
@@ -227,10 +231,11 @@ def phase_damping_povm(
     """
     if not 0.0 <= epsilon <= 1.0:
         raise MeasurementError("epsilon must lie in [0, 1]")
-    if a == 0.0 or b == 0.0:
-        raise MeasurementError("a and b must be non-zero")
+    # written so that a NaN fails each check
+    if not (abs(a) > 0.0 and abs(b) > 0.0):
+        raise MeasurementError(f"a and b must be non-zero numbers, got {a:g}, {b:g}")
     weight = 0.5 * (a * a + b * b)
-    if a * a + b * b > 1.0 + 1e-12:
+    if not a * a + b * b <= 1.0 + 1e-12:
         raise MeasurementError("a^2 + b^2 must not exceed 1")
 
     def proj(vec):
@@ -255,7 +260,7 @@ def phase_damping_povm(
             meta={"completion_weight": weight},
         )
 
-    if abs(split_delta - weight) > 1e-9:
+    if not abs(split_delta - weight) <= 1e-9:
         raise MeasurementError(
             "split_delta must equal (a^2 + b^2)/2 = "
             f"{weight!r}, got {split_delta!r}"

@@ -484,6 +484,27 @@ class TestHolevoProgram:
         assert h.value == pytest.approx(h.solution.dual_obj)
         assert h.gap <= 1e-7
 
+    def test_recovery_matches_per_coefficient_sum(self):
+        # reference: X_j = W0_j + sum_b y[row of (j, b)] N_b, one term at a
+        # time; the dual vector lists V's upper triangle, then q rows per X_j
+        model = random_model(1, 4, 3)
+        h = holevo_bound(model)
+        _, meta = build_holevo_sdp(model)
+        n, q = model.num_params, len(meta["null_ops"])
+        nv = n * (n + 1) // 2
+        assert h.solution.dual_y.shape == (nv + n * q,)
+        hint = np.zeros(nv + n * q)
+        for t, (j, k) in enumerate(zip(*np.triu_indices(n))):
+            if j == k:
+                hint[t] = h.problem.dual_hint[0]
+        assert np.array_equal(h.problem.dual_hint, hint)
+        for j in range(n):
+            x = np.array(meta["w0"][j])
+            for b in range(q):
+                x = x + h.solution.dual_y[nv + j * q + b] * meta["null_ops"][b]
+            want = 0.5 * (x + x.conj().T) + model.theta[j] * np.eye(model.dim)
+            np.testing.assert_allclose(h.X[j], want, rtol=0, atol=1e-12)
+
 
 class TestFailureModes:
     def test_kernel_supported_derivative_rejected(self):

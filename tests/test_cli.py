@@ -9,12 +9,7 @@ import numpy as np
 import pytest
 
 import qmbounds
-from qmbounds.cli import (
-    CliError,
-    GridAxis,
-    RunConfig,
-    main,
-)
+from qmbounds.cli import main
 from qmbounds.model import model_to_dict, phase_damping_model, random_model
 
 
@@ -44,16 +39,67 @@ def test_import_loads_one_blas():
 
 
 class TestConfig:
-    def test_tol_range_enforced(self):
-        with pytest.raises(CliError, match="tol"):
-            RunConfig(command="bounds", tol=0.1)
-        with pytest.raises(CliError, match="tol"):
-            RunConfig(command="bounds", tol=0.0)
+    def test_tol_range_enforced(self, capsys):
+        for tol in ("0.1", "0"):
+            code, out, err = run(capsys, ["bounds", "--model", "pd", "--tol", tol])
+            assert code == 2
+            assert out == ""
+            assert err == f"error: tol must lie in (0, 1e-2], got {float(tol)!r}\n"
 
-    def test_grid_steps_enforced(self):
-        axis = GridAxis(name="eps", start=0.0, stop=0.5, steps=0)
-        with pytest.raises(CliError, match="steps"):
-            RunConfig(command="sweep", grid=(axis,))
+    def test_grid_steps_enforced(self, capsys):
+        code, out, err = run(capsys, ["sweep", "--model", "pd", "--grid", "eps=0:0.5:0"])
+        assert code == 2
+        assert out == ""
+        assert err == "error: grid axis 'eps': steps must be >= 1\n"
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            # unknown bound, then --amps, then --grid syntax, then tol, then steps
+            (["sweep", "--bounds", "foo", "--amps", "x", "--tol", "0"], "unknown bound 'foo'"),
+            (["sweep", "--amps", "x", "--grid", "eps=x", "--tol", "0"], "bad --amps value 'x'"),
+            (["sweep", "--grid", "eps=x", "--tol", "0"], "bad grid spec 'eps=x'"),
+            (["sweep", "--grid", "eps=0:0.5:0", "--tol", "0"], "tol must lie in"),
+        ],
+    )
+    def test_first_fault_is_reported(self, capsys, argv, message):
+        code, out, err = run(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {message}")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["verify-povm", "--builtin", "pd", "--a", "0.5", "--b", "0.5"], ["solve-sdp", "prog.dat-s"]],
+    )
+    def test_format_only_on_table_commands(self, argv):
+        with pytest.raises(SystemExit) as info:
+            main(argv + ["--format", "json"])
+        assert info.value.code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", "--model", "pd", "--params", "xy", "--grid", "eps=0.1:0.5:2", "--bounds", "nh"],
+            ["fig1", "--steps", "2"],
+            ["verify-povm", "--builtin", "pd", "--eps", "0.4", "--a", "0.5", "--b", "0.5"],
+            ["solve-sdp", "PROGRAM"],
+        ],
+    )
+    def test_out_file_matches_stdout(self, capsys, tmp_path, argv):
+        from qmbounds.bound_builders import build_nh_sdp
+        from qmbounds.sdp_core import write_sdpa
+
+        program = tmp_path / "prog.dat-s"
+        program.write_text(write_sdpa(build_nh_sdp(phase_damping_model(0.3, params="xy"))[0]))
+        argv = [str(program) if a == "PROGRAM" else a for a in argv]
+        code, out, _ = run(capsys, argv)
+        assert code == 0
+        path = tmp_path / "out.txt"
+        code, printed, _ = run(capsys, argv + ["--out", str(path)])
+        assert code == 0
+        assert printed == ""
+        assert path.read_bytes() == out.encode()
 
     def test_cli_surfaces_config_errors(self, capsys):
         code, _, err = run(
@@ -410,6 +456,30 @@ class TestVerifyPovmCommand:
         assert out == ""
         assert "field 'outcomes[0]': entry (0, 0) is not finite" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("a1sq", ["1.5", "-0.2", "nan", "0", "1"])
+    def test_out_of_range_split_exits_two(self, capsys, a1sq):
+        code, out, err = run(capsys, ["verify-povm", "--builtin", "ifo", "--a1sq", a1sq])
+        assert code == 2
+        assert out == ""
+        assert err == "error: --a1sq must lie in (0, 1)\n"
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--a", "nan", "--b", "0.5"],
+            ["--split-delta", "nan"],
+            ["--split-delta", "-0.1"],
+            ["--a", "0.5", "--b", "0.5", "--split-delta", "nan"],
+        ],
+    )
+    def test_bad_dephasing_amplitude_fails_construction(self, capsys, flags):
+        # warnings are errors under pytest, so a RuntimeWarning fails here too
+        code, out, err = run(capsys, ["verify-povm", "--builtin", "pd"] + flags)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("measurement construction failed: ")
+        assert len(err.splitlines()) == 1
 
     def test_out_of_range_eta_fails(self, capsys):
         code, _, err = run(

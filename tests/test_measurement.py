@@ -131,6 +131,14 @@ class TestDephasingMeasurement:
         with pytest.raises(MeasurementError, match="exceed"):
             phase_damping_povm(0.3, 0.9, 0.6)
 
+    @pytest.mark.parametrize(
+        "a, b, split",
+        [(np.nan, 0.5, None), (0.5, np.nan, None), (np.nan, np.nan, np.nan), (0.5, 0.5, np.nan)],
+    )
+    def test_rejects_nan(self, a, b, split):
+        with pytest.raises(MeasurementError):
+            phase_damping_povm(0.3, a, b, split_delta=split)
+
 
 class TestDephasingSplit:
     def test_split_family_is_valid_and_unbiased(self):
