@@ -28,7 +28,6 @@ from .bound_builders import (
 from .measurement import (
     EIG_TOL,
     MeasurementError,
-    MeasurementFormatError,
     check_unbiased,
     estimator_from_dict,
     interferometer_povm,
@@ -38,7 +37,6 @@ from .measurement import (
 )
 from .model import (
     ModelError,
-    ModelFormatError,
     holland_burnett_probe,
     interferometer_model,
     model_from_dict,
@@ -55,19 +53,24 @@ class CliError(ValueError):
 BOUND_NAMES = ("sld", "holevo", "nh")
 
 
+def _read_file(path, what, parse):
+    """`parse` of the text of file `path`; CliError names `what` when the
+    file cannot be read as text or `parse` raises a ValueError."""
+    try:
+        with open(path) as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise CliError(f"cannot read {what}: {exc}")
+    try:
+        return parse(text)
+    except ValueError as exc:
+        raise CliError(f"bad {what}: {exc}")
+
+
 def _load_model(args):
     if args.model_json is not None:
-        try:
-            with open(args.model_json) as fh:
-                payload = json.load(fh)
-        except OSError as exc:
-            raise CliError(f"cannot read model file: {exc}")
-        except json.JSONDecodeError as exc:
-            raise CliError(f"model file is not valid JSON: {exc}")
-        try:
-            return model_from_dict(payload)
-        except (ModelFormatError, ModelError) as exc:
-            raise CliError(f"bad model file: {exc}")
+        return _read_file(args.model_json, "JSON model file",
+                          lambda text: model_from_dict(json.loads(text)))
     return _builtin_model(args.model, args)
 
 
@@ -143,8 +146,11 @@ def _write(args, text: str) -> None:
     if args.out is None:
         sys.stdout.write(text)
     else:
-        with open(args.out, "w", newline="\n") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", newline="\n") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise CliError(f"cannot write --out file: {exc}")
 
 
 def _emit(args, columns, rows) -> None:
@@ -248,17 +254,8 @@ def _verify_target(args):
     if args.povm_json is not None:
         if args.model_json is None:
             raise CliError("--povm-json needs --model-json for the model")
-        try:
-            with open(args.povm_json) as fh:
-                payload = json.load(fh)
-        except OSError as exc:
-            raise CliError(f"cannot read POVM file: {exc}")
-        except json.JSONDecodeError as exc:
-            raise CliError(f"POVM file is not valid JSON: {exc}")
-        try:
-            estimator = estimator_from_dict(payload)
-        except MeasurementFormatError as exc:
-            raise CliError(f"bad POVM file: {exc}")
+        estimator = _read_file(args.povm_json, "JSON POVM file",
+                               lambda text: estimator_from_dict(json.loads(text)))
         return _load_model(args), estimator
     if args.builtin == "pd":
         a, b, split = args.a, args.b, args.split_delta
@@ -323,15 +320,7 @@ def run_verify_povm(args) -> int:
 
 
 def run_solve_sdp(args) -> int:
-    try:
-        with open(args.file) as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise CliError(f"cannot read problem file: {exc}")
-    try:
-        problem = read_sdpa(text)
-    except ValueError as exc:
-        raise CliError(f"bad problem file: {exc}")
+    problem = _read_file(args.file, "problem file", read_sdpa)
     sol = solve(problem, tol=args.tol, max_iter=args.max_iter)
     report = check_certificate(problem, sol, tol=max(args.tol, 1e-7))
     lines = [
@@ -448,9 +437,13 @@ def _check_args(args: argparse.Namespace) -> None:
         args.grid = _parse_grid(args.grid)
     if not 0.0 < args.tol <= 1e-2:
         raise CliError(f"tol must lie in (0, 1e-2], got {args.tol!r}")
-    for name, _, _, steps in getattr(args, "grid", ()):
+    for k, (name, _, _, steps) in enumerate(getattr(args, "grid", ())):
         if steps < 1:
             raise CliError(f"grid axis '{name}': steps must be >= 1")
+        if name in [axis for axis, _, _, _ in args.grid[:k]]:
+            raise CliError(f"grid axis '{name}' is given more than once")
+    if getattr(args, "max_iter", 1) < 1:
+        raise CliError(f"--max-iter must be >= 1, got {args.max_iter}")
 
 
 RUNNERS = {

@@ -9,8 +9,8 @@ Z = C - sum_i y_i A_i >= 0.  Reported objectives carry the problem's
 
 Constraint rows have one input format, the entry lines of the sparse text
 format: (row, block, i, j, value) for the upper-triangle nonzeros of each
-A_i.  Builders and `read_sdpa` both hand these to `make_problem`, which
-keeps them once, in a `ConstraintStore`.
+A_i, under one set of rules (`_check_entries`).  Builders and `read_sdpa`
+hand these to `make_problem`, which keeps them once, in a `ConstraintStore`.
 
 The solver forms each block's Schur complement by one of two formulas,
 picked by cost: from the congruences G^T A_i G, or from factors that a
@@ -199,20 +199,9 @@ def _entry_store(entries, dims, m) -> ConstraintStore:
     val = np.asarray(entries[4], dtype=float).ravel()
     if not len(row) == len(block) == len(i) == len(j) == len(val):
         raise SDPError("entry arrays (row, block, i, j, value) differ in length")
-
-    def first(bad, what):
-        if np.any(bad):
-            k = int(np.argmax(bad))
-            raise SDPError(
-                f"entry {k} (row {row[k]}, block {block[k]}, ({i[k]}, {j[k]})): {what}"
-            )
-
-    first((row < 0) | (row >= m), f"row out of range 0..{m - 1}")
-    first((block < 0) | (block >= len(dims)), f"block out of range 0..{len(dims) - 1}")
+    _check_entries((row, block, i, j, val), dims, m, 0, SDPError,
+                   lambda k: f"entry {k} (row {row[k]}, block {block[k]}, ({i[k]}, {j[k]}))")
     d = np.array(dims)[block]
-    first((i < 0) | (j >= d), "index exceeds the block dimension")
-    first(i > j, "lower-triangle entry; give the upper triangle only")
-    first(~np.isfinite(val), "value is not finite")
     lower = i != j
     row = np.concatenate([row, row[lower]])
     block = np.concatenate([block, block[lower]])
@@ -220,13 +209,33 @@ def _entry_store(entries, dims, m) -> ConstraintStore:
     val = np.concatenate([val, val[lower]])
     order = np.lexsort((col, block, row))
     store = ConstraintStore(row[order], block[order], col[order], val[order])
-    dup = np.flatnonzero(np.all(np.diff(store[:3], axis=1) == 0, axis=0))
-    if len(dup):
-        r, l, col = (int(a[dup[0]]) for a in store[:3])
-        i, j = sorted(divmod(col, dims[l]))
-        raise SDPError(f"duplicate entry for row {r} block {l} ({i}, {j})")
     live = store.val != 0
     return store if live.all() else ConstraintStore(*(a[live] for a in store))
+
+
+def _check_entries(entries, dims, rows, base, error, name) -> None:
+    """Check (row, block, i, j, value) entry arrays against the entry rules,
+    with blocks and indices counted from `base`; raise `error` naming, by
+    `name(k)`, the first entry k that breaks one, and the first it breaks."""
+    row, block, i, j, val = entries
+    d = np.take((*dims, 0), block - base, mode="clip")  # read only for blocks in range
+    order = np.lexsort((j, i, block, row))  # stable: of equal keys, the later comes later
+    repeat = np.zeros(len(row), dtype=bool)
+    repeat[order[1:]] = np.all(np.diff(np.stack([row, block, i, j])[:, order]) == 0, axis=0)
+    rules = {
+        "entry value {v!r} is not finite": ~np.isfinite(val),
+        f"row out of range 0..{rows - 1}": (row < 0) | (row >= rows),
+        f"block out of range {base}..{len(dims) - 1 + base}": (block < base) | (block >= len(dims) + base),
+        "index exceeds the block dimension {d}": (np.minimum(i, j) < base) | (np.maximum(i, j) >= d + base),
+        "lower-triangle entry; give the upper triangle only": i > j,
+        "duplicate entry for row {r} block {l} ({i}, {j})": repeat,
+    }
+    broken = np.stack(list(rules.values()))
+    if broken.any():
+        k = int(np.argmax(broken.any(axis=0)))
+        what = list(rules)[int(np.argmax(broken[:, k]))]
+        raise error(f"{name(k)}: " + what.format(
+            v=str(float(val[k])), d=d[k], r=row[k], l=block[k], i=i[k], j=j[k]))
 
 
 def _dedupe_rows(store: ConstraintStore, bvec, dims):
@@ -355,7 +364,10 @@ def solve(
 
     Deterministic: fixed reduction orders, no randomization.  Builder
     hints on the problem are used as starting points when present.
+    `max_iter` = 0 only evaluates the starting point; a negative one raises.
     """
+    if max_iter < 0:
+        raise SDPError(f"max_iter must be >= 0, got {max_iter}")
     dims = problem.block_dims
     nb = len(dims)
     m = problem.num_constraints
@@ -725,10 +737,10 @@ def read_sdpa(text: str) -> SDPProblem:
     Negative dims on the block line declare diagonal blocks; their entries
     must be on-diagonal and the block is stored dense.  A right-hand-side
     line follows the block line only when the constraint count is nonzero
-    (blank lines are skipped, so none is needed to hold its place).  The
-    constraint entry lines go to `make_problem` as they are, 0-based.
-    Raises SDPAFormatError with the offending line number on malformed
-    input, non-finite numbers included.
+    (blank lines are skipped, so none is needed to hold its place).  Entry
+    lines are converted at once by numpy's text parser (ASCII digits, no
+    `1_0`) and checked by `make_problem`'s rules; SDPAFormatError names the
+    first bad line of any malformed input, non-finite numbers included.
     """
     raw = text.splitlines()
     scale = 1.0
@@ -779,7 +791,6 @@ def read_sdpa(text: str) -> SDPProblem:
     dims = tuple(abs(d) for d in signed_dims)
     diagonal = [d < 0 for d in signed_dims]
     b = np.zeros(0)
-    first_entry = 3
     if m:
         ln, tok = take(3, "right-hand side")
         bfields = tok.replace(",", " ").split()
@@ -791,51 +802,44 @@ def read_sdpa(text: str) -> SDPProblem:
             raise SDPAFormatError(f"line {ln}: bad right-hand-side value") from exc
         if not np.all(np.isfinite(b)):
             raise SDPAFormatError(f"line {ln}: right-hand-side value is not finite")
-        first_entry = 4
 
-    matno, l, i, j, val = _read_entries(body[first_entry:], m, dims, diagonal)
+    lines = body[4 if m else 3:]
+    parsed, stop = _parse_entries([tok for _, tok in lines])
+    matno, blkno, i, j, val = (parsed[f] for f in parsed.dtype.names)
+    off = np.flatnonzero((i != j) & np.isin(blkno, np.flatnonzero(diagonal) + 1))
+    stop = off[0] if len(off) else stop
+    # the rules run on the lines before the first one that does not convert
+    # or is off the diagonal of a diagonal block: the first bad line is named
+    cols = (matno[:stop], blkno[:stop], i[:stop], j[:stop], val[:stop])
+    _check_entries(cols, dims, m + 1, 1, SDPAFormatError, lambda k: f"line {lines[k][0]}")
+    if stop < len(lines):
+        what = "off-diagonal entry in a diagonal block" if len(off) else "expected four integers and a number"
+        raise SDPAFormatError(f"line {lines[stop][0]}: {what}, got {lines[stop][1]!r}")
+    l, i, j = blkno - 1, i - 1, j - 1
     con = matno > 0
     objective: BlockMat = {}
     for blk in np.unique(l[~con]).tolist():
         here = ~con & (l == blk)
         objective[blk] = np.zeros((dims[blk], dims[blk]))
         objective[blk][i[here], j[here]] = objective[blk][j[here], i[here]] = val[here]
-    return make_problem(
-        dims, objective, (matno[con] - 1, l[con], i[con], j[con], val[con]), b, scale
-    )
+    return make_problem(dims, objective, (matno[con] - 1, l[con], i[con], j[con], val[con]), b, scale)
 
 
-def _read_entries(entries, m, dims, diagonal):
-    """The entry lines `entries`, (line number, text) pairs, checked line
-    by line, as (matno, block, i, j, value) arrays; block, i and j 0-based."""
-    # entry value by (matno, blkno, i, j), in file order
-    found: dict[tuple[int, int, int, int], float] = {}
-    for ln, tok in entries:
-        fields = tok.split()
-        if len(fields) != 5:
-            raise SDPAFormatError(f"line {ln}: expected 'matno blkno i j value', got {len(fields)} fields")
+def _parse_entries(lines):
+    """The leading entry lines that numpy's text parser converts, as a
+    (matno, blkno, i, j, value) record array, and how many there are."""
+    try:
+        return _parse(lines), len(lines)
+    except ValueError:
+        pass
+    for k, line in enumerate(lines):
         try:
-            matno, blkno, i, j = (int(f) for f in fields[:4])
-            value = float(fields[4])
-        except ValueError as exc:
-            raise SDPAFormatError(f"line {ln}: bad entry field") from exc
-        if not math.isfinite(value):
-            raise SDPAFormatError(f"line {ln}: entry value {fields[4]!r} is not finite")
-        if not 0 <= matno <= m:
-            raise SDPAFormatError(f"line {ln}: matrix number {matno} out of range 0..{m}")
-        if not 1 <= blkno <= len(dims):
-            raise SDPAFormatError(f"line {ln}: block number {blkno} out of range 1..{len(dims)}")
-        d = dims[blkno - 1]
-        if not (1 <= i <= d and 1 <= j <= d):
-            raise SDPAFormatError(f"line {ln}: index ({i}, {j}) exceeds block dimension {d}")
-        if i > j:
-            raise SDPAFormatError(f"line {ln}: lower-triangle entry ({i}, {j}); store the upper triangle only")
-        if diagonal[blkno - 1] and i != j:
-            raise SDPAFormatError(f"line {ln}: off-diagonal entry in diagonal block {blkno}")
-        key = (matno, blkno, i, j)
-        if key in found:
-            raise SDPAFormatError(f"line {ln}: duplicate entry for matrix {matno} block {blkno} ({i}, {j})")
-        found[key] = value
-    keys = np.array(list(found), dtype=np.int64).reshape(-1, 4)
-    matno, l, i, j = (keys - [0, 1, 1, 1]).T
-    return matno, l, i, j, np.fromiter(found.values(), float, len(found))
+            _parse([line])
+        except ValueError:
+            return _parse(lines[:k]), k
+
+
+def _parse(lines):
+    if not lines:  # numpy's parser warns on empty input
+        return np.empty(0, "i8,i8,i8,i8,f8")
+    return np.loadtxt(lines, dtype="i8,i8,i8,i8,f8", ndmin=1, comments=None)

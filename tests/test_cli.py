@@ -101,6 +101,30 @@ class TestConfig:
         assert printed == ""
         assert path.read_bytes() == out.encode()
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["sweep", "--model", "pd", "--grid", "eps=0:0.5:2", "--grid", "eps=0:0.5:2",
+              "--bounds", "sld"], "grid axis 'eps' is given more than once"),
+            (["solve-sdp", "prog.dat-s", "--max-iter", "-3"], "--max-iter must be >= 1, got -3"),
+            (["solve-sdp", "prog.dat-s", "--max-iter", "0"], "--max-iter must be >= 1, got 0"),
+        ],
+    )
+    def test_rejected_before_running(self, capsys, argv, message):
+        code, out, err = run(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {message}\n"
+
+    def test_unwritable_out_file_exits_two(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "x.csv"
+        code, out, err = run(capsys, ["fig1", "--steps", "2", "--out", str(path)])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: cannot write --out file: ")
+        assert len(err.splitlines()) == 1
+        assert not path.exists()
+
     def test_cli_surfaces_config_errors(self, capsys):
         code, _, err = run(
             capsys, ["bounds", "--model", "pd", "--tol", "0.5"]
@@ -512,6 +536,15 @@ class TestSolveSdpCommand:
         )
         assert code == 2
         assert "problem file" in err
+
+    def test_undecodable_file_exits_two(self, capsys, tmp_path):
+        path = tmp_path / "binary.dat-s"
+        path.write_bytes(b"\xff\xfe1\n1\n2\n")
+        code, out, err = run(capsys, ["solve-sdp", str(path)])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "problem file" in err
+        assert len(err.splitlines()) == 1
 
     def test_inconsistent_dependent_rows_exit_one(self, capsys, tmp_path):
         # row 2 is twice row 1, but its right-hand side is 3, not 2

@@ -181,6 +181,10 @@ class TestSolve:
         assert sol.iterations == 0
         assert np.isfinite(sol.gap)
 
+    def test_negative_iteration_count_raises(self):
+        with pytest.raises(SDPError, match="max_iter must be >= 0, got -1"):
+            solve(toy_problem(), max_iter=-1)
+
     def test_without_rows(self):
         problem = make_problem([2], {0: np.eye(2)}, as_entries([]), [])
         sol = solve(problem)
@@ -639,6 +643,45 @@ class TestSdpaFormat:
     def test_non_finite_number_names_line(self, text, line):
         with pytest.raises(SDPAFormatError, match=f"{line}.* is not finite"):
             read_sdpa(text)
+
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            # conversion: field count, a non-integer index, a non-number value
+            ("2\n1\n2\n1.0 2.0\n0 1 1 1 1.0\n1 1 1 1\n", 6),
+            ("2\n1\n2\n1.0 2.0\n0 1 1 1 1.0\n1 1 1.0 1 1.0\n", 6),
+            ("2\n1\n2\n1.0 2.0\n1 1 1 1 x\n", 5),
+            # ranges of matno, blkno and the indices
+            ("2\n1\n2\n1.0 2.0\n0 1 1 1 1.0\n3 1 1 1 1.0\n", 6),
+            ("2\n1\n2\n1.0 2.0\n-1 1 1 1 1.0\n", 5),
+            ("2\n1\n2\n1.0 2.0\n1 2 1 1 1.0\n", 5),
+            ("2\n1\n2\n1.0 2.0\n1 0 1 1 1.0\n", 5),
+            ("2\n1\n2\n1.0 2.0\n1 1 1 1 1.0\n1 1 1 3 1.0\n", 6),
+            ("2\n1\n2\n1.0 2.0\n1 1 0 1 1.0\n", 5),
+            # the upper triangle, and the diagonal of a diagonal block
+            ("2\n1\n2\n1.0 2.0\n1 1 1 1 1.0\n1 1 2 1 1.0\n", 6),
+            ("1\n1\n-2\n1.0\n0 1 1 1 3.0\n0 1 1 2 3.0\n", 6),
+            # a duplicate is named at its later line
+            ("2\n1\n2\n1.0 2.0\n0 1 1 1 1.0\n1 1 1 1 1.0\n0 1 1 1 2.0\n", 7),
+            ("2\n1\n2\n1.0 2.0\n1 1 1 2 1.0\n2 1 1 1 1.0\n1 1 1 2 3.0\n", 7),
+            # numpy's parser takes no digit grouping, where Python's float does
+            ("2\n1\n2\n1.0 2.0\n1 1 1 1 1_0\n", 5),
+            # with several bad lines, the first is named
+            ("2\n1\n2\n1.0 2.0\n1 1 2 1 1.0\n1 1 1 x 1.0\n", 5),
+            ("1\n1\n-2\n1.0\n0 1 1 2 3.0\n1 1 1 1 nan\n", 5),
+            ("1\n1\n-2\n1.0\n1 1 1 1 nan\n0 1 1 2 3.0\n", 5),
+        ],
+    )
+    def test_bad_entry_names_its_line(self, text, line):
+        with pytest.raises(SDPAFormatError, match=f"^line {line}: "):
+            read_sdpa(text)
+
+    def test_no_entry_lines(self):
+        problem = read_sdpa("0\n1\n2\n")
+        assert problem.num_constraints == 0
+        assert problem.objective == {}
+        assert all(len(a) == 0 for a in problem.store)
+        assert write_sdpa(problem) == "* scale 1.0\n0\n1\n2\n"
 
     def test_truncated_file(self):
         with pytest.raises(SDPAFormatError, match="missing"):
