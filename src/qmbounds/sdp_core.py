@@ -201,13 +201,14 @@ def _entry_store(entries, dims, m) -> ConstraintStore:
         raise SDPError("entry arrays (row, block, i, j, value) differ in length")
     _check_entries((row, block, i, j, val), dims, m, 0, SDPError,
                    lambda k: f"entry {k} (row {row[k]}, block {block[k]}, ({i[k]}, {j[k]}))")
-    d = np.array(dims)[block]
+    d = np.array(dims, dtype=np.int64)[block]
     lower = i != j
     row = np.concatenate([row, row[lower]])
     block = np.concatenate([block, block[lower]])
     col = np.concatenate([i * d + j, (j * d + i)[lower]])
     val = np.concatenate([val, val[lower]])
-    order = np.lexsort((col, block, row))
+    key = np.ravel_multi_index((row, block, col), (m, len(dims), max(dims, default=0) ** 2))
+    order = np.argsort(key, kind="stable")  # one distinct key per checked entry, in (row, block, col) order
     store = ConstraintStore(row[order], block[order], col[order], val[order])
     live = store.val != 0
     return store if live.all() else ConstraintStore(*(a[live] for a in store))
@@ -219,9 +220,13 @@ def _check_entries(entries, dims, rows, base, error, name) -> None:
     `name(k)`, the first entry k that breaks one, and the first it breaks."""
     row, block, i, j, val = entries
     d = np.take((*dims, 0), block - base, mode="clip")  # read only for blocks in range
-    order = np.lexsort((j, i, block, row))  # stable: of equal keys, the later comes later
+    # out-of-range entries clip onto keys; a repeat that makes is on or after a broken entry
+    top = max(dims, default=0) + 1
+    key = np.ravel_multi_index((row, block - base, i - base, j - base), (rows + 1, len(dims) + 1, top, top),
+                               mode="clip")
+    order = np.argsort(key, kind="stable")  # of equal keys, the later comes later
     repeat = np.zeros(len(row), dtype=bool)
-    repeat[order[1:]] = np.all(np.diff(np.stack([row, block, i, j])[:, order]) == 0, axis=0)
+    repeat[order[1:]] = key[order[1:]] == key[order[:-1]]
     rules = {
         "entry value {v!r} is not finite": ~np.isfinite(val),
         f"row out of range 0..{rows - 1}": (row < 0) | (row >= rows),
@@ -828,18 +833,15 @@ def read_sdpa(text: str) -> SDPProblem:
 def _parse_entries(lines):
     """The leading entry lines that numpy's text parser converts, as a
     (matno, blkno, i, j, value) record array, and how many there are."""
-    try:
-        return _parse(lines), len(lines)
-    except ValueError:
-        pass
-    for k, line in enumerate(lines):
-        try:
-            _parse([line])
+    # lines convert together exactly when each does, so bisect for the first
+    # that does not, parsing only lines not yet converted: O(n) work in all
+    dtype = "i8,i8,i8,i8,f8"
+    pieces, good, bad, k = [np.empty(0, dtype)], 0, len(lines) + 1, len(lines)
+    while bad - good > 1:
+        try:  # never on no lines, on which numpy's parser warns
+            pieces.append(np.loadtxt(lines[good:k], dtype=dtype, ndmin=1, comments=None))
+            good = k
         except ValueError:
-            return _parse(lines[:k]), k
-
-
-def _parse(lines):
-    if not lines:  # numpy's parser warns on empty input
-        return np.empty(0, "i8,i8,i8,i8,f8")
-    return np.loadtxt(lines, dtype="i8,i8,i8,i8,f8", ndmin=1, comments=None)
+            bad = k
+        k = (good + bad) // 2
+    return np.concatenate(pieces), good

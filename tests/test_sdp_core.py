@@ -503,6 +503,23 @@ class TestMakeProblem:
         # the good entries alone are a valid problem
         make_problem([2, 3], {}, tuple(np.array(col) for col in zip(*good)), [1.0, 2.0])
 
+    @pytest.mark.parametrize("first", [0, 1])
+    def test_out_of_range_entry_named_by_its_range_rule(self, first):
+        # row -1 shares its duplicate-check key with row 0; whichever comes
+        # first, the row rule names the entry with row -1
+        pair = [(0, 0, 0, 0, 1.0), (0, 0, 0, 0, 1.0)]
+        pair[first] = (-1, 0, 0, 0, 1.0)
+        entries = tuple(np.array(col) for col in zip(*pair))
+        with pytest.raises(SDPError, match=rf"^entry {first} \(row -1, .*: row out of range"):
+            make_problem([2], {}, entries, [1.0])
+
+    def test_rejects_entry_without_rows_or_blocks(self):
+        entries = ([0], [0], [0], [0], [1.0])
+        with pytest.raises(SDPError, match="row out of range"):
+            make_problem([2], {}, entries, [])
+        with pytest.raises(SDPError, match="block out of range"):
+            make_problem([], {}, entries, [1.0])
+
     def test_rejects_entry_arrays_of_unequal_length(self):
         with pytest.raises(SDPError, match="differ in length"):
             make_problem([2], {}, ([0], [0], [0], [0, 1], [1.0]), [1.0])
@@ -674,6 +691,14 @@ class TestSdpaFormat:
     )
     def test_bad_entry_names_its_line(self, text, line):
         with pytest.raises(SDPAFormatError, match=f"^line {line}: "):
+            read_sdpa(text)
+
+    @pytest.mark.parametrize("bad", [0, 1, 17, 38])
+    def test_first_unconvertible_line_of_many(self, bad):
+        lines = [f"{k + 1} 1 1 1 1.0" for k in range(40)]
+        lines[bad] = lines[-1] = "1 1 1 x 1.0"
+        text = "40\n1\n2\n" + " ".join(["1.0"] * 40) + "\n" + "\n".join(lines) + "\n"
+        with pytest.raises(SDPAFormatError, match=f"^line {bad + 5}: "):
             read_sdpa(text)
 
     def test_no_entry_lines(self):
