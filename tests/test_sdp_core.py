@@ -503,14 +503,10 @@ class TestMakeProblem:
         # the good entries alone are a valid problem
         make_problem([2, 3], {}, tuple(np.array(col) for col in zip(*good)), [1.0, 2.0])
 
-    @pytest.mark.parametrize("first", [0, 1])
-    def test_out_of_range_entry_named_by_its_range_rule(self, first):
-        # row -1 shares its duplicate-check key with row 0; whichever comes
-        # first, the row rule names the entry with row -1
-        pair = [(0, 0, 0, 0, 1.0), (0, 0, 0, 0, 1.0)]
-        pair[first] = (-1, 0, 0, 0, 1.0)
-        entries = tuple(np.array(col) for col in zip(*pair))
-        with pytest.raises(SDPError, match=rf"^entry {first} \(row -1, .*: row out of range"):
+    def test_out_of_range_entry_before_the_entry_it_clips_onto(self):
+        # row -1 shares its duplicate-check key with the row-0 entry after it
+        entries = ([-1, 0], [0, 0], [0, 0], [0, 0], [1.0, 1.0])
+        with pytest.raises(SDPError, match=r"^entry 0 \(row -1, .*: row out of range"):
             make_problem([2], {}, entries, [1.0])
 
     def test_rejects_entry_without_rows_or_blocks(self):
@@ -687,18 +683,14 @@ class TestSdpaFormat:
             ("2\n1\n2\n1.0 2.0\n1 1 2 1 1.0\n1 1 1 x 1.0\n", 5),
             ("1\n1\n-2\n1.0\n0 1 1 2 3.0\n1 1 1 1 nan\n", 5),
             ("1\n1\n-2\n1.0\n1 1 1 1 nan\n0 1 1 2 3.0\n", 5),
+            # 40 rows, the last line and one more unconvertible
+            *(("40\n1\n2\n" + "1.0 " * 40 + "\n" + "".join(
+                "1 1 1 x 1.0\n" if k in (bad, 39) else f"{k + 1} 1 1 1 1.0\n" for k in range(40)
+            ), bad + 5) for bad in (0, 1, 17, 38)),
         ],
     )
     def test_bad_entry_names_its_line(self, text, line):
         with pytest.raises(SDPAFormatError, match=f"^line {line}: "):
-            read_sdpa(text)
-
-    @pytest.mark.parametrize("bad", [0, 1, 17, 38])
-    def test_first_unconvertible_line_of_many(self, bad):
-        lines = [f"{k + 1} 1 1 1 1.0" for k in range(40)]
-        lines[bad] = lines[-1] = "1 1 1 x 1.0"
-        text = "40\n1\n2\n" + " ".join(["1.0"] * 40) + "\n" + "\n".join(lines) + "\n"
-        with pytest.raises(SDPAFormatError, match=f"^line {bad + 5}: "):
             read_sdpa(text)
 
     def test_no_entry_lines(self):
