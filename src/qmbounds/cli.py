@@ -14,6 +14,7 @@ Exit codes: 0 on success, 1 when a solve or measurement check fails,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 import time
@@ -147,8 +148,9 @@ def _write(args, text: str) -> None:
         sys.stdout.write(text)
     else:
         try:
-            with open(args.out, "w", newline="\n") as fh:
-                fh.write(text)
+            args.out.truncate(0)
+            args.out.write(text)
+            args.out.flush()
         except OSError as exc:
             raise CliError(f"cannot write --out file: {exc}")
 
@@ -420,7 +422,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _check_args(args: argparse.Namespace) -> None:
     """The checks argparse cannot make, in a fixed order so that a command
     with several faults always names the same one. The parsed --bounds,
-    --amps and --grid values replace their strings in `args`."""
+    --amps and --grid values replace their strings in `args`, and the
+    opened --out file its path, once every other check has passed."""
     if args.command in ("bounds", "sweep"):
         args.bounds = tuple(
             s.strip() for s in args.bounds.split(",") if s.strip()
@@ -444,6 +447,13 @@ def _check_args(args: argparse.Namespace) -> None:
             raise CliError(f"grid axis '{name}' is given more than once")
     if getattr(args, "max_iter", 1) < 1:
         raise CliError(f"--max-iter must be >= 1, got {args.max_iter}")
+    if args.out is not None:
+        # before any solve, to append: nothing in it is lost before the
+        # report replaces it, and it may be the input file
+        try:
+            args.out = open(args.out, "a", newline="\n")
+        except OSError as exc:
+            raise CliError(f"cannot write --out file: {exc}")
 
 
 RUNNERS = {
@@ -459,7 +469,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         _check_args(args)
-        return RUNNERS[args.command](args)
+        with args.out or contextlib.nullcontext():
+            return RUNNERS[args.command](args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

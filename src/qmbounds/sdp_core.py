@@ -16,10 +16,12 @@ The solver forms each block's Schur complement by one of two formulas,
 picked by cost: from the congruences G^T A_i G, or from factors that a
 small cover of each row gives (see `solve`).
 
-All dense linear algebra goes through numpy's LAPACK: the Newton system is
-solved with the inverse of its Cholesky factor, and row dedupe uses
-numpy's QR.  No second BLAS library is loaded, so the process has one BLAS
-thread pool, not two that compete for the same cores.
+All dense linear algebra goes through numpy's LAPACK.  The Newton system
+is solved with the inverse of its Cholesky factor, formed by 2 x 2 blocks
+in matrix products.  Row dedupe keeps every row when a Cholesky factor of
+the rows' scaled Gram matrix proves them independent, and otherwise
+decides by numpy's QR.  No second BLAS library is loaded, so the process
+has one BLAS thread pool, not two that compete for the same cores.
 """
 from __future__ import annotations
 
@@ -162,6 +164,8 @@ def make_problem(
     if not np.all(np.isfinite(bvec)):
         raise SDPError("b has non-finite values")
     m = len(bvec)
+    if not _keys_fit(m, dims):
+        raise SDPError(f"block dims {dims} are too large: entry keys overflow int64")
     store = _entry_store(entries, dims, m)
     kept, dropped = _dedupe_rows(store, bvec, dims)
     if primal_hint is not None:
@@ -214,6 +218,12 @@ def _entry_store(entries, dims, m) -> ConstraintStore:
     return store if live.all() else ConstraintStore(*(a[live] for a in store))
 
 
+def _keys_fit(rows, dims) -> bool:
+    """Whether entry keys of `rows` rows over blocks of dimensions `dims`,
+    as `_check_entries` and `_entry_store` number them, fit in int64."""
+    return (rows + 1) * (len(dims) + 1) * (max(dims, default=0) + 1) ** 2 <= np.iinfo(np.int64).max
+
+
 def _check_entries(entries, dims, rows, base, error, name) -> None:
     """Check (row, block, i, j, value) entry arrays against the entry rules,
     with blocks and indices counted from `base`; raise `error` naming, by
@@ -244,7 +254,18 @@ def _check_entries(entries, dims, rows, base, error, name) -> None:
 
 
 def _dedupe_rows(store: ConstraintStore, bvec, dims):
+    """The kept and the dropped rows of `make_problem`'s in-order rule.
+
+    When `_certified_independent` proves that the rule keeps every row, no
+    QR runs: each row is then nearly sqrt(`_GRAM_MARGIN`) of its norm from
+    the others, far beyond what rounding in the QR could move.  Otherwise
+    the QR loop below decides.  It alone finds dependent rows, so what is
+    kept, what is dropped and what is reported never depend on the
+    certificate.
+    """
     m = len(bvec)
+    if _certified_independent(store, m, dims):
+        return list(range(m)), []
     # rows as vectorised block matrices, on only the columns that are
     # nonzero in some row: the others add nothing to any inner product
     offsets = np.cumsum([0] + [d * d for d in dims])
@@ -298,13 +319,73 @@ def _dedupe_rows(store: ConstraintStore, bvec, dims):
     return kept, dropped
 
 
+# c of `_certified_independent`: far above its rounding bound e (at most
+# 1.2e-9 on the bench ladder) and far below the least eigenvalue of the
+# scaled Gram matrix of any ladder program (1.9e-3)
+_GRAM_MARGIN = 1e-6
+
+
+def _certified_independent(store: ConstraintStore, m: int, dims) -> bool:
+    """Whether the m rows are provably each more than DEP_TOL * max(1, norm)
+    from the span of the others, hence of the rows before them.
+
+    G is the rows' Gram matrix, formed block by block from the rows that
+    touch a block, on that block's used columns; n counts the used columns
+    of all blocks.  With the computed row norms r~ and S = diag(1/r~), the
+    certificate is a floating-point Cholesky factor of fl(S G S) - c I,
+    c = `_GRAM_MARGIN`.  Write u for the unit roundoff and g for
+    gamma(n + m + 3), gamma(k) = ku/(1 - ku).  Then (Rump, "Verification of
+    positive definiteness", BIT 46, 2006; Higham ch. 3 and 10):
+    - each computed entry of G is within gamma(n)|r_i||r_j| of the exact
+      one, in any summation order, and r~_k within gamma(n + 2) of |r_k|
+      relative; so fl(S G S) is within 2g of H = S G S entrywise (the two
+      roundings of the scaling included), and within 2mg in 2-norm;
+    - subtracting c rounds the diagonal, by at most 2u;
+    - a Cholesky factor computed in floating point of a symmetric matrix A
+      exists only if lambda_min(A) >= -gamma(m + 1) tr(A)/(1 - gamma(m + 1))
+      >= -4mg, as the diagonal of A is at most 2.
+    So lambda_min(H) >= c - e with e = (6m + 2) g.  Row k's distance from
+    the span of the others is 1/sqrt((G^-1)_kk) = r~_k/sqrt((H^-1)_kk), at
+    least sqrt(c - e) r~_k, and the threshold DEP_TOL max(1, |r_k|) is at
+    most DEP_TOL max(1, r~_k)/(1 - g).  Underflow is ignored: it moves no
+    entry of fl(S G S), whose diagonal is 1, by as much as u.  Rows that
+    cannot be independent, with m above n, are not tried.
+    """
+    used = [np.unique(store.col[store.block == l]) for l in range(len(dims))]
+    n = sum(len(cols) for cols in used)
+    if m > n:
+        return False
+    gram = np.zeros((m, m))
+    for l, cols in enumerate(used):
+        here = store.block == l
+        rows, r = np.unique(store.row[here], return_inverse=True)
+        dense = np.zeros((len(rows), len(cols)))
+        dense[r, np.searchsorted(cols, store.col[here])] = store.val[here]
+        gram[np.ix_(rows, rows)] += dense @ dense.T
+    norm = np.sqrt(np.diag(gram))
+    u = np.finfo(float).eps / 2
+    g = (n + m + 3) * u / (1 - (n + m + 3) * u)
+    e = (6 * m + 2) * g
+    # a zero row, or any row once e reaches c, fails here
+    if np.any(np.sqrt(max(_GRAM_MARGIN - e, 0.0)) * (1 - g) * norm <= DEP_TOL * np.maximum(1.0, norm)):
+        return False
+    scaled = gram / np.outer(norm, norm)
+    scaled[np.diag_indices(m)] -= _GRAM_MARGIN
+    try:
+        np.linalg.cholesky(scaled)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 def _chol_jittered(mat: np.ndarray) -> np.ndarray:
     """Inverse of the lower Cholesky factor of the Schur matrix `mat`.
 
     numpy has no triangular solve, so the factor is inverted once per
-    iteration and applied by matrix products in `_solve_refined`.  When
-    the matrix is not numerically positive definite, a growing multiple of
-    its largest diagonal entry is added before factoring again.
+    iteration, by `_tril_inv`, and applied by matrix products in
+    `_solve_refined`.  When the matrix is not numerically positive
+    definite, a growing multiple of its largest diagonal entry is added
+    before factoring again.
     """
     if not np.all(np.isfinite(mat)):
         raise SDPError(
@@ -317,8 +398,25 @@ def _chol_jittered(mat: np.ndarray) -> np.ndarray:
             lower = np.linalg.cholesky(mat + jit * scale * eye)
         except np.linalg.LinAlgError:
             continue
-        return np.linalg.inv(lower)
+        return _tril_inv(lower)
     raise SDPError("Newton system factorization failed: Schur complement is numerically singular")
+
+
+def _tril_inv(lower: np.ndarray) -> np.ndarray:
+    """Inverse of a nonsingular lower-triangular matrix, by 2 x 2 blocks:
+    inv([[A, 0], [B, C]]) = [[A^-1, 0], [-C^-1 B A^-1, C^-1]] (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2nd ed., ch. 14).
+    About m^3/3 flops, almost all in matrix products, where the general
+    LU inverse below 96 rows takes about 2m^3."""
+    m = len(lower)
+    if m < 96:
+        return np.linalg.inv(lower)
+    h = m // 2
+    out = np.zeros_like(lower)
+    out[:h, :h] = _tril_inv(lower[:h, :h])
+    out[h:, h:] = _tril_inv(lower[h:, h:])
+    out[h:, :h] = -out[h:, h:] @ (lower[h:, :h] @ out[:h, :h])
+    return out
 
 
 def _solve_refined(linv: np.ndarray, mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -742,10 +840,12 @@ def read_sdpa(text: str) -> SDPProblem:
     Negative dims on the block line declare diagonal blocks; their entries
     must be on-diagonal and the block is stored dense.  A right-hand-side
     line follows the block line only when the constraint count is nonzero
-    (blank lines are skipped, so none is needed to hold its place).  Entry
-    lines are converted at once by numpy's text parser (ASCII digits, no
-    `1_0`) and checked by `make_problem`'s rules; SDPAFormatError names the
-    first bad line of any malformed input, non-finite numbers included.
+    (blank lines are skipped, so none is needed to hold its place).  Every
+    number, in the header or on an entry line, is converted by numpy's text
+    parser (ASCII digits, no `1_0`); entry lines are converted at once and
+    checked by `make_problem`'s rules.  SDPAFormatError names the first bad
+    line of any malformed input, non-finite numbers and block dimensions
+    too large to number entries by included.
     """
     raw = text.splitlines()
     scale = 1.0
@@ -758,7 +858,7 @@ def read_sdpa(text: str) -> SDPProblem:
             parts = stripped.lstrip("*").split()
             if len(parts) == 2 and parts[0] == "scale":
                 try:
-                    scale = float(parts[1])
+                    scale = float(_numbers([parts[1]])[0])
                 except ValueError as exc:
                     raise SDPAFormatError(f"line {ln}: bad scale value {parts[1]!r}") from exc
                 if not math.isfinite(scale):
@@ -773,12 +873,12 @@ def read_sdpa(text: str) -> SDPProblem:
 
     ln, tok = take(0, "constraint count")
     try:
-        m = int(tok.split()[0])
+        m = int(_numbers(tok.split()[:1], "i8")[0])
     except ValueError as exc:
         raise SDPAFormatError(f"line {ln}: constraint count must be an integer") from exc
     ln, tok = take(1, "block count")
     try:
-        nblocks = int(tok.split()[0])
+        nblocks = int(_numbers(tok.split()[:1], "i8")[0])
     except ValueError as exc:
         raise SDPAFormatError(f"line {ln}: block count must be an integer") from exc
     ln, tok = take(2, "block dimensions")
@@ -788,12 +888,14 @@ def read_sdpa(text: str) -> SDPProblem:
     signed_dims = []
     for f in fields:
         try:
-            signed_dims.append(int(f))
+            signed_dims.append(int(_numbers([f], "i8")[0]))
         except ValueError as exc:
             raise SDPAFormatError(f"line {ln}: bad block dimension {f!r}") from exc
     if any(d == 0 for d in signed_dims):
         raise SDPAFormatError(f"line {ln}: zero block dimension")
     dims = tuple(abs(d) for d in signed_dims)
+    if not _keys_fit(m + 1, dims):
+        raise SDPAFormatError(f"line {ln}: block dimension {max(dims)} is too large")
     diagonal = [d < 0 for d in signed_dims]
     b = np.zeros(0)
     if m:
@@ -802,7 +904,7 @@ def read_sdpa(text: str) -> SDPProblem:
         if len(bfields) != m:
             raise SDPAFormatError(f"line {ln}: expected {m} right-hand-side values, got {len(bfields)}")
         try:
-            b = np.array([float(f) for f in bfields])
+            b = _numbers(bfields)
         except ValueError as exc:
             raise SDPAFormatError(f"line {ln}: bad right-hand-side value") from exc
         if not np.all(np.isfinite(b)):
@@ -828,6 +930,12 @@ def read_sdpa(text: str) -> SDPProblem:
         objective[blk] = np.zeros((dims[blk], dims[blk]))
         objective[blk][i[here], j[here]] = objective[blk][j[here], i[here]] = val[here]
     return make_problem(dims, objective, (matno[con] - 1, l[con], i[con], j[con], val[con]), b, scale)
+
+
+def _numbers(fields, dtype="f8") -> np.ndarray:
+    """Header fields converted by numpy's text parser, under the number
+    rules of entry lines (ASCII digits, no `1_0`); ValueError otherwise."""
+    return np.loadtxt([" ".join(fields)], dtype=dtype, ndmin=1, comments=None)
 
 
 def _parse_entries(lines):

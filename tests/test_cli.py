@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import qmbounds
+from qmbounds import bound_builders
 from qmbounds.cli import main
 from qmbounds.model import model_to_dict, phase_damping_model, random_model
 
@@ -96,10 +97,14 @@ class TestConfig:
         code, out, _ = run(capsys, argv)
         assert code == 0
         path = tmp_path / "out.txt"
+        path.write_text("an older, longer report\n" * 100)  # replaced, not appended to
         code, printed, _ = run(capsys, argv + ["--out", str(path)])
         assert code == 0
         assert printed == ""
         assert path.read_bytes() == out.encode()
+        if argv[0] == "solve-sdp":  # the input file is read before it is replaced
+            assert run(capsys, argv + ["--out", str(program)])[0] == 0
+            assert program.read_bytes() == out.encode()
 
     @pytest.mark.parametrize(
         "argv, message",
@@ -116,7 +121,10 @@ class TestConfig:
         assert out == ""
         assert err == f"error: {message}\n"
 
-    def test_unwritable_out_file_exits_two(self, capsys, tmp_path):
+    def test_unwritable_out_file_exits_two(self, capsys, tmp_path, monkeypatch):
+        solves = []
+        solve = bound_builders.solve
+        monkeypatch.setattr(bound_builders, "solve", lambda *a, **k: solves.append(a) or solve(*a, **k))
         path = tmp_path / "missing" / "x.csv"
         code, out, err = run(capsys, ["fig1", "--steps", "2", "--out", str(path)])
         assert code == 2
@@ -124,6 +132,7 @@ class TestConfig:
         assert err.startswith("error: cannot write --out file: ")
         assert len(err.splitlines()) == 1
         assert not path.exists()
+        assert not solves  # checked before the first solve
 
     def test_cli_surfaces_config_errors(self, capsys):
         code, _, err = run(

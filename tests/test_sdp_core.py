@@ -235,14 +235,24 @@ class TestSolve:
 
 
 class TestNewtonSystem:
-    def test_refined_solve_is_accurate_when_ill_conditioned(self):
+    # sizes on both sides of the 96 rows below which the inverse of the
+    # factor is numpy's, and of the split of 191 rows into 95 and 96
+    @pytest.mark.parametrize(
+        "n, cond", [(1, 1.0), (95, 1e6), (96, 1e6), (97, 1e6), (191, 1e6), (200, 1e12), (545, 1e12)]
+    )
+    def test_refined_solve_is_accurate_when_ill_conditioned(self, n, cond):
         rng = np.random.default_rng(17)
-        q, _ = np.linalg.qr(rng.standard_normal((200, 200)))
-        mat = (q * np.logspace(0, -12, 200)) @ q.T
+        q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        mat = (q * np.logspace(0, -np.log10(cond), n)) @ q.T
         mat = 0.5 * (mat + mat.T)
-        assert np.linalg.cond(mat) == pytest.approx(1e12, rel=0.01)
-        rhs = mat @ rng.standard_normal(200)
-        x = _solve_refined(_chol_jittered(mat), mat, rhs)
+        assert np.linalg.cond(mat) == pytest.approx(cond, rel=0.01)
+        linv = _chol_jittered(mat)
+        # the inverse of the unjittered factor, to within n eps cond(L)
+        lower = np.linalg.cholesky(mat)
+        err = np.linalg.norm(linv @ lower - np.eye(n), 2)
+        assert err <= n * np.finfo(float).eps * np.linalg.cond(lower)
+        rhs = mat @ rng.standard_normal(n)
+        x = _solve_refined(linv, mat, rhs)
         assert np.linalg.norm(mat @ x - rhs) <= 1e-12 * np.linalg.norm(rhs)
 
     def test_singular_psd_matrix_is_jittered(self):
@@ -431,8 +441,41 @@ class TestMakeProblem:
                     kept.append(i)
             return kept
 
+        def check(cons, dims):
+            y0 = [np.eye(d) for d in dims]
+            b = [sum(np.vdot(mat, y0[l]) for l, mat in con.items()) for con in cons]
+            problem = make_problem(dims, {}, as_entries(cons), b, dual_hint=np.arange(len(cons)))
+            assert problem.dual_hint.tolist() == [float(i) for i in reference(cons, dims)]
+
+        def flat(con, dims):
+            return np.concatenate([con.get(l, np.zeros((d, d))).ravel() for l, d in enumerate(dims)])
+
+        def near(cons, coef, dist, dims):
+            """sum(coef * cons) plus a part orthogonal to every row of cons,
+            of `dist` times the sum's norm."""
+            span = np.stack([flat(con, dims) for con in cons], axis=1)
+            w = flat({l: rand_sym(rng, d) for l, d in enumerate(dims)}, dims)
+            w -= span @ np.linalg.lstsq(span, w, rcond=None)[0]
+            v = span @ coef
+            v += dist * np.linalg.norm(v) / np.linalg.norm(w) * w
+            split = np.cumsum([d * d for d in dims])[:-1]
+            return {l: part.reshape(d, d) for l, (d, part) in enumerate(zip(dims, np.split(v, split)))}
+
         rng = np.random.default_rng(3)
         dims = (3, 2)
+        base = [{l: rand_sym(rng, d) for l, d in enumerate(dims)} for _ in range(4)]
+        close = list(base)
+        for dist in (1e-5, 1e-9, 1e-11):  # kept, kept, dropped
+            close.append(near(close, rng.standard_normal(len(close)), dist, dims))
+        tiny = {0: 1e-12 * rand_sym(rng, 3)}
+        zero = {1: np.zeros((2, 2))}
+        for cons in (
+            close + [tiny, zero],
+            base,  # certified by the Gram matrix
+            [{1: rand_sym(rng, 2)} for _ in range(5)],  # 5 rows on 4 used columns
+            [zero, zero],
+        ):
+            check(cons, dims)
         for trial in range(5):
             cons = []
             for _ in range(14):
@@ -448,10 +491,30 @@ class TestMakeProblem:
                 else:
                     blocks = [l for l in range(2) if rng.random() < 0.7] or [trial % 2]
                     cons.append({l: rand_sym(rng, dims[l]) for l in blocks})
-            y0 = [np.eye(3), np.eye(2)]
-            b = [sum(np.vdot(mat, y0[l]) for l, mat in con.items()) for con in cons]
-            problem = make_problem(dims, {}, as_entries(cons), b, dual_hint=np.arange(14.0))
-            assert problem.dual_hint.tolist() == [float(i) for i in reference(cons, dims)]
+            check(cons, dims)
+
+    def test_builder_rows_are_certified_without_qr(self, monkeypatch):
+        def no_qr(*args, **kwargs):
+            raise AssertionError("np.linalg.qr called")
+
+        monkeypatch.setattr(np.linalg, "qr", no_qr)
+        problem = build_nh_sdp(interferometer_model(holland_burnett_probe(4), 0.6))[0]
+        assert problem.dropped == 0
+
+    def test_dependent_row_is_not_certified(self, monkeypatch):
+        qr_calls = []
+        qr = np.linalg.qr
+        monkeypatch.setattr(np.linalg, "qr", lambda *a, **k: qr_calls.append(1) or qr(*a, **k))
+        cons = [{0: np.diag([1.0, 0.0])}, {0: np.diag([0.0, 1.0])}]
+        assert make_problem([2], {}, as_entries(cons), [1.0, 1.0]).dropped == 0
+        assert not qr_calls
+        cons.append({0: np.eye(2)})
+        assert make_problem([2], {}, as_entries(cons), [1.0, 1.0, 2.0]).dropped == 1
+        assert qr_calls
+
+    def test_rejects_block_dims_too_large_for_entry_keys(self):
+        with pytest.raises(SDPError, match="too large: entry keys overflow int64"):
+            make_problem([10**10], {}, ([0], [0], [0], [0], [1.0]), [1.0])
 
     def test_store_holds_both_triangles_in_file_order(self):
         problem = two_block_problem()
@@ -691,6 +754,24 @@ class TestSdpaFormat:
     )
     def test_bad_entry_names_its_line(self, text, line):
         with pytest.raises(SDPAFormatError, match=f"^line {line}: "):
+            read_sdpa(text)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            # header numbers follow the number rules of entry lines
+            ("* scale 1_0\n1\n1\n2\n1_0\n0 1 1 1 1.0\n1 1 1 1 1.0\n", "line 1: bad scale value '1_0'"),
+            ("1\n1\n2\n1_0\n0 1 1 1 1.0\n1 1 1 1 1.0\n", "line 4: bad right-hand-side value"),
+            ("1\n1\n2\n\u0661\n1 1 1 1 1.0\n", "line 4: bad right-hand-side value"),
+            ("1_0\n1\n2\n" + "1.0 " * 10 + "\n", "line 1: constraint count must be an integer"),
+            ("1\n1_0\n2\n1.0\n", "line 2: block count must be an integer"),
+            ("1\n1\n1_0\n1.0\n", "line 3: bad block dimension '1_0'"),
+            # entry keys of this block would overflow int64
+            ("1\n1\n10000000000\n1.0\n1 1 1 1 1.0\n", "line 3: block dimension 10000000000 is too large"),
+        ],
+    )
+    def test_bad_header_number_names_its_line(self, text, message):
+        with pytest.raises(SDPAFormatError, match=f"^{message}$"):
             read_sdpa(text)
 
     def test_no_entry_lines(self):
