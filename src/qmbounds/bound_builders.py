@@ -5,9 +5,11 @@ problems for sdp_core: a block-embedded program whose optimum is the
 attainable-MSE bound over separable measurements, and a factorized
 program for the asymptotic collective bound.  Recovery helpers pull the
 optimal estimator operators back out of solved problems.  Constraint rows
-are emitted as the complex upper-triangle entries of each Hermitian block
-and realified once, by `linalg.realify_entries`, into the entry format of
-`make_problem`; only objectives and hints are built as dense matrices.
+are emitted as the complex upper-triangle entries of each Hermitian block,
+the entry format of `make_problem`; only objectives and hints are built as
+dense matrices.  The Holevo program goes to the solver Hermitian, at the
+dimension of its LMI.  The block program is still realified, by
+`linalg.realify_entries`, into real blocks of twice the dimension.
 
 Rank deficiency is the load-bearing design concern here.  When the state
 has a kernel, the textbook block program has cost-free recession
@@ -500,22 +502,24 @@ def build_holevo_sdp(model: StatisticalModel):
     V >= Z with Z_jk = Tr[S X_k X_j].  The program is posed so that this
     matrix is the slack of the standard-form dual: unbiasedness is solved
     affinely, the dual vector holds V's entries and the estimators' free
-    coefficients, and the bound is the negated dual objective.
+    coefficients, and the bound is the negated dual objective (scale -1).
+    It is Hermitian, one complex block of dimension n + km, and is
+    realified only when written to a file (`sdp_core.write_sdpa`).
     """
     n = model.num_params
     blocks = _resolve_blocks(model)
     sups = state_support(model.state, model.derivs, blocks)
-    ops: list[np.ndarray] = []
-    for (off, dl), sup in zip(blocks, sups):
-        for op in _quotient_basis(sup):
-            full = np.zeros((model.dim, model.dim), dtype=complex)
-            full[off : off + dl, off : off + dl] = op
-            ops.append(full)
-    basis = np.array(ops).reshape(len(ops), model.dim, model.dim)
+    # the quotient basis of every block, embedded in the model dimension:
+    # one array, released once its products are taken
+    block_ops = [_quotient_basis(sup) for sup in sups]
+    first = np.cumsum([0] + [len(ops) for ops in block_ops])
+    basis = np.zeros((first[-1], model.dim, model.dim), dtype=complex)
+    for (off, dl), ops, a in zip(blocks, block_ops, first):
+        basis[a : a + len(ops), off : off + dl, off : off + dl] = np.reshape(ops, (-1, dl, dl))
     # affine solve of the unbiasedness system over the basis coefficients:
     # tmat[t, a] = Re Tr[target_t op_a]
     targets = np.array([model.state] + list(model.derivs))
-    tmat = (targets.reshape(n + 1, -1) @ basis.transpose(0, 2, 1).reshape(len(ops), -1).T).real
+    tmat = (targets.reshape(n + 1, -1) @ basis.transpose(0, 2, 1).reshape(len(basis), -1).T).real
     rank = _functional_rank(tmat, n)
     # centered estimators W_j = X_j - theta_j, as in the block-program builder
     tr_s = float(np.trace(model.state).real)
@@ -535,6 +539,7 @@ def build_holevo_sdp(model: StatisticalModel):
 
     x0 = np.tensordot(coef0, basis, axes=(0, 0))
     null_ops = np.tensordot(null, basis, axes=(0, 0))
+    del basis
     # weighted support rows D^(1/2) U^dag of each block: the Gram matrix of
     # the coordinates of X reproduces Tr[X_j S X_k]
     maps = [
@@ -556,14 +561,13 @@ def build_holevo_sdp(model: StatisticalModel):
     g0[n:, n:] = np.eye(km)
     g0[n:, :n] = m0
     g0[:n, n:] = m0.conj().T
-    objective = {0: realify(hermitize(g0))}
 
     # row (j, k) of V is -1 at (j, k) and its mirror; the rows of X_j put
     # minus each free direction's coordinates in row j of the M^dag slot
     vj, vk = np.triu_indices(n)
     nv = len(vj)
     pieces = [(np.arange(nv), np.zeros(nv, dtype=int), vj, vk, -np.ones(nv))]
-    b = [-2.0 if j == k else 0.0 for j, k in zip(vj, vk)]
+    b = [-1.0 if j == k else 0.0 for j, k in zip(vj, vk)]
     border = -null_cols.conj()[:, None, :]
     for j in range(n):
         pieces.append(_entries(nv + j * q, 0, border, j, n))
@@ -574,12 +578,12 @@ def build_holevo_sdp(model: StatisticalModel):
     dual0 = np.zeros(nv + n * q)
     dual0[:nv][vj == vk] = tau
     problem = make_problem(
-        [2 * dim_lmi],
-        objective,
-        _realified(pieces, [dim_lmi]),
+        [dim_lmi],
+        {0: hermitize(g0)},
+        tuple(np.concatenate(a) for a in zip(*pieces)),
         b,
-        scale=-0.5,
-        primal_hint=(np.eye(2 * dim_lmi),),
+        scale=-1.0,
+        primal_hint=(np.eye(dim_lmi),),
         dual_hint=dual0,
     )
     meta = {

@@ -4,16 +4,20 @@ checks, and sparse text-format round-trip I/O.
 
 The primal problem is  minimize <C, Y>  subject to  <A_i, Y> = b_i, Y >= 0
 with Y block-diagonal; the dual is  maximize b.y  subject to
-Z = C - sum_i y_i A_i >= 0.  Reported objectives carry the problem's
-`scale` factor so callers can hand in data in a doubled embedding.
+Z = C - sum_i y_i A_i >= 0.  A program is real, its blocks real symmetric,
+or Hermitian, its blocks complex Hermitian; one code path solves both, with
+the inner product <A, Y> = Re Tr(A Y).  Reported objectives carry the
+problem's `scale` factor.
 
 Constraint rows have one input format, the entry lines of the sparse text
 format: (row, block, i, j, value) for the upper-triangle nonzeros of each
 A_i, under one set of rules (`_check_entries`).  Builders and `read_sdpa`
 hand these to `make_problem`, which keeps them once, in a `ConstraintStore`.
+The text format is real: `write_sdpa` writes a Hermitian program as its
+real embedding (`linalg.realify`), which `read_sdpa` reads as a real one.
 
 The solver forms each block's Schur complement by one of two formulas,
-picked by cost: from the congruences G^T A_i G, or from factors that a
+picked by cost: from the congruences G^H A_i G, or from factors that a
 small cover of each row gives (see `solve`).
 
 All dense linear algebra goes through numpy's LAPACK.  The Newton system
@@ -31,6 +35,8 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
+
+from .linalg import realify, realify_entries
 
 logger = logging.getLogger(__name__)
 
@@ -56,7 +62,8 @@ class ConstraintStore(NamedTuple):
     """Constraint matrices in coordinate form, as in the sparse text format
     but with both triangles: entry k says that row `row[k]` has value
     `val[k]` at flat position `col[k]` = i*d + j of block `block[k]`.  It
-    holds only nonzeros, sorted by (row, block, col)."""
+    holds only nonzeros, sorted by (row, block, col).  `val` is complex
+    exactly when the program is Hermitian."""
 
     row: np.ndarray
     block: np.ndarray
@@ -69,8 +76,8 @@ class SDPProblem:
     """Standard-form data over a block-diagonal PSD variable.
 
     `objective` is block-sparse: a dict from block index to a dense
-    symmetric matrix of that block's dimension.  The constraint matrices
-    live once, in `store`, numbered 0..num_constraints-1.  `dropped` counts
+    symmetric (Hermitian) matrix of that block's dimension.  The constraint
+    matrices live once, in `store`, numbered 0..num_constraints-1.  `dropped` counts
     linearly dependent constraint rows removed at construction.  Hints are
     optional strictly feasible starting data.
     """
@@ -114,16 +121,34 @@ class CertificateReport:
     passed: bool = False
 
 
-def _as_sym(mat: np.ndarray, dim: int, what: str) -> np.ndarray:
-    m = np.asarray(mat, dtype=float)
+def _conj(a: np.ndarray) -> np.ndarray:
+    """The complex conjugate of `a`, or a real `a` itself: a real program
+    runs exactly the operations, and the BLAS calls, it always ran."""
+    return a.conj() if a.dtype.kind == "c" else a
+
+
+def _adj(a: np.ndarray) -> np.ndarray:
+    """The conjugate transpose of a 2-d `a`; the transpose of a real one."""
+    return a.conj().T if a.dtype.kind == "c" else a.T
+
+
+def _bincount(index, weights, size) -> np.ndarray:
+    """`np.bincount` of real or complex weights."""
+    if weights.dtype.kind == "c":
+        return _bincount(index, weights.real, size) + 1j * _bincount(index, weights.imag, size)
+    return np.bincount(index, weights=weights, minlength=size)
+
+
+def _as_sym(mat: np.ndarray, dim: int, what: str, dtype) -> np.ndarray:
+    m = np.asarray(mat, dtype=dtype)
     if m.shape != (dim, dim):
         raise SDPError(f"{what}: expected shape ({dim}, {dim}), got {m.shape}")
     if not np.all(np.isfinite(m)):
         raise SDPError(f"{what}: matrix has non-finite entries")
     scale = max(1.0, float(np.max(np.abs(m)))) if m.size else 1.0
-    if np.max(np.abs(m - m.T)) > 1e-10 * scale:
-        raise SDPError(f"{what}: matrix is not symmetric")
-    return 0.5 * (m + m.T)
+    if np.max(np.abs(m - _adj(m))) > 1e-10 * scale:
+        raise SDPError(f"{what}: matrix is not {'Hermitian' if np.iscomplexobj(m) else 'symmetric'}")
+    return 0.5 * (m + _adj(m))
 
 
 def make_problem(
@@ -140,11 +165,15 @@ def make_problem(
     The constraint rows come as the entry lines of the sparse text format,
     0-based: `entries` is (row, block, i, j, value) arrays, one element per
     upper-triangle entry (i <= j) of a symmetric row matrix, rows numbered
-    0..len(b)-1.  Each (row, block, i, j) appears at most once.  The
-    entries are mirrored into the lower triangle, zeros are left out, and
-    the rest is sorted by (row, block, col) into the problem's
-    `ConstraintStore`.  A row is dropped when it lies within 1e-10 relative
-    (of max(1, its norm)) of the span of the rows kept before it; the kept
+    0..len(b)-1.  Each (row, block, i, j) appears at most once.  When any
+    value, objective block or primal hint is complex, the program is
+    Hermitian: each row matrix is Hermitian, its diagonal real, and its
+    lower triangle the conjugate of the upper.  The entries are mirrored
+    into the lower triangle, zeros are left out, and the rest is sorted by
+    (row, block, col) into the problem's `ConstraintStore`.  A row is
+    dropped when it lies within 1e-10 relative (of max(1, its norm)) of the
+    span of the rows kept before it, rows being vectors of the real and
+    imaginary parts of their entries, with the inner product Re Tr; the kept
     rows keep their order and are renumbered 0..k-1, and the dual hint is
     subset to them.  A dropped row whose right-hand side is inconsistent
     with the rows that imply it raises, since the problem is then
@@ -156,8 +185,10 @@ def make_problem(
     for l in objective:
         if not 0 <= int(l) < len(dims):
             raise SDPError(f"objective references unknown block {l}")
+    data = (entries[4], *objective.values(), *(() if primal_hint is None else primal_hint))
+    dtype = complex if any(np.iscomplexobj(a) for a in data) else float
     obj = {
-        int(l): _as_sym(mat, dims[int(l)], f"objective block {l}")
+        int(l): _as_sym(mat, dims[int(l)], f"objective block {l}", dtype)
         for l, mat in objective.items()
     }
     bvec = np.asarray(b, dtype=float).ravel()
@@ -166,11 +197,11 @@ def make_problem(
     m = len(bvec)
     if not _keys_fit(m, dims):
         raise SDPError(f"block dims {dims} are too large: entry keys overflow int64")
-    store = _entry_store(entries, dims, m)
+    store = _entry_store(entries, dims, m, dtype)
     kept, dropped = _dedupe_rows(store, bvec, dims)
     if primal_hint is not None:
         primal_hint = tuple(
-            _as_sym(blk, dims[l], f"primal hint block {l}")
+            _as_sym(blk, dims[l], f"primal hint block {l}", dtype)
             for l, blk in enumerate(primal_hint)
         )
         if len(primal_hint) != len(dims):
@@ -196,11 +227,11 @@ def make_problem(
     )
 
 
-def _entry_store(entries, dims, m) -> ConstraintStore:
+def _entry_store(entries, dims, m, dtype) -> ConstraintStore:
     """The store of `make_problem`'s (row, block, i, j, value) entries,
     once they are checked; raises SDPError naming the first bad entry."""
     row, block, i, j = (np.asarray(a, dtype=np.int64).ravel() for a in entries[:4])
-    val = np.asarray(entries[4], dtype=float).ravel()
+    val = np.asarray(entries[4], dtype=dtype).ravel()
     if not len(row) == len(block) == len(i) == len(j) == len(val):
         raise SDPError("entry arrays (row, block, i, j, value) differ in length")
     _check_entries((row, block, i, j, val), dims, m, 0, SDPError,
@@ -210,7 +241,7 @@ def _entry_store(entries, dims, m) -> ConstraintStore:
     row = np.concatenate([row, row[lower]])
     block = np.concatenate([block, block[lower]])
     col = np.concatenate([i * d + j, (j * d + i)[lower]])
-    val = np.concatenate([val, val[lower]])
+    val = np.concatenate([val, val[lower].conj()])
     key = np.ravel_multi_index((row, block, col), (m, len(dims), max(dims, default=0) ** 2))
     order = np.argsort(key, kind="stable")  # one distinct key per checked entry, in (row, block, col) order
     store = ConstraintStore(row[order], block[order], col[order], val[order])
@@ -243,6 +274,7 @@ def _check_entries(entries, dims, rows, base, error, name) -> None:
         f"block out of range {base}..{len(dims) - 1 + base}": (block < base) | (block >= len(dims) + base),
         "index exceeds the block dimension {d}": (np.minimum(i, j) < base) | (np.maximum(i, j) >= d + base),
         "lower-triangle entry; give the upper triangle only": i > j,
+        "diagonal entry value {v!r} is not real": (i == j) & (val.imag != 0),
         "duplicate entry for row {r} block {l} ({i}, {j})": repeat,
     }
     broken = np.stack(list(rules.values()))
@@ -250,7 +282,7 @@ def _check_entries(entries, dims, rows, base, error, name) -> None:
         k = int(np.argmax(broken.any(axis=0)))
         what = list(rules)[int(np.argmax(broken[:, k]))]
         raise error(f"{name(k)}: " + what.format(
-            v=str(float(val[k])), d=d[k], r=row[k], l=block[k], i=i[k], j=j[k]))
+            v=str(val[k].item()), d=d[k], r=row[k], l=block[k], i=i[k], j=j[k]))
 
 
 def _dedupe_rows(store: ConstraintStore, bvec, dims):
@@ -267,11 +299,13 @@ def _dedupe_rows(store: ConstraintStore, bvec, dims):
     if _certified_independent(store, m, dims):
         return list(range(m)), []
     # rows as vectorised block matrices, on only the columns that are
-    # nonzero in some row: the others add nothing to any inner product
+    # nonzero in some row: the others add nothing to any inner product; a
+    # complex column is viewed as two real ones, its real and imaginary part
     offsets = np.cumsum([0] + [d * d for d in dims])
     used, pos = np.unique(offsets[store.block] + store.col, return_inverse=True)
-    rows = np.zeros((m, len(used)))
+    rows = np.zeros((m, len(used)), dtype=store.val.dtype)
     rows[store.row, pos] = store.val
+    rows = rows.view(float)
     thresh = DEP_TOL * np.maximum(1.0, np.linalg.norm(rows, axis=1))
     # Columns of `resid` are the rows minus their projection onto the span
     # of the rows kept so far; each pass is one unpivoted QR in input order,
@@ -331,11 +365,12 @@ def _certified_independent(store: ConstraintStore, m: int, dims) -> bool:
 
     G is the rows' Gram matrix, formed block by block from the rows that
     touch a block, on that block's used columns; n counts the used columns
-    of all blocks.  With the computed row norms r~ and S = diag(1/r~), the
-    certificate is a floating-point Cholesky factor of fl(S G S) - c I,
-    c = `_GRAM_MARGIN`.  Write u for the unit roundoff and g for
-    gamma(n + m + 3), gamma(k) = ku/(1 - ku).  Then (Rump, "Verification of
-    positive definiteness", BIT 46, 2006; Higham ch. 3 and 10):
+    of all blocks, a complex column as two real ones.  With the computed row
+    norms r~ and S = diag(1/r~), the certificate is a floating-point
+    Cholesky factor of fl(S G S) - c I, c = `_GRAM_MARGIN`.  Write u for the
+    unit roundoff and g for gamma(n + m + 3), gamma(k) = ku/(1 - ku).  Then
+    (Rump, "Verification of positive definiteness", BIT 46, 2006; Higham
+    ch. 3 and 10):
     - each computed entry of G is within gamma(n)|r_i||r_j| of the exact
       one, in any summation order, and r~_k within gamma(n + 2) of |r_k|
       relative; so fl(S G S) is within 2g of H = S G S entrywise (the two
@@ -352,15 +387,16 @@ def _certified_independent(store: ConstraintStore, m: int, dims) -> bool:
     cannot be independent, with m above n, are not tried.
     """
     used = [np.unique(store.col[store.block == l]) for l in range(len(dims))]
-    n = sum(len(cols) for cols in used)
+    n = sum(len(cols) for cols in used) * (2 if np.iscomplexobj(store.val) else 1)
     if m > n:
         return False
     gram = np.zeros((m, m))
     for l, cols in enumerate(used):
         here = store.block == l
         rows, r = np.unique(store.row[here], return_inverse=True)
-        dense = np.zeros((len(rows), len(cols)))
+        dense = np.zeros((len(rows), len(cols)), dtype=store.val.dtype)
         dense[r, np.searchsorted(cols, store.col[here])] = store.val[here]
+        dense = dense.view(float)  # Re Tr(A_i A_j) as a real inner product
         gram[np.ix_(rows, rows)] += dense @ dense.T
     norm = np.sqrt(np.diag(gram))
     u = np.finfo(float).eps / 2
@@ -433,7 +469,7 @@ def _max_neg_curvature(sig: np.ndarray, delta: np.ndarray) -> float:
     # largest t with  diag(sig) + t*delta >= 0  is 1/max(0, -lambda_min) of
     # the sig^{-1/2}-scaled direction
     scaled = delta / np.sqrt(np.outer(sig, sig))
-    w = np.linalg.eigvalsh(0.5 * (scaled + scaled.T))
+    w = np.linalg.eigvalsh(0.5 * (scaled + _adj(scaled)))
     return float(-w[0])
 
 
@@ -452,15 +488,23 @@ def solve(
 ) -> SDPSolution:
     """Solve with an infeasible-start path-following method.
 
-    Nesterov-Todd scaling G per block, Mehrotra predictor-corrector.  Schur
-    entry (i, j) of a block is Tr(W A_i W A_j), W = G G^T, over the m rows
-    that touch the block, by the formula `_factored_pays` picks for it.
-    Dense: the Gram matrix of the congruences G^T A_i G, about
+    Nesterov-Todd scaling G per block, Mehrotra predictor-corrector.  The
+    problem's dtype is the iterates' dtype: real symmetric blocks, or
+    complex Hermitian ones, with ^H the conjugate transpose (the transpose
+    on a real block) and every inner product Re Tr.  In exact arithmetic a
+    Hermitian block of dimension d takes the steps that its real embedding
+    (`linalg.realify`) of dimension 2d takes from the embedded starting
+    point, in about half the multiply-adds; the stopping tests differ, as
+    the embedding doubles objectives and right-hand sides.
+
+    Schur entry (i, j) of a block is Tr(W A_i W A_j), W = G G^H, over the m
+    rows that touch the block, by the formula `_factored_pays` picks for it.
+    Dense: the Gram matrix of the congruences G^H A_i G, about
     2md^3 + m^2 d^2 multiply-adds in dimension d.  Factored: row i is zero
     outside the rows and columns of its greedy cover H, so with
-    B_i = A_i[:, H] it is exactly E_H B_i^T + B_i E_H^T - E_H A_i[H, H] E_H^T
-    = U_i S_i U_i^T, with U_i = [E_H, B_i].  With F_i = G^T U_i and
-    Q = F^T F the entry is Tr(S_i Q_ij S_j Q_ji), about kmd^2 + 4k^2 m^2 d
+    B_i = A_i[:, H] it is exactly E_H B_i^H + B_i E_H^T - E_H A_i[H, H] E_H^T
+    = U_i S_i U_i^H, with U_i = [E_H, B_i].  With F_i = G^H U_i and
+    Q = F^H F the entry is Tr(S_i Q_ij S_j Q_ji), about kmd^2 + 4k^2 m^2 d
     multiply-adds for covers of width k, used when that count (with the
     directions' products and a fixed overhead) is the smaller.  Its factors
     give each direction's right-hand side and dZ, with no m x d^2 stack.
@@ -478,11 +522,12 @@ def solve(
     b = problem.b
 
     formulas = _block_formulas(problem)
-    C = [problem.objective.get(l, np.zeros((d, d))) for l, d in enumerate(dims)]
+    dtype = problem.store.val.dtype
+    C = [problem.objective.get(l, np.zeros((d, d), dtype)) for l, d in enumerate(dims)]
     c_scale = 1.0 + max((float(np.max(np.abs(cb))) for cb in C), default=0.0)
     b_scale = 1.0 + (float(np.max(np.abs(b))) if m else 0.0)
 
-    Y = _initial_primal(problem, dims)
+    Y = _initial_primal(problem, dims, dtype)
     y, Z = _initial_dual(problem, formulas, C)
 
     def constraint_values(blocks):
@@ -492,14 +537,14 @@ def solve(
         return out
 
     def metrics():
-        pobj = sum(float(np.vdot(C[l], Y[l])) for l in range(nb))
+        pobj = sum(float(np.vdot(C[l], Y[l]).real) for l in range(nb))
         dobj = float(b @ y)
         rp = b - constraint_values(Y)
         Rd = [C[l] - f.combination(y[f.rows]) - Z[l] for l, f in enumerate(formulas)]
         gap = abs(pobj - dobj) / (1.0 + abs(pobj))
         pinf = (float(np.max(np.abs(rp))) if m else 0.0) / b_scale
         dinf = max(float(np.max(np.abs(r))) for r in Rd) / c_scale
-        mu = sum(float(np.vdot(Y[l], Z[l])) for l in range(nb)) / nu
+        mu = sum(float(np.vdot(Y[l], Z[l]).real) for l in range(nb)) / nu
         return pobj, dobj, rp, Rd, gap, pinf, dinf, mu
 
     status = "max_iter"
@@ -526,7 +571,7 @@ def solve(
 
         Gs, Gis, sigmas = zip(*(_nt_factor(Y[l], Z[l]) for l in range(nb)))
         scaled = [(f.rows, *f.scaled(G)) for f, G in zip(formulas, Gs)]
-        Rdbar = [Gs[l].T @ Rd[l] @ Gs[l] for l in range(nb)]
+        Rdbar = [_adj(Gs[l]) @ Rd[l] @ Gs[l] for l in range(nb)]
         schur = np.zeros((m, m))
         for rows, part, _, _ in scaled:
             schur[np.ix_(rows, rows)] += part
@@ -538,7 +583,7 @@ def solve(
                 h[rows] -= apply(T[l] - Rdbar[l])
             dy = _solve_refined(linv, schur, h)
             dZb = [Rdbar[l] - adjoint(dy[rows]) for l, (rows, _, _, adjoint) in enumerate(scaled)]
-            dZb = [0.5 * (dz + dz.T) for dz in dZb]
+            dZb = [0.5 * (dz + _adj(dz)) for dz in dZb]
             return dy, [T[l] - dz for l, dz in enumerate(dZb)], dZb
 
         T_aff = [-np.diag(sig) for sig in sigmas]
@@ -546,7 +591,7 @@ def solve(
         ap_a = _step_length(sigmas, dYb_a)
         ad_a = _step_length(sigmas, dZb_a)
         mu_aff = sum(
-            float(np.vdot(np.diag(sig) + ap_a * dYb_a[l], np.diag(sig) + ad_a * dZb_a[l]))
+            float(np.vdot(np.diag(sig) + ap_a * dYb_a[l], np.diag(sig) + ad_a * dZb_a[l]).real)
             for l, sig in enumerate(sigmas)
         ) / nu
         sig_c = min(0.999, max(1e-8, (max(mu_aff, 0.0) / mu) ** 3))
@@ -561,10 +606,10 @@ def solve(
         ad = _step_length(sigmas, dZb)
 
         for l in range(nb):
-            dY = Gs[l] @ dYb[l] @ Gs[l].T
-            dZ = Gis[l].T @ dZb[l] @ Gis[l]
-            Y[l] = 0.5 * ((Y[l] + ap * dY) + (Y[l] + ap * dY).T)
-            Z[l] = 0.5 * ((Z[l] + ad * dZ) + (Z[l] + ad * dZ).T)
+            dY = Gs[l] @ dYb[l] @ _adj(Gs[l])
+            dZ = _adj(Gis[l]) @ dZb[l] @ Gis[l]
+            Y[l] = 0.5 * ((Y[l] + ap * dY) + _adj(Y[l] + ap * dY))
+            Z[l] = 0.5 * ((Z[l] + ad * dZ) + _adj(Z[l] + ad * dZ))
         y = y + ad * dy
 
         if max(ap, ad) < _STALL_STEP:
@@ -593,12 +638,12 @@ def solve(
     )
 
 
-def _initial_primal(problem, dims):
+def _initial_primal(problem, dims, dtype):
     if problem.primal_hint is not None:
         Y = [blk.copy() for blk in problem.primal_hint]
     else:
         tau = max(10.0, float(np.max(np.abs(problem.b))) if len(problem.b) else 0.0)
-        Y = [tau * np.eye(d) for d in dims]
+        Y = [tau * np.eye(d, dtype=dtype) for d in dims]
     for l, d in enumerate(dims):
         w = np.linalg.eigvalsh(Y[l])
         floor = 1e-6 * max(1.0, float(w[-1]))
@@ -612,7 +657,7 @@ def _initial_dual(problem, formulas, C):
     Z = []
     for l, (d, f) in enumerate(zip(problem.block_dims, formulas)):
         zb = C[l] - f.combination(y[f.rows])
-        zb = 0.5 * (zb + zb.T)
+        zb = 0.5 * (zb + _adj(zb))
         w = np.linalg.eigvalsh(zb)
         floor = 1e-6 * max(1.0, float(np.max(np.abs(zb))), float(w[-1]) if d else 1.0)
         if problem.dual_hint is None:
@@ -632,18 +677,20 @@ class _DenseRows(NamedTuple):
     work: np.ndarray  # two stacks reused by every iteration, not allocated anew
 
     def values(self, Y):
-        return self.stack.reshape(len(self.rows), Y.size) @ Y.ravel()
+        return (self.stack.reshape(len(self.rows), Y.size) @ _conj(Y).ravel()).real
 
     def combination(self, v):
         d = self.stack.shape[1]
         return (self.stack.reshape(len(self.rows), d * d).T @ v).reshape(d, d)
 
     def scaled(self, G):
-        """The block's Schur part, X -> (Tr(G^T A_i G X))_i, and
-        v -> sum_i v_i G^T A_i G."""
+        """The block's Schur part, X -> (Tr(G^H A_i G X))_i, and
+        v -> sum_i v_i G^H A_i G."""
         tmp = np.matmul(self.stack, G, out=self.work[0])
-        abar = np.matmul(G.T, tmp, out=self.work[1]).reshape(len(self.rows), G.size)
-        return abar @ abar.T, lambda X: abar @ X.ravel(), lambda v: (abar.T @ v).reshape(G.shape)
+        abar = np.matmul(_adj(G), tmp, out=self.work[1]).reshape(len(self.rows), G.size)
+        parts = abar.view(float)  # Re Tr(Abar_i Abar_j) as a real inner product
+        return (parts @ parts.T, lambda X: (abar @ _conj(X).ravel()).real,
+                lambda v: (abar.T @ v).reshape(G.shape))
 
 
 class _FactoredRows(NamedTuple):
@@ -657,49 +704,54 @@ class _FactoredRows(NamedTuple):
 
     def values(self, Y):
         row, at, val = self.entries
-        return np.bincount(row, weights=val * Y.ravel()[at], minlength=len(self.rows))
+        return np.bincount(row, weights=(val * Y.ravel()[at].conj()).real, minlength=len(self.rows))
 
     def combination(self, v):
         row, at, val = self.entries
         d = len(self.cols)
-        return np.bincount(at, weights=v[row] * val, minlength=d * d).reshape(d, d)
+        return _bincount(at, v[row] * val, d * d).reshape(d, d)
 
     def scaled(self, G):
-        """As `_DenseRows.scaled`, from F_i = G^T U_i and F_i S_i."""
+        """As `_DenseRows.scaled`, from F_i = G^H U_i and F_i S_i."""
         (m, k), d = self.cover.shape, len(G)
-        GE = G[self.cover].transpose(2, 0, 1)
-        GB = (G.T @ self.cols.reshape(d, 2 * m * k)).reshape(d, m, 2 * k)
+        Gc = _conj(G)
+        GE = Gc[self.cover].transpose(2, 0, 1)
+        GB = (Gc.T @ self.cols.reshape(d, 2 * m * k)).reshape(d, m, 2 * k)
         F = np.concatenate([GE, GB[:, :, k:]], axis=2).reshape(d, 2 * m * k)
         FS = np.concatenate([GB[:, :, :k], GE], axis=2).reshape(d, 2 * m * k)
-        P = F.T @ FS  # block (i, j) is Q_ij S_j
+        P = _adj(F) @ FS  # block (i, j) is Q_ij S_j
         # block sums by products with ones, which numpy does faster than sum
         ones = np.ones(2 * k)
-        schur = ones @ ((P * P.T).reshape(m, 2 * k, m, 2 * k) @ ones)
-        return (schur, lambda X: (np.ones(d) @ ((X @ F) * FS)).reshape(m, 2 * k) @ ones,
-                lambda v: (FS * np.repeat(v, 2 * k)) @ F.T)
+        schur = (ones @ ((P * P.T).reshape(m, 2 * k, m, 2 * k) @ ones)).real
+        return (schur, lambda X: ((np.ones(d) @ ((X @ F) * _conj(FS))).reshape(m, 2 * k) @ ones).real,
+                lambda v: (FS * np.repeat(v, 2 * k)) @ _adj(F))
 
 
-def _factored_pays(m: int, d: int, k: int) -> bool:
+def _factored_pays(m: int, d: int, k: int, madd: int) -> bool:
     """Whether the factored formula takes fewer multiply-adds per iteration
     than the dense one for m rows of cover width k in dimension d.  Besides
     the Schur parts, each counts its products in two directions (4md^2
     against 8kmd^2), and the factored one 1e6 more for its ten or so extra
-    numpy calls."""
+    numpy calls.  `madd` is the cost of one multiply-add in real ones: 1 on
+    a real block, 4 on a complex one.  The counts of both formulas scale by
+    it and the overhead does not, so a complex block is factored from a
+    smaller size than a real one; every Holevo block of the bench ladder
+    (dimension 30 to 102, covers of width 1) is factored."""
     dense = 2 * m * d**3 + m * m * d * d + 4 * m * d * d
-    return 9 * k * m * d * d + 4 * k * k * m * m * d + 10**6 < dense
+    return madd * (9 * k * m * d * d + 4 * k * k * m * m * d) + 10**6 < madd * dense
 
 
-def _greedy_cover(r, i, j, m, d):
+def _greedy_cover(r, i, j, m, d, madd):
     """Greedy vertex covers of m d x d nonzero patterns, with entries at
     (i[e], j[e]) of pattern r[e], as an (m, k) index array; None once k is
-    too large for `_factored_pays`.  Each pass adds to every cover the index
-    that covers most uncovered entries, ties to the lowest.  A pattern
-    already covered takes index 0: a cover stays a cover when it grows, and
-    a repeated index gets an empty B column, which adds nothing."""
+    too large for `_factored_pays` at `madd`.  Each pass adds to every cover
+    the index that covers most uncovered entries, ties to the lowest.  A
+    pattern already covered takes index 0: a cover stays a cover when it
+    grows, and a repeated index gets an empty B column, which adds nothing."""
     todo = np.ones(len(r), dtype=bool)
     picks = []
     while todo.any():
-        if not _factored_pays(m, d, len(picks) + 1):
+        if not _factored_pays(m, d, len(picks) + 1, madd):
             return None
         ends = np.concatenate([i[todo], j[todo & (i != j)]])  # a diagonal entry counts once
         deg = np.bincount(np.concatenate([r[todo], r[todo & (i != j)]]) * d + ends, minlength=m * d)
@@ -719,17 +771,17 @@ def _block_formulas(problem):
         rows, r = np.unique(store.row[here], return_inverse=True)
         i, j = np.divmod(store.col[here], d)
         val = store.val[here]
-        H = _greedy_cover(r, i, j, len(rows), d)
+        H = _greedy_cover(r, i, j, len(rows), d, 4 if np.iscomplexobj(val) else 1)
         if H is None:
-            stack = np.zeros((len(rows), d, d))
+            stack = np.zeros((len(rows), d, d), dtype=val.dtype)
             stack[r, i, j] = val
-            formulas.append(_DenseRows(rows, stack, np.empty((2,) + stack.shape)))
+            formulas.append(_DenseRows(rows, stack, np.empty((2,) + stack.shape, stack.dtype)))
             continue
         k = H.shape[1]
         slot = np.full((len(rows), d), -1)
         slot[np.arange(len(rows))[:, None], H] = np.arange(k)
         b = slot[r, j] >= 0  # the entries of B_i
-        cols = np.zeros((d, len(rows), 2 * k))
+        cols = np.zeros((d, len(rows), 2 * k), dtype=val.dtype)
         cols[i[b], r[b], k + slot[r[b], j[b]]] = val[b]
         cols[:, :, :k] = cols[:, :, k:]
         cols[H, np.arange(len(rows))[:, None], :k] = 0.0
@@ -738,24 +790,27 @@ def _block_formulas(problem):
 
 
 def _nt_factor(Yb: np.ndarray, Zb: np.ndarray):
-    wy, Uy = np.linalg.eigh(0.5 * (Yb + Yb.T))
-    wz, Uz = np.linalg.eigh(0.5 * (Zb + Zb.T))
+    """G, G^-1 and the NT scaled point's eigenvalues: G^H Z G = G^-1 Y G^-H
+    = diag(sig)."""
+    wy, Uy = np.linalg.eigh(0.5 * (Yb + _adj(Yb)))
+    wz, Uz = np.linalg.eigh(0.5 * (Zb + _adj(Zb)))
     fy = np.maximum(wy, 1e-14 * max(1.0, float(wy[-1])))
     fz = np.maximum(wz, 1e-14 * max(1.0, float(wz[-1])))
     L = Uy * np.sqrt(fy)
-    Linv = (Uy / np.sqrt(fy)).T
+    Linv = _adj(Uy / np.sqrt(fy))
     R = Uz * np.sqrt(fz)
-    Us, sig, VsT = np.linalg.svd(R.T @ L)
-    Vs = VsT.T
+    Us, sig, VsT = np.linalg.svd(_adj(R) @ L)
+    Vs = _adj(VsT)
     G = L @ (Vs / np.sqrt(sig))
-    Gi = (Vs * np.sqrt(sig)).T @ Linv
+    Gi = _adj(Vs * np.sqrt(sig)) @ Linv
     return G, Gi, sig
 
 
 def check_certificate(
     problem: SDPProblem, solution: SDPSolution, tol: float = 1e-7
 ) -> CertificateReport:
-    """Recompute feasibility, PSD floors, and the duality gap from scratch."""
+    """Recompute feasibility, PSD floors, and the duality gap from scratch,
+    in the problem's own dtype."""
     dims = problem.block_dims
     m = problem.num_constraints
     Y = solution.primal
@@ -765,12 +820,12 @@ def check_certificate(
     offsets = np.cumsum([0] + [d * d for d in dims])
     at = offsets[store.block] + store.col  # entry positions in the blocks laid end to end
     Yflat = np.concatenate([blk.ravel() for blk in Y])
-    values = np.bincount(store.row, weights=store.val * Yflat[at], minlength=m)
+    values = np.bincount(store.row, weights=(store.val * Yflat[at].conj()).real, minlength=m)
     viol = float(np.max(np.abs(values - problem.b))) if m else 0.0
     Cflat = np.concatenate(
         [problem.objective.get(l, np.zeros((d, d))).ravel() for l, d in enumerate(dims)]
     )
-    Zflat = Cflat - np.bincount(at, weights=y[store.row] * store.val, minlength=offsets[-1])
+    Zflat = Cflat - _bincount(at, y[store.row] * store.val, offsets[-1])
     dres = 0.0
     min_y = np.inf
     min_z = np.inf
@@ -780,7 +835,7 @@ def check_certificate(
         min_y = min(min_y, float(np.linalg.eigvalsh(Y[l])[0]))
         min_z = min(min_z, float(np.linalg.eigvalsh(Z[l])[0]))
     pobj = sum(
-        float(np.vdot(mat, Y[l])) for l, mat in problem.objective.items()
+        float(np.vdot(mat, Y[l]).real) for l, mat in problem.objective.items()
     )
     dobj = float(problem.b @ y) if m else 0.0
     gap = abs(pobj - dobj) / (1.0 + abs(pobj))
@@ -811,25 +866,33 @@ def write_sdpa(problem: SDPProblem) -> str:
 
     Entries are the upper-triangle nonzeros of the objective (matrix 0) and
     then of the constraint store, in the store's (row, block, col) order.
-    A problem without constraint rows has no right-hand-side line.
+    A problem without constraint rows has no right-hand-side line.  A
+    Hermitian problem is written as its real embedding (`linalg.realify`,
+    block by block), which doubles every inner product: block dimensions
+    and right-hand sides double and the scale halves, so the file's real
+    program has the same value and dual vector.
     """
-    lines = [f"* scale {problem.scale!r}"]
-    m = problem.num_constraints
-    lines.append(str(m))
-    lines.append(str(len(problem.block_dims)))
-    lines.append(" ".join(str(d) for d in problem.block_dims))
-    if m:
-        lines.append(" ".join(repr(float(v)) for v in problem.b))
-    for l in sorted(problem.objective):
-        i, j = np.nonzero(np.triu(problem.objective[l]))
-        for ii, jj, v in zip(i.tolist(), j.tolist(), problem.objective[l][i, j].tolist()):
-            lines.append(f"0 {l + 1} {ii + 1} {jj + 1} {v!r}")
     store = problem.store
-    i, j = np.divmod(store.col, np.array(problem.block_dims)[store.block])
+    dims = np.array(problem.block_dims, dtype=np.int64)
+    i, j = np.divmod(store.col, dims[store.block])
     upper = i <= j
-    for k, l, ii, jj, v in zip(
-        *(a[upper].tolist() for a in (store.row, store.block, i, j, store.val))
-    ):
+    row, block, i, j, val = (a[upper] for a in (store.row, store.block, i, j, store.val))
+    scale, b, objective = problem.scale, problem.b, problem.objective
+    if np.iscomplexobj(val):
+        k, i, j, val = realify_entries(i, j, val, dims[block])
+        row, block = row[k], block[k]
+        order = np.lexsort((j, i, block, row))  # the store order of the embedding
+        row, block, i, j, val = (a[order] for a in (row, block, i, j, val))
+        dims, b, scale = 2 * dims, 2 * b, scale / 2
+        objective = {l: realify(mat) for l, mat in objective.items()}
+    lines = [f"* scale {scale!r}", str(len(b)), str(len(dims)), " ".join(str(d) for d in dims.tolist())]
+    if len(b):
+        lines.append(" ".join(repr(float(v)) for v in b))
+    for l in sorted(objective):
+        oi, oj = np.nonzero(np.triu(objective[l]))
+        for ii, jj, v in zip(oi.tolist(), oj.tolist(), objective[l][oi, oj].tolist()):
+            lines.append(f"0 {l + 1} {ii + 1} {jj + 1} {v!r}")
+    for k, l, ii, jj, v in zip(*(a.tolist() for a in (row, block, i, j, val))):
         lines.append(f"{k + 1} {l + 1} {ii + 1} {jj + 1} {v!r}")
     return "\n".join(lines) + "\n"
 
@@ -847,29 +910,28 @@ def read_sdpa(text: str) -> SDPProblem:
     line of any malformed input, non-finite numbers and block dimensions
     too large to number entries by included.
     """
-    raw = text.splitlines()
+    lines = list(map(str.strip, text.splitlines()))
+    # each line's first character, from one scan of the lines joined: a
+    # blank line's is the newline after it, and no line holds a newline
+    joined = np.frombuffer(("\n".join(lines) + "\n").encode("utf-8", "surrogatepass"), np.uint8)
+    first = joined[np.concatenate([[0], np.flatnonzero(joined == ord("\n"))[:-1] + 1])]
+    comment = np.isin(first, list(b'*"'))
+    body = np.flatnonzero(~comment & (first != ord("\n")))  # 0-based, of the lines read
     scale = 1.0
-    body: list[tuple[int, str]] = []
-    for ln, line in enumerate(raw, start=1):
-        stripped = line.strip()
-        if not stripped:
-            continue
-        if stripped.startswith(("*", '"')):
-            parts = stripped.lstrip("*").split()
-            if len(parts) == 2 and parts[0] == "scale":
-                try:
-                    scale = float(_numbers([parts[1]])[0])
-                except ValueError as exc:
-                    raise SDPAFormatError(f"line {ln}: bad scale value {parts[1]!r}") from exc
-                if not math.isfinite(scale):
-                    raise SDPAFormatError(f"line {ln}: scale {parts[1]!r} is not finite")
-            continue
-        body.append((ln, stripped))
+    for k in np.flatnonzero(comment).tolist():
+        parts = lines[k].lstrip("*").split()
+        if len(parts) == 2 and parts[0] == "scale":
+            try:
+                scale = float(_numbers([parts[1]])[0])
+            except ValueError as exc:
+                raise SDPAFormatError(f"line {k + 1}: bad scale value {parts[1]!r}") from exc
+            if not math.isfinite(scale):
+                raise SDPAFormatError(f"line {k + 1}: scale {parts[1]!r} is not finite")
 
     def take(idx, what):
         if idx >= len(body):
             raise SDPAFormatError(f"unexpected end of input: missing {what}")
-        return body[idx]
+        return body[idx] + 1, lines[body[idx]]
 
     ln, tok = take(0, "constraint count")
     try:
@@ -910,18 +972,18 @@ def read_sdpa(text: str) -> SDPProblem:
         if not np.all(np.isfinite(b)):
             raise SDPAFormatError(f"line {ln}: right-hand-side value is not finite")
 
-    lines = body[4 if m else 3:]
-    parsed, stop = _parse_entries([tok for _, tok in lines])
+    rest = body[4 if m else 3:]
+    parsed, stop = _parse_entries([lines[k] for k in rest.tolist()])
     matno, blkno, i, j, val = (parsed[f] for f in parsed.dtype.names)
     off = np.flatnonzero((i != j) & np.isin(blkno, np.flatnonzero(diagonal) + 1))
     stop = off[0] if len(off) else stop
     # the rules run on the lines before the first one that does not convert
     # or is off the diagonal of a diagonal block: the first bad line is named
     cols = (matno[:stop], blkno[:stop], i[:stop], j[:stop], val[:stop])
-    _check_entries(cols, dims, m + 1, 1, SDPAFormatError, lambda k: f"line {lines[k][0]}")
-    if stop < len(lines):
+    _check_entries(cols, dims, m + 1, 1, SDPAFormatError, lambda k: f"line {rest[k] + 1}")
+    if stop < len(rest):
         what = "off-diagonal entry in a diagonal block" if len(off) else "expected four integers and a number"
-        raise SDPAFormatError(f"line {lines[stop][0]}: {what}, got {lines[stop][1]!r}")
+        raise SDPAFormatError(f"line {rest[stop] + 1}: {what}, got {lines[rest[stop]]!r}")
     l, i, j = blkno - 1, i - 1, j - 1
     con = matno > 0
     objective: BlockMat = {}

@@ -463,7 +463,9 @@ class TestHolevoProgram:
         problem, meta = build_holevo_sdp(model)
         assert meta["num_params"] == 2
         assert len(meta["w0"]) == 2
-        assert problem.scale == pytest.approx(-0.5)
+        # Hermitian in the solver, realified in its file
+        assert problem.scale == -1.0
+        assert read_sdpa(write_sdpa(problem)).scale == pytest.approx(-0.5)
 
     def test_build_holds_no_dense_row_matrices(self):
         # 197 rows in one 204-dim realified block: a dense float matrix per
@@ -475,7 +477,8 @@ class TestHolevoProgram:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert problem.block_dims == (204,)
+        assert problem.block_dims == (102,)
+        assert read_sdpa(write_sdpa(problem)).block_dims == (204,)
         assert peak <= 32 * 2**20
 
     def test_dual_value_is_reported(self, dephasing_xy):

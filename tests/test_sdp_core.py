@@ -1,4 +1,5 @@
 """Tests for the SDP data structures, solver, certificates, and text I/O."""
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -283,7 +284,7 @@ def dense_rows(problem, l):
     d = problem.block_dims[l]
     here = store.block == l
     rows, pos = np.unique(store.row[here], return_inverse=True)
-    stack = np.zeros((len(rows), d, d))
+    stack = np.zeros((len(rows), d, d), dtype=store.val.dtype)
     stack[pos, store.col[here] // d, store.col[here] % d] = store.val[here]
     return rows, stack
 
@@ -294,38 +295,70 @@ def holevo_programs():
     return {"hb N=4": hb, "random d=4": rnd, "random d=4 read back": read_sdpa(write_sdpa(rnd))}
 
 
+def rand_herm(rng, d, dtype):
+    a = rng.standard_normal((d, d))
+    if dtype == complex:
+        a = a + 1j * rng.standard_normal((d, d))
+    return 0.5 * (a + a.conj().T)
+
+
+def check_against_einsum(problem, formula):
+    """A block formula's Schur part, directions and row maps against einsum
+    over the dense rows, at a generic NT scaling of random positive definite
+    Y and Z of the problem's dtype."""
+    rows, A = dense_rows(problem, 0)
+    assert np.array_equal(formula.rows, rows)
+    rng = np.random.default_rng(11)
+    d = problem.block_dims[0]
+    dtype = problem.store.val.dtype
+    Y, Z = (g @ g.conj().T + np.eye(d) for g in (rand_herm(rng, d, dtype) for _ in range(2)))
+    G = _nt_factor(Y, Z)[0]
+    W = G @ G.conj().T
+    X = rand_herm(rng, d, dtype)
+    v = rng.standard_normal(len(rows))
+    WA = np.matmul(W, A)
+    Abar = np.matmul(G.conj().T, np.matmul(A, G))
+    ref_schur = np.einsum("iab,jba->ij", WA, WA)  # Tr(W A_i W A_j)
+    ref_h = np.einsum("iab,ba->i", Abar, X)
+    ref_dz = np.tensordot(v, Abar, axes=1)
+    schur, apply, adjoint = formula.scaled(G)
+
+    def rel(got, ref):
+        return np.max(np.abs(got - ref)) / np.max(np.abs(ref))
+
+    assert rel(schur, ref_schur) <= 1e-12
+    assert rel(apply(X), ref_h) <= 1e-12
+    assert rel(adjoint(v), ref_dz) <= 1e-12
+    assert rel(formula.values(Y), np.einsum("iab,ba->i", A, Y)) <= 1e-12
+    assert rel(formula.combination(v), np.tensordot(v, A, axes=1)) <= 1e-12
+
+
+def hermitian_programs():
+    return {
+        **{k: v for k, v in holevo_programs().items() if k != "random d=4 read back"},
+        "pd xyz": build_holevo_sdp(phase_damping_model(0.5, "xyz"))[0],
+        "ifo": build_holevo_sdp(interferometer_model([0.7**0.5, 0.3**0.5], 0.5))[0],
+    }
+
+
 class TestSchurFormulas:
     @pytest.mark.parametrize("name", ["hb N=4", "random d=4", "random d=4 read back"])
     def test_factored_rows_match_dense_reference(self, name):
         problem = holevo_programs()[name]
         (formula,) = _block_formulas(problem)
         assert isinstance(formula, _FactoredRows)
-        assert formula.cover.shape[1] == 2
-        rows, A = dense_rows(problem, 0)
-        assert np.array_equal(formula.rows, rows)
-        # a generic NT scaling, from random positive definite Y and Z
-        rng = np.random.default_rng(11)
-        d = problem.block_dims[0]
-        Y, Z = (g @ g.T + np.eye(d) for g in rng.standard_normal((2, d, d)))
-        G = _nt_factor(Y, Z)[0]
-        W = G @ G.T
-        X = rand_sym(rng, d)
-        v = rng.standard_normal(len(rows))
-        WA = np.matmul(W, A)
-        Abar = np.matmul(G.T, np.matmul(A, G))
-        ref_schur = np.einsum("iab,jba->ij", WA, WA)  # Tr(W A_i W A_j)
-        ref_h = np.einsum("iab,ab->i", Abar, X)
-        ref_dz = np.tensordot(v, Abar, axes=1)
-        schur, apply, adjoint = formula.scaled(G)
+        # one cover index per Hermitian row, two per row of its real embedding
+        assert formula.cover.shape[1] == (2 if name.endswith("read back") else 1)
+        assert formula.cols.dtype == problem.store.val.dtype
+        check_against_einsum(problem, formula)
 
-        def rel(got, ref):
-            return np.max(np.abs(got - ref)) / np.max(np.abs(ref))
-
-        assert rel(schur, ref_schur) <= 1e-12
-        assert rel(apply(X), ref_h) <= 1e-12
-        assert rel(adjoint(v), ref_dz) <= 1e-12
-        assert rel(formula.values(Y), np.einsum("iab,ab->i", A, Y)) <= 1e-12
-        assert rel(formula.combination(v), np.tensordot(v, A, axes=1)) <= 1e-12
+    @pytest.mark.parametrize("name", ["hb N=4", "random d=4", "random d=4 read back"])
+    def test_dense_rows_match_reference(self, name, monkeypatch):
+        monkeypatch.setattr(sdp_core, "_factored_pays", lambda m, d, k, madd: False)
+        problem = holevo_programs()[name]
+        (formula,) = _block_formulas(problem)
+        assert isinstance(formula, _DenseRows)
+        check_against_einsum(problem, formula)
 
     def test_nh_and_small_blocks_keep_dense_formula(self):
         programs = [
@@ -371,7 +404,7 @@ class TestSchurFormulas:
         assert isinstance(formulas[0], _FactoredRows) and isinstance(formulas[1], _DenseRows)
         assert formulas[0].cover.shape[1] == 3
         factored = solve(problem)
-        monkeypatch.setattr(sdp_core, "_factored_pays", lambda m, d, k: False)
+        monkeypatch.setattr(sdp_core, "_factored_pays", lambda m, d, k, madd: False)
         dense = solve(problem)
         assert factored.status == dense.status == "optimal"
         assert factored.iterations == dense.iterations
@@ -566,6 +599,26 @@ class TestMakeProblem:
         # the good entries alone are a valid problem
         make_problem([2, 3], {}, tuple(np.array(col) for col in zip(*good)), [1.0, 2.0])
 
+    def test_rejects_complex_diagonal_entry(self):
+        entries = ([0, 0], [0, 0], [0, 1], [1, 1], [1j, 1.0 + 1e-300j])
+        with pytest.raises(SDPError, match=r"^entry 1 \(row 0, block 0, \(1, 1\)\): diagonal entry value "
+                                           r"'\(1\+1e-300j\)' is not real$"):
+            make_problem([2], {}, entries, [1.0])
+        # an off-diagonal entry may be complex, and makes the program Hermitian
+        problem = make_problem([2], {}, entries[:4] + ([1j, 1.0],), [1.0])
+        assert problem.store.val.tolist() == [1j, -1j, 1.0]
+
+    @pytest.mark.parametrize("where", ["objective", "primal hint"])
+    def test_rejects_non_hermitian_complex_matrix(self, where):
+        # complex symmetric, so only a check against the conjugate transpose fails it
+        bad = np.array([[1.0, 1j], [1j, 1.0]])
+        good = np.array([[1.0, 1j], [-1j, 2.0]])
+        obj, hint = (bad, good) if where == "objective" else (good, bad)
+        with pytest.raises(SDPError, match=f"^{where} block 0: matrix is not Hermitian$"):
+            make_problem([2], {0: obj}, as_entries([{0: np.eye(2)}]), [1.0], primal_hint=(hint,))
+        problem = make_problem([2], {0: good}, as_entries([{0: np.eye(2)}]), [1.0], primal_hint=(good,))
+        assert np.array_equal(problem.objective[0], good)
+
     def test_out_of_range_entry_before_the_entry_it_clips_onto(self):
         # row -1 shares its duplicate-check key with the row-0 entry after it
         entries = ([-1, 0], [0, 0], [0, 0], [0, 0], [1.0, 1.0])
@@ -612,6 +665,24 @@ class TestCertificate:
         assert not report.passed
 
 
+    def test_perturbed_complex_primal_fails(self):
+        import dataclasses
+
+        problem = holevo_programs()["hb N=4"]
+        sol = solve(problem)
+        assert np.iscomplexobj(sol.primal[0])
+        assert check_certificate(problem, sol).passed
+        d = problem.block_dims[0]
+        # an imaginary Hermitian change moves the rows with imaginary entries
+        skew = np.zeros((d, d), dtype=complex)
+        skew[0, -1], skew[-1, 0] = 1e-3j, -1e-3j
+        for bad, failed in ((sol.primal[0] - 1e-3 * np.eye(d), "primal_psd"),
+                            (sol.primal[0] + skew, "primal_feasible")):
+            report = check_certificate(problem, dataclasses.replace(sol, primal=(bad,)))
+            assert not report.checks[failed]
+            assert not report.passed
+
+
 class TestSdpaFormat:
     def test_round_trip_exact(self):
         problem, _, _ = random_kkt_problem(23, dims=(4, 2), m=5)
@@ -623,6 +694,37 @@ class TestSdpaFormat:
         assert back.scale == problem.scale
         for got, want in zip(back.store, problem.store):
             assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize(
+        "name, digest",
+        [
+            ("hb N=4", "8f103cd46353083d35205f23d6b0e5bdd6576a130b0a3aaedb70e841b9c8234e"),
+            ("random d=4", "dbb069b0b3ecdfd41742dd591882ecc298223e3b6313545bc0c8490b8891ee9c"),
+            ("pd xyz", "a0dc4c05779398fb0c80bc5372f2d59702cc1d7d262424f3dd8b2b05e85495c0"),
+            ("ifo", "28b288dce4fac223f4e7f4f4a55fa71c9e8c5f22ab8a579dd7201265b915cd91"),
+        ],
+    )
+    def test_hermitian_program_file_is_pinned(self, name, digest):
+        # the text of each Holevo program as it was when the builder realified
+        # it: a Hermitian program is written as its real embedding
+        problem = hermitian_programs()[name]
+        assert np.iscomplexobj(problem.store.val)
+        assert hashlib.sha256(write_sdpa(problem).encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("name", ["hb N=4", "random d=4", "pd xyz", "ifo"])
+    def test_hermitian_program_solves_like_its_file(self, name):
+        problem = hermitian_programs()[name]
+        back = read_sdpa(write_sdpa(problem))
+        assert not np.iscomplexobj(back.store.val)
+        assert back.block_dims == tuple(2 * d for d in problem.block_dims)
+        assert np.array_equal(back.b, 2 * problem.b)
+        # the file keeps no hints, so its solve starts elsewhere: a tolerance
+        # of 1e-10 on the gap brings both values within 1e-9 of the optimum
+        sols = [solve(p, tol=1e-10) for p in (problem, back)]
+        assert [s.status for s in sols] == ["optimal", "optimal"]
+        assert sols[1].dual_obj == pytest.approx(sols[0].dual_obj, rel=1e-9)  # the Holevo value
+        for p, s in zip((problem, back), sols):
+            assert check_certificate(p, s).passed
 
     def test_golden_text(self):
         # objective first, then the rows in store order, upper triangles only
