@@ -428,9 +428,13 @@ def _check_args(args: argparse.Namespace) -> None:
         args.bounds = tuple(
             s.strip() for s in args.bounds.split(",") if s.strip()
         )
-        for name in args.bounds:
+        for k, name in enumerate(args.bounds):
             if name not in BOUND_NAMES:
                 raise CliError(f"unknown bound {name!r}")
+            if name in args.bounds[:k]:
+                raise CliError(f"bound {name!r} is given more than once")
+        if not args.bounds:
+            raise CliError("--bounds names no bound")
         if args.amps is not None:
             try:
                 args.amps = tuple(float(v) for v in args.amps.split(","))

@@ -17,12 +17,15 @@ The text format is real: `write_sdpa` writes a Hermitian program as its
 real embedding (`linalg.realify`), which `read_sdpa` reads as a real one.
 
 The solver forms each block's Schur complement by one of two formulas,
-picked by cost: from the congruences G^H A_i G, or from factors that a
-small cover of each row gives (see `solve`).
+picked by cost: from the congruences G^H A_i G, each formed on the rows
+where A_i is nonzero, or from factors that a small cover of each row gives
+(see `solve`).
 
 All dense linear algebra goes through numpy's LAPACK.  The Newton system
-is solved with the inverse of its Cholesky factor, formed by 2 x 2 blocks
-in matrix products.  Row dedupe keeps every row when a Cholesky factor of
+is factored by LMI block: the rows that touch one block alone are factored
+with that block, and the rows that link blocks last.  It is solved with the
+inverses of its Cholesky factors, formed by 2 x 2 blocks in matrix
+products.  Row dedupe keeps every row when a Cholesky factor of
 the rows' scaled Gram matrix proves them independent, and otherwise
 decides by numpy's QR.  No second BLAS library is loaded, so the process
 has one BLAS thread pool, not two that compete for the same cores.
@@ -414,27 +417,138 @@ def _certified_independent(store: ConstraintStore, m: int, dims) -> bool:
     return True
 
 
-def _chol_jittered(mat: np.ndarray) -> np.ndarray:
-    """Inverse of the lower Cholesky factor of the Schur matrix `mat`.
+# The row count from which a Newton system is factored by LMI block, and
+# from which `_tril_inv` inverts by 2 x 2 blocks, not by numpy's inverse
+_SPLIT_ROWS = 96
 
-    numpy has no triangular solve, so the factor is inverted once per
-    iteration, by `_tril_inv`, and applied by matrix products in
-    `_solve_refined`.  When the matrix is not numerically positive
-    definite, a growing multiple of its largest diagonal entry is added
-    before factoring again.
+
+class _NewtonLayout(NamedTuple):
+    """The Newton system's rows by the LMI blocks they touch.  Each block
+    with rows that touch it alone has a group of them; the rows that touch
+    several blocks are the link rows.  A system of fewer than `_SPLIT_ROWS`
+    rows, or of one block, has no block groups: all its rows are link rows,
+    in their own order."""
+
+    order: np.ndarray | slice  # the rows group by group, link rows last; all, if no groups
+    spans: list  # the slices of `order` that hold each group, then the link rows
+    # per block, indices into S and into its Schur part: where the part's
+    # link-row square goes and where it lies, then, if the block has a
+    # group, where D_g lies, and where E_g goes and lies
+    places: list
+
+
+def _newton_layout(block_rows, m: int) -> _NewtonLayout:
+    """The layout of an m-row system whose block l has the rows `block_rows[l]`."""
+    if m < _SPLIT_ROWS or len(block_rows) == 1:  # no groups: each part is added whole
+        places = [(np.ix_(rows, rows), ..., None) for rows in block_rows]
+        return _NewtonLayout(slice(None), [slice(0, m)], places)
+    touched = np.zeros(m, dtype=int)
+    for rows in block_rows:
+        touched[rows] += 1
+    alone = touched == 1
+    link = np.flatnonzero(~alone)
+    groups, places = [], []
+    for rows in block_rows:
+        own, shared = np.flatnonzero(alone[rows]), np.flatnonzero(~alone[rows])
+        at = np.searchsorted(link, rows[shared])
+        if len(own):
+            groups.append(rows[own])
+            group = (np.ix_(own, own), at, np.ix_(shared, own))
+            places.append((np.ix_(at, at), np.ix_(shared, shared), group))
+        else:  # all its rows are link rows, in order: its part is added whole
+            places.append((np.ix_(at, at), ..., None))
+    ends = np.cumsum([0] + [len(g) for g in groups]).tolist()
+    spans = [slice(a, b) for a, b in zip(ends, ends[1:])] + [slice(ends[-1], m)]
+    return _NewtonLayout(np.concatenate(groups + [link]), spans, places)
+
+
+class _Newton(NamedTuple):
+    """The Newton system M dy = h in its layout's order, M = [[D, E^T],
+    [E, S]]: D is block diagonal, with one block D_g per group, E holds the
+    link rows' entries in the groups' columns, E_g by group, and S is the
+    link rows' own square.  Its lower Cholesky factor is [[L_D, 0], [W,
+    L_S]], with W_g = E_g L_g^-T and L_S L_S^T = S - sum_g W_g W_g^T.  With
+    no groups, S is all of M."""
+
+    order: np.ndarray | slice
+    groups: list  # per group: its slice of `order`, D_g, E_g, L_g^-1 and W_g
+    tail: slice  # the link rows' slice of `order`
+    link: np.ndarray  # S
+    link_inv: np.ndarray  # L_S^-1
+
+    def _inverse(self, r):
+        """(L L^T)^-1 r, by forward and back substitution over the groups."""
+        rk, z = r[self.tail], []
+        for at, _, _, li, w in self.groups:
+            z.append(li @ r[at])
+            rk = rk - w @ z[-1]
+        xk = self.link_inv.T @ (self.link_inv @ rk)
+        if not z:
+            return xk
+        return np.concatenate([li.T @ (zi - w.T @ xk) for (_, _, _, li, w), zi in zip(self.groups, z)] + [xk])
+
+    def _times(self, x):
+        xk = x[self.tail]
+        out = self.link @ xk
+        if not self.groups:
+            return out
+        for at, _, e, _, _ in self.groups:
+            out = out + e @ x[at]
+        return np.concatenate([a @ x[at] + e.T @ xk for at, a, e, _, _ in self.groups] + [out])
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """Solve M x = rhs with the factor, then take two steps of iterative
+        refinement against M itself, which also undo the effect of any
+        jitter."""
+        r = rhs[self.order]
+        x = self._inverse(r)
+        for _ in range(2):
+            x = x + self._inverse(r - self._times(x))
+        out = np.empty_like(x)
+        out[self.order] = x
+        return out
+
+
+def _factor_newton(layout: _NewtonLayout, parts) -> _Newton:
+    """The Newton system whose block l adds `parts[l]` on that block's rows,
+    factored by its layout's groups.
+
+    numpy has no triangular solve, so each Cholesky factor is inverted once
+    per iteration, by `_tril_inv`, and applied by matrix products.  When the
+    matrix is not numerically positive definite, a growing multiple of its
+    largest diagonal entry is added to every diagonal block and to S before
+    factoring again; the factor is then that of M plus the same multiple of
+    the identity.
     """
-    if not np.all(np.isfinite(mat)):
+    tail = layout.spans[-1]
+    k = tail.stop - tail.start
+    link = np.zeros((k, k))
+    diag, edges = [], []
+    for (to, take, group), part in zip(layout.places, parts):
+        link[to] += part[take]
+        if group:
+            own, at, edge = group
+            diag.append(part[own])
+            edges.append(np.zeros((k, len(diag[-1]))))
+            edges[-1][at] = part[edge]
+    if not all(np.all(np.isfinite(a)) for a in (*diag, *edges, link)):
         raise SDPError(
             "Newton system is not finite: the Schur complement has NaN or inf entries"
         )
-    scale = max(1.0, float(np.max(np.abs(np.diag(mat))))) if len(mat) else 1.0
-    eye = np.eye(len(mat))
+    scale = max([1.0] + [float(np.max(np.abs(np.diag(a)))) for a in (*diag, link) if len(a)])
     for jit in (0.0, 1e-14, 1e-12, 1e-10, 1e-8, 1e-6):
+        shift = jit * scale
         try:
-            lower = np.linalg.cholesky(mat + jit * scale * eye)
+            inv = [_tril_inv(np.linalg.cholesky(a + shift * np.eye(len(a)))) for a in diag]
+            cross = [e @ li.T for e, li in zip(edges, inv)]
+            comp = link + shift * np.eye(k)
+            for w in cross:
+                comp -= w @ w.T
+            link_inv = _tril_inv(np.linalg.cholesky(comp))
         except np.linalg.LinAlgError:
             continue
-        return _tril_inv(lower)
+        groups = list(zip(layout.spans[:-1], diag, edges, inv, cross))
+        return _Newton(layout.order, groups, tail, link, link_inv)
     raise SDPError("Newton system factorization failed: Schur complement is numerically singular")
 
 
@@ -443,9 +557,9 @@ def _tril_inv(lower: np.ndarray) -> np.ndarray:
     inv([[A, 0], [B, C]]) = [[A^-1, 0], [-C^-1 B A^-1, C^-1]] (Higham,
     Accuracy and Stability of Numerical Algorithms, 2nd ed., ch. 14).
     About m^3/3 flops, almost all in matrix products, where the general
-    LU inverse below 96 rows takes about 2m^3."""
+    LU inverse below `_SPLIT_ROWS` rows takes about 2m^3."""
     m = len(lower)
-    if m < 96:
+    if m < _SPLIT_ROWS:
         return np.linalg.inv(lower)
     h = m // 2
     out = np.zeros_like(lower)
@@ -453,16 +567,6 @@ def _tril_inv(lower: np.ndarray) -> np.ndarray:
     out[h:, h:] = _tril_inv(lower[h:, h:])
     out[h:, :h] = -out[h:, h:] @ (lower[h:, :h] @ out[:h, :h])
     return out
-
-
-def _solve_refined(linv: np.ndarray, mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve `mat x = rhs` with the inverse factor from `_chol_jittered`,
-    then take two steps of iterative refinement against `mat` itself, which
-    also undo the effect of any jitter."""
-    x = linv.T @ (linv @ rhs)
-    for _ in range(2):
-        x = x + linv.T @ (linv @ (rhs - mat @ x))
-    return x
 
 
 def _max_neg_curvature(sig: np.ndarray, delta: np.ndarray) -> float:
@@ -500,7 +604,11 @@ def solve(
     Schur entry (i, j) of a block is Tr(W A_i W A_j), W = G G^H, over the m
     rows that touch the block, by the formula `_factored_pays` picks for it.
     Dense: the Gram matrix of the congruences G^H A_i G, about
-    2md^3 + m^2 d^2 multiply-adds in dimension d.  Factored: row i is zero
+    2md^3 + m^2 d^2 multiply-adds in dimension d, less where a row's
+    support R_i, the rows of A_i that hold a nonzero, is narrow: its
+    congruence is G^H[:, R_i] (A_i[R_i, :] G) (`_support_groups`).  On the
+    realified NH block of `random_model(3, 10, 2)` (d = 60), 365 of 406 rows
+    have supports of at most 8 rows.  Factored: row i is zero
     outside the rows and columns of its greedy cover H, so with
     B_i = A_i[:, H] it is exactly E_H B_i^H + B_i E_H^T - E_H A_i[H, H] E_H^T
     = U_i S_i U_i^H, with U_i = [E_H, B_i].  With F_i = G^H U_i and
@@ -508,6 +616,16 @@ def solve(
     multiply-adds for covers of width k, used when that count (with the
     directions' products and a fixed overhead) is the smaller.  Its factors
     give each direction's right-hand side and dZ, with no m x d^2 stack.
+
+    The Newton system, the sum of the blocks' Schur parts, is factored by
+    LMI block (`_NewtonLayout`): the rows that touch one block alone form
+    that block's group, whose diagonal block is factored on its own, and
+    the few rows that touch several blocks are eliminated last, as in
+    block-arrow Cholesky, and the m x m matrix is not formed.  A system of
+    fewer than `_SPLIT_ROWS` rows, or of one block, has no groups, and its
+    factor is one Cholesky factor of the whole matrix, as a block-arrow
+    system whose link rows are all the rows.  On the NH program of `hb`
+    N=10, 539 of 545 rows touch one of its 11 blocks.
 
     Deterministic: fixed reduction orders, no randomization.  Builder
     hints on the problem are used as starting points when present.
@@ -522,6 +640,7 @@ def solve(
     b = problem.b
 
     formulas = _block_formulas(problem)
+    layout = _newton_layout([f.rows for f in formulas], m)
     dtype = problem.store.val.dtype
     C = [problem.objective.get(l, np.zeros((d, d), dtype)) for l, d in enumerate(dims)]
     c_scale = 1.0 + max((float(np.max(np.abs(cb))) for cb in C), default=0.0)
@@ -572,16 +691,13 @@ def solve(
         Gs, Gis, sigmas = zip(*(_nt_factor(Y[l], Z[l]) for l in range(nb)))
         scaled = [(f.rows, *f.scaled(G)) for f, G in zip(formulas, Gs)]
         Rdbar = [_adj(Gs[l]) @ Rd[l] @ Gs[l] for l in range(nb)]
-        schur = np.zeros((m, m))
-        for rows, part, _, _ in scaled:
-            schur[np.ix_(rows, rows)] += part
-        linv = _chol_jittered(schur)
+        newton = _factor_newton(layout, [part for _, part, _, _ in scaled])
 
         def directions(T):
             h = rp.copy()
             for l, (rows, _, apply, _) in enumerate(scaled):
                 h[rows] -= apply(T[l] - Rdbar[l])
-            dy = _solve_refined(linv, schur, h)
+            dy = newton.solve(h)
             dZb = [Rdbar[l] - adjoint(dy[rows]) for l, (rows, _, _, adjoint) in enumerate(scaled)]
             dZb = [0.5 * (dz + _adj(dz)) for dz in dZb]
             return dy, [T[l] - dz for l, dz in enumerate(dZb)], dZb
@@ -674,7 +790,8 @@ class _DenseRows(NamedTuple):
 
     rows: np.ndarray
     stack: np.ndarray
-    work: np.ndarray  # two stacks reused by every iteration, not allocated anew
+    supports: tuple  # the row groups of `_support_groups`
+    work: np.ndarray  # a stack reused by every iteration, not allocated anew
 
     def values(self, Y):
         return (self.stack.reshape(len(self.rows), Y.size) @ _conj(Y).ravel()).real
@@ -685,12 +802,51 @@ class _DenseRows(NamedTuple):
 
     def scaled(self, G):
         """The block's Schur part, X -> (Tr(G^H A_i G X))_i, and
-        v -> sum_i v_i G^H A_i G."""
-        tmp = np.matmul(self.stack, G, out=self.work[0])
-        abar = np.matmul(_adj(G), tmp, out=self.work[1]).reshape(len(self.rows), G.size)
+        v -> sum_i v_i G^H A_i G.  Each congruence is formed on its row's
+        support R alone, as G^H[:, R] (A_i[R, :] G): the terms left out are
+        products with exact zeros.  A full-support row keeps full width."""
+        Gh, Gc = _adj(G), _conj(G)
+        for pos, sup, rows in self.supports:
+            gh = Gh if sup is None else np.swapaxes(Gc[sup], 1, 2)
+            if isinstance(pos, slice):  # all the rows: no copy
+                np.matmul(gh, rows @ G, out=self.work)
+            else:
+                self.work[pos] = gh @ (rows @ G)
+        abar = self.work.reshape(len(self.rows), G.size)
         parts = abar.view(float)  # Re Tr(Abar_i Abar_j) as a real inner product
         return (parts @ parts.T, lambda X: (abar @ _conj(X).ravel()).real,
                 lambda v: (abar.T @ v).reshape(G.shape))
+
+
+def _support_groups(stack: np.ndarray, present: np.ndarray) -> tuple:
+    """The rows of a dense (m, d, d) stack grouped by support, as
+    (positions, supports, A_i[R, :]) per group.  Row i's support R is the
+    set of rows (and so columns) a of A_i that hold a nonzero,
+    `present[i, a]`.  It is widened by the lowest rows outside it to 2, 4,
+    8, ... rows: that makes fewer groups, at the cost of exact-zero terms
+    only, and no complex product of one term, which numpy does not round as
+    it rounds the full-width sum.  A group of width w < d saves
+    2 k d^2 (d - w) multiply-adds (in real ones) for its k rows, and costs
+    four numpy calls; when that does not pay, its rows keep full width.  A
+    support of full width is None, and its rows are taken whole: the stack
+    itself, or a view of it, when they are all its rows."""
+    m, d = stack.shape[:2]
+    madd = 4 if np.iscomplexobj(stack) else 1
+    if 2 * m * d**3 * madd <= 4 * _CALL_MADDS:  # no group could pay
+        return ((slice(None), None, stack),)
+    width = np.minimum(2 ** np.ceil(np.log2(np.maximum(present.sum(axis=1), 2))).astype(int), d)
+    saved = 2 * np.bincount(width, minlength=d + 1) * d * d * (d - np.arange(d + 1))
+    width = np.where(saved[width] * madd > 4 * _CALL_MADDS, width, d)
+    groups = []
+    for w in np.unique(width).tolist():
+        pos = np.flatnonzero(width == w)
+        if w == d:
+            pos = slice(None) if len(pos) == m else pos
+            groups.append((pos, None, stack[pos]))
+        else:
+            sup = np.sort(np.argsort(~present[pos], axis=1, kind="stable")[:, :w], axis=1)
+            groups.append((pos, sup, stack[pos[:, None], sup]))
+    return tuple(groups)
 
 
 class _FactoredRows(NamedTuple):
@@ -727,18 +883,22 @@ class _FactoredRows(NamedTuple):
                 lambda v: (FS * np.repeat(v, 2 * k)) @ _adj(F))
 
 
+# multiply-adds that take about as long as the overhead of one numpy call
+_CALL_MADDS = 10**5
+
+
 def _factored_pays(m: int, d: int, k: int, madd: int) -> bool:
     """Whether the factored formula takes fewer multiply-adds per iteration
     than the dense one for m rows of cover width k in dimension d.  Besides
     the Schur parts, each counts its products in two directions (4md^2
-    against 8kmd^2), and the factored one 1e6 more for its ten or so extra
-    numpy calls.  `madd` is the cost of one multiply-add in real ones: 1 on
-    a real block, 4 on a complex one.  The counts of both formulas scale by
-    it and the overhead does not, so a complex block is factored from a
-    smaller size than a real one; every Holevo block of the bench ladder
-    (dimension 30 to 102, covers of width 1) is factored."""
+    against 8kmd^2), and the factored one `_CALL_MADDS` more for each of
+    its ten or so extra numpy calls.  `madd` is the cost of one multiply-add
+    in real ones: 1 on a real block, 4 on a complex one.  The counts of
+    both formulas scale by it and the overhead does not, so a complex block
+    is factored from a smaller size than a real one; every Holevo block of
+    the bench ladder (dimension 30 to 102, covers of width 1) is factored."""
     dense = 2 * m * d**3 + m * m * d * d + 4 * m * d * d
-    return madd * (9 * k * m * d * d + 4 * k * k * m * m * d) + 10**6 < madd * dense
+    return madd * (9 * k * m * d * d + 4 * k * k * m * m * d) + 10 * _CALL_MADDS < madd * dense
 
 
 def _greedy_cover(r, i, j, m, d, madd):
@@ -775,7 +935,9 @@ def _block_formulas(problem):
         if H is None:
             stack = np.zeros((len(rows), d, d), dtype=val.dtype)
             stack[r, i, j] = val
-            formulas.append(_DenseRows(rows, stack, np.empty((2,) + stack.shape, stack.dtype)))
+            present = np.zeros((len(rows), d), dtype=bool)
+            present[r, i] = True
+            formulas.append(_DenseRows(rows, stack, _support_groups(stack, present), np.empty_like(stack)))
             continue
         k = H.shape[1]
         slot = np.full((len(rows), d), -1)

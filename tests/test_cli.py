@@ -111,6 +111,10 @@ class TestConfig:
         [
             (["sweep", "--model", "pd", "--grid", "eps=0:0.5:2", "--grid", "eps=0:0.5:2",
               "--bounds", "sld"], "grid axis 'eps' is given more than once"),
+            (["bounds", "--model", "pd", "--bounds", ","], "--bounds names no bound"),
+            (["sweep", "--model", "pd", "--grid", "eps=0:0.5:2", "--bounds", "sld,sld"],
+             "bound 'sld' is given more than once"),
+            (["bounds", "--model", "pd", "--bounds", "nh, holevo ,holevo"], "bound 'holevo' is given more than once"),
             (["solve-sdp", "prog.dat-s", "--max-iter", "-3"], "--max-iter must be >= 1, got -3"),
             (["solve-sdp", "prog.dat-s", "--max-iter", "0"], "--max-iter must be >= 1, got 0"),
         ],

@@ -17,11 +17,11 @@ from qmbounds.sdp_core import (
     SDPAFormatError,
     SDPError,
     _block_formulas,
-    _chol_jittered,
     _DenseRows,
+    _factor_newton,
     _FactoredRows,
+    _newton_layout,
     _nt_factor,
-    _solve_refined,
     check_certificate,
     make_problem,
     read_sdpa,
@@ -193,17 +193,27 @@ class TestSolve:
         assert abs(sol.primal_obj) <= 1e-7
         assert check_certificate(problem, sol).passed
 
-    def test_row_classes_match_one_block(self):
+    # (blocks with a random matrix, blocks with an explicit zero matrix)
+    FEW_ROWS = [
+        ((0,), ()), ((1,), (0,)), ((2,), ()), ((0, 1), (2,)), ((1, 2), ()),
+        ((0, 2), ()), ((0, 1, 2), ()), ((0,), (1, 2)), ((1,), ()),
+        ((2,), (1,)), ((0, 1), ()), ((0, 1, 2), ()),
+    ]
+    # 97 rows, enough for the Newton system to be factored by block: 85
+    # touch one block and 12 link two or all three; interleaved
+    MANY_ROWS = (
+        [((0,), ())] * 28 + [((0,), (1, 2))] * 2 + [((1,), ())] * 40 + [((2,), (1,))] * 15
+        + [((0, 1), ()), ((1, 2), (0,)), ((0, 2), ()), ((0, 1, 2), ())] * 3
+    )
+    MANY_ROWS = list(map(MANY_ROWS.__getitem__, np.random.default_rng(7).permutation(len(MANY_ROWS))))
+
+    @pytest.mark.parametrize(
+        "dims, supports", [((3, 4, 2), FEW_ROWS), ((8, 10, 6), MANY_ROWS)], ids=["12 rows", "97 rows"]
+    )
+    def test_row_classes_match_one_block(self, dims, supports):
         # rows touch one, two or all three blocks; some carry an explicit
         # all-zero matrix in a block they do not constrain
         rng = np.random.default_rng(5)
-        dims = (3, 4, 2)
-        # (blocks with a random matrix, blocks with an explicit zero matrix)
-        supports = [
-            ((0,), ()), ((1,), (0,)), ((2,), ()), ((0, 1), (2,)), ((1, 2), ()),
-            ((0, 2), ()), ((0, 1, 2), ()), ((0,), (1, 2)), ((1,), ()),
-            ((2,), (1,)), ((0, 1), ()), ((0, 1, 2), ()),
-        ]
         cons = []
         for live, zero in supports:
             con = {l: rand_sym(rng, dims[l]) for l in live}
@@ -218,7 +228,13 @@ class TestSolve:
         for l, d in enumerate(dims):
             g = rng.standard_normal((d, d))
             obj[l] = g @ g.T + 0.1 * np.eye(d)
-        blocked = solve(make_problem(dims, obj, as_entries(cons), b))
+        problem = make_problem(dims, obj, as_entries(cons), b)
+        assert problem.num_constraints == len(cons)
+        layout = _newton_layout([f.rows for f in _block_formulas(problem)], len(cons))
+        links = sum(len(support) > 1 for support, _ in supports)
+        tail = layout.spans[-1]
+        assert tail.stop - tail.start == (len(cons) if len(cons) < 96 else links)
+        blocked = solve(problem)
 
         offsets = np.cumsum((0,) + dims)
 
@@ -235,6 +251,52 @@ class TestSolve:
         assert blocked.primal_obj == pytest.approx(merged.primal_obj, rel=1e-7)
 
 
+def whole(mat):
+    """The Newton system of one block whose Schur part is `mat`: one group."""
+    n = len(mat)
+    return _factor_newton(_newton_layout([np.arange(n)], n), [mat])
+
+
+def block_arrow(rng, own, links, cond=1.0):
+    """Block rows and Schur parts of a Newton system in which block l has
+    own[l] rows that touch it alone, and link row k touches the blocks in
+    links[k]; rows are numbered in a shuffled order.  Each part is SPD, of
+    condition number `cond`."""
+    m = sum(own) + len(links)
+    label = np.concatenate([np.repeat(np.arange(len(own)), own), np.full(len(links), -1)])
+    perm = rng.permutation(m)
+    label = label[perm]
+    link_of = {int(r): links[k - sum(own)] for r, k in zip(range(m), perm) if k >= sum(own)}
+    rows = [np.array([r for r in range(m) if label[r] == l or l in link_of.get(r, ())])
+            for l in range(len(own))]
+    parts = []
+    for r in rows:
+        q, _ = np.linalg.qr(rng.standard_normal((len(r), len(r))))
+        parts.append((q * np.logspace(0, -np.log10(cond), len(r))) @ q.T)
+        parts[-1] = 0.5 * (parts[-1] + parts[-1].T)
+    mat = np.zeros((m, m))
+    for r, part in zip(rows, parts):
+        mat[np.ix_(r, r)] += part
+    return rows, parts, mat
+
+
+def full_factor(system):
+    """The lower Cholesky factor that a Newton system holds in pieces, in
+    its layout's order."""
+    n = system.tail.start
+    out = np.zeros((n + len(system.link),) * 2)
+    for at, _, _, li, w in system.groups:
+        out[at, at] = np.linalg.inv(li)
+        out[n:, at] = w
+    out[n:, n:] = np.linalg.inv(system.link_inv)
+    return out
+
+
+# blocks with 30, 25, 40 and 20 rows of their own; link rows that touch
+# two blocks and all four
+ARROW = ((30, 25, 40, 20), [(0, 1), (1, 3), (0, 2), (2, 3), (0, 1, 2, 3), (1, 2), (0, 1, 2, 3)])
+
+
 class TestNewtonSystem:
     # sizes on both sides of the 96 rows below which the inverse of the
     # factor is numpy's, and of the split of 191 rows into 95 and 96
@@ -247,19 +309,21 @@ class TestNewtonSystem:
         mat = (q * np.logspace(0, -np.log10(cond), n)) @ q.T
         mat = 0.5 * (mat + mat.T)
         assert np.linalg.cond(mat) == pytest.approx(cond, rel=0.01)
-        linv = _chol_jittered(mat)
+        system = whole(mat)
+        assert not system.groups and np.array_equal(np.arange(n)[system.order], np.arange(n))
+        linv = system.link_inv
         # the inverse of the unjittered factor, to within n eps cond(L)
         lower = np.linalg.cholesky(mat)
         err = np.linalg.norm(linv @ lower - np.eye(n), 2)
         assert err <= n * np.finfo(float).eps * np.linalg.cond(lower)
         rhs = mat @ rng.standard_normal(n)
-        x = _solve_refined(linv, mat, rhs)
+        x = system.solve(rhs)
         assert np.linalg.norm(mat @ x - rhs) <= 1e-12 * np.linalg.norm(rhs)
 
     def test_singular_psd_matrix_is_jittered(self):
         a = np.array([1.0, 2.0, 3.0])
         mat = np.outer(a, a)  # rank one, exactly singular
-        lower = np.linalg.inv(_chol_jittered(mat))
+        lower = np.linalg.inv(whole(mat).link_inv)
         shift = lower @ lower.T - mat
         # the factor is of mat plus a small multiple of the identity
         assert np.abs(shift - np.diag(np.diag(shift))).max() <= 1e-12
@@ -267,14 +331,61 @@ class TestNewtonSystem:
 
     def test_indefinite_matrix_is_singular(self):
         with pytest.raises(SDPError, match="numerically singular"):
-            _chol_jittered(np.diag([1.0, -1.0]))
+            whole(np.diag([1.0, -1.0]))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_matrix_raises(self, bad):
         mat = np.eye(3)
         mat[1, 2] = mat[2, 1] = bad
         with pytest.raises(SDPError, match="not finite"):
-            _chol_jittered(mat)
+            whole(mat)
+
+    @pytest.mark.parametrize("cond", [1.0, 1e6])
+    def test_block_arrow_system_is_solved_by_groups(self, cond):
+        rng = np.random.default_rng(23)
+        own, links = ARROW
+        rows, parts, mat = block_arrow(rng, own, links, cond)
+        layout = _newton_layout(rows, len(mat))
+        system = _factor_newton(layout, parts)
+        assert [len(a) for _, a, _, _, _ in system.groups] == list(own)
+        assert len(system.link) == len(links)
+        order = layout.order
+        assert np.allclose(full_factor(system) @ full_factor(system).T, mat[np.ix_(order, order)],
+                           rtol=0, atol=1e-12)
+        rhs = mat @ rng.standard_normal(len(mat))
+        x = system.solve(rhs)
+        assert np.linalg.norm(mat @ x - rhs) <= 1e-12 * np.linalg.norm(rhs)
+
+    def test_singular_diagonal_block_is_jittered(self):
+        rng = np.random.default_rng(29)
+        own, links = ARROW
+        rows, parts, mat = block_arrow(rng, own, links)
+        # block 1's part is rank one, so its own rows' diagonal block is singular
+        a = rng.standard_normal(len(rows[1]))
+        parts[1] = np.outer(a, a)
+        mat = np.zeros_like(mat)
+        for r, part in zip(rows, parts):
+            mat[np.ix_(r, r)] += part
+        layout = _newton_layout(rows, len(mat))
+        lower = full_factor(_factor_newton(layout, parts))
+        shift = lower @ lower.T - mat[np.ix_(layout.order, layout.order)]
+        # the factor is of the whole matrix plus a small multiple of the identity
+        scale = np.max(np.diag(mat))
+        assert np.abs(shift - np.diag(np.diag(shift))).max() <= 1e-12 * scale
+        assert 0.0 < np.diag(shift).min() and np.diag(shift).max() <= 1e-6 * scale
+        assert np.ptp(np.diag(shift)) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("where", ["group", "link"])
+    def test_non_finite_grouped_system_raises(self, bad, where):
+        own, links = ARROW
+        rows, parts, _ = block_arrow(np.random.default_rng(31), own, links)
+        layout = _newton_layout(rows, sum(own) + len(links))
+        _, (shared, _), ((own, _), _, _) = layout.places[2]
+        k = (shared if where == "link" else own)[0, 0]
+        parts[2][k, k] = bad
+        with pytest.raises(SDPError, match="not finite"):
+            _factor_newton(layout, parts)
 
 
 def dense_rows(problem, l):
@@ -302,14 +413,14 @@ def rand_herm(rng, d, dtype):
     return 0.5 * (a + a.conj().T)
 
 
-def check_against_einsum(problem, formula):
-    """A block formula's Schur part, directions and row maps against einsum
+def check_against_einsum(problem, formula, l=0):
+    """Block l's formula's Schur part, directions and row maps against einsum
     over the dense rows, at a generic NT scaling of random positive definite
     Y and Z of the problem's dtype."""
-    rows, A = dense_rows(problem, 0)
+    rows, A = dense_rows(problem, l)
     assert np.array_equal(formula.rows, rows)
     rng = np.random.default_rng(11)
-    d = problem.block_dims[0]
+    d = problem.block_dims[l]
     dtype = problem.store.val.dtype
     Y, Z = (g @ g.conj().T + np.eye(d) for g in (rand_herm(rng, d, dtype) for _ in range(2)))
     G = _nt_factor(Y, Z)[0]
@@ -331,6 +442,25 @@ def check_against_einsum(problem, formula):
     assert rel(adjoint(v), ref_dz) <= 1e-12
     assert rel(formula.values(Y), np.einsum("iab,ba->i", A, Y)) <= 1e-12
     assert rel(formula.combination(v), np.tensordot(v, A, axes=1)) <= 1e-12
+
+
+def check_supports(formula):
+    """A dense formula's support groups: they partition its rows, and each
+    row is zero outside the rows of its support, which is no wider than it
+    need be."""
+    m, d = formula.stack.shape[:2]
+    pos = np.concatenate([np.arange(m)[p] for p, _, _ in formula.supports])
+    assert np.array_equal(np.sort(pos), np.arange(m))
+    for p, sup, rows in formula.supports:
+        if sup is None:
+            assert np.array_equal(rows, formula.stack[p])
+            continue
+        assert np.array_equal(rows, formula.stack[p[:, None], sup])
+        outside = np.ones((len(p), d), dtype=bool)
+        outside[np.arange(len(p))[:, None], sup] = False
+        assert not np.any(formula.stack[p][outside])
+        held = np.any(rows != 0, axis=2).sum(axis=1)
+        assert sup.shape[1] < d and np.all(held > sup.shape[1] // 2) or sup.shape[1] == 2
 
 
 def hermitian_programs():
@@ -360,6 +490,40 @@ class TestSchurFormulas:
         assert isinstance(formula, _DenseRows)
         check_against_einsum(problem, formula)
 
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_congruences_on_row_supports_match_reference(self, dtype, monkeypatch):
+        # in a 12-dim block, rows whose supports hold 1 to 12 rows of it;
+        # every narrow group is taken, however small its saving
+        monkeypatch.setattr(sdp_core, "_factored_pays", lambda m, d, k, madd: False)
+        monkeypatch.setattr(sdp_core, "_CALL_MADDS", 0)
+        rng = np.random.default_rng(13)
+        d = 12
+        cons = []
+        for s in [1, 2, 3, 5, 7, 12, 1, 4, 6, 9, 11, 2, 8]:
+            R = np.sort(rng.choice(d, size=s, replace=False))
+            mat = np.zeros((d, d), dtype=dtype)
+            mat[np.ix_(R, R)] = rand_herm(rng, s, dtype) + np.eye(s)
+            cons.append({0: mat})
+        problem = make_problem([d], {0: np.eye(d)}, as_entries(cons), np.ones(len(cons)))
+        (formula,) = _block_formulas(problem)
+        assert isinstance(formula, _DenseRows)
+        check_supports(formula)
+        # widths 2, 4 and 8, and the full 12 for supports of 9 rows or more
+        assert [(len(pos), None if sup is None else sup.shape[1]) for pos, sup, _ in formula.supports] == [
+            (4, 2), (2, 4), (4, 8), (3, None)]
+        check_against_einsum(problem, formula)
+
+    @pytest.mark.parametrize("name", ["hb N=4", "random d=4"])
+    def test_nh_congruences_on_row_supports_match_reference(self, name, monkeypatch):
+        monkeypatch.setattr(sdp_core, "_CALL_MADDS", 0)
+        model = {"hb N=4": interferometer_model(holland_burnett_probe(4), 0.6),
+                 "random d=4": random_model(3, 4, 2)}[name]
+        problem = build_nh_sdp(model)[0]
+        for l, formula in enumerate(_block_formulas(problem)):
+            check_supports(formula)
+            assert any(sup is not None for _, sup, _ in formula.supports)
+            check_against_einsum(problem, formula, l)
+
     def test_nh_and_small_blocks_keep_dense_formula(self):
         programs = [
             build_nh_sdp(interferometer_model(holland_burnett_probe(4), 0.6))[0],
@@ -375,6 +539,12 @@ class TestSchurFormulas:
                 rows, A = dense_rows(problem, l)
                 assert np.array_equal(formula.rows, rows)
                 assert np.array_equal(formula.stack, A)
+                if formula.stack.shape[1] <= 16:
+                    # too small for a narrow support group to pay: the
+                    # whole stack, at full width
+                    ((pos, sup, whole),) = formula.supports
+                    assert pos == slice(None) and sup is None
+                    assert whole.shape == formula.stack.shape and np.shares_memory(whole, formula.stack)
 
     def test_mixed_cover_widths_solve_as_dense(self, monkeypatch):
         # rows of cover width 1 to 3 in a 40-dim block beside a dense 3-dim
