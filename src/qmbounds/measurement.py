@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import hermitize
-from .model import StatisticalModel, decode_matrix, encode_matrix
+from .model import StatisticalModel, decode_matrix, encode_matrix, is_number
 
 
 # validate_povm passes an outcome whose lowest eigenvalue is at least
@@ -450,7 +450,7 @@ def estimator_from_dict(data) -> Estimator:
             raise MeasurementFormatError(
                 f"field 'xi': row {j} must have {len(ops)} entries"
             )
-        if not all(isinstance(v, (int, float)) for v in row):
+        if not all(is_number(v) for v in row):
             raise MeasurementFormatError(
                 f"field 'xi': row {j} must contain numbers"
             )

@@ -391,6 +391,12 @@ def model_to_dict(model: StatisticalModel) -> dict:
     }
 
 
+def is_number(v) -> bool:
+    """Whether a decoded JSON value is a number: not `true` or `false`,
+    though Python's bool is an int."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
 def decode_matrix(obj, dim, field: str, error: type[Exception]) -> np.ndarray:
     """Inverse of encode_matrix for a dim x dim matrix; raises `error`
     naming `field` on a malformed payload."""
@@ -404,7 +410,7 @@ def decode_matrix(obj, dim, field: str, error: type[Exception]) -> np.ndarray:
             if (
                 not isinstance(entry, list)
                 or len(entry) != 2
-                or not all(isinstance(v, (int, float)) for v in entry)
+                or not all(is_number(v) for v in entry)
             ):
                 raise error(f"field '{field}': entry ({i}, {j}) must be a [re, im] pair")
             out[i, j] = complex(entry[0], entry[1])
@@ -435,7 +441,7 @@ def model_from_dict(data) -> StatisticalModel:
         for j, dm in enumerate(data["derivs"])
     )
     theta = data["theta"]
-    if not isinstance(theta, list) or not all(isinstance(t, (int, float)) for t in theta):
+    if not isinstance(theta, list) or not all(is_number(t) for t in theta):
         raise ModelFormatError("field 'theta': expected a list of numbers")
     labels = data["labels"]
     if not isinstance(labels, list) or not all(isinstance(s, str) for s in labels):

@@ -21,13 +21,13 @@ picked by cost: from the congruences G^H A_i G, each formed on the rows
 where A_i is nonzero, or from factors that a small cover of each row gives
 (see `solve`).
 
-All dense linear algebra goes through numpy's LAPACK.  The Newton system
-is factored by LMI block: the rows that touch one block alone are factored
-with that block, and the rows that link blocks last.  It is solved with the
-inverses of its Cholesky factors, formed by 2 x 2 blocks in matrix
-products.  Row dedupe keeps every row when a Cholesky factor of
-the rows' scaled Gram matrix proves them independent, and otherwise
-decides by numpy's QR.  No second BLAS library is loaded, so the process
+All dense linear algebra goes through numpy's LAPACK.  The Newton matrix
+is formed in block-arrow order and factored by LMI block: the rows that
+touch one block alone are factored with that block, and the rows that link
+blocks last.  It is solved with the inverses of its Cholesky factors,
+formed by 2 x 2 blocks in matrix products.  Row dedupe keeps every row
+when a Cholesky factor of the rows' scaled Gram matrix proves them
+independent, and otherwise decides by numpy's QR.  No second BLAS library is loaded, so the process
 has one BLAS thread pool, not two that compete for the same cores.
 """
 from __future__ import annotations
@@ -124,17 +124,6 @@ class CertificateReport:
     passed: bool = False
 
 
-def _conj(a: np.ndarray) -> np.ndarray:
-    """The complex conjugate of `a`, or a real `a` itself: a real program
-    runs exactly the operations, and the BLAS calls, it always ran."""
-    return a.conj() if a.dtype.kind == "c" else a
-
-
-def _adj(a: np.ndarray) -> np.ndarray:
-    """The conjugate transpose of a 2-d `a`; the transpose of a real one."""
-    return a.conj().T if a.dtype.kind == "c" else a.T
-
-
 def _bincount(index, weights, size) -> np.ndarray:
     """`np.bincount` of real or complex weights."""
     if weights.dtype.kind == "c":
@@ -149,9 +138,9 @@ def _as_sym(mat: np.ndarray, dim: int, what: str, dtype) -> np.ndarray:
     if not np.all(np.isfinite(m)):
         raise SDPError(f"{what}: matrix has non-finite entries")
     scale = max(1.0, float(np.max(np.abs(m)))) if m.size else 1.0
-    if np.max(np.abs(m - _adj(m))) > 1e-10 * scale:
+    if np.max(np.abs(m - m.conj().T)) > 1e-10 * scale:
         raise SDPError(f"{what}: matrix is not {'Hermitian' if np.iscomplexobj(m) else 'symmetric'}")
-    return 0.5 * (m + _adj(m))
+    return 0.5 * (m + m.conj().T)
 
 
 def make_problem(
@@ -185,6 +174,8 @@ def make_problem(
     dims = tuple(int(d) for d in block_dims)
     if any(d <= 0 for d in dims):
         raise SDPError(f"block dims must be positive, got {dims}")
+    if not math.isfinite(scale):
+        raise SDPError(f"scale must be finite, got {scale!r}")
     for l in objective:
         if not 0 <= int(l) < len(dims):
             raise SDPError(f"objective references unknown block {l}")
@@ -422,79 +413,46 @@ def _certified_independent(store: ConstraintStore, m: int, dims) -> bool:
 _SPLIT_ROWS = 96
 
 
-class _NewtonLayout(NamedTuple):
-    """The Newton system's rows by the LMI blocks they touch.  Each block
-    with rows that touch it alone has a group of them; the rows that touch
-    several blocks are the link rows.  A system of fewer than `_SPLIT_ROWS`
-    rows, or of one block, has no block groups: all its rows are link rows,
-    in their own order."""
-
-    order: np.ndarray | slice  # the rows group by group, link rows last; all, if no groups
-    spans: list  # the slices of `order` that hold each group, then the link rows
-    # per block, indices into S and into its Schur part: where the part's
-    # link-row square goes and where it lies, then, if the block has a
-    # group, where D_g lies, and where E_g goes and lies
-    places: list
-
-
-def _newton_layout(block_rows, m: int) -> _NewtonLayout:
-    """The layout of an m-row system whose block l has the rows `block_rows[l]`."""
-    if m < _SPLIT_ROWS or len(block_rows) == 1:  # no groups: each part is added whole
-        places = [(np.ix_(rows, rows), ..., None) for rows in block_rows]
-        return _NewtonLayout(slice(None), [slice(0, m)], places)
-    touched = np.zeros(m, dtype=int)
-    for rows in block_rows:
-        touched[rows] += 1
-    alone = touched == 1
-    link = np.flatnonzero(~alone)
-    groups, places = [], []
-    for rows in block_rows:
-        own, shared = np.flatnonzero(alone[rows]), np.flatnonzero(~alone[rows])
-        at = np.searchsorted(link, rows[shared])
-        if len(own):
-            groups.append(rows[own])
-            group = (np.ix_(own, own), at, np.ix_(shared, own))
-            places.append((np.ix_(at, at), np.ix_(shared, shared), group))
-        else:  # all its rows are link rows, in order: its part is added whole
-            places.append((np.ix_(at, at), ..., None))
+def _arrow_order(block_rows, m: int):
+    """The rows of an m-row Newton system whose block l has the rows
+    `block_rows[l]`, in block-arrow order, and the slice of that order that
+    holds each group.  Each block with rows that touch it alone has a group
+    of them, ascending, in block order; the rows that touch several blocks,
+    the link rows, come last, ascending.  A system of fewer than
+    `_SPLIT_ROWS` rows, or of one block, keeps its own order and has no
+    groups: all its rows are link rows."""
+    if m < _SPLIT_ROWS or len(block_rows) == 1:
+        return np.arange(m), []
+    touched = np.bincount(np.concatenate(block_rows), minlength=m)
+    groups = [g for g in (rows[touched[rows] == 1] for rows in block_rows) if len(g)]
     ends = np.cumsum([0] + [len(g) for g in groups]).tolist()
-    spans = [slice(a, b) for a, b in zip(ends, ends[1:])] + [slice(ends[-1], m)]
-    return _NewtonLayout(np.concatenate(groups + [link]), spans, places)
+    spans = [slice(a, b) for a, b in zip(ends, ends[1:])]
+    return np.concatenate(groups + [np.flatnonzero(touched != 1)]), spans
 
 
 class _Newton(NamedTuple):
-    """The Newton system M dy = h in its layout's order, M = [[D, E^T],
-    [E, S]]: D is block diagonal, with one block D_g per group, E holds the
-    link rows' entries in the groups' columns, E_g by group, and S is the
-    link rows' own square.  Its lower Cholesky factor is [[L_D, 0], [W,
-    L_S]], with W_g = E_g L_g^-T and L_S L_S^T = S - sum_g W_g W_g^T.  With
-    no groups, S is all of M."""
+    """The Newton system M dy = h, with M in block-arrow order,
+    M = [[D, E^T], [E, S]]: D is block diagonal, with one block D_g per
+    group, E holds the link rows' entries in the groups' columns, E_g by
+    group, and S is the link rows' own square.  Its lower Cholesky factor
+    is [[L_D, 0], [W, L_S]], with W_g = E_g L_g^-T and
+    L_S L_S^T = S - sum_g W_g W_g^T.  With no groups, S is all of M."""
 
-    order: np.ndarray | slice
-    groups: list  # per group: its slice of `order`, D_g, E_g, L_g^-1 and W_g
-    tail: slice  # the link rows' slice of `order`
-    link: np.ndarray  # S
+    order: np.ndarray  # the system's rows in block-arrow order
+    matrix: np.ndarray  # M
+    groups: list  # per group: its slice of `order`, L_g^-1 and W_g
     link_inv: np.ndarray  # L_S^-1
 
     def _inverse(self, r):
         """(L L^T)^-1 r, by forward and back substitution over the groups."""
-        rk, z = r[self.tail], []
-        for at, _, _, li, w in self.groups:
+        rk, z = r[len(r) - len(self.link_inv):], []
+        for at, li, w in self.groups:
             z.append(li @ r[at])
             rk = rk - w @ z[-1]
         xk = self.link_inv.T @ (self.link_inv @ rk)
         if not z:
             return xk
-        return np.concatenate([li.T @ (zi - w.T @ xk) for (_, _, _, li, w), zi in zip(self.groups, z)] + [xk])
-
-    def _times(self, x):
-        xk = x[self.tail]
-        out = self.link @ xk
-        if not self.groups:
-            return out
-        for at, _, e, _, _ in self.groups:
-            out = out + e @ x[at]
-        return np.concatenate([a @ x[at] + e.T @ xk for at, a, e, _, _ in self.groups] + [out])
+        return np.concatenate([li.T @ (zi - w.T @ xk) for (_, li, w), zi in zip(self.groups, z)] + [xk])
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve M x = rhs with the factor, then take two steps of iterative
@@ -503,52 +461,41 @@ class _Newton(NamedTuple):
         r = rhs[self.order]
         x = self._inverse(r)
         for _ in range(2):
-            x = x + self._inverse(r - self._times(x))
+            x = x + self._inverse(r - self.matrix @ x)
         out = np.empty_like(x)
         out[self.order] = x
         return out
 
 
-def _factor_newton(layout: _NewtonLayout, parts) -> _Newton:
-    """The Newton system whose block l adds `parts[l]` on that block's rows,
-    factored by its layout's groups.
+def _factor_newton(M: np.ndarray, order: np.ndarray, spans) -> _Newton:
+    """The Newton system M, in the block-arrow order `order` of
+    `_arrow_order`, factored by the groups that `spans` hold.  D_g, E_g and
+    S are slices of M.
 
     numpy has no triangular solve, so each Cholesky factor is inverted once
-    per iteration, by `_tril_inv`, and applied by matrix products.  When the
-    matrix is not numerically positive definite, a growing multiple of its
-    largest diagonal entry is added to every diagonal block and to S before
-    factoring again; the factor is then that of M plus the same multiple of
-    the identity.
+    per iteration, by `_tril_inv`, and applied by matrix products.  When M
+    is not numerically positive definite, a growing multiple of its largest
+    diagonal entry is added to every D_g and to S before factoring again;
+    the factor is then that of M plus the same multiple of the identity.
     """
-    tail = layout.spans[-1]
-    k = tail.stop - tail.start
-    link = np.zeros((k, k))
-    diag, edges = [], []
-    for (to, take, group), part in zip(layout.places, parts):
-        link[to] += part[take]
-        if group:
-            own, at, edge = group
-            diag.append(part[own])
-            edges.append(np.zeros((k, len(diag[-1]))))
-            edges[-1][at] = part[edge]
-    if not all(np.all(np.isfinite(a)) for a in (*diag, *edges, link)):
+    if not np.all(np.isfinite(M)):
         raise SDPError(
             "Newton system is not finite: the Schur complement has NaN or inf entries"
         )
-    scale = max([1.0] + [float(np.max(np.abs(np.diag(a)))) for a in (*diag, link) if len(a)])
+    k = spans[-1].stop if spans else 0
+    scale = max(1.0, float(np.max(np.abs(np.diag(M))))) if len(M) else 1.0
     for jit in (0.0, 1e-14, 1e-12, 1e-10, 1e-8, 1e-6):
         shift = jit * scale
         try:
-            inv = [_tril_inv(np.linalg.cholesky(a + shift * np.eye(len(a)))) for a in diag]
-            cross = [e @ li.T for e, li in zip(edges, inv)]
-            comp = link + shift * np.eye(k)
+            inv = [_tril_inv(np.linalg.cholesky(M[s, s] + shift * np.eye(s.stop - s.start))) for s in spans]
+            cross = [M[k:, s] @ li.T for s, li in zip(spans, inv)]
+            comp = M[k:, k:] + shift * np.eye(len(M) - k)
             for w in cross:
                 comp -= w @ w.T
             link_inv = _tril_inv(np.linalg.cholesky(comp))
         except np.linalg.LinAlgError:
             continue
-        groups = list(zip(layout.spans[:-1], diag, edges, inv, cross))
-        return _Newton(layout.order, groups, tail, link, link_inv)
+        return _Newton(order, M, list(zip(spans, inv, cross)), link_inv)
     raise SDPError("Newton system factorization failed: Schur complement is numerically singular")
 
 
@@ -573,7 +520,7 @@ def _max_neg_curvature(sig: np.ndarray, delta: np.ndarray) -> float:
     # largest t with  diag(sig) + t*delta >= 0  is 1/max(0, -lambda_min) of
     # the sig^{-1/2}-scaled direction
     scaled = delta / np.sqrt(np.outer(sig, sig))
-    w = np.linalg.eigvalsh(0.5 * (scaled + _adj(scaled)))
+    w = np.linalg.eigvalsh(0.5 * (scaled + scaled.conj().T))
     return float(-w[0])
 
 
@@ -617,22 +564,27 @@ def solve(
     directions' products and a fixed overhead) is the smaller.  Its factors
     give each direction's right-hand side and dZ, with no m x d^2 stack.
 
-    The Newton system, the sum of the blocks' Schur parts, is factored by
-    LMI block (`_NewtonLayout`): the rows that touch one block alone form
-    that block's group, whose diagonal block is factored on its own, and
-    the few rows that touch several blocks are eliminated last, as in
-    block-arrow Cholesky, and the m x m matrix is not formed.  A system of
-    fewer than `_SPLIT_ROWS` rows, or of one block, has no groups, and its
-    factor is one Cholesky factor of the whole matrix, as a block-arrow
-    system whose link rows are all the rows.  On the NH program of `hb`
-    N=10, 539 of 545 rows touch one of its 11 blocks.
+    The Newton matrix, the sum of the blocks' Schur parts, is formed once
+    per iteration with its rows in block-arrow order (`_arrow_order`): the
+    rows that touch one block alone form that block's group, whose diagonal
+    block is factored on its own, and the few rows that touch several
+    blocks come last and are eliminated last, as in the correlative-sparsity
+    elimination of Kobayashi, Kim and Kojima (Appl. Math. Optim. 58, 2008).
+    A system of fewer than `_SPLIT_ROWS` rows, or of one block, keeps its
+    order and has no groups, and its factor is one Cholesky factor of the
+    whole matrix, as a block-arrow system whose link rows are all the rows.
+    On the NH program of `hb` N=10, 539 of 545 rows touch one of its 11
+    blocks.
 
     Deterministic: fixed reduction orders, no randomization.  Builder
     hints on the problem are used as starting points when present.
-    `max_iter` = 0 only evaluates the starting point; a negative one raises.
+    `max_iter` = 0 only evaluates the starting point; a negative one raises,
+    as does a `tol` that is not finite and positive.
     """
     if max_iter < 0:
         raise SDPError(f"max_iter must be >= 0, got {max_iter}")
+    if not (math.isfinite(tol) and tol > 0):
+        raise SDPError(f"tol must be finite and positive, got {tol!r}")
     dims = problem.block_dims
     nb = len(dims)
     m = problem.num_constraints
@@ -640,7 +592,9 @@ def solve(
     b = problem.b
 
     formulas = _block_formulas(problem)
-    layout = _newton_layout([f.rows for f in formulas], m)
+    order, spans = _arrow_order([f.rows for f in formulas], m)
+    at = np.argsort(order)  # each row's place in that order
+    places = [np.ix_(at[f.rows], at[f.rows]) for f in formulas]
     dtype = problem.store.val.dtype
     C = [problem.objective.get(l, np.zeros((d, d), dtype)) for l, d in enumerate(dims)]
     c_scale = 1.0 + max((float(np.max(np.abs(cb))) for cb in C), default=0.0)
@@ -690,8 +644,11 @@ def solve(
 
         Gs, Gis, sigmas = zip(*(_nt_factor(Y[l], Z[l]) for l in range(nb)))
         scaled = [(f.rows, *f.scaled(G)) for f, G in zip(formulas, Gs)]
-        Rdbar = [_adj(Gs[l]) @ Rd[l] @ Gs[l] for l in range(nb)]
-        newton = _factor_newton(layout, [part for _, part, _, _ in scaled])
+        Rdbar = [Gs[l].conj().T @ Rd[l] @ Gs[l] for l in range(nb)]
+        M = np.zeros((m, m))
+        for place, (_, part, _, _) in zip(places, scaled):
+            M[place] += part
+        newton = _factor_newton(M, order, spans)
 
         def directions(T):
             h = rp.copy()
@@ -699,7 +656,7 @@ def solve(
                 h[rows] -= apply(T[l] - Rdbar[l])
             dy = newton.solve(h)
             dZb = [Rdbar[l] - adjoint(dy[rows]) for l, (rows, _, _, adjoint) in enumerate(scaled)]
-            dZb = [0.5 * (dz + _adj(dz)) for dz in dZb]
+            dZb = [0.5 * (dz + dz.conj().T) for dz in dZb]
             return dy, [T[l] - dz for l, dz in enumerate(dZb)], dZb
 
         T_aff = [-np.diag(sig) for sig in sigmas]
@@ -722,10 +679,10 @@ def solve(
         ad = _step_length(sigmas, dZb)
 
         for l in range(nb):
-            dY = Gs[l] @ dYb[l] @ _adj(Gs[l])
-            dZ = _adj(Gis[l]) @ dZb[l] @ Gis[l]
-            Y[l] = 0.5 * ((Y[l] + ap * dY) + _adj(Y[l] + ap * dY))
-            Z[l] = 0.5 * ((Z[l] + ad * dZ) + _adj(Z[l] + ad * dZ))
+            dY = Gs[l] @ dYb[l] @ Gs[l].conj().T
+            dZ = Gis[l].conj().T @ dZb[l] @ Gis[l]
+            Y[l] = 0.5 * ((Y[l] + ap * dY) + (Y[l] + ap * dY).conj().T)
+            Z[l] = 0.5 * ((Z[l] + ad * dZ) + (Z[l] + ad * dZ).conj().T)
         y = y + ad * dy
 
         if max(ap, ad) < _STALL_STEP:
@@ -773,7 +730,7 @@ def _initial_dual(problem, formulas, C):
     Z = []
     for l, (d, f) in enumerate(zip(problem.block_dims, formulas)):
         zb = C[l] - f.combination(y[f.rows])
-        zb = 0.5 * (zb + _adj(zb))
+        zb = 0.5 * (zb + zb.conj().T)
         w = np.linalg.eigvalsh(zb)
         floor = 1e-6 * max(1.0, float(np.max(np.abs(zb))), float(w[-1]) if d else 1.0)
         if problem.dual_hint is None:
@@ -794,7 +751,7 @@ class _DenseRows(NamedTuple):
     work: np.ndarray  # a stack reused by every iteration, not allocated anew
 
     def values(self, Y):
-        return (self.stack.reshape(len(self.rows), Y.size) @ _conj(Y).ravel()).real
+        return (self.stack.reshape(len(self.rows), Y.size) @ Y.conj().ravel()).real
 
     def combination(self, v):
         d = self.stack.shape[1]
@@ -805,7 +762,7 @@ class _DenseRows(NamedTuple):
         v -> sum_i v_i G^H A_i G.  Each congruence is formed on its row's
         support R alone, as G^H[:, R] (A_i[R, :] G): the terms left out are
         products with exact zeros.  A full-support row keeps full width."""
-        Gh, Gc = _adj(G), _conj(G)
+        Gh, Gc = G.conj().T, G.conj()
         for pos, sup, rows in self.supports:
             gh = Gh if sup is None else np.swapaxes(Gc[sup], 1, 2)
             if isinstance(pos, slice):  # all the rows: no copy
@@ -814,7 +771,7 @@ class _DenseRows(NamedTuple):
                 self.work[pos] = gh @ (rows @ G)
         abar = self.work.reshape(len(self.rows), G.size)
         parts = abar.view(float)  # Re Tr(Abar_i Abar_j) as a real inner product
-        return (parts @ parts.T, lambda X: (abar @ _conj(X).ravel()).real,
+        return (parts @ parts.T, lambda X: (abar @ X.conj().ravel()).real,
                 lambda v: (abar.T @ v).reshape(G.shape))
 
 
@@ -870,17 +827,17 @@ class _FactoredRows(NamedTuple):
     def scaled(self, G):
         """As `_DenseRows.scaled`, from F_i = G^H U_i and F_i S_i."""
         (m, k), d = self.cover.shape, len(G)
-        Gc = _conj(G)
+        Gc = G.conj()
         GE = Gc[self.cover].transpose(2, 0, 1)
         GB = (Gc.T @ self.cols.reshape(d, 2 * m * k)).reshape(d, m, 2 * k)
         F = np.concatenate([GE, GB[:, :, k:]], axis=2).reshape(d, 2 * m * k)
         FS = np.concatenate([GB[:, :, :k], GE], axis=2).reshape(d, 2 * m * k)
-        P = _adj(F) @ FS  # block (i, j) is Q_ij S_j
+        P = F.conj().T @ FS  # block (i, j) is Q_ij S_j
         # block sums by products with ones, which numpy does faster than sum
         ones = np.ones(2 * k)
         schur = (ones @ ((P * P.T).reshape(m, 2 * k, m, 2 * k) @ ones)).real
-        return (schur, lambda X: ((np.ones(d) @ ((X @ F) * _conj(FS))).reshape(m, 2 * k) @ ones).real,
-                lambda v: (FS * np.repeat(v, 2 * k)) @ _adj(F))
+        return (schur, lambda X: ((np.ones(d) @ ((X @ F) * FS.conj())).reshape(m, 2 * k) @ ones).real,
+                lambda v: (FS * np.repeat(v, 2 * k)) @ F.conj().T)
 
 
 # multiply-adds that take about as long as the overhead of one numpy call
@@ -954,17 +911,17 @@ def _block_formulas(problem):
 def _nt_factor(Yb: np.ndarray, Zb: np.ndarray):
     """G, G^-1 and the NT scaled point's eigenvalues: G^H Z G = G^-1 Y G^-H
     = diag(sig)."""
-    wy, Uy = np.linalg.eigh(0.5 * (Yb + _adj(Yb)))
-    wz, Uz = np.linalg.eigh(0.5 * (Zb + _adj(Zb)))
+    wy, Uy = np.linalg.eigh(0.5 * (Yb + Yb.conj().T))
+    wz, Uz = np.linalg.eigh(0.5 * (Zb + Zb.conj().T))
     fy = np.maximum(wy, 1e-14 * max(1.0, float(wy[-1])))
     fz = np.maximum(wz, 1e-14 * max(1.0, float(wz[-1])))
     L = Uy * np.sqrt(fy)
-    Linv = _adj(Uy / np.sqrt(fy))
+    Linv = (Uy / np.sqrt(fy)).conj().T
     R = Uz * np.sqrt(fz)
-    Us, sig, VsT = np.linalg.svd(_adj(R) @ L)
-    Vs = _adj(VsT)
+    Us, sig, VsT = np.linalg.svd(R.conj().T @ L)
+    Vs = VsT.conj().T
     G = L @ (Vs / np.sqrt(sig))
-    Gi = _adj(Vs * np.sqrt(sig)) @ Linv
+    Gi = (Vs * np.sqrt(sig)).conj().T @ Linv
     return G, Gi, sig
 
 

@@ -225,6 +225,16 @@ class TestBoundsCommand:
         assert out == ""
         assert message in err and "Traceback" not in err
 
+    def test_boolean_theta_exits_two(self, capsys, tmp_path):
+        data = model_to_dict(phase_damping_model(0.5, params="xy"))
+        data["theta"] = [True, False]
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run(capsys, ["bounds", "--model-json", str(path)])
+        assert code == 2
+        assert out == ""
+        assert "field 'theta': expected a list of numbers" in err and "Traceback" not in err
+
     def test_non_finite_amplitude_exits_two(self, capsys):
         code, out, err = run(
             capsys, ["bounds", "--model", "ifo", "--amps", "nan,1", "--eta", "0.5"]

@@ -333,6 +333,13 @@ class TestJsonRoundTrip:
         with pytest.raises(MeasurementFormatError, match="'xi'"):
             estimator_from_dict(data)
 
+    @pytest.mark.parametrize("value", [True, False])
+    def test_boolean_xi_entry_cited(self, value):
+        data = estimator_to_dict(phase_damping_povm(0.3, 0.5, 0.5))
+        data["xi"][0][1] = value
+        with pytest.raises(MeasurementFormatError, match="field 'xi': row 0 must contain numbers"):
+            estimator_from_dict(data)
+
     def test_bad_entry_cited(self):
         est = phase_damping_povm(0.3, 0.5, 0.5)
         data = estimator_to_dict(est)

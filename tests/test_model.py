@@ -297,6 +297,19 @@ class TestJsonSchema:
         with pytest.raises(ModelFormatError, match="state"):
             model_from_dict(data)
 
+    @pytest.mark.parametrize("field", ["theta", "state", "derivs"])
+    def test_boolean_number_named(self, field):
+        # JSON true and false decode to bool, which Python counts as an int
+        data = model_to_dict(phase_damping_model(0.1, "xy"))
+        if field == "theta":
+            data["theta"] = [True, False]
+            message = "field 'theta': expected a list of numbers"
+        else:
+            (data["state"] if field == "state" else data["derivs"][0])[0][1] = [0.0, False]
+            message = r"entry \(0, 1\) must be a \[re, im\] pair"
+        with pytest.raises(ModelFormatError, match=message):
+            model_from_dict(data)
+
     def test_invariant_violation_reported(self):
         data = model_to_dict(phase_damping_model(0.1, "x"))
         data["state"][0][0] = [0.5, 0.0]

@@ -16,11 +16,11 @@ from qmbounds.model import (
 from qmbounds.sdp_core import (
     SDPAFormatError,
     SDPError,
+    _arrow_order,
     _block_formulas,
     _DenseRows,
     _factor_newton,
     _FactoredRows,
-    _newton_layout,
     _nt_factor,
     check_certificate,
     make_problem,
@@ -186,6 +186,11 @@ class TestSolve:
         with pytest.raises(SDPError, match="max_iter must be >= 0, got -1"):
             solve(toy_problem(), max_iter=-1)
 
+    @pytest.mark.parametrize("tol", [0.0, -1.0, np.nan, np.inf])
+    def test_tolerance_not_finite_and_positive_raises(self, tol):
+        with pytest.raises(SDPError, match="tol must be finite and positive"):
+            solve(toy_problem(), tol=tol)
+
     def test_without_rows(self):
         problem = make_problem([2], {0: np.eye(2)}, as_entries([]), [])
         sol = solve(problem)
@@ -230,10 +235,9 @@ class TestSolve:
             obj[l] = g @ g.T + 0.1 * np.eye(d)
         problem = make_problem(dims, obj, as_entries(cons), b)
         assert problem.num_constraints == len(cons)
-        layout = _newton_layout([f.rows for f in _block_formulas(problem)], len(cons))
+        _, spans = _arrow_order([f.rows for f in _block_formulas(problem)], len(cons))
         links = sum(len(support) > 1 for support, _ in supports)
-        tail = layout.spans[-1]
-        assert tail.stop - tail.start == (len(cons) if len(cons) < 96 else links)
+        assert len(cons) - (spans[-1].stop if spans else 0) == (len(cons) if len(cons) < 96 else links)
         blocked = solve(problem)
 
         offsets = np.cumsum((0,) + dims)
@@ -252,9 +256,16 @@ class TestSolve:
 
 
 def whole(mat):
-    """The Newton system of one block whose Schur part is `mat`: one group."""
+    """The Newton system of one block whose Schur part is `mat`: no groups."""
     n = len(mat)
-    return _factor_newton(_newton_layout([np.arange(n)], n), [mat])
+    return _factor_newton(mat, *_arrow_order([np.arange(n)], n))
+
+
+def arrow(rows, mat):
+    """The Newton system of blocks with rows `rows` whose matrix is `mat`,
+    in the rows' own order, factored in block-arrow order."""
+    order, spans = _arrow_order(rows, len(mat))
+    return _factor_newton(mat[np.ix_(order, order)], order, spans)
 
 
 def block_arrow(rng, own, links, cond=1.0):
@@ -282,10 +293,10 @@ def block_arrow(rng, own, links, cond=1.0):
 
 def full_factor(system):
     """The lower Cholesky factor that a Newton system holds in pieces, in
-    its layout's order."""
-    n = system.tail.start
-    out = np.zeros((n + len(system.link),) * 2)
-    for at, _, _, li, w in system.groups:
+    its block-arrow order."""
+    n = len(system.order) - len(system.link_inv)
+    out = np.zeros((len(system.order),) * 2)
+    for at, li, w in system.groups:
         out[at, at] = np.linalg.inv(li)
         out[n:, at] = w
     out[n:, n:] = np.linalg.inv(system.link_inv)
@@ -295,6 +306,8 @@ def full_factor(system):
 # blocks with 30, 25, 40 and 20 rows of their own; link rows that touch
 # two blocks and all four
 ARROW = ((30, 25, 40, 20), [(0, 1), (1, 3), (0, 2), (2, 3), (0, 1, 2, 3), (1, 2), (0, 1, 2, 3)])
+# block 1 has no rows of its own: all its rows are link rows
+NO_OWN = ((30, 0, 40, 26), [(0, 1), (1, 2), (1, 3), (0, 2, 3), (1, 2), (0, 1, 2, 3)])
 
 
 class TestNewtonSystem:
@@ -310,7 +323,7 @@ class TestNewtonSystem:
         mat = 0.5 * (mat + mat.T)
         assert np.linalg.cond(mat) == pytest.approx(cond, rel=0.01)
         system = whole(mat)
-        assert not system.groups and np.array_equal(np.arange(n)[system.order], np.arange(n))
+        assert not system.groups and np.array_equal(system.order, np.arange(n))
         linv = system.link_inv
         # the inverse of the unjittered factor, to within n eps cond(L)
         lower = np.linalg.cholesky(mat)
@@ -340,16 +353,42 @@ class TestNewtonSystem:
         with pytest.raises(SDPError, match="not finite"):
             whole(mat)
 
+    @pytest.mark.parametrize("own, links", [ARROW, NO_OWN], ids=["arrow", "no own rows"])
+    def test_arrow_order_groups_rows_by_block(self, own, links):
+        rows, _, mat = block_arrow(np.random.default_rng(19), own, links)
+        order, spans = _arrow_order(rows, len(mat))
+        assert np.array_equal(np.sort(order), np.arange(len(mat)))
+        touched = np.bincount(np.concatenate(rows), minlength=len(mat))
+        # one group per block with rows of its own, in block order, ascending
+        alone = [r[touched[r] == 1] for r in rows]
+        assert [order[at].tolist() for at in spans] == [a.tolist() for a in alone if len(a)]
+        assert spans[0].start == 0 and all(a.stop == b.start for a, b in zip(spans, spans[1:]))
+        link = order[spans[-1].stop:]
+        assert np.array_equal(link, np.flatnonzero(touched > 1))
+        assert len(link) == len(links)
+
+    @pytest.mark.parametrize(
+        "rows, m", [([np.arange(95), np.arange(90, 95)], 95), ([np.arange(200)], 200), ([], 0)],
+        ids=["95 rows", "one block", "no rows"],
+    )
+    def test_arrow_order_of_small_or_one_block_system_is_identity(self, rows, m):
+        order, spans = _arrow_order(rows, m)
+        assert np.array_equal(order, np.arange(m)) and spans == []
+
+    def test_arrow_order_groups_from_96_rows(self):
+        order, spans = _arrow_order([np.arange(50), np.arange(48, 96)], 96)
+        assert [order[at].tolist() for at in spans] == [list(range(48)), list(range(50, 96))]
+        assert order[spans[-1].stop:].tolist() == [48, 49]
+
+    @pytest.mark.parametrize("own, links", [ARROW, NO_OWN], ids=["arrow", "no own rows"])
     @pytest.mark.parametrize("cond", [1.0, 1e6])
-    def test_block_arrow_system_is_solved_by_groups(self, cond):
+    def test_block_arrow_system_is_solved_by_groups(self, cond, own, links):
         rng = np.random.default_rng(23)
-        own, links = ARROW
-        rows, parts, mat = block_arrow(rng, own, links, cond)
-        layout = _newton_layout(rows, len(mat))
-        system = _factor_newton(layout, parts)
-        assert [len(a) for _, a, _, _, _ in system.groups] == list(own)
-        assert len(system.link) == len(links)
-        order = layout.order
+        rows, _, mat = block_arrow(rng, own, links, cond)
+        system = arrow(rows, mat)
+        assert [at.stop - at.start for at, _, _ in system.groups] == [k for k in own if k]
+        assert len(system.link_inv) == len(links)
+        order = system.order
         assert np.allclose(full_factor(system) @ full_factor(system).T, mat[np.ix_(order, order)],
                            rtol=0, atol=1e-12)
         rhs = mat @ rng.standard_normal(len(mat))
@@ -366,9 +405,9 @@ class TestNewtonSystem:
         mat = np.zeros_like(mat)
         for r, part in zip(rows, parts):
             mat[np.ix_(r, r)] += part
-        layout = _newton_layout(rows, len(mat))
-        lower = full_factor(_factor_newton(layout, parts))
-        shift = lower @ lower.T - mat[np.ix_(layout.order, layout.order)]
+        system = arrow(rows, mat)
+        lower = full_factor(system)
+        shift = lower @ lower.T - mat[np.ix_(system.order, system.order)]
         # the factor is of the whole matrix plus a small multiple of the identity
         scale = np.max(np.diag(mat))
         assert np.abs(shift - np.diag(np.diag(shift))).max() <= 1e-12 * scale
@@ -379,13 +418,14 @@ class TestNewtonSystem:
     @pytest.mark.parametrize("where", ["group", "link"])
     def test_non_finite_grouped_system_raises(self, bad, where):
         own, links = ARROW
-        rows, parts, _ = block_arrow(np.random.default_rng(31), own, links)
-        layout = _newton_layout(rows, sum(own) + len(links))
-        _, (shared, _), ((own, _), _, _) = layout.places[2]
-        k = (shared if where == "link" else own)[0, 0]
-        parts[2][k, k] = bad
+        rows, _, mat = block_arrow(np.random.default_rng(31), own, links)
+        order, spans = _arrow_order(rows, len(mat))
+        mat = mat[np.ix_(order, order)]
+        # a diagonal entry of block 2's group, or of a link row
+        k = spans[2].start if where == "group" else len(mat) - 1
+        mat[k, k] = bad
         with pytest.raises(SDPError, match="not finite"):
-            _factor_newton(layout, parts)
+            _factor_newton(mat, order, spans)
 
 
 def dense_rows(problem, l):
@@ -815,6 +855,8 @@ class TestMakeProblem:
             make_problem([2], {0: np.diag([1.0, bad])}, rows, [1.0])
         with pytest.raises(SDPError, match="not finite"):
             make_problem([2], {0: np.eye(2)}, as_entries([{0: np.diag([1.0, bad])}]), [1.0])
+        with pytest.raises(SDPError, match="scale must be finite"):
+            make_problem([2], {0: np.eye(2)}, rows, [1.0], scale=bad)
 
 
 class TestCertificate:
