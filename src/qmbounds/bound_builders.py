@@ -7,9 +7,9 @@ program for the asymptotic collective bound.  Recovery helpers pull the
 optimal estimator operators back out of solved problems.  Constraint rows
 are emitted as the complex upper-triangle entries of each Hermitian block,
 the entry format of `make_problem`; only objectives and hints are built as
-dense matrices.  The Holevo program goes to the solver Hermitian, at the
-dimension of its LMI.  The block program is still realified, by
-`linalg.realify_entries`, into real blocks of twice the dimension.
+dense matrices.  Both programs are built Hermitian.  The Holevo program
+goes to the solver so, at the dimension of its LMI; the block program goes
+as its real embedding, `sdp_core.realified`, of twice the dimension.
 
 Rank deficiency is the load-bearing design concern here.  When the state
 has a kernel, the textbook block program has cost-free recession
@@ -27,9 +27,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import derealify, hermitize, psd_sqrt, realify, realify_entries, trace_abs
-from .model import BoundError, StatisticalModel, Support, sld, state_support
-from .sdp_core import SDPProblem, SDPSolution, make_problem, solve
+from .linalg import derealify, hermitize, psd_sqrt, trace_abs
+from .model import (
+    BoundError, ModelError, StatisticalModel, Support, checked_hermitian, checked_state, sld, state_support,
+)
+from .sdp_core import SDPProblem, SDPSolution, make_problem, realified, solve
 
 DEFAULT_TOL = 1e-9
 
@@ -133,14 +135,6 @@ def _entries(first: int, block: int, stack: np.ndarray, oi, oj):
     return first + k[up], np.full(np.count_nonzero(up), block), i[up], j[up], stack[k, a, c][up]
 
 
-def _realified(pieces, dims):
-    """`make_problem` entries of the realified rows, from the `_entries`
-    pieces of Hermitian blocks of dimensions `dims`."""
-    row, block, i, j, z = (np.concatenate(a) for a in zip(*pieces))
-    k, i, j, val = realify_entries(i, j, z, np.asarray(dims)[block])
-    return row[k], block[k], i, j, val
-
-
 def _feasible_estimators(model: StatisticalModel) -> list[np.ndarray]:
     """Exactly unbiased starting estimators from the SLD data.
 
@@ -192,9 +186,9 @@ def _assemble_nh(blocks, ranks, s_sup, hints, pieces, b, counts) -> SDPProblem:
     of the off-diagonal error blocks and the fully pinned identity corner
     to pieces (the `_entries` of the rows), b and counts, poses the
     objective sum_j Tr[S L_jj] with s_sup the support square of each state
-    block, and builds the problem.  hints[bi] holds the n estimator rows
-    (r x d_l, support basis) that seed a strictly feasible primal point;
-    the identity-corner duals seed the dual one.
+    block, and returns the Hermitian problem `realified`.  hints[bi] holds
+    the n estimator rows (r x d_l, support basis) that seed a strictly
+    feasible primal point; the identity-corner duals seed the dual one.
     """
     n = len(hints[0])
     sup_bases = [1j * np.array(gellmann_basis(r)) for r in ranks]
@@ -211,7 +205,7 @@ def _assemble_nh(blocks, ranks, s_sup, hints, pieces, b, counts) -> SDPProblem:
         ops = np.array(gellmann_basis(dl))
         corner_rows.append(len(b))
         pieces.append(_entries(len(b), bi, ops, n * r, n * r))
-        b.extend([2.0 * np.sqrt(dl)] + [0.0] * (len(ops) - 1))
+        b.extend([np.sqrt(dl)] + [0.0] * (len(ops) - 1))
     counts["identity_corner"] = len(b) - start_len
 
     objective, primal = {}, []
@@ -219,7 +213,7 @@ def _assemble_nh(blocks, ranks, s_sup, hints, pieces, b, counts) -> SDPProblem:
         g = np.zeros((n * r + dl, n * r + dl), dtype=complex)
         for j in range(n):
             g[j * r : (j + 1) * r, j * r : (j + 1) * r] += s_sup[bi]
-        objective[bi] = realify(g)
+        objective[bi] = g
         lam = 1.0 + 2.0 * float(np.linalg.norm(np.vstack(xt), 2)) ** 2
         y0 = np.zeros((n * r + dl, n * r + dl), dtype=complex)
         y0[: n * r, : n * r] = lam * np.eye(n * r)
@@ -227,20 +221,19 @@ def _assemble_nh(blocks, ranks, s_sup, hints, pieces, b, counts) -> SDPProblem:
         for j in range(n):
             y0[j * r : (j + 1) * r, n * r :] = xt[j]
             y0[n * r :, j * r : (j + 1) * r] = xt[j].conj().T
-        primal.append(realify(y0))
+        primal.append(y0)
     dual = np.zeros(len(b))
     for row, (off, dl) in zip(corner_rows, blocks):
         dual[row] = -np.sqrt(dl)
-    dims = [n * r + dl for r, (off, dl) in zip(ranks, blocks)]
-    return make_problem(
-        [2 * d for d in dims],
+    problem = make_problem(
+        [n * r + dl for r, (off, dl) in zip(ranks, blocks)],
         objective,
-        _realified(pieces, dims),
+        tuple(np.concatenate(a) for a in zip(*pieces)),
         b,
-        scale=0.5,
         primal_hint=tuple(primal),
         dual_hint=dual,
     )
+    return realified(problem)
 
 
 def build_nh_sdp(
@@ -262,11 +255,12 @@ def build_nh_sdp(
     Five constraint families pin, in order: the state expectations of the
     estimators, their derivative expectations, Hermiticity of each
     estimator on the support square, Hermiticity of the off-diagonal L
-    blocks, and the identity corner.  The realified embedding doubles
-    inner products and off-diagonal placements carry an adjoint mirror, so
-    an expectation pin Tr[A X] = c appears with right-hand side 4c
-    (diagonal-slot pins double only once: 2c); the recorded scale of 1/2
-    undoes the realification factor in reported objectives.  Cross entries
+    blocks, and the identity corner.  The program is built Hermitian, of
+    scale 1.  An estimator slot is off the diagonal, and its adjoint mirror
+    doubles the inner product, so an expectation pin Tr[A X] = c has
+    right-hand side 2c; the identity-corner pin of I/sqrt(d) has sqrt(d).
+    The solver gets `realified` of it, which doubles each right-hand side
+    (4c and 2 sqrt(d)) and halves the scale.  Cross entries
     of a pin matrix are doubled because the compressed variable keeps only
     the support rows of each estimator: the kernel rows, which would have
     contributed the adjoint half, are implicit.
@@ -304,9 +298,9 @@ def build_nh_sdp(
     slot = np.concatenate([np.arange(n), np.repeat(np.arange(n), n)])
     pin = np.concatenate([np.zeros(n, dtype=int), np.tile(np.arange(1, n + 1), n)])
     pieces = [_entries(0, bi, pins[bi][pin], slot * r, n * r) for bi, r in enumerate(ranks)]
-    b = [4.0 * model.theta[j] * (1.0 - tr_s) for j in range(n)]
+    b = [2.0 * model.theta[j] * (1.0 - tr_s) for j in range(n)]
     b.extend(
-        4.0 * ((1.0 if j == k else 0.0) - model.theta[k] * tr_d[j])
+        2.0 * ((1.0 if j == k else 0.0) - model.theta[k] * tr_d[j])
         for k in range(n)
         for j in range(n)
     )
@@ -403,8 +397,8 @@ def recover_nh_estimators(
     return lgrid, tuple(w + th[j] * eye for j, w in enumerate(ws))
 
 
-def _solve_optimal(problem: SDPProblem, tol: float, max_iter: int) -> SDPSolution:
-    sol = solve(problem, tol=tol, max_iter=max_iter)
+def _solve_optimal(problem: SDPProblem, tol: float) -> SDPSolution:
+    sol = solve(problem, tol=tol)
     if sol.status != "optimal":
         raise BoundError(
             f"solver finished with status {sol.status!r} "
@@ -460,7 +454,6 @@ def nagaoka_hayashi_bound(
     model: StatisticalModel,
     *,
     tol: float = DEFAULT_TOL,
-    max_iter: int = 200,
     use_blocks: bool | None = None,
 ) -> BoundResult:
     """Attainable-MSE bound over separable measurements, via the SDP.
@@ -471,7 +464,7 @@ def nagaoka_hayashi_bound(
     check and the recovered block matrix passes the PSD check.
     """
     problem, meta = build_nh_sdp(model, use_blocks=use_blocks)
-    sol = _solve_optimal(problem, tol, max_iter)
+    sol = _solve_optimal(problem, tol)
     lgrid, xs = recover_nh_estimators(meta, sol)
     stats = _checked_stats(model, xs, problem, sol)
     floor = _schur_floor(lgrid, xs, meta.num_params, meta.dim)
@@ -599,11 +592,10 @@ def holevo_bound(
     model: StatisticalModel,
     *,
     tol: float = DEFAULT_TOL,
-    max_iter: int = 200,
 ) -> BoundResult:
     """Collective-measurement lower bound on the MSE trace."""
     problem, meta = build_holevo_sdp(model)
-    sol = _solve_optimal(problem, tol, max_iter)
+    sol = _solve_optimal(problem, tol)
     n = meta["num_params"]
     null_ops = meta["null_ops"]
     q = len(null_ops)
@@ -634,7 +626,6 @@ def nh_u_bound(
     xs,
     *,
     tol: float = DEFAULT_TOL,
-    max_iter: int = 200,
 ) -> float:
     """Operator-MSE bound with the estimators held fixed.
 
@@ -643,13 +634,18 @@ def nh_u_bound(
     the error operator remains free.  Solved in the support-compressed
     form, which prices exactly the support-visible part of each estimator
     (the kernel-kernel corner of an estimator never affects the value).
+    The state must pass the rules of a model's state, and each estimator
+    must be finite and Hermitian of the state's shape; BoundError otherwise.
     """
-    state = hermitize(np.asarray(state, dtype=complex))
-    xs_in = [hermitize(np.asarray(x, dtype=complex)) for x in xs]
-    d = state.shape[0]
+    d = len(state) if np.ndim(state) else 0
+    try:
+        state = checked_state(state, d)
+        xs_in = [checked_hermitian(x, d, f"estimator {j}") for j, x in enumerate(xs)]
+    except ModelError as exc:
+        raise BoundError(str(exc)) from exc
+    if not xs_in:
+        raise BoundError("at least one estimator is required")
     n = len(xs_in)
-    if n < 1 or any(x.shape != (d, d) for x in xs_in):
-        raise BoundError("estimators must be square matrices matching the state")
     sup = state_support(state)[0]
     r, v = sup.rank, sup.rotation
     s_sup = hermitize(v.conj().T @ state @ v)[:r, :r]
@@ -660,9 +656,9 @@ def nh_u_bound(
     rows = np.arange(len(j))
     pieces = [(rows, np.zeros_like(rows), j * r + a, n * r + c, np.tile([1.0, 1j], n * r * d))]
     xa = np.array(xt)
-    b = (4.0 * np.stack([xa.real, xa.imag], axis=-1).ravel()).tolist()
+    b = (2.0 * np.stack([xa.real, xa.imag], axis=-1).ravel()).tolist()
     problem = _assemble_nh([(0, d)], [r], [s_sup], [xt], pieces, b, {})
-    return _solve_optimal(problem, tol, max_iter).primal_obj
+    return _solve_optimal(problem, tol).primal_obj
 
 
 def nagaoka_explicit_two_obs(state: np.ndarray, x1: np.ndarray, x2: np.ndarray) -> float:

@@ -86,25 +86,6 @@ def realify(h: np.ndarray) -> np.ndarray:
     return np.block([[re, -im], [im, re]]).astype(float)
 
 
-def realify_entries(i, j, z, d):
-    """The upper-triangle nonzeros of realify(H), from those of H.
-
-    Entry (i, j, z) of a d x d Hermitian H, i <= j, gives (i, j, Re z),
-    (i+d, j+d, Re z), (i, j+d, -Im z) and (j, i+d, Im z); zeros are
-    dropped.  `d` may differ per entry.  Returns (k, i, j, value), k the
-    input entry each output entry came from.
-    """
-    i, j, d = (np.asarray(a, dtype=np.int64) for a in (i, j, d))
-    z = np.asarray(z, dtype=complex)
-    if np.any(i > j) or np.any(z.imag[i == j]):
-        raise LinalgError("realify_entries: need upper-triangle entries and a real diagonal")
-    val = np.concatenate([z.real, z.real, -z.imag, z.imag])
-    keep = val != 0
-    k = np.tile(np.arange(len(z)), 4)[keep]
-    i, j = np.concatenate([i, i + d, i, j])[keep], np.concatenate([j, j + d, j + d, i + d])[keep]
-    return k, i, j, val[keep]
-
-
 def derealify(w: np.ndarray) -> np.ndarray:
     """Project a real symmetric 2d x 2d matrix back to a Hermitian d x d one.
 

@@ -10,7 +10,7 @@ from math import comb
 
 import numpy as np
 
-from .linalg import SUPPORT_TOL, herm_defect, herm_eig, hermitize
+from .linalg import SUPPORT_TOL, herm_eig, hermitize, is_hermitian
 
 
 class ModelError(ValueError):
@@ -50,30 +50,13 @@ class StatisticalModel:
 
     def __post_init__(self):
         d = int(self.dim)
-        state = np.asarray(self.state, dtype=complex)
-        if state.shape != (d, d):
-            raise ModelError(f"state must be {d} x {d}, got {state.shape}")
-        if not np.all(np.isfinite(state)):
-            raise ModelError("state has non-finite entries")
-        if herm_defect(state) > 1e-10 * max(1.0, float(np.max(np.abs(state)))):
-            raise ModelError("state is not Hermitian")
-        state = hermitize(state)
-        if abs(np.trace(state).real - 1.0) > 1e-10:
-            raise ModelError(f"state trace is {np.trace(state).real!r}, not 1")
-        if float(np.linalg.eigvalsh(state)[0]) < -1e-10:
-            raise ModelError("state has an eigenvalue below -1e-10")
+        state = checked_state(self.state, d)
         derivs = []
         for j, dm in enumerate(self.derivs):
-            dm = np.asarray(dm, dtype=complex)
-            if dm.shape != (d, d):
-                raise ModelError(f"derivative {j} must be {d} x {d}, got {dm.shape}")
-            if not np.all(np.isfinite(dm)):
-                raise ModelError(f"derivative {j} has non-finite entries")
-            if herm_defect(dm) > 1e-10 * max(1.0, float(np.max(np.abs(dm)))):
-                raise ModelError(f"derivative {j} is not Hermitian")
+            dm = checked_hermitian(dm, d, f"derivative {j}")
             if abs(np.trace(dm)) > 1e-10:
                 raise ModelError(f"derivative {j} has trace {np.trace(dm)!r}, not 0")
-            derivs.append(hermitize(dm))
+            derivs.append(dm)
         if not derivs:
             raise ModelError("at least one parameter derivative is required")
         theta = tuple(float(t) for t in self.theta)
@@ -107,6 +90,30 @@ class StatisticalModel:
     @property
     def num_params(self) -> int:
         return len(self.derivs)
+
+
+def checked_hermitian(mat, d: int, what: str) -> np.ndarray:
+    """The Hermitian part of `mat`, once it is d x d, finite, and Hermitian
+    to 1e-10 relative; ModelError naming it as `what` otherwise."""
+    mat = np.asarray(mat, dtype=complex)
+    if mat.shape != (d, d):
+        raise ModelError(f"{what} must be {d} x {d}, got {mat.shape}")
+    if not np.all(np.isfinite(mat)):
+        raise ModelError(f"{what} has non-finite entries")
+    if not is_hermitian(mat, 1e-10):
+        raise ModelError(f"{what} is not Hermitian")
+    return hermitize(mat)
+
+
+def checked_state(state, d: int) -> np.ndarray:
+    """A d x d density matrix under the rules of `checked_hermitian`, with
+    trace 1 and no eigenvalue below -1e-10, to 1e-10; ModelError otherwise."""
+    state = checked_hermitian(state, d, "state")
+    if abs(np.trace(state).real - 1.0) > 1e-10:
+        raise ModelError(f"state trace is {float(np.trace(state).real)!r}, not 1")
+    if float(np.linalg.eigvalsh(state)[0]) < -1e-10:
+        raise ModelError("state has an eigenvalue below -1e-10")
+    return state
 
 
 def _off_block_mass(mat: np.ndarray, blocks: tuple[int, ...]) -> float:

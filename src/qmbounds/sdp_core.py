@@ -14,7 +14,7 @@ format: (row, block, i, j, value) for the upper-triangle nonzeros of each
 A_i, under one set of rules (`_check_entries`).  Builders and `read_sdpa`
 hand these to `make_problem`, which keeps them once, in a `ConstraintStore`.
 The text format is real: `write_sdpa` writes a Hermitian program as its
-real embedding (`linalg.realify`), which `read_sdpa` reads as a real one.
+real embedding, `realified`, which `read_sdpa` reads as a real one.
 
 The solver forms each block's Schur complement by one of two formulas,
 picked by cost: from the congruences G^H A_i G, each formed on the rows
@@ -32,16 +32,13 @@ has one BLAS thread pool, not two that compete for the same cores.
 """
 from __future__ import annotations
 
-import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import realify, realify_entries
-
-logger = logging.getLogger(__name__)
+from .linalg import realify
 
 DEP_TOL = 1e-10
 DEFAULT_TOL = 1e-8
@@ -204,6 +201,8 @@ def make_problem(
         dual_hint = np.asarray(dual_hint, dtype=float).ravel()
         if len(dual_hint) != m:
             raise SDPError("dual hint length must match the original constraint count")
+        if not np.all(np.isfinite(dual_hint)):
+            raise SDPError("dual hint has non-finite values")
         dual_hint = dual_hint[kept]
     renumber = np.full(m, -1)
     renumber[kept] = np.arange(len(kept))
@@ -236,11 +235,39 @@ def _entry_store(entries, dims, m, dtype) -> ConstraintStore:
     block = np.concatenate([block, block[lower]])
     col = np.concatenate([i * d + j, (j * d + i)[lower]])
     val = np.concatenate([val, val[lower].conj()])
+    return _sorted_store(row, block, col, val, dims, m)
+
+
+def _sorted_store(row, block, col, val, dims, m) -> ConstraintStore:
+    """The store of entries of distinct (row, block, col): sorted, no zeros."""
     key = np.ravel_multi_index((row, block, col), (m, len(dims), max(dims, default=0) ** 2))
-    order = np.argsort(key, kind="stable")  # one distinct key per checked entry, in (row, block, col) order
+    order = np.argsort(key, kind="stable")
     store = ConstraintStore(row[order], block[order], col[order], val[order])
     live = store.val != 0
     return store if live.all() else ConstraintStore(*(a[live] for a in store))
+
+
+def realified(problem: SDPProblem) -> SDPProblem:
+    """The real program of the same value and dual vector as a Hermitian one.
+
+    Each matrix H of a block of dimension d becomes `linalg.realify(H)`,
+    [[Re H, -Im H], [Im H, Re H]]: a stored entry (i, j, z) gives (i, j, Re z),
+    (i+d, j+d, Re z), (i, j+d, -Im z) and (i+d, j, Im z).  The embedding
+    doubles every inner product, so `b` doubles and `scale` halves, and it
+    keeps independent rows independent, so the rows that `make_problem` kept,
+    the dual hint and the `dropped` count carry over.
+    """
+    row, block, col, z = problem.store
+    d = np.array(problem.block_dims, dtype=np.int64)[block]
+    col = col + col // d * d  # (i, j) in dimension 2d
+    col = np.concatenate([col, col + 2 * d * d + d, col + d, col + 2 * d * d])
+    dims = tuple(2 * n for n in problem.block_dims)
+    val = np.concatenate([z.real, z.real, -z.imag, z.imag])
+    store = _sorted_store(np.tile(row, 4), np.tile(block, 4), col, val, dims, len(problem.b))
+    objective = {l: realify(mat) for l, mat in problem.objective.items()}
+    hint = problem.primal_hint and tuple(map(realify, problem.primal_hint))
+    return replace(problem, block_dims=dims, objective=objective, store=store, b=2 * problem.b,
+                   scale=problem.scale / 2, primal_hint=hint)
 
 
 def _keys_fit(rows, dims) -> bool:
@@ -535,7 +562,6 @@ def solve(
     problem: SDPProblem,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
-    debug: bool = False,
 ) -> SDPSolution:
     """Solve with an infeasible-start path-following method.
 
@@ -628,13 +654,6 @@ def solve(
         pobj, dobj, rp, Rd, gap, pinf, dinf, mu = metrics()
         if mu0 is None:
             mu0 = max(mu, 1e-300)
-        if debug:
-            logger.debug(
-                "iter %3d  pobj %+.9e  dobj %+.9e  gap %.2e  pinf %.2e  dinf %.2e  mu %.2e",
-                it, pobj, dobj, gap, pinf, dinf, mu,
-            )
-            if pinf <= 1e-7 and dinf <= 1e-7:
-                assert pobj >= dobj - 1e-9 * (1.0 + abs(pobj)), "weak duality violated"
         if gap <= tol and pinf <= tol and dinf <= tol:
             status = "optimal"
             break
@@ -986,24 +1005,18 @@ def write_sdpa(problem: SDPProblem) -> str:
     Entries are the upper-triangle nonzeros of the objective (matrix 0) and
     then of the constraint store, in the store's (row, block, col) order.
     A problem without constraint rows has no right-hand-side line.  A
-    Hermitian problem is written as its real embedding (`linalg.realify`,
-    block by block), which doubles every inner product: block dimensions
-    and right-hand sides double and the scale halves, so the file's real
-    program has the same value and dual vector.
+    Hermitian problem is written as its real embedding, `realified`, of
+    doubled block dimensions and right-hand sides and halved scale: the
+    file's real program has the same value and dual vector.
     """
+    if np.iscomplexobj(problem.store.val):
+        problem = realified(problem)
     store = problem.store
     dims = np.array(problem.block_dims, dtype=np.int64)
     i, j = np.divmod(store.col, dims[store.block])
     upper = i <= j
     row, block, i, j, val = (a[upper] for a in (store.row, store.block, i, j, store.val))
     scale, b, objective = problem.scale, problem.b, problem.objective
-    if np.iscomplexobj(val):
-        k, i, j, val = realify_entries(i, j, val, dims[block])
-        row, block = row[k], block[k]
-        order = np.lexsort((j, i, block, row))  # the store order of the embedding
-        row, block, i, j, val = (a[order] for a in (row, block, i, j, val))
-        dims, b, scale = 2 * dims, 2 * b, scale / 2
-        objective = {l: realify(mat) for l, mat in objective.items()}
     lines = [f"* scale {scale!r}", str(len(b)), str(len(dims)), " ".join(str(d) for d in dims.tolist())]
     if len(b):
         lines.append(" ".join(repr(float(v)) for v in b))

@@ -426,6 +426,42 @@ class TestFixedEstimatorBound:
         w = [x - t * np.eye(4) for x, t in zip(r.X, model.theta)]
         assert nh_u_bound(model.state, w) >= r.value - 1e-6
 
+    @pytest.mark.parametrize(
+        "case, match",
+        [
+            ("shifted", r"state trace is -0\.19"),
+            ("indefinite", "state has an eigenvalue below -1e-10"),
+            ("nan state", "state has non-finite entries"),
+            ("skew state", "state is not Hermitian"),
+            ("state shape", r"state must be 4 x 4, got \(4, 3\)"),
+            ("nan estimator", "estimator 0 has non-finite entries"),
+            ("inf estimator", "estimator 1 has non-finite entries"),
+            ("skew estimator", "estimator 1 is not Hermitian"),
+            ("estimator shape", r"estimator 0 must be 4 x 4, got \(3, 3\)"),
+            ("no estimator", "at least one estimator is required"),
+        ],
+    )
+    def test_rejects_what_is_not_a_state_or_an_estimator(self, dephasing_xy, case, match):
+        # the state rules are those of StatisticalModel
+        model, r = dephasing_xy
+        s, w = model.state, [x - t * np.eye(4) for x, t in zip(r.X, model.theta)]
+        skew = np.zeros((4, 4))
+        skew[0, 1] = 1e-3
+        state, xs = {
+            "shifted": (s - 0.3 * np.eye(4), w),
+            "indefinite": (s + 0.1 * np.diag([-1.0, 1.0, 0.0, 0.0]), w),
+            "nan state": (np.where(np.eye(4) == 1, np.nan, s), w),
+            "skew state": (s + skew, w),
+            "state shape": (s[:, :3], w),
+            "nan estimator": (s, [w[0] * np.nan, w[1]]),
+            "inf estimator": (s, [w[0], w[1] + np.inf]),
+            "skew estimator": (s, [w[0], w[1] + skew]),
+            "estimator shape": (s, [w[0][:3, :3], w[1]]),
+            "no estimator": (s, []),
+        }[case]
+        with pytest.raises(BoundError, match=match):
+            nh_u_bound(state, xs)
+
 
 class TestExplicitTwoObs:
     def test_equal_observables_give_double_second_moment(self):

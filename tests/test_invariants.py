@@ -3,6 +3,7 @@
 A unitary change of basis of the Hilbert space, and an orthogonal
 reparametrisation, leave the SLD, Holevo and Nagaoka-Hayashi bounds
 unchanged, and the bounds are ordered: SLD <= Holevo <= min(NH, 2 SLD).
+On a qubit with two parameters, NH is Nagaoka's closed form.
 """
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from qmbounds import (
     nagaoka_hayashi_bound,
     phase_damping_model,
     random_model,
+    sld,
     sld_bound,
 )
 
@@ -76,3 +78,13 @@ def test_bounds_are_ordered(seed):
     assert sld <= holevo * slack
     assert holevo <= nh * slack
     assert holevo <= 2 * sld * slack
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_qubit_two_parameter_nh_is_nagaoka_closed_form(seed):
+    # Nagaoka's bound Tr J^-1 + 2 sqrt(det J^-1), J the SLD Fisher matrix,
+    # which NH equals on a qubit with two parameters
+    model = random_model(seed, 2, 2)
+    jinv = np.linalg.inv(sld(model).fisher)
+    want = np.trace(jinv) + 2 * np.sqrt(np.linalg.det(jinv))
+    assert nagaoka_hayashi_bound(model).value == pytest.approx(want, rel=1e-8)

@@ -10,7 +10,6 @@ from qmbounds.linalg import (
     is_hermitian,
     psd_sqrt,
     realify,
-    realify_entries,
     trace_abs,
 )
 
@@ -167,47 +166,3 @@ class TestRealify:
     def test_rejects_non_hermitian(self):
         with pytest.raises(LinalgError):
             realify(np.array([[0, 1], [0, 0]], dtype=complex))
-
-
-class TestRealifyEntries:
-    @staticmethod
-    def densify(h):
-        d = len(h)
-        i, j = np.triu_indices(d)
-        k, ri, rj, val = realify_entries(i, j, h[i, j], d)
-        # each position once, no explicit zeros, every entry traced to its source
-        assert len(np.unique(ri * 2 * d + rj)) == len(ri)
-        assert np.all(val != 0) and np.all(ri <= rj)
-        assert np.array_equal(np.unique(k), np.flatnonzero(h[i, j]))
-        out = np.zeros((2 * d, 2 * d))
-        out[ri, rj] = val
-        out[rj, ri] = val
-        return out
-
-    @pytest.mark.parametrize("d", [1, 2, 3, 6])
-    def test_equals_dense_realify(self, d):
-        rng = np.random.default_rng(d)
-        h = random_hermitian(rng, d)
-        h[rng.random((d, d)) < 0.3] = 0.0
-        h = hermitize(h)
-        assert np.array_equal(self.densify(h), realify(h))
-
-    def test_diagonal_and_real_matrices(self):
-        rng = np.random.default_rng(7)
-        diag = np.diag(rng.standard_normal(4)).astype(complex)
-        real = hermitize(rng.standard_normal((5, 5)).astype(complex))
-        for h in (diag, real, SY, np.zeros((3, 3), dtype=complex)):
-            assert np.array_equal(self.densify(h), realify(h))
-
-    def test_per_entry_dimension(self):
-        # entries of a 2-dim and a 3-dim block in one call
-        k, i, j, val = realify_entries([0, 1], [1, 2], [1j, 2.0], [2, 3])
-        assert sorted(zip(k.tolist(), i.tolist(), j.tolist(), val.tolist())) == [
-            (0, 0, 3, -1.0), (0, 1, 2, 1.0), (1, 1, 2, 2.0), (1, 4, 5, 2.0),
-        ]
-
-    def test_rejects_lower_triangle_and_complex_diagonal(self):
-        with pytest.raises(LinalgError, match="upper-triangle"):
-            realify_entries([1], [0], [1.0], 2)
-        with pytest.raises(LinalgError, match="real diagonal"):
-            realify_entries([1], [1], [1j], 2)

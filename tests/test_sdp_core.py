@@ -7,6 +7,7 @@ import pytest
 
 from qmbounds import sdp_core
 from qmbounds.bound_builders import build_holevo_sdp, build_nh_sdp
+from qmbounds.linalg import realify
 from qmbounds.model import (
     holland_burnett_probe,
     interferometer_model,
@@ -25,6 +26,7 @@ from qmbounds.sdp_core import (
     check_certificate,
     make_problem,
     read_sdpa,
+    realified,
     solve,
     write_sdpa,
 )
@@ -154,10 +156,18 @@ class TestSolve:
         assert sol.status == "optimal"
         assert sol.primal_obj == pytest.approx(1.0, abs=1e-6)
 
-    def test_weak_duality_in_debug_mode(self):
+    def test_weak_duality_at_every_feasible_iterate(self):
+        # solve(max_iter=k) reports iterate k of the full solve's path
         problem, _, _ = random_kkt_problem(11, dims=(4,), m=5)
-        sol = solve(problem, debug=True)  # per-iteration assert must not fire
-        assert sol.status == "optimal"
+        sol = solve(problem)
+        assert sol.status == "optimal" and problem.scale == 1.0
+        feasible = 0
+        for k in range(sol.iterations + 1):
+            at = solve(problem, max_iter=k)
+            if at.primal_infeas <= 1e-7 and at.dual_infeas <= 1e-7:
+                assert at.primal_obj >= at.dual_obj - 1e-9 * (1.0 + abs(at.primal_obj))
+                feasible += 1
+        assert feasible
 
     def test_infeasible_input_flagged(self):
         # Y11 = 2 together with trace(Y) = 1 forces Y22 = -1: not PSD
@@ -503,11 +513,20 @@ def check_supports(formula):
         assert sup.shape[1] < d and np.all(held > sup.shape[1] // 2) or sup.shape[1] == 2
 
 
+# the models of the pinned program files
+PIN_MODELS = {
+    "hb N=4": lambda: interferometer_model(holland_burnett_probe(4), 0.6),
+    "random d=4": lambda: random_model(3, 4, 2),
+    "pd xyz": lambda: phase_damping_model(0.5, "xyz"),
+    "ifo": lambda: interferometer_model([0.7**0.5, 0.3**0.5], 0.5),
+}
+
+
 def hermitian_programs():
     return {
         **{k: v for k, v in holevo_programs().items() if k != "random d=4 read back"},
-        "pd xyz": build_holevo_sdp(phase_damping_model(0.5, "xyz"))[0],
-        "ifo": build_holevo_sdp(interferometer_model([0.7**0.5, 0.3**0.5], 0.5))[0],
+        "pd xyz": build_holevo_sdp(PIN_MODELS["pd xyz"]())[0],
+        "ifo": build_holevo_sdp(PIN_MODELS["ifo"]())[0],
     }
 
 
@@ -857,6 +876,8 @@ class TestMakeProblem:
             make_problem([2], {0: np.eye(2)}, as_entries([{0: np.diag([1.0, bad])}]), [1.0])
         with pytest.raises(SDPError, match="scale must be finite"):
             make_problem([2], {0: np.eye(2)}, rows, [1.0], scale=bad)
+        with pytest.raises(SDPError, match="dual hint has non-finite"):
+            make_problem([2], {0: np.eye(2)}, rows, [1.0], dual_hint=[bad])
 
 
 class TestCertificate:
@@ -895,6 +916,77 @@ class TestCertificate:
             assert not report.passed
 
 
+def hermitian_two_block_problem():
+    """Two Hermitian blocks, of dimensions 2 and 3, with complex, real and
+    diagonal rows, a row twice another (dropped), and both hints."""
+    rng = np.random.default_rng(5)
+
+    def sparse(d):
+        h = rand_herm(rng, d, complex)
+        h[rng.random((d, d)) < 0.4] = 0.0
+        return 0.5 * (h + h.conj().T)
+
+    a, c = sparse(2), sparse(3)
+    cons = [{0: a, 1: c}, {1: np.diag([1.0, 0.0, -2.0])}, {0: 2 * a, 1: 2 * c},
+            {0: rand_sym(rng, 2), 1: sparse(3)}]
+    return make_problem(
+        [2, 3],
+        {0: sparse(2), 1: sparse(3)},
+        as_entries(cons),
+        [1.0, 2.0, 2.0, -0.5],
+        scale=-1.0,
+        primal_hint=(np.eye(2), np.eye(3) + sparse(3) / 10),
+        dual_hint=[0.5, -1.0, 0.0, 2.0],
+    )
+
+
+def realified_cases():
+    return {"two blocks": hermitian_two_block_problem(), **hermitian_programs()}
+
+
+class TestRealified:
+    @pytest.mark.parametrize("name", ["two blocks", "hb N=4", "random d=4", "pd xyz", "ifo"])
+    def test_each_row_is_the_realify_of_its_hermitian_row(self, name):
+        problem = realified_cases()[name]
+        real = realified(problem)
+        assert real.block_dims == tuple(2 * d for d in problem.block_dims)
+        assert real.store.val.dtype == float and np.all(real.store.val != 0)
+        order = np.lexsort((real.store.col, real.store.block, real.store.row))
+        assert np.array_equal(order, np.arange(len(order)))
+        for l in range(len(problem.block_dims)):
+            rows, herm = dense_rows(problem, l)
+            real_rows, emb = dense_rows(real, l)
+            assert np.array_equal(real_rows, rows)
+            assert np.array_equal(emb, [realify(h) for h in herm])
+        for l, mat in problem.objective.items():
+            assert np.array_equal(real.objective[l], realify(mat))
+        assert np.array_equal(real.b, 2 * problem.b)
+        assert real.scale == problem.scale / 2
+        assert real.dropped == problem.dropped
+
+    def test_carries_the_hints_and_dropped_rows(self):
+        problem = hermitian_two_block_problem()
+        assert problem.dropped == 1 and problem.num_constraints == 3
+        real = realified(problem)
+        assert real.dropped == 1 and real.num_constraints == 3
+        assert np.array_equal(real.dual_hint, [0.5, -1.0, 2.0])
+        for got, want in zip(real.primal_hint, problem.primal_hint):
+            assert np.array_equal(got, realify(want))
+
+    @pytest.mark.parametrize("name", ["two blocks", "hb N=4", "random d=4", "pd xyz", "ifo"])
+    def test_equals_its_file(self, name):
+        problem = realified_cases()[name]
+        real, back = realified(problem), read_sdpa(write_sdpa(problem))
+        assert back.block_dims == real.block_dims
+        assert np.array_equal(back.b, real.b)
+        assert back.scale == real.scale
+        for got, want in zip(back.store, real.store):
+            assert np.array_equal(got, want)
+        assert back.objective.keys() == real.objective.keys()
+        for l, mat in real.objective.items():
+            assert np.array_equal(back.objective[l], mat)
+
+
 class TestSdpaFormat:
     def test_round_trip_exact(self):
         problem, _, _ = random_kkt_problem(23, dims=(4, 2), m=5)
@@ -921,6 +1013,21 @@ class TestSdpaFormat:
         # it: a Hermitian program is written as its real embedding
         problem = hermitian_programs()[name]
         assert np.iscomplexobj(problem.store.val)
+        assert hashlib.sha256(write_sdpa(problem).encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "name, digest",
+        [
+            ("hb N=4", "5526c04d1c6d5a03c3cedd8a559db638d86d796bfe652278786034bb9db08325"),
+            ("random d=4", "23e5ea4e8f17881f6ac24939962985fd1875fecf69432f5456d1a4aaf1dcb074"),
+            ("pd xyz", "8cbb28cdb2768ae945a599de474a8da6d83f19e4c88c559f354d60f94144faa2"),
+            ("ifo", "11e04b33ae25c24e29b5a249c9ad687b6de95e72d497051a4ee56933384ba9fb"),
+        ],
+    )
+    def test_nh_program_file_is_pinned(self, name, digest):
+        # the text of each NH program as it was before NH was built Hermitian:
+        # the real program that the solver gets must not change
+        problem = build_nh_sdp(PIN_MODELS[name]())[0]
         assert hashlib.sha256(write_sdpa(problem).encode()).hexdigest() == digest
 
     @pytest.mark.parametrize("name", ["hb N=4", "random d=4", "pd xyz", "ifo"])
