@@ -101,27 +101,22 @@ def _ifo_amps(args):
 
 
 def _bound_rows(model, which, tol):
+    """One row per bound, and whether any failed.  A row is ok when its
+    bound call returned: Holevo and NH return only optimal solves."""
     rows = []
-    failed = False
     for name in which:
         t0 = time.perf_counter()
         try:
             if name == "sld":
-                value = sld_bound(model)
-                gap, ok = 0.0, True
+                value, gap = sld_bound(model), 0.0
             else:
                 fn = holevo_bound if name == "holevo" else nagaoka_hayashi_bound
                 result = fn(model, tol=tol)
-                value = result.value
-                gap = result.gap
-                ok = result.solver_stats["status"] == "optimal" and gap <= max(
-                    tol, 1e-7
-                )
+                value, gap = result.value, result.gap
+            ok = True
         except BoundError as exc:
             value, gap, ok = float("nan"), float("nan"), False
             print(f"{name}: {exc}", file=sys.stderr)
-        if not ok:
-            failed = True
         rows.append(
             {
                 "bound": name,
@@ -131,7 +126,7 @@ def _bound_rows(model, which, tol):
                 "ok": ok,
             }
         )
-    return rows, failed
+    return rows, not all(row["ok"] for row in rows)
 
 
 def _fmt(value) -> str:

@@ -26,7 +26,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import hermitize
-from .model import StatisticalModel, decode_matrix, encode_matrix, is_number
+from .model import (
+    ModelError,
+    StatisticalModel,
+    checked_hermitian,
+    decode_matrix,
+    encode_matrix,
+    is_number,
+)
 
 
 # validate_povm passes an outcome whose lowest eigenvalue is at least
@@ -47,7 +54,9 @@ class MeasurementFormatError(ValueError):
 
 @dataclass(frozen=True)
 class POVM:
-    """Finite collection of outcome operators on one Hilbert space."""
+    """Finite collection of outcome operators on one Hilbert space, each
+    square, finite and Hermitian to 1e-10 relative (the rule of
+    `model.checked_hermitian`), and stored as its Hermitian part."""
 
     outcomes: tuple[np.ndarray, ...]
 
@@ -66,7 +75,10 @@ class POVM:
                 raise MeasurementError(
                     f"outcome {i} has dimension {mat.shape[0]}, expected {d}"
                 )
-            ops.append(mat)
+            try:
+                ops.append(checked_hermitian(mat, d, f"outcome {i}"))
+            except ModelError as exc:
+                raise MeasurementError(str(exc)) from exc
         object.__setattr__(self, "outcomes", tuple(ops))
 
     @property
@@ -92,9 +104,13 @@ class Estimator:
     meta: dict | None = field(default=None, compare=False)
 
     def __post_init__(self):
+        if np.iscomplexobj(self.xi):
+            raise MeasurementError("xi is complex")
         grid = np.asarray(self.xi, dtype=float)
         if grid.ndim != 2:
             raise MeasurementError("xi must be a 2-d array")
+        if not np.all(np.isfinite(grid)):
+            raise MeasurementError("xi has non-finite entries")
         if grid.shape[1] != self.povm.num_outcomes:
             raise MeasurementError(
                 f"xi has {grid.shape[1]} columns for "

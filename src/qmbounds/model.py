@@ -388,14 +388,18 @@ def encode_matrix(mat) -> list:
 
 
 def model_to_dict(model: StatisticalModel) -> dict:
-    """Encode for JSON: complex entries become [re, im] pairs."""
-    return {
+    """Encode for JSON: complex entries become [re, im] pairs, and
+    `block_dims` is written when it is set."""
+    data = {
         "dim": model.dim,
         "state": encode_matrix(model.state),
         "derivs": [encode_matrix(dm) for dm in model.derivs],
         "theta": [float(t) for t in model.theta],
         "labels": list(model.labels),
     }
+    if model.block_dims is not None:
+        data["block_dims"] = list(model.block_dims)
+    return data
 
 
 def is_number(v) -> bool:
@@ -453,9 +457,16 @@ def model_from_dict(data) -> StatisticalModel:
     labels = data["labels"]
     if not isinstance(labels, list) or not all(isinstance(s, str) for s in labels):
         raise ModelFormatError("field 'labels': expected a list of strings")
+    blocks = data.get("block_dims")
+    if blocks is not None and not (
+        isinstance(blocks, list) and blocks
+        and all(type(x) is int and x > 0 for x in blocks)
+    ):
+        raise ModelFormatError("field 'block_dims': expected a list of positive integers")
     try:
         return StatisticalModel(
-            dim=dim, state=state, derivs=derivs, theta=tuple(theta), labels=tuple(labels)
+            dim=dim, state=state, derivs=derivs, theta=tuple(theta), labels=tuple(labels),
+            block_dims=None if blocks is None else tuple(blocks),
         )
     except ModelError as exc:
         raise ModelFormatError(f"model invariant violated: {exc}") from exc

@@ -140,6 +140,18 @@ def _as_sym(mat: np.ndarray, dim: int, what: str, dtype) -> np.ndarray:
     return 0.5 * (m + m.conj().T)
 
 
+def _real_vector(v, what: str) -> np.ndarray:
+    """`v` as a flat float array, once it is real and finite; SDPError
+    naming it as `what` otherwise."""
+    arr = np.asarray(v)
+    if np.iscomplexobj(arr):
+        raise SDPError(f"{what} is complex")
+    arr = np.asarray(arr, dtype=float).ravel()
+    if not np.all(np.isfinite(arr)):
+        raise SDPError(f"{what} has non-finite values")
+    return arr
+
+
 def make_problem(
     block_dims,
     objective: BlockMat,
@@ -166,7 +178,8 @@ def make_problem(
     rows keep their order and are renumbered 0..k-1, and the dual hint is
     subset to them.  A dropped row whose right-hand side is inconsistent
     with the rows that imply it raises, since the problem is then
-    infeasible at construction time.
+    infeasible at construction time.  `b` and the dual hint must be real
+    and finite, and the primal hint must have one block per block.
     """
     dims = tuple(int(d) for d in block_dims)
     if any(d <= 0 for d in dims):
@@ -182,27 +195,23 @@ def make_problem(
         int(l): _as_sym(mat, dims[int(l)], f"objective block {l}", dtype)
         for l, mat in objective.items()
     }
-    bvec = np.asarray(b, dtype=float).ravel()
-    if not np.all(np.isfinite(bvec)):
-        raise SDPError("b has non-finite values")
+    bvec = _real_vector(b, "b")
     m = len(bvec)
     if not _keys_fit(m, dims):
         raise SDPError(f"block dims {dims} are too large: entry keys overflow int64")
     store = _entry_store(entries, dims, m, dtype)
     kept, dropped = _dedupe_rows(store, bvec, dims)
     if primal_hint is not None:
+        if len(primal_hint) != len(dims):
+            raise SDPError(f"primal hint has {len(primal_hint)} blocks for {len(dims)}")
         primal_hint = tuple(
             _as_sym(blk, dims[l], f"primal hint block {l}", dtype)
             for l, blk in enumerate(primal_hint)
         )
-        if len(primal_hint) != len(dims):
-            raise SDPError("primal hint must cover every block")
     if dual_hint is not None:
-        dual_hint = np.asarray(dual_hint, dtype=float).ravel()
+        dual_hint = _real_vector(dual_hint, "dual hint")
         if len(dual_hint) != m:
             raise SDPError("dual hint length must match the original constraint count")
-        if not np.all(np.isfinite(dual_hint)):
-            raise SDPError("dual hint has non-finite values")
         dual_hint = dual_hint[kept]
     renumber = np.full(m, -1)
     renumber[kept] = np.arange(len(kept))
@@ -604,8 +613,17 @@ def solve(
 
     Deterministic: fixed reduction orders, no randomization.  Builder
     hints on the problem are used as starting points when present.
-    `max_iter` = 0 only evaluates the starting point; a negative one raises,
-    as does a `tol` that is not finite and positive.
+
+    Each iterate, the starting point first, is judged once, by one ordered
+    test: `optimal` when the relative gap and both relative infeasibilities
+    are at most `tol`; else `infeasible_suspect` when mu has grown 1e8-fold
+    from the start, the primal infeasibility exceeds 1e10, or each of the
+    last `_STALL_LIMIT` steps had both step lengths below `_STALL_STEP`; else
+    `max_iter` once `max_iter` steps have been taken; else a step is taken.
+    `iterations` is the number of steps taken, whatever the status, and the
+    solution is the iterate that was judged.  `max_iter` = 0 judges the
+    starting point alone; a negative one raises, as does a `tol` that is not
+    finite and positive.
     """
     if max_iter < 0:
         raise SDPError(f"max_iter must be >= 0, got {max_iter}")
@@ -635,7 +653,8 @@ def solve(
             out[f.rows] += f.values(blk)
         return out
 
-    def metrics():
+    stall = 0
+    for it in range(max_iter + 1):
         pobj = sum(float(np.vdot(C[l], Y[l]).real) for l in range(nb))
         dobj = float(b @ y)
         rp = b - constraint_values(Y)
@@ -644,21 +663,16 @@ def solve(
         pinf = (float(np.max(np.abs(rp))) if m else 0.0) / b_scale
         dinf = max(float(np.max(np.abs(r))) for r in Rd) / c_scale
         mu = sum(float(np.vdot(Y[l], Z[l]).real) for l in range(nb)) / nu
-        return pobj, dobj, rp, Rd, gap, pinf, dinf, mu
-
-    status = "max_iter"
-    it = 0
-    mu0 = None
-    stall = 0
-    for it in range(max_iter):
-        pobj, dobj, rp, Rd, gap, pinf, dinf, mu = metrics()
-        if mu0 is None:
+        if it == 0:
             mu0 = max(mu, 1e-300)
         if gap <= tol and pinf <= tol and dinf <= tol:
             status = "optimal"
             break
-        if mu > 1e8 * mu0 or pinf > 1e10:
+        if mu > 1e8 * mu0 or pinf > 1e10 or stall >= _STALL_LIMIT:
             status = "infeasible_suspect"
+            break
+        if it == max_iter:
+            status = "max_iter"
             break
 
         Gs, Gis, sigmas = zip(*(_nt_factor(Y[l], Z[l]) for l in range(nb)))
@@ -703,18 +717,7 @@ def solve(
             Y[l] = 0.5 * ((Y[l] + ap * dY) + (Y[l] + ap * dY).conj().T)
             Z[l] = 0.5 * ((Z[l] + ad * dZ) + (Z[l] + ad * dZ).conj().T)
         y = y + ad * dy
-
-        if max(ap, ad) < _STALL_STEP:
-            stall += 1
-            if stall >= _STALL_LIMIT:
-                status = "infeasible_suspect"
-                pobj, dobj, rp, Rd, gap, pinf, dinf, mu = metrics()
-                break
-        else:
-            stall = 0
-    else:
-        pobj, dobj, rp, Rd, gap, pinf, dinf, mu = metrics()
-        it = max_iter
+        stall = stall + 1 if max(ap, ad) < _STALL_STEP else 0
 
     return SDPSolution(
         primal=tuple(Y),
@@ -804,12 +807,10 @@ def _support_groups(stack: np.ndarray, present: np.ndarray) -> tuple:
     it rounds the full-width sum.  A group of width w < d saves
     2 k d^2 (d - w) multiply-adds (in real ones) for its k rows, and costs
     four numpy calls; when that does not pay, its rows keep full width.  A
-    support of full width is None, and its rows are taken whole: the stack
-    itself, or a view of it, when they are all its rows."""
+    support of full width is None, and its rows are taken whole: a view of
+    the stack when they are all its rows."""
     m, d = stack.shape[:2]
     madd = 4 if np.iscomplexobj(stack) else 1
-    if 2 * m * d**3 * madd <= 4 * _CALL_MADDS:  # no group could pay
-        return ((slice(None), None, stack),)
     width = np.minimum(2 ** np.ceil(np.log2(np.maximum(present.sum(axis=1), 2))).astype(int), d)
     saved = 2 * np.bincount(width, minlength=d + 1) * d * d * (d - np.arange(d + 1))
     width = np.where(saved[width] * madd > 4 * _CALL_MADDS, width, d)

@@ -11,7 +11,14 @@ import pytest
 import qmbounds
 from qmbounds import bound_builders
 from qmbounds.cli import main
-from qmbounds.model import model_to_dict, phase_damping_model, random_model
+from qmbounds.model import (
+    holland_burnett_probe,
+    interferometer_model,
+    model_to_dict,
+    phase_damping_model,
+    random_model,
+    sld_bound,
+)
 
 
 def run(capsys, argv):
@@ -170,6 +177,19 @@ class TestBoundsCommand:
         want = (1 + 3 * 0.1 - 4 * 0.1**3) / (4 * 0.1 * 0.3)
         assert float(rows["holevo"]["value"]) == pytest.approx(want, abs=1e-5)
         assert float(rows["nh"]["value"]) == pytest.approx(want, abs=1e-5)
+
+    def test_holland_burnett_values_match_the_library(self, capsys):
+        code, out, _ = run(capsys, ["bounds", "--model", "hb", "--N", "2"])
+        assert code == 0
+        model = interferometer_model(holland_burnett_probe(2), 0.1)
+        want = {
+            "sld": sld_bound(model),
+            "holevo": bound_builders.holevo_bound(model, tol=1e-9).value,
+            "nh": bound_builders.nagaoka_hayashi_bound(model, tol=1e-9).value,
+        }
+        rows = csv_rows(out)
+        assert [r["bound"] for r in rows] == list(want)
+        assert all(r["value"] == "%.9g" % want[r["bound"]] and r["ok"] == "true" for r in rows)
 
     def test_bound_selection(self, capsys):
         code, out, _ = run(
@@ -503,6 +523,36 @@ class TestVerifyPovmCommand:
         assert out == ""
         assert "field 'outcomes[0]': entry (0, 0) is not finite" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ("outcome", "bad JSON POVM file: outcome 0 is not Hermitian"),
+            ("xi", "bad JSON POVM file: xi has non-finite entries"),
+        ],
+    )
+    def test_povm_file_that_is_not_a_measurement_exits_two(self, capsys, tmp_path, change, message):
+        model = phase_damping_model(0.3, params="x")
+        mpath = tmp_path / "model.json"
+        mpath.write_text(json.dumps(model_to_dict(model)))
+        d = model.dim
+        half = [[[0.5 * (i == j), 0.0] for j in range(d)] for i in range(d)]
+        povm = {"outcomes": [half, json.loads(json.dumps(half))], "xi": [[1.0, -1.0]]}
+        if change == "outcome":
+            # the sum is still the identity, and each outcome's eigenvalues 1/2
+            povm["outcomes"][0][0][1] = [0.3, 0.0]
+            povm["outcomes"][1][0][1] = [-0.3, 0.0]
+        else:
+            povm["xi"][0][1] = float("nan")
+        ppath = tmp_path / "povm.json"
+        ppath.write_text(json.dumps(povm))
+        code, out, err = run(
+            capsys,
+            ["verify-povm", "--povm-json", str(ppath), "--model-json", str(mpath)],
+        )
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {message}\n"
 
     @pytest.mark.parametrize("a1sq", ["1.5", "-0.2", "nan", "0", "1"])
     def test_out_of_range_split_exits_two(self, capsys, a1sq):

@@ -3,7 +3,10 @@
 A unitary change of basis of the Hilbert space, and an orthogonal
 reparametrisation, leave the SLD, Holevo and Nagaoka-Hayashi bounds
 unchanged, and the bounds are ordered: SLD <= Holevo <= min(NH, 2 SLD).
-On a qubit with two parameters, NH is Nagaoka's closed form.
+On a qubit with two parameters, NH is Nagaoka's closed form.  Scaling
+the derivatives by c scales each bound by 1/c^2, and near full damping
+the dephased pair keeps its closed forms.  The cases of the last two that
+fail today are marked strict xfail, with what makes them fail.
 """
 import numpy as np
 import pytest
@@ -88,3 +91,65 @@ def test_qubit_two_parameter_nh_is_nagaoka_closed_form(seed):
     jinv = np.linalg.inv(sld(model).fisher)
     want = np.trace(jinv) + 2 * np.sqrt(np.linalg.det(jinv))
     assert nagaoka_hayashi_bound(model).value == pytest.approx(want, rel=1e-8)
+
+
+BOUND_VALUES = {
+    "sld": sld_bound,
+    "holevo": lambda model: holevo_bound(model).value,
+    "nh": lambda model: nagaoka_hayashi_bound(model).value,
+}
+
+
+def case(bound, at, why):
+    """A parametrized case, strict xfail when `why` says what fails today."""
+    marks = pytest.mark.xfail(strict=True, reason=f"ROADMAP item 5: {why}") if why else ()
+    return pytest.param(bound, at, marks=marks, id=f"{bound}-{at:g}")
+
+
+SCALE_FAILURES = {
+    ("sld", 1e-6): "the Fisher singularity test is absolute",
+    **{(bound, 1e6): "the derivative trace test is absolute" for bound in BOUND_VALUES},
+    **{(bound, c): "the solver's absolute floors leave it at max_iter"
+       for bound, c in [("holevo", 1e-6), ("holevo", 1e-4), ("nh", 1e-6), ("nh", 1e-4), ("nh", 1e-2)]},
+    **{(bound, c): "a wrong value under the solver's absolute gap floor passes as optimal"
+       for bound in ("holevo", "nh") for c in (1e2, 1e4)},
+}
+
+
+@pytest.mark.parametrize(
+    "bound, c",
+    [case(bound, c, SCALE_FAILURES.get((bound, c)))
+     for bound in BOUND_VALUES for c in (1e-6, 1e-4, 1e-2, 1e2, 1e4, 1e6)],
+)
+def test_scale_covariance(bound, c):
+    # derivatives c * d_j give the bound C / c^2
+    model = random_model(3, 3, 2)
+    scaled = StatisticalModel(
+        dim=model.dim,
+        state=model.state,
+        derivs=tuple(c * dm for dm in model.derivs),
+        theta=model.theta,
+        labels=model.labels,
+    )
+    value = BOUND_VALUES[bound]
+    assert c * c * value(scaled) == pytest.approx(value(model), rel=1e-7)
+
+
+DAMPING_FAILURES = {
+    ("nh", 0.99): "NH stops at max_iter near full damping",
+    ("holevo", 0.999): "Holevo stops at max_iter near full damping",
+    ("nh", 0.999): "NH reports infeasible_suspect near full damping",
+    ("holevo", 0.9999): "Holevo stops at max_iter near full damping",
+    ("nh", 0.9999): "NH reports infeasible_suspect near full damping",
+}
+
+
+@pytest.mark.parametrize(
+    "bound, eps",
+    [case(bound, eps, DAMPING_FAILURES.get((bound, eps)))
+     for bound in ("holevo", "nh") for eps in (0.99, 0.999, 0.9999)],
+)
+def test_dephased_pair_closed_forms_near_full_damping(bound, eps):
+    want = {"holevo": 2 + 1 / (1 - eps) ** 2, "nh": 4 / (2 - eps) + 1 / (1 - eps) ** 2}[bound]
+    value = BOUND_VALUES[bound](phase_damping_model(eps, "xyz"))
+    assert value == pytest.approx(want, rel=1e-7)

@@ -64,6 +64,41 @@ class TestPovmValidation:
         with pytest.raises(MeasurementError, match="columns"):
             Estimator(povm=povm, xi=np.zeros((1, 3)))
 
+    def test_non_hermitian_outcome_rejected(self):
+        # the two sum to the identity with eigenvalues 1/2 each, so
+        # validate_povm alone would pass them
+        pair = (np.array([[0.5, 0.3], [0.0, 0.5]]), np.array([[0.5, -0.3], [0.0, 0.5]]))
+        with pytest.raises(MeasurementError, match="^outcome 0 is not Hermitian$"):
+            POVM(outcomes=pair)
+        with pytest.raises(MeasurementError, match="^outcome 1 is not Hermitian$"):
+            POVM(outcomes=(np.diag([0.5, 0.5]), pair[1]))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_outcome_rejected(self, value):
+        with pytest.raises(MeasurementError, match="^outcome 0 has non-finite entries$"):
+            POVM(outcomes=(np.diag([value, 1.0]), np.eye(2)))
+
+    def test_outcome_stored_as_its_hermitian_part(self):
+        near = np.array([[1.0, 1e-12], [0.0, 0.0]])
+        stored = POVM(outcomes=(near, np.diag([0.0, 1.0]))).outcomes[0]
+        assert np.array_equal(stored, stored.conj().T)
+
+    @pytest.mark.parametrize(
+        "xi, message",
+        [
+            (np.array([[np.nan]]), "xi has non-finite entries"),
+            (np.array([[np.inf]]), "xi has non-finite entries"),
+            (np.array([[-np.inf]]), "xi has non-finite entries"),
+            # not cut to its real part, nor a bare TypeError from a list
+            (np.array([[1.0 + 1j]]), "xi is complex"),
+            ([[1.0 + 1j]], "xi is complex"),
+        ],
+    )
+    def test_non_finite_or_complex_xi_rejected(self, xi, message):
+        povm = POVM(outcomes=(np.eye(2, dtype=complex),))
+        with pytest.raises(MeasurementError, match=f"^{message}$"):
+            Estimator(povm=povm, xi=xi)
+
 
 class TestDephasingMeasurement:
     def test_five_outcome_family_is_valid(self):

@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from qmbounds.bound_builders import build_nh_sdp
 from qmbounds.model import (
     BoundError,
     ModelError,
@@ -284,6 +285,33 @@ class TestJsonSchema:
         assert all(np.array_equal(a, b) for a, b in zip(back.derivs, m.derivs))
         assert back.theta == m.theta
         assert back.labels == m.labels
+
+    def test_round_trip_keeps_block_dims(self):
+        m = interferometer_model(holland_burnett_probe(6), 0.6)
+        data = model_to_dict(m)
+        assert data["block_dims"] == list(m.block_dims)
+        back = model_from_dict(data)
+        assert back.block_dims == m.block_dims
+        assert build_nh_sdp(back)[0].block_dims == build_nh_sdp(m)[0].block_dims
+        assert "block_dims" not in model_to_dict(phase_damping_model(0.35, "xz"))
+
+    @pytest.mark.parametrize(
+        "blocks", [[], [4, 0], [4, -1], [2.0, 2], [True, 3], "4", [[4]]], ids=repr
+    )
+    def test_bad_block_dims_named(self, blocks):
+        data = model_to_dict(phase_damping_model(0.1, "x"))
+        data["block_dims"] = blocks
+        with pytest.raises(ModelFormatError, match="^field 'block_dims': expected a list of positive integers$"):
+            model_from_dict(data)
+
+    def test_block_dims_that_do_not_fit_the_model(self):
+        data = model_to_dict(phase_damping_model(0.1, "x"))
+        data["block_dims"] = [1, 2]
+        with pytest.raises(ModelFormatError, match="do not partition dimension 4"):
+            model_from_dict(data)
+        data["block_dims"] = [2, 2]
+        with pytest.raises(ModelFormatError, match="weight outside the declared blocks"):
+            model_from_dict(data)
 
     def test_missing_field_named(self):
         data = model_to_dict(phase_damping_model(0.1, "x"))

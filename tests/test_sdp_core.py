@@ -192,6 +192,29 @@ class TestSolve:
         assert sol.iterations == 0
         assert np.isfinite(sol.gap)
 
+    @staticmethod
+    def assert_same_solution(a, b):
+        assert (a.status, a.iterations) == (b.status, b.iterations)
+        fields = ("primal_obj", "dual_obj", "gap", "primal_infeas", "dual_infeas", "dual_y")
+        assert all(np.array_equal(getattr(a, f), getattr(b, f)) for f in fields)
+        assert all(np.array_equal(x, y) for x, y in zip(a.primal + a.dual_Z, b.primal + b.dual_Z))
+
+    def test_step_budget_of_an_optimal_solve_reaches_optimal(self):
+        # the iterate reached with the last step allowed is judged like any other
+        problem = build_nh_sdp(phase_damping_model(0.3, params="xy"))[0]
+        full = solve(problem)
+        assert full.status == "optimal"
+        self.assert_same_solution(solve(problem, max_iter=full.iterations), full)
+
+    def test_stalled_solve_reports_the_steps_it_took(self, monkeypatch):
+        # every step counts as a stall, so the solve stops once 5 are taken
+        monkeypatch.setattr(sdp_core, "_STALL_STEP", 2.0)
+        problem = build_nh_sdp(phase_damping_model(0.3, params="xy"))[0]
+        stalled = solve(problem)
+        assert stalled.status == "infeasible_suspect"
+        assert stalled.iterations == 5
+        self.assert_same_solution(solve(problem, max_iter=5), stalled)
+
     def test_negative_iteration_count_raises(self):
         with pytest.raises(SDPError, match="max_iter must be >= 0, got -1"):
             solve(toy_problem(), max_iter=-1)
@@ -878,6 +901,20 @@ class TestMakeProblem:
             make_problem([2], {0: np.eye(2)}, rows, [1.0], scale=bad)
         with pytest.raises(SDPError, match="dual hint has non-finite"):
             make_problem([2], {0: np.eye(2)}, rows, [1.0], dual_hint=[bad])
+
+    @pytest.mark.parametrize("bad", [[1.0 + 1j], np.array([1.0 + 0j])], ids=["list", "array"])
+    def test_rejects_complex_right_hand_side_and_dual_hint(self, bad):
+        # an array is not cut to its real part, and a list does not raise TypeError
+        rows = as_entries([{0: np.eye(2)}])
+        with pytest.raises(SDPError, match="^b is complex$"):
+            make_problem([2], {0: np.eye(2)}, rows, bad)
+        with pytest.raises(SDPError, match="^dual hint is complex$"):
+            make_problem([2], {0: np.eye(2)}, rows, [1.0], dual_hint=bad)
+
+    @pytest.mark.parametrize("hint", [(np.eye(2), np.eye(3)), ()], ids=["extra block", "no block"])
+    def test_rejects_primal_hint_of_another_block_count(self, hint):
+        with pytest.raises(SDPError, match=f"^primal hint has {len(hint)} blocks for 1$"):
+            make_problem([2], {0: np.eye(2)}, as_entries([{0: np.eye(2)}]), [1.0], primal_hint=hint)
 
 
 class TestCertificate:
