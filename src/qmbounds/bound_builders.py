@@ -533,6 +533,9 @@ def build_holevo_sdp(model: StatisticalModel):
     x0 = np.tensordot(coef0, basis, axes=(0, 0))
     null_ops = np.tensordot(null, basis, axes=(0, 0))
     del basis
+    # the free directions are block-diagonal, as the basis is: each is kept
+    # as its diagonal blocks, one (q, dl, dl) stack per model block
+    null_ops = [null_ops[:, off : off + dl, off : off + dl].copy() for off, dl in blocks]
     # weighted support rows D^(1/2) U^dag of each block: the Gram matrix of
     # the coordinates of X reproduces Tr[X_j S X_k]
     maps = [
@@ -540,15 +543,13 @@ def build_holevo_sdp(model: StatisticalModel):
         for (off, dl), sup in zip(blocks, sups)
     ]
 
-    def coords(x):
-        return np.concatenate(
-            [(rows @ x[off : off + dl, off : off + dl]).ravel() for off, dl, rows in maps]
-        )
+    def coords(pieces):  # of an operator, given as its diagonal blocks
+        return np.concatenate([(rows @ x).ravel() for (_, _, rows), x in zip(maps, pieces)])
 
-    m0 = np.stack([coords(x) for x in x0], axis=1)
+    m0 = np.stack([coords([x[off : off + dl, off : off + dl] for off, dl, _ in maps]) for x in x0], axis=1)
     km = m0.shape[0]
     dim_lmi = n + km
-    null_cols = np.array([coords(op) for op in null_ops]).reshape(q, km)
+    null_cols = np.array([coords([ops[t] for ops in null_ops]) for t in range(q)]).reshape(q, km)
 
     g0 = np.zeros((dim_lmi, dim_lmi), dtype=complex)
     g0[n:, n:] = np.eye(km)
@@ -581,7 +582,7 @@ def build_holevo_sdp(model: StatisticalModel):
     )
     meta = {
         "w0": tuple(x0),
-        "null_ops": null_ops,
+        "null_ops": tuple(zip((off for off, _ in blocks), null_ops)),  # (offset, stack) per block
         "num_params": n,
         "theta": tuple(float(t) for t in model.theta),
     }
@@ -597,17 +598,17 @@ def holevo_bound(
     problem, meta = build_holevo_sdp(model)
     sol = _solve_optimal(problem, tol)
     n = meta["num_params"]
-    null_ops = meta["null_ops"]
-    q = len(null_ops)
     # the dual vector holds V's upper triangle, then each X_j's q free
-    # coefficients in turn
-    ys = sol.dual_y[n * (n + 1) // 2 :].reshape(n, q)
+    # coefficients in turn; X_j is rebuilt block by block
+    ys = sol.dual_y[n * (n + 1) // 2 :].reshape(n, len(meta["null_ops"][0][1]))
     eye = np.eye(model.dim, dtype=complex)
-    xs = [
-        hermitize(meta["w0"][j] + np.tensordot(ys[j], null_ops, axes=1))
-        + meta["theta"][j] * eye
-        for j in range(n)
-    ]
+    xs = []
+    for j in range(n):
+        x = np.array(meta["w0"][j])
+        for off, ops in meta["null_ops"]:
+            at = slice(off, off + ops.shape[1])
+            x[at, at] += np.tensordot(ys[j], ops, axes=1)
+        xs.append(hermitize(x) + meta["theta"][j] * eye)
     stats = _checked_stats(model, xs, problem, sol)
     return BoundResult(
         value=sol.dual_obj,

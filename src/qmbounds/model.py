@@ -5,6 +5,7 @@ rule shared by all three bounds, symmetric logarithmic derivatives, and
 the classical Fisher-trace bound."""
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from math import comb
 
@@ -59,6 +60,9 @@ class StatisticalModel:
             derivs.append(dm)
         if not derivs:
             raise ModelError("at least one parameter derivative is required")
+        bad = [t for t in self.theta if not is_number(t)]
+        if bad:
+            raise ModelError(f"theta entry {bad[0]!r} is not a real number")
         theta = tuple(float(t) for t in self.theta)
         if not np.all(np.isfinite(theta)):
             raise ModelError(f"theta {theta!r} has non-finite values")
@@ -403,9 +407,9 @@ def model_to_dict(model: StatisticalModel) -> dict:
 
 
 def is_number(v) -> bool:
-    """Whether a decoded JSON value is a number: not `true` or `false`,
-    though Python's bool is an int."""
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+    """Whether `v` is a real number, Python's or numpy's: not complex, not a
+    string, and not `true` or `false`, though Python's bool is an int."""
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)
 
 
 def decode_matrix(obj, dim, field: str, error: type[Exception]) -> np.ndarray:

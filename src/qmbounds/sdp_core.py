@@ -590,7 +590,11 @@ def solve(
     support R_i, the rows of A_i that hold a nonzero, is narrow: its
     congruence is G^H[:, R_i] (A_i[R_i, :] G) (`_support_groups`).  On the
     realified NH block of `random_model(3, 10, 2)` (d = 60), 365 of 406 rows
-    have supports of at most 8 rows.  Factored: row i is zero
+    have supports of at most 8 rows.  The rows are held once, densely, by
+    support group, as their slices A_i[R_i, :], and each group writes its
+    congruences in place, into its own span of one (m, d, d) work stack
+    that every iteration reuses; the residuals take the rows of narrow
+    groups from their nonzeros.  Factored: row i is zero
     outside the rows and columns of its greedy cover H, so with
     B_i = A_i[:, H] it is exactly E_H B_i^H + B_i E_H^T - E_H A_i[H, H] E_H^T
     = U_i S_i U_i^H, with U_i = [E_H, B_i].  With F_i = G^H U_i and
@@ -764,20 +768,38 @@ def _initial_dual(problem, formulas, C):
 
 
 class _DenseRows(NamedTuple):
-    """A block's rows as a dense (m, d, d) stack.  `values` and `combination`
-    are (<A_i, Y>)_i and sum_i v_i A_i over these rows."""
+    """A block's m rows, dense and held once: by the support groups of
+    `_support_groups`, each the slices A_i[R, :] of its rows.  `values` and
+    `combination`, (<A_i, Y>)_i and sum_i v_i A_i over these rows, take a
+    full-width group's rows whole, and the rows of the narrow groups from
+    their nonzeros, `entries`.  `work` is an (m, d, d) stack that every
+    iteration reuses.  It holds the congruences of `scaled` group after
+    group, each group's written in place in its own span; `order` lists the
+    rows' positions in that order, and is None when it is their own."""
 
     rows: np.ndarray
-    stack: np.ndarray
-    supports: tuple  # the row groups of `_support_groups`
-    work: np.ndarray  # a stack reused by every iteration, not allocated anew
+    groups: tuple
+    order: np.ndarray | None
+    entries: tuple  # the narrow groups' nonzeros: row position, flat position, value
+    work: np.ndarray
 
     def values(self, Y):
-        return (self.stack.reshape(len(self.rows), Y.size) @ Y.conj().ravel()).real
+        r, at, val = self.entries
+        out = np.empty(len(self.rows))
+        if len(r):
+            out = np.bincount(r, weights=(val * Y.ravel()[at].conj()).real, minlength=len(out))
+        for pos, sup, rows, _ in self.groups:
+            if sup is None:
+                out[pos] = (rows.reshape(len(rows), Y.size) @ Y.conj().ravel()).real
+        return out
 
     def combination(self, v):
-        d = self.stack.shape[1]
-        return (self.stack.reshape(len(self.rows), d * d).T @ v).reshape(d, d)
+        r, at, val = self.entries
+        d = self.work.shape[1]
+        parts = [rows.reshape(len(rows), d * d).T @ v[pos] for pos, sup, rows, _ in self.groups if sup is None]
+        if len(r):
+            parts.append(_bincount(at, v[r] * val, d * d))
+        return sum(parts[1:], parts[0]).reshape(d, d)
 
     def scaled(self, G):
         """The block's Schur part, X -> (Tr(G^H A_i G X))_i, and
@@ -785,45 +807,59 @@ class _DenseRows(NamedTuple):
         support R alone, as G^H[:, R] (A_i[R, :] G): the terms left out are
         products with exact zeros.  A full-support row keeps full width."""
         Gh, Gc = G.conj().T, G.conj()
-        for pos, sup, rows in self.supports:
+        for _, sup, rows, span in self.groups:
             gh = Gh if sup is None else np.swapaxes(Gc[sup], 1, 2)
-            if isinstance(pos, slice):  # all the rows: no copy
-                np.matmul(gh, rows @ G, out=self.work)
-            else:
-                self.work[pos] = gh @ (rows @ G)
+            np.matmul(gh, rows @ G, out=self.work[span])
         abar = self.work.reshape(len(self.rows), G.size)
         parts = abar.view(float)  # Re Tr(Abar_i Abar_j) as a real inner product
-        return (parts @ parts.T, lambda X: (abar @ X.conj().ravel()).real,
-                lambda v: (abar.T @ v).reshape(G.shape))
+        gram = parts @ parts.T
+        order = self.order
+        if order is None:
+            return (gram, lambda X: (abar @ X.conj().ravel()).real,
+                    lambda v: (abar.T @ v).reshape(G.shape))
+        at = np.argsort(order)  # each row's place in `work`
+        return (gram[np.ix_(at, at)], lambda X: (abar @ X.conj().ravel()).real[at],
+                lambda v: (abar.T @ v[order]).reshape(G.shape))
 
 
-def _support_groups(stack: np.ndarray, present: np.ndarray) -> tuple:
-    """The rows of a dense (m, d, d) stack grouped by support, as
-    (positions, supports, A_i[R, :]) per group.  Row i's support R is the
-    set of rows (and so columns) a of A_i that hold a nonzero,
-    `present[i, a]`.  It is widened by the lowest rows outside it to 2, 4,
-    8, ... rows: that makes fewer groups, at the cost of exact-zero terms
-    only, and no complex product of one term, which numpy does not round as
-    it rounds the full-width sum.  A group of width w < d saves
-    2 k d^2 (d - w) multiply-adds (in real ones) for its k rows, and costs
-    four numpy calls; when that does not pay, its rows keep full width.  A
-    support of full width is None, and its rows are taken whole: a view of
-    the stack when they are all its rows."""
-    m, d = stack.shape[:2]
+def _support_groups(r, i, j, val, m: int, d: int):
+    """The m rows of a dense block of dimension d, given as its entries
+    (row position r, i, j, value), grouped by support: the groups,
+    `order` and `entries` of `_DenseRows`.  A group is (positions, supports,
+    A_i[R, :], span of `work`), positions ascending.  Row i's support R is
+    the set of rows (and so columns) of A_i that hold a nonzero.  It is
+    widened by the lowest rows outside it to 2, 4, 8, ... rows: that makes
+    fewer groups, at the cost of exact-zero terms only, and no complex
+    product of one term, which numpy does not round as it rounds the
+    full-width sum.  A group of width w < d saves 2 k d^2 (d - w)
+    multiply-adds (in real ones) for its k rows, and costs four numpy calls;
+    when that does not pay, its rows keep full width.  A support of full
+    width is None, and its rows are taken whole.  The dense (m, d, d) stack
+    is built only to cut the groups from it: it outlives this call only as
+    the one group of all the rows at full width, a view of it."""
+    stack = np.zeros((m, d, d), dtype=val.dtype)
+    stack[r, i, j] = val
+    present = np.zeros((m, d), dtype=bool)
+    present[r, i] = True
     madd = 4 if np.iscomplexobj(stack) else 1
     width = np.minimum(2 ** np.ceil(np.log2(np.maximum(present.sum(axis=1), 2))).astype(int), d)
     saved = 2 * np.bincount(width, minlength=d + 1) * d * d * (d - np.arange(d + 1))
     width = np.where(saved[width] * madd > 4 * _CALL_MADDS, width, d)
-    groups = []
-    for w in np.unique(width).tolist():
+    groups, start = [], 0
+    for w in np.unique(width).tolist() or [d]:  # a block no row touches: one empty group
         pos = np.flatnonzero(width == w)
+        span = slice(start, start + len(pos))
+        start = span.stop
         if w == d:
             pos = slice(None) if len(pos) == m else pos
-            groups.append((pos, None, stack[pos]))
+            groups.append((pos, None, stack[pos], span))
         else:
             sup = np.sort(np.argsort(~present[pos], axis=1, kind="stable")[:, :w], axis=1)
-            groups.append((pos, sup, stack[pos[:, None], sup]))
-    return tuple(groups)
+            groups.append((pos, sup, stack[pos[:, None], sup], span))
+    order = np.concatenate([np.arange(m)[pos] for pos, *_ in groups])
+    narrow = width[r] < d
+    entries = (r[narrow], (i * d + j)[narrow], val[narrow])
+    return tuple(groups), None if np.array_equal(order, np.arange(m)) else order, entries
 
 
 class _FactoredRows(NamedTuple):
@@ -910,11 +946,8 @@ def _block_formulas(problem):
         val = store.val[here]
         H = _greedy_cover(r, i, j, len(rows), d, 4 if np.iscomplexobj(val) else 1)
         if H is None:
-            stack = np.zeros((len(rows), d, d), dtype=val.dtype)
-            stack[r, i, j] = val
-            present = np.zeros((len(rows), d), dtype=bool)
-            present[r, i] = True
-            formulas.append(_DenseRows(rows, stack, _support_groups(stack, present), np.empty_like(stack)))
+            groups, order, entries = _support_groups(r, i, j, val, len(rows), d)
+            formulas.append(_DenseRows(rows, groups, order, entries, np.empty((len(rows), d, d), val.dtype)))
             continue
         k = H.shape[1]
         slot = np.full((len(rows), d), -1)

@@ -66,6 +66,26 @@ class TestStatisticalModel:
             with pytest.raises(ModelError, match=match):
                 StatisticalModel(dim=2, state=st, derivs=(dm,), theta=(theta,), labels=("a",))
 
+    @pytest.mark.parametrize("theta", [
+        np.array([1 + 2j, 0.0]),  # was kept as (1.0, 0.0), with a ComplexWarning
+        np.array([1.0, 0.0], dtype=complex),
+        (1 + 2j, 0.0),  # was a bare TypeError
+        ("1", 0.0),  # was taken as (1.0, 0.0)
+        (True, 0.0),
+        (np.bool_(False), 0.0),
+    ])
+    def test_theta_that_is_not_real_numbers_named(self, theta):
+        m = random_model(1, 2, 2)
+        with pytest.raises(ModelError, match="theta"):  # a ComplexWarning fails the run too
+            StatisticalModel(dim=2, state=m.state, derivs=m.derivs, theta=theta, labels=m.labels)
+
+    def test_theta_of_numpy_reals_accepted(self):
+        m = random_model(1, 2, 2)
+        for theta in (np.array([1, 2]), np.array([0.5, 2.0], dtype=np.float32), (np.int64(1), 2.5)):
+            got = StatisticalModel(dim=2, state=m.state, derivs=m.derivs, theta=theta, labels=m.labels)
+            assert got.theta == tuple(float(t) for t in theta)
+            assert all(type(t) is float for t in got.theta)
+
 
 class TestPhaseDamping:
     def test_derivative_entries_at_zero_damping(self):

@@ -486,13 +486,13 @@ def rand_herm(rng, d, dtype):
     return 0.5 * (a + a.conj().T)
 
 
-def check_against_einsum(problem, formula, l=0):
+def check_against_einsum(problem, formula, l=0, seed=11):
     """Block l's formula's Schur part, directions and row maps against einsum
     over the dense rows, at a generic NT scaling of random positive definite
-    Y and Z of the problem's dtype."""
+    Y and Z of the problem's dtype, drawn from `seed`."""
     rows, A = dense_rows(problem, l)
     assert np.array_equal(formula.rows, rows)
-    rng = np.random.default_rng(11)
+    rng = np.random.default_rng(seed)
     d = problem.block_dims[l]
     dtype = problem.store.val.dtype
     Y, Z = (g @ g.conj().T + np.eye(d) for g in (rand_herm(rng, d, dtype) for _ in range(2)))
@@ -517,21 +517,35 @@ def check_against_einsum(problem, formula, l=0):
     assert rel(formula.combination(v), np.tensordot(v, A, axes=1)) <= 1e-12
 
 
-def check_supports(formula):
-    """A dense formula's support groups: they partition its rows, and each
-    row is zero outside the rows of its support, which is no wider than it
-    need be."""
-    m, d = formula.stack.shape[:2]
-    pos = np.concatenate([np.arange(m)[p] for p, _, _ in formula.supports])
-    assert np.array_equal(np.sort(pos), np.arange(m))
-    for p, sup, rows in formula.supports:
+def check_supports(formula, A):
+    """A dense formula's support groups against its rows A, from
+    `dense_rows`: they partition its rows, each group's positions ascending,
+    and lay out the work stack in group order, each group in its own span;
+    they hold the rows, and the nonzeros of the narrow groups' rows are the
+    formula's entries; and each row is zero outside the rows of its support,
+    which is no wider than it need be."""
+    assert "stack" not in type(formula)._fields
+    m, d = A.shape[:2]
+    assert formula.work.shape == A.shape
+    pos = [np.arange(m)[p] for p, *_ in formula.groups]
+    order = np.concatenate(pos)
+    assert np.array_equal(np.sort(order), np.arange(m))
+    assert np.array_equal(order, np.arange(m) if formula.order is None else formula.order)
+    ends = np.cumsum([0] + [len(p) for p in pos]).tolist()
+    assert [(s.start, s.stop) for *_, s in formula.groups] == list(zip(ends, ends[1:]))
+    narrow = np.zeros(A.shape, dtype=A.dtype)
+    r, at, val = formula.entries
+    narrow.reshape(m, d * d)[r, at] = val
+    assert len(r) == np.count_nonzero(narrow)
+    for (p, sup, rows, _), here in zip(formula.groups, pos):
+        assert np.all(np.diff(here) > 0)
         if sup is None:
-            assert np.array_equal(rows, formula.stack[p])
+            assert np.array_equal(rows, A[p]) and not np.any(narrow[p])
             continue
-        assert np.array_equal(rows, formula.stack[p[:, None], sup])
+        assert np.array_equal(rows, A[p[:, None], sup]) and np.array_equal(narrow[p], A[p])
         outside = np.ones((len(p), d), dtype=bool)
         outside[np.arange(len(p))[:, None], sup] = False
-        assert not np.any(formula.stack[p][outside])
+        assert not np.any(A[p][outside])
         held = np.any(rows != 0, axis=2).sum(axis=1)
         assert sup.shape[1] < d and np.all(held > sup.shape[1] // 2) or sup.shape[1] == 2
 
@@ -589,9 +603,9 @@ class TestSchurFormulas:
         problem = make_problem([d], {0: np.eye(d)}, as_entries(cons), np.ones(len(cons)))
         (formula,) = _block_formulas(problem)
         assert isinstance(formula, _DenseRows)
-        check_supports(formula)
+        check_supports(formula, dense_rows(problem, 0)[1])
         # widths 2, 4 and 8, and the full 12 for supports of 9 rows or more
-        assert [(len(pos), None if sup is None else sup.shape[1]) for pos, sup, _ in formula.supports] == [
+        assert [(len(pos), None if sup is None else sup.shape[1]) for pos, sup, *_ in formula.groups] == [
             (4, 2), (2, 4), (4, 8), (3, None)]
         check_against_einsum(problem, formula)
 
@@ -602,9 +616,50 @@ class TestSchurFormulas:
                  "random d=4": random_model(3, 4, 2)}[name]
         problem = build_nh_sdp(model)[0]
         for l, formula in enumerate(_block_formulas(problem)):
-            check_supports(formula)
-            assert any(sup is not None for _, sup, _ in formula.supports)
+            check_supports(formula, dense_rows(problem, l)[1])
+            assert any(sup is not None for _, sup, *_ in formula.groups)
             check_against_einsum(problem, formula, l)
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_multi_group_blocks_match_reference(self, dtype, monkeypatch):
+        # two blocks whose rows have supports of 1 to d rows, mixed, so that
+        # the groups interleave and the work stack's order is not the rows';
+        # each formula is checked at two scalings in turn, which reuse its
+        # work stack, and the solve agrees with one at full width
+        monkeypatch.setattr(sdp_core, "_factored_pays", lambda m, d, k, madd: False)
+        monkeypatch.setattr(sdp_core, "_CALL_MADDS", 0)
+        rng = np.random.default_rng(17)
+        dims = (10, 7)
+        cons = []
+        for k in range(30):
+            con = {}
+            for l, d in enumerate(dims):
+                if (k + l) % 3:
+                    s = [1, 2, 3, 5, d][k * (l + 1) % 5]
+                    R = np.sort(rng.choice(d, size=s, replace=False))
+                    con[l] = np.zeros((d, d), dtype=dtype)
+                    con[l][np.ix_(R, R)] = rand_herm(rng, s, dtype)
+            cons.append(con)
+        y_feas, obj = [], {}
+        for l, d in enumerate(dims):
+            g, h = (rand_herm(rng, d, dtype) for _ in range(2))
+            y_feas.append(g @ g.conj().T + np.eye(d))
+            obj[l] = h @ h.conj().T + np.eye(d)
+        b = [sum(np.vdot(mat, y_feas[l]).real for l, mat in con.items()) for con in cons]
+        problem = make_problem(dims, obj, as_entries(cons), b)
+        for l, formula in enumerate(_block_formulas(problem)):
+            assert isinstance(formula, _DenseRows) and formula.order is not None
+            assert len(formula.groups) >= 3
+            check_supports(formula, dense_rows(problem, l)[1])
+            for seed in (11, 12):
+                check_against_einsum(problem, formula, l, seed)
+        grouped = solve(problem)
+        monkeypatch.setattr(sdp_core, "_CALL_MADDS", 10**12)
+        assert all(len(f.groups) == 1 for f in _block_formulas(problem))
+        whole = solve(problem)
+        assert grouped.status == whole.status == "optimal"
+        assert grouped.iterations == whole.iterations
+        assert grouped.primal_obj == pytest.approx(whole.primal_obj, rel=1e-9)
 
     def test_nh_and_small_blocks_keep_dense_formula(self):
         programs = [
@@ -620,13 +675,13 @@ class TestSchurFormulas:
                 assert isinstance(formula, _DenseRows)
                 rows, A = dense_rows(problem, l)
                 assert np.array_equal(formula.rows, rows)
-                assert np.array_equal(formula.stack, A)
-                if formula.stack.shape[1] <= 16:
+                check_supports(formula, A)
+                if A.shape[1] <= 16:
                     # too small for a narrow support group to pay: the
-                    # whole stack, at full width
-                    ((pos, sup, whole),) = formula.supports
-                    assert pos == slice(None) and sup is None
-                    assert whole.shape == formula.stack.shape and np.shares_memory(whole, formula.stack)
+                    # whole stack, at full width, in the rows' own order
+                    ((pos, sup, whole, span),) = formula.groups
+                    assert pos == slice(None) and sup is None and span == slice(0, len(A))
+                    assert formula.order is None and np.array_equal(whole, A)
 
     def test_mixed_cover_widths_solve_as_dense(self, monkeypatch):
         # rows of cover width 1 to 3 in a 40-dim block beside a dense 3-dim
@@ -675,6 +730,35 @@ class TestSchurFormulas:
             tracemalloc.stop()
         assert sol.status == "optimal"
         assert peak <= 64 * 2**20
+
+    def test_large_nh_solve_holds_its_rows_once(self):
+        # one realified 60-dim block of 406 rows: its work stack is 11.2 MiB,
+        # and a second (m, d, d) stack of the rows, as the dense formula held
+        # beside its support groups, took the peak to 38.1 MiB
+        problem = build_nh_sdp(random_model(3, 10, 2))[0]
+        tracemalloc.start()
+        try:
+            sol = solve(problem)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sol.status == "optimal"
+        assert peak <= 28 * 2**20
+
+    def test_scaled_writes_its_congruences_in_place(self):
+        # the same block: a group-sized temporary per support group took one
+        # call of `scaled` to 9.6 MiB, 0.86 of the work stack
+        (formula,) = _block_formulas(build_nh_sdp(random_model(3, 10, 2))[0])
+        assert isinstance(formula, _DenseRows) and len(formula.groups) > 1
+        d = formula.work.shape[1]
+        G = _nt_factor(*(g @ g.T + np.eye(d) for g in np.random.default_rng(5).standard_normal((2, d, d))))[0]
+        tracemalloc.start()
+        try:
+            formula.scaled(G)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.35 * formula.work.nbytes
 
 
 class TestMakeProblem:
