@@ -31,7 +31,7 @@ from .linalg import derealify, hermitize, psd_sqrt, trace_abs
 from .model import (
     BoundError, ModelError, StatisticalModel, Support, checked_hermitian, checked_state, sld, state_support,
 )
-from .sdp_core import SDPProblem, SDPSolution, make_problem, realified, solve
+from .sdp_core import SDPError, SDPProblem, SDPSolution, make_problem, realified, solve
 
 DEFAULT_TOL = 1e-9
 
@@ -398,7 +398,12 @@ def recover_nh_estimators(
 
 
 def _solve_optimal(problem: SDPProblem, tol: float) -> SDPSolution:
-    sol = solve(problem, tol=tol)
+    """The optimal solve of `problem`; any other outcome, a solver error
+    included, is a BoundError that carries the problem."""
+    try:
+        sol = solve(problem, tol=tol)
+    except SDPError as exc:
+        raise BoundError(f"solver failed: {exc}", problem=problem) from exc
     if sol.status != "optimal":
         raise BoundError(
             f"solver finished with status {sol.status!r} "
@@ -502,17 +507,17 @@ def build_holevo_sdp(model: StatisticalModel):
     n = model.num_params
     blocks = _resolve_blocks(model)
     sups = state_support(model.state, model.derivs, blocks)
-    # the quotient basis of every block, embedded in the model dimension:
-    # one array, released once its products are taken
-    block_ops = [_quotient_basis(sup) for sup in sups]
-    first = np.cumsum([0] + [len(ops) for ops in block_ops])
-    basis = np.zeros((first[-1], model.dim, model.dim), dtype=complex)
-    for (off, dl), ops, a in zip(blocks, block_ops, first):
-        basis[a : a + len(ops), off : off + dl, off : off + dl] = np.reshape(ops, (-1, dl, dl))
+    # the quotient basis of each block, on that block alone: a (len, dl, dl)
+    # stack, empty on a block of rank 0
+    stacks = [np.array(_quotient_basis(sup), dtype=complex).reshape(-1, dl, dl) for sup, (_, dl) in zip(sups, blocks)]
+    first = np.cumsum([0] + [len(ops) for ops in stacks])
     # affine solve of the unbiasedness system over the basis coefficients:
-    # tmat[t, a] = Re Tr[target_t op_a]
+    # tmat[t, a] = Re Tr[target_t op_a], from the targets' diagonal blocks
     targets = np.array([model.state] + list(model.derivs))
-    tmat = (targets.reshape(n + 1, -1) @ basis.transpose(0, 2, 1).reshape(len(basis), -1).T).real
+    tmat = np.concatenate([
+        (targets[:, off : off + dl, off : off + dl].reshape(n + 1, -1) @ ops.transpose(0, 2, 1).reshape(-1, dl * dl).T)
+        for (off, dl), ops in zip(blocks, stacks)
+    ], axis=1).real
     rank = _functional_rank(tmat, n)
     # centered estimators W_j = X_j - theta_j, as in the block-program builder
     tr_s = float(np.trace(model.state).real)
@@ -530,12 +535,15 @@ def build_holevo_sdp(model: StatisticalModel):
     null = vt[rank:].T  # one column per free direction
     q = null.shape[1]
 
-    x0 = np.tensordot(coef0, basis, axes=(0, 0))
-    null_ops = np.tensordot(null, basis, axes=(0, 0))
-    del basis
-    # the free directions are block-diagonal, as the basis is: each is kept
-    # as its diagonal blocks, one (q, dl, dl) stack per model block
-    null_ops = [null_ops[:, off : off + dl, off : off + dl].copy() for off, dl in blocks]
+    # x0 and the free directions are block-diagonal, as the basis is: each
+    # block of them is formed from that block's stack, and the directions
+    # are kept as their diagonal blocks, one (q, dl, dl) stack per block
+    x0 = np.zeros((n, model.dim, model.dim), dtype=complex)
+    null_ops = []
+    for (off, dl), ops, a, z in zip(blocks, stacks, first, first[1:]):
+        x0[:, off : off + dl, off : off + dl] = np.tensordot(coef0[a:z], ops, axes=(0, 0))
+        null_ops.append(np.tensordot(null[a:z], ops, axes=(0, 0)))
+    del stacks
     # weighted support rows D^(1/2) U^dag of each block: the Gram matrix of
     # the coordinates of X reproduces Tr[X_j S X_k]
     maps = [

@@ -523,16 +523,21 @@ def _factor_newton(M: np.ndarray, order: np.ndarray, spans) -> _Newton:
     for jit in (0.0, 1e-14, 1e-12, 1e-10, 1e-8, 1e-6):
         shift = jit * scale
         try:
-            inv = [_tril_inv(np.linalg.cholesky(M[s, s] + shift * np.eye(s.stop - s.start))) for s in spans]
+            inv = [_tril_inv(np.linalg.cholesky(_shifted(M[s, s], shift))) for s in spans]
             cross = [M[k:, s] @ li.T for s, li in zip(spans, inv)]
-            comp = M[k:, k:] + shift * np.eye(len(M) - k)
+            comp = _shifted(M[k:, k:], shift)
             for w in cross:
-                comp -= w @ w.T
+                comp = comp - w @ w.T
             link_inv = _tril_inv(np.linalg.cholesky(comp))
         except np.linalg.LinAlgError:
             continue
         return _Newton(order, M, list(zip(spans, inv, cross)), link_inv)
     raise SDPError("Newton system factorization failed: Schur complement is numerically singular")
+
+
+def _shifted(a: np.ndarray, shift: float) -> np.ndarray:
+    """a + shift I, or a itself, not a copy, when the shift is zero."""
+    return a + shift * np.eye(len(a)) if shift else a
 
 
 def _tril_inv(lower: np.ndarray) -> np.ndarray:
@@ -594,14 +599,19 @@ def solve(
     support group, as their slices A_i[R_i, :], and each group writes its
     congruences in place, into its own span of one (m, d, d) work stack
     that every iteration reuses; the residuals take the rows of narrow
-    groups from their nonzeros.  Factored: row i is zero
-    outside the rows and columns of its greedy cover H, so with
-    B_i = A_i[:, H] it is exactly E_H B_i^H + B_i E_H^T - E_H A_i[H, H] E_H^T
-    = U_i S_i U_i^H, with U_i = [E_H, B_i].  With F_i = G^H U_i and
-    Q = F^H F the entry is Tr(S_i Q_ij S_j Q_ji), about kmd^2 + 4k^2 m^2 d
-    multiply-adds for covers of width k, used when that count (with the
-    directions' products and a fixed overhead) is the smaller.  Its factors
-    give each direction's right-hand side and dZ, with no m x d^2 stack.
+    groups from their nonzeros.  Factored: row i is zero outside the rows
+    and columns of its greedy cover H_i, so with E_i the columns H_i of the
+    identity and W_i = A_i[:, H_i] with its rows H_i halved, it is exactly
+    W_i E_i^T + E_i W_i^H.  The block's covers use u distinct indices; with
+    E = G^H on their columns and F = G^H W, the congruence G^H A_i G is
+    F_i E_i^H + E_i F_i^H, and the entry is 2 Re Tr(a_ij a_ji + b_ij g_ji)
+    for a = E^H F, b = E^H E and g = F^H F, taken at the rows' k cover
+    slots: about kmd^2 + k^2 m^2 d multiply-adds for covers of width k, used
+    when that count (with the directions' products and a fixed overhead) is
+    the smaller.  Each direction's right-hand side takes (X + X^H) E, and
+    dZ takes F times the map of slots to cover indices, with no m x d^2
+    stack.  Every row of a Holevo program touches only its n border rows,
+    so there u = n.
 
     The Newton matrix, the sum of the blocks' Schur parts, is formed once
     per iteration with its rows in block-arrow order (`_arrow_order`): the
@@ -680,19 +690,23 @@ def solve(
             break
 
         Gs, Gis, sigmas = zip(*(_nt_factor(Y[l], Z[l]) for l in range(nb)))
-        scaled = [(f.rows, *f.scaled(G)) for f, G in zip(formulas, Gs)]
         Rdbar = [Gs[l].conj().T @ Rd[l] @ Gs[l] for l in range(nb)]
+        # each block's Schur part is added in and dropped; its maps are kept
         M = np.zeros((m, m))
-        for place, (_, part, _, _) in zip(places, scaled):
+        maps = []
+        for f, G, place in zip(formulas, Gs, places):
+            part, apply, adjoint = f.scaled(G)
             M[place] += part
+            maps.append((f.rows, apply, adjoint))
+        del part
         newton = _factor_newton(M, order, spans)
 
         def directions(T):
             h = rp.copy()
-            for l, (rows, _, apply, _) in enumerate(scaled):
+            for l, (rows, apply, _) in enumerate(maps):
                 h[rows] -= apply(T[l] - Rdbar[l])
             dy = newton.solve(h)
-            dZb = [Rdbar[l] - adjoint(dy[rows]) for l, (rows, _, _, adjoint) in enumerate(scaled)]
+            dZb = [Rdbar[l] - adjoint(dy[rows]) for l, (rows, _, adjoint) in enumerate(maps)]
             dZb = [0.5 * (dz + dz.conj().T) for dz in dZb]
             return dy, [T[l] - dz for l, dz in enumerate(dZb)], dZb
 
@@ -863,12 +877,15 @@ def _support_groups(r, i, j, val, m: int, d: int):
 
 
 class _FactoredRows(NamedTuple):
-    """A block's rows as the cover factors of `solve`, where U_i S_i is
-    [B'_i, E_H] and B'_i is B_i with its rows H zeroed."""
+    """A block's rows in the cover form of `solve`, A_i = W_i E_i^T +
+    E_i W_i^H, held as W alone: the u distinct cover indices `used`, each
+    cover slot's place in them, `pos`, and the columns W_i of every row side
+    by side, `cols`."""
 
     rows: np.ndarray
-    cover: np.ndarray  # (m, k)
-    cols: np.ndarray  # (d, m, 2k): [B'_i, B_i] in cols[:, i, :]
+    used: np.ndarray  # (u,)
+    pos: np.ndarray  # (m, k): row i's slot a is column used[pos[i, a]]
+    cols: np.ndarray  # (d, m k): W_i in cols[:, i k : (i + 1) k]
     entries: tuple  # the block's nonzeros: row position, flat position, value
 
     def values(self, Y):
@@ -881,19 +898,38 @@ class _FactoredRows(NamedTuple):
         return _bincount(at, v[row] * val, d * d).reshape(d, d)
 
     def scaled(self, G):
-        """As `_DenseRows.scaled`, from F_i = G^H U_i and F_i S_i."""
-        (m, k), d = self.cover.shape, len(G)
-        Gc = G.conj()
-        GE = Gc[self.cover].transpose(2, 0, 1)
-        GB = (Gc.T @ self.cols.reshape(d, 2 * m * k)).reshape(d, m, 2 * k)
-        F = np.concatenate([GE, GB[:, :, k:]], axis=2).reshape(d, 2 * m * k)
-        FS = np.concatenate([GB[:, :, :k], GE], axis=2).reshape(d, 2 * m * k)
-        P = F.conj().T @ FS  # block (i, j) is Q_ij S_j
+        """As `_DenseRows.scaled`, from E = G^H[:, used] and F = G^H W, in
+        which G^H A_i G = F_i E_i^H + E_i F_i^H, with E_i = E[:, pos[i]].
+        Entry (i, j) of the Schur part is 2 Re Tr(a_ij a_ji + b_ij g_ji),
+        with a_ij = E_i^H F_j, b_ij = E_i^H E_j and g_ij = F_i^H F_j: the
+        Gram matrix of F is its only product of order m^2 d."""
+        (m, k), d = self.pos.shape, len(G)
+        pos = self.pos.ravel()
+        Gh = G.conj().T
+        E = Gh[:, self.used]
+        Eh = E.conj().T
+        F = Gh @ self.cols
+        Fc = F.conj()
+        a = (Eh @ F)[pos]
+        ab = (Eh @ E)[np.ix_(pos, pos)]
+        ab *= F.T @ Fc  # b o g^T, g Hermitian
+        ab += a * a.T
+        ones = np.ones(k)
+
+        def apply(X):
+            # Re Tr(Abar_i X) = Re sum over i's slots s of F_s^H (X + X^H) E_s
+            XE = (X + X.conj().T) @ E
+            return (np.ones(d) @ (Fc * XE[:, pos])).real.reshape(m, k) @ ones
+
+        def adjoint(v):
+            slots = np.zeros((m * k, len(self.used)))
+            slots[np.arange(m * k), pos] = np.repeat(v, k)
+            half = (F @ slots) @ Eh  # sum_i v_i F_i E_i^H
+            return half + half.conj().T
+
         # block sums by products with ones, which numpy does faster than sum
-        ones = np.ones(2 * k)
-        schur = (ones @ ((P * P.T).reshape(m, 2 * k, m, 2 * k) @ ones)).real
-        return (schur, lambda X: ((np.ones(d) @ ((X @ F) * FS.conj())).reshape(m, 2 * k) @ ones).real,
-                lambda v: (FS * np.repeat(v, 2 * k)) @ F.conj().T)
+        schur = ab.real if k == 1 else ones @ (ab.real.reshape(m, k, m, k) @ ones)
+        return 2.0 * schur, apply, adjoint
 
 
 # multiply-adds that take about as long as the overhead of one numpy call
@@ -902,16 +938,22 @@ _CALL_MADDS = 10**5
 
 def _factored_pays(m: int, d: int, k: int, madd: int) -> bool:
     """Whether the factored formula takes fewer multiply-adds per iteration
-    than the dense one for m rows of cover width k in dimension d.  Besides
-    the Schur parts, each counts its products in two directions (4md^2
-    against 8kmd^2), and the factored one `_CALL_MADDS` more for each of
-    its ten or so extra numpy calls.  `madd` is the cost of one multiply-add
-    in real ones: 1 on a real block, 4 on a complex one.  The counts of
-    both formulas scale by it and the overhead does not, so a complex block
-    is factored from a smaller size than a real one; every Holevo block of
-    the bench ladder (dimension 30 to 102, covers of width 1) is factored."""
+    than the dense one for m rows of cover width k in dimension d.  The
+    factored one takes kmd^2 for F = G^H W, k^2 m^2 d for its Gram matrix and
+    2k^2 m^2 for the elementwise products; with u <= min(d, km) distinct
+    cover indices, 3ukmd for a and the two directions' sums over slots, and
+    4ud^2 for their products with E.  The dense one takes 2md^3 + m^2 d^2,
+    and 4md^2 in the two directions.  The factored one counts
+    `_CALL_MADDS` more for each of its ten or so extra numpy calls.  `madd`
+    is the cost of one multiply-add in real ones: 1 on a real block, 4 on a
+    complex one.  The counts of both formulas scale by it and the overhead
+    does not, so a complex block is factored from a smaller size than a real
+    one; every Holevo block of the bench ladder (dimension 30 to 102, covers
+    of width 1) is factored."""
+    u = min(d, k * m)
+    factored = k * m * d * d + k * k * m * m * (d + 2) + 3 * u * k * m * d + 4 * u * d * d
     dense = 2 * m * d**3 + m * m * d * d + 4 * m * d * d
-    return madd * (9 * k * m * d * d + 4 * k * k * m * m * d) + 10 * _CALL_MADDS < madd * dense
+    return madd * factored + 10 * _CALL_MADDS < madd * dense
 
 
 def _greedy_cover(r, i, j, m, d, madd):
@@ -920,7 +962,8 @@ def _greedy_cover(r, i, j, m, d, madd):
     too large for `_factored_pays` at `madd`.  Each pass adds to every cover
     the index that covers most uncovered entries, ties to the lowest.  A
     pattern already covered takes index 0: a cover stays a cover when it
-    grows, and a repeated index gets an empty B column, which adds nothing."""
+    grows, and all but one slot of a repeated index get an empty column of
+    W (`_FactoredRows`), which adds nothing."""
     todo = np.ones(len(r), dtype=bool)
     picks = []
     while todo.any():
@@ -949,15 +992,15 @@ def _block_formulas(problem):
             groups, order, entries = _support_groups(r, i, j, val, len(rows), d)
             formulas.append(_DenseRows(rows, groups, order, entries, np.empty((len(rows), d, d), val.dtype)))
             continue
-        k = H.shape[1]
-        slot = np.full((len(rows), d), -1)
-        slot[np.arange(len(rows))[:, None], H] = np.arange(k)
-        b = slot[r, j] >= 0  # the entries of B_i
-        cols = np.zeros((d, len(rows), 2 * k), dtype=val.dtype)
-        cols[i[b], r[b], k + slot[r[b], j[b]]] = val[b]
-        cols[:, :, :k] = cols[:, :, k:]
-        cols[H, np.arange(len(rows))[:, None], :k] = 0.0
-        formulas.append(_FactoredRows(rows, H, cols, (r, i * d + j, val)))
+        m, k = H.shape
+        slot = np.full((m, d), -1)
+        slot[np.arange(m)[:, None], H] = np.arange(k)
+        b = slot[r, j] >= 0  # the entries of B_i = A_i[:, H]
+        cols = np.zeros((d, m, k), dtype=val.dtype)
+        cols[i[b], r[b], slot[r[b], j[b]]] = val[b]
+        cols[H, np.arange(m)[:, None]] *= 0.5  # W_i: each row of H halved once
+        used, pos = np.unique(H, return_inverse=True)
+        formulas.append(_FactoredRows(rows, used, pos.reshape(m, k), cols.reshape(d, m * k), (r, i * d + j, val)))
     return formulas
 
 

@@ -517,6 +517,19 @@ class TestHolevoProgram:
         assert read_sdpa(write_sdpa(problem)).block_dims == (204,)
         assert peak <= 32 * 2**20
 
+    def test_build_forms_the_quotient_basis_by_block(self):
+        # the 11 blocks of hb N=10: the quotient basis and its products
+        # formed dense over the model dimension were 7.8 MiB each, and took
+        # the traced peak of the build to 16.7 MiB
+        model = interferometer_model(holland_burnett_probe(10), 0.6)
+        tracemalloc.start()
+        try:
+            build_holevo_sdp(model)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 10 * 2**20
+
     def test_recovery_holds_free_directions_by_block(self):
         # the 11 blocks of hb N=10: the free directions held dense were
         # 7.8 MiB, and took the traced peak of the bound to 24.3 MiB

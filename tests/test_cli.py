@@ -19,6 +19,7 @@ from qmbounds.model import (
     random_model,
     sld_bound,
 )
+from qmbounds.sdp_core import SDPError
 
 
 def run(capsys, argv):
@@ -353,6 +354,31 @@ class TestSweepCommand:
                 4 / (2 - eps), abs=1e-5
             )
             assert row["ok"] == "true"
+
+    def test_solver_error_fails_its_row_only(self, capsys, monkeypatch):
+        # the second solve raises the Newton factorization error; its row
+        # fails with the message, and the rows before and after it are kept
+        calls = []
+        solve = bound_builders.solve
+
+        def failing(*a, **k):
+            calls.append(a)
+            if len(calls) == 2:
+                raise SDPError("Newton system factorization failed: Schur complement is numerically singular")
+            return solve(*a, **k)
+
+        monkeypatch.setattr(bound_builders, "solve", failing)
+        code, out, err = run(
+            capsys,
+            ["sweep", "--model", "pd", "--params", "xy",
+             "--grid", "eps=0.1:0.5:3", "--bounds", "nh"],
+        )
+        assert code == 1
+        rows = csv_rows(out)
+        assert [(r["index"], r["ok"]) for r in rows] == [("0", "true"), ("1", "false"), ("2", "true")]
+        assert rows[1]["value"] == "nan"
+        assert float(rows[2]["value"]) == pytest.approx(4 / 1.5, abs=1e-5)
+        assert err == "nh: solver failed: Newton system factorization failed: Schur complement is numerically singular\n"
 
     def test_byte_stable_output(self, tmp_path):
         argv = [

@@ -3,8 +3,10 @@
 A unitary change of basis of the Hilbert space, and an orthogonal
 reparametrisation, leave the SLD, Holevo and Nagaoka-Hayashi bounds
 unchanged, and the bounds are ordered: SLD <= Holevo <= min(NH, 2 SLD).
-On a qubit with two parameters, NH is Nagaoka's closed form.  Scaling
-the derivatives by c scales each bound by 1/c^2, and near full damping
+On a qubit with two parameters, NH is Nagaoka's closed form.  With two
+parameters, Holevo lies between a max-min value found by least squares,
+with no SDP, and the value of the SDP's own estimators.  Scaling the
+derivatives by c scales each bound by 1/c^2, and near full damping
 the dephased pair keeps its closed forms.  The cases of the last two that
 fail today are marked strict xfail, with what makes them fail.
 """
@@ -153,3 +155,75 @@ def test_dephased_pair_closed_forms_near_full_damping(bound, eps):
     want = {"holevo": 2 + 1 / (1 - eps) ** 2, "nh": 4 / (2 - eps) + 1 / (1 - eps) ** 2}[bound]
     value = BOUND_VALUES[bound](phase_damping_model(eps, "xyz"))
     assert value == pytest.approx(want, rel=1e-7)
+
+
+def holevo_parts(problem):
+    """m0 and N of the Holevo program of a two-parameter model, read from
+    the program: its objective block holds m0 below the 2 x 2 corner, and
+    each X row (after the 3 rows of V) puts minus the conjugate of one
+    column of N in its row of the M^H slot.  The estimators' coordinates
+    are the columns of m0 + N [y_1, y_2], y_j the j-th X rows' duals."""
+    n, nv = 2, 3
+    d = problem.block_dims[0]
+    m0 = problem.objective[0][n:, :n]
+    q = (problem.num_constraints - nv) // n
+    store = problem.store
+    i, j = np.divmod(store.col, d)
+    x0 = (store.row >= nv) & (store.row < nv + q) & (i == 0) & (j >= n)
+    N = np.zeros((d - n, q), dtype=complex)
+    N[j[x0] - n, store.row[x0] - nv] = -store.val[x0].conj()
+    return m0, N
+
+
+def holevo_sandwich(problem, dual_y):
+    """(lo, hi) around the Holevo bound of a two-parameter model, with no
+    SDP.  With m_j = m0_j + N y_j over real y, the bound is the minimum over
+    y of max over t in [-1, 1] of ||m_1 + i t m_2||^2 + (1 - t^2)||m_2||^2,
+    which is Tr Re Z + |2 Im Z_12|, Z_jk = m_j^H m_k.  lo is the maximum
+    over t of the minimum over y, one least-squares solve per t, maximised
+    by golden section (the minimum is concave in t); hi is the maximum over
+    t = +-1 at the program's own dual y."""
+    m0, N = holevo_parts(problem)
+    q = N.shape[1]
+
+    def g(t):
+        s = np.sqrt(1.0 - t * t)
+        A = np.block([[N, 1j * t * N], [np.zeros_like(N), s * N]])
+        rhs = np.concatenate([m0[:, 0] + 1j * t * m0[:, 1], s * m0[:, 1]])
+        A, rhs = np.vstack([A.real, A.imag]), np.concatenate([rhs.real, rhs.imag])
+        y = np.linalg.lstsq(A, -rhs, rcond=None)[0]
+        return float(np.sum((A @ y + rhs) ** 2))
+
+    a, b = -1.0, 1.0
+    r = (np.sqrt(5.0) - 1.0) / 2.0
+    c, e = b - r * (b - a), a + r * (b - a)
+    gc, ge = g(c), g(e)
+    while b - a > 1e-10:
+        if gc < ge:
+            a, c, gc = c, e, ge
+            e = a + r * (b - a)
+            ge = g(e)
+        else:
+            b, e, ge = e, c, gc
+            c = b - r * (b - a)
+            gc = g(c)
+    lo = max(gc, ge)
+    m = m0 + N @ dual_y[3:].reshape(2, q).T
+    hi = max(float(np.sum(np.abs(m[:, 0] + 1j * s * m[:, 1]) ** 2)) for s in (1.0, -1.0))
+    return lo, hi
+
+
+SANDWICH_MODELS = {
+    **{f"hb N={n}": lambda n=n: interferometer_model(holland_burnett_probe(n), 0.6) for n in (6, 8, 10)},
+    **{f"random d={d}": lambda s=s, d=d: random_model(s, d, 2) for s, d in ((1, 6), (2, 8), (3, 10))},
+    **{f"pd xy eps={e}": lambda e=e: phase_damping_model(e, "xy") for e in (0.5, 0.999)},
+}
+
+
+@pytest.mark.parametrize("name", SANDWICH_MODELS)
+def test_two_parameter_holevo_lies_in_its_least_squares_bracket(name):
+    result = holevo_bound(SANDWICH_MODELS[name]())
+    v = result.value
+    lo, hi = holevo_sandwich(result.problem, result.solution.dual_y)
+    slack = 1e-9 * (1 + abs(v))
+    assert lo - slack <= v <= hi + slack

@@ -574,8 +574,40 @@ class TestSchurFormulas:
         (formula,) = _block_formulas(problem)
         assert isinstance(formula, _FactoredRows)
         # one cover index per Hermitian row, two per row of its real embedding
-        assert formula.cover.shape[1] == (2 if name.endswith("read back") else 1)
+        assert formula.pos.shape[1] == (2 if name.endswith("read back") else 1)
         assert formula.cols.dtype == problem.store.val.dtype
+        check_against_einsum(problem, formula)
+
+    @pytest.mark.parametrize("case", ["widths 1 to 3", "repeated index", "u = 1", "u = mk", "real widths 1 to 3"])
+    def test_factored_covers_match_dense_reference(self, case, monkeypatch):
+        # rows E_H B^H + B E_H^H + E_H S E_H^H with B dense, so that the
+        # greedy cover of each is H; a row of width 1 beside rows of width 2
+        # is padded with index 0, which repeats its own index 0
+        monkeypatch.setattr(sdp_core, "_factored_pays", lambda m, d, k, madd: True)
+        covers, k, u = {
+            "widths 1 to 3": ([[1, 4], [2, 5, 6], [3], [0, 7, 2], [8]], 3, 9),
+            "real widths 1 to 3": ([[1, 4], [2, 5, 6], [3], [0, 7, 2], [8]], 3, 9),
+            "repeated index": ([[0], [2, 5], [3, 6], [5, 7]], 2, 6),
+            "u = 1": ([[4], [4], [4]], 1, 1),
+            "u = mk": ([[1, 2], [3, 4], [5, 6]], 2, 6),
+        }[case]
+        dtype = float if case.startswith("real") else complex
+        rng = np.random.default_rng(19)
+        d = 9
+        cons = []
+        for H in covers:
+            E = np.eye(d)[:, H]
+            B = rng.standard_normal((d, len(H))) + (1j * rng.standard_normal((d, len(H))) if dtype == complex else 0)
+            cons.append({0: E @ B.conj().T + B @ E.T + E @ rand_herm(rng, len(H), dtype) @ E.T})
+        problem = make_problem([d], {0: np.eye(d)}, as_entries(cons), np.ones(len(cons)))
+        (formula,) = _block_formulas(problem)
+        assert isinstance(formula, _FactoredRows) and formula.cols.dtype == dtype
+        assert formula.pos.shape == (len(covers), k) and len(formula.used) == u
+        cover = formula.used[formula.pos]
+        for H, row in zip(covers, cover):
+            assert set(row) == set(H) | ({0} if len(H) < k else set())
+        if case == "repeated index":
+            assert list(cover[0]) == [0, 0]
         check_against_einsum(problem, formula)
 
     @pytest.mark.parametrize("name", ["hb N=4", "random d=4", "random d=4 read back"])
@@ -611,6 +643,9 @@ class TestSchurFormulas:
 
     @pytest.mark.parametrize("name", ["hb N=4", "random d=4"])
     def test_nh_congruences_on_row_supports_match_reference(self, name, monkeypatch):
+        # with no call overhead counted, the 8-row 6-dim block of hb N=4
+        # would be factored
+        monkeypatch.setattr(sdp_core, "_factored_pays", lambda m, d, k, madd: False)
         monkeypatch.setattr(sdp_core, "_CALL_MADDS", 0)
         model = {"hb N=4": interferometer_model(holland_burnett_probe(4), 0.6),
                  "random d=4": random_model(3, 4, 2)}[name]
@@ -683,6 +718,31 @@ class TestSchurFormulas:
                     assert pos == slice(None) and sup is None and span == slice(0, len(A))
                     assert formula.order is None and np.array_equal(whole, A)
 
+    def test_workload_programs_keep_their_formulas(self):
+        # each block's formula, dense (0) or factored with its cover width,
+        # for the Holevo and NH programs of the bench workloads at their
+        # smallest size and of the model ladder, as built and read back
+        # from their files: only the Holevo programs of hb N >= 4 and of
+        # random models of dimension 6 or more are factored, one index per
+        # row, two once realified
+        models = {
+            **{f"hb N={n}": interferometer_model(holland_burnett_probe(n), 0.6) for n in (2, 4, 6, 8, 10)},
+            **{f"random({s}, {d})": random_model(s, d, 2)
+               for s, d in ((1, 2), (2, 3), (1, 3), (1, 6), (1, 8), (2, 8), (3, 10))},
+            **{f"pd {p} eps={e}": phase_damping_model(e, p) for p in ("x", "xy", "xyz") for e in (0.0, 0.9)},
+            **{f"pd xyz eps={e}": phase_damping_model(e, "xyz") for e in (0.5, 0.99)},
+            **{f"ifo eta={e}": interferometer_model([0.7**0.5, 0.3**0.5], e) for e in (0.05, 0.95)},
+        }
+        factored = {"hb N=4", "hb N=6", "hb N=8", "hb N=10",
+                    "random(1, 6)", "random(1, 8)", "random(2, 8)", "random(3, 10)"}
+        for name, model in models.items():
+            for kind, build in (("holevo", build_holevo_sdp), ("nh", build_nh_sdp)):
+                problem = build(model)[0]
+                for k, prog in ((1, problem), (2, read_sdpa(write_sdpa(problem)))):
+                    got = [f.pos.shape[1] if isinstance(f, _FactoredRows) else 0 for f in _block_formulas(prog)]
+                    want = [k] if kind == "holevo" and name in factored else [0] * len(prog.block_dims)
+                    assert got == want, (kind, name, k)
+
     def test_mixed_cover_widths_solve_as_dense(self, monkeypatch):
         # rows of cover width 1 to 3 in a 40-dim block beside a dense 3-dim
         # block: one row holds a single diagonal entry, the rest are
@@ -709,7 +769,7 @@ class TestSchurFormulas:
         problem = make_problem(dims, obj, as_entries(cons), b)
         formulas = _block_formulas(problem)
         assert isinstance(formulas[0], _FactoredRows) and isinstance(formulas[1], _DenseRows)
-        assert formulas[0].cover.shape[1] == 3
+        assert formulas[0].pos.shape[1] == 3
         factored = solve(problem)
         monkeypatch.setattr(sdp_core, "_factored_pays", lambda m, d, k, madd: False)
         dense = solve(problem)
@@ -719,8 +779,9 @@ class TestSchurFormulas:
         assert check_certificate(problem, factored).passed
 
     def test_large_holevo_solve_builds_no_dense_stack(self):
-        # the 204-dim block has 197 rows, so one m x d^2 stack is 66 MB; the
-        # dense formula peaked at 257 MB here
+        # one m x d^2 stack of the 197 rows of this 102-dim complex block
+        # is 31 MiB; the factored formula peaked at 14.9 MiB while it formed
+        # a (2m) x (2m) product and its elementwise square per iteration
         problem = build_holevo_sdp(random_model(3, 10, 2))[0]
         tracemalloc.start()
         try:
@@ -729,7 +790,7 @@ class TestSchurFormulas:
         finally:
             tracemalloc.stop()
         assert sol.status == "optimal"
-        assert peak <= 64 * 2**20
+        assert peak <= 11 * 2**20
 
     def test_large_nh_solve_holds_its_rows_once(self):
         # one realified 60-dim block of 406 rows: its work stack is 11.2 MiB,
