@@ -10,7 +10,7 @@ import pytest
 
 import qmbounds
 from qmbounds import bound_builders
-from qmbounds.cli import main
+from qmbounds.cli import FIG1_COLUMNS, main
 from qmbounds.model import (
     holland_burnett_probe,
     interferometer_model,
@@ -453,6 +453,19 @@ class TestFig1Command:
         code, _, err = run(capsys, ["fig1", "--eps-stop", "1.0"])
         assert code == 2
         assert "eps" in err
+
+    def test_failed_bound_leaves_nan_and_keeps_other_rows(self, capsys):
+        # NH with three parameters stalls at eps = 0.99; every other cell is written
+        code, out, err = run(capsys, ["fig1", "--eps-start", "0.98",
+                                      "--eps-stop", "0.99", "--steps", "2"])
+        assert code == 1
+        rows = csv_rows(out)
+        assert [row["eps"] for row in rows] == ["0.98", "0.99"]
+        failed = [(row["eps"], col) for row in rows for col in FIG1_COLUMNS
+                  if row[col] == "nan"]
+        assert failed == [("0.99", "prec_nh3")]
+        assert float(rows[0]["prec_nh3"]) == pytest.approx(3 / (4 / 1.02 + 1 / 0.02 ** 2), rel=1e-7)
+        assert err.startswith("nh: solver finished with status 'stalled'")
 
     def test_byte_stable_output(self, tmp_path):
         argv = ["fig1", "--steps", "4", "--eps-stop", "0.6"]

@@ -1,6 +1,7 @@
 """Tests for the SDP data structures, solver, certificates, and text I/O."""
 import hashlib
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -177,8 +178,8 @@ class TestSolve:
             [2], {0: np.eye(2)}, as_entries([{0: e11}, {0: np.eye(2)}]), [2.0, 1.0]
         )
         sol = solve(problem, max_iter=100)
-        assert sol.status in ("infeasible_suspect", "max_iter")
-        assert sol.status != "optimal"
+        # its best merit stays far above sqrt(tol), so it is never called stalled
+        assert sol.status == "infeasible_suspect"
 
     def test_tight_tolerance(self):
         problem, _, _ = random_kkt_problem(19, dims=(5,), m=7)
@@ -206,14 +207,34 @@ class TestSolve:
         assert full.status == "optimal"
         self.assert_same_solution(solve(problem, max_iter=full.iterations), full)
 
-    def test_stalled_solve_reports_the_steps_it_took(self, monkeypatch):
-        # every step counts as a stall, so the solve stops once 5 are taken
-        monkeypatch.setattr(sdp_core, "_STALL_STEP", 2.0)
-        problem = build_nh_sdp(phase_damping_model(0.3, params="xy"))[0]
-        stalled = solve(problem)
-        assert stalled.status == "infeasible_suspect"
-        assert stalled.iterations == 5
-        self.assert_same_solution(solve(problem, max_iter=5), stalled)
+    def test_stalled_solve_reports_the_steps_it_took(self):
+        # NH of pd xyz at eps = 0.99 comes within sqrt(tol) of optimal and
+        # then stops improving: it stops 10 steps after its best merit
+        problem = build_nh_sdp(phase_damping_model(0.99, params="xyz"))[0]
+        stalled = solve(problem, tol=1e-9)
+        assert stalled.status == "stalled"
+        path = [solve(problem, tol=1e-9, max_iter=k) for k in range(stalled.iterations + 1)]
+        merits = [max(s.gap, s.primal_infeas, s.dual_infeas) for s in path]
+        assert stalled.iterations == int(np.argmin(merits)) + 10
+        self.assert_same_solution(path[-1], stalled)
+
+    def test_solve_far_from_optimal_is_not_stalled(self):
+        # scaled by 1e-6, the Holevo program's best merit stays above sqrt(tol)
+        model = random_model(3, 3, 2)
+        model = replace(model, derivs=tuple(1e-6 * dm for dm in model.derivs))
+        sol = solve(build_holevo_sdp(model)[0], tol=1e-9, max_iter=60)
+        assert (sol.status, sol.iterations) == ("max_iter", 60)
+
+    def test_nan_iterate_is_never_optimal(self, monkeypatch):
+        # the optimum of the toy problem with one NaN in Z: gap and primal
+        # infeasibility are 0, so max(gap, pinf, dinf) would read 0 here
+        monkeypatch.setattr(sdp_core, "_initial_primal", lambda *a: [np.diag([1.0, 0.0])])
+        monkeypatch.setattr(
+            sdp_core, "_initial_dual", lambda *a: (np.ones(1), [np.diag([0.0, np.nan])])
+        )
+        sol = solve(toy_problem(), max_iter=0)
+        assert (sol.gap, sol.primal_infeas) == (0.0, 0.0) and np.isnan(sol.dual_infeas)
+        assert sol.status == "max_iter"
 
     def test_negative_iteration_count_raises(self):
         with pytest.raises(SDPError, match="max_iter must be >= 0, got -1"):
