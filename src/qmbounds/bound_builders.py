@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import derealify, hermitize, psd_sqrt, trace_abs
+from .linalg import SUPPORT_TOL, derealify, hermitize, psd_sqrt, trace_abs
 from .model import (
     BoundError, ModelError, StatisticalModel, Support, checked_hermitian, checked_state, sld, state_support,
 )
@@ -423,9 +423,10 @@ def _unbiasedness_errors(model: StatisticalModel, xs) -> float:
     return worst
 
 
-def _checked_stats(model, xs, problem: SDPProblem, sol: SDPSolution) -> dict:
+def _checked_stats(model, xs, problem: SDPProblem, sol: SDPSolution, ranks) -> dict:
     """Solver stats of a bound, once its recovered estimators xs pass the
-    unbiasedness check."""
+    unbiasedness check; `ranks` are the support ranks of the program's
+    state blocks."""
     ub_err = _unbiasedness_errors(model, xs)
     if ub_err > 1e-6:
         raise BoundError(
@@ -440,6 +441,9 @@ def _checked_stats(model, xs, problem: SDPProblem, sol: SDPSolution) -> dict:
         "constraints": problem.num_constraints,
         "sdp_block_dims": problem.block_dims,
         "unbiasedness_error": ub_err,
+        "support_ranks": tuple(ranks),
+        "support_tol": SUPPORT_TOL,
+        "dropped_rows": problem.dropped,
     }
 
 
@@ -471,7 +475,7 @@ def nagaoka_hayashi_bound(
     problem, meta = build_nh_sdp(model, use_blocks=use_blocks)
     sol = _solve_optimal(problem, tol)
     lgrid, xs = recover_nh_estimators(meta, sol)
-    stats = _checked_stats(model, xs, problem, sol)
+    stats = _checked_stats(model, xs, problem, sol, meta.support_ranks)
     floor = _schur_floor(lgrid, xs, meta.num_params, meta.dim)
     if floor < -1e-7:
         raise BoundError(
@@ -593,6 +597,7 @@ def build_holevo_sdp(model: StatisticalModel):
         "null_ops": tuple(zip((off for off, _ in blocks), null_ops)),  # (offset, stack) per block
         "num_params": n,
         "theta": tuple(float(t) for t in model.theta),
+        "support_ranks": tuple(sup.rank for sup in sups if sup.rank),
     }
     return problem, meta
 
@@ -617,7 +622,7 @@ def holevo_bound(
             at = slice(off, off + ops.shape[1])
             x[at, at] += np.tensordot(ys[j], ops, axes=1)
         xs.append(hermitize(x) + meta["theta"][j] * eye)
-    stats = _checked_stats(model, xs, problem, sol)
+    stats = _checked_stats(model, xs, problem, sol, meta["support_ranks"])
     return BoundResult(
         value=sol.dual_obj,
         kind="holevo",

@@ -100,9 +100,11 @@ def _ifo_amps(args):
     return [np.sqrt(1.0 - args.a1sq), np.sqrt(args.a1sq)]
 
 
-def _bound_rows(model, which, tol):
+def _bound_rows(model, which, tol, where=""):
     """One row per bound, and whether any failed.  A row is ok when its
-    bound call returned: Holevo and NH return only optimal solves."""
+    bound call returned: Holevo and NH return only optimal solves.  A
+    failure's stderr line names the bound, then `where`, the grid point of
+    a sweep or fig1 cell, when one is given."""
     rows = []
     for name in which:
         t0 = time.perf_counter()
@@ -116,7 +118,8 @@ def _bound_rows(model, which, tol):
             ok = True
         except BoundError as exc:
             value, gap, ok = float("nan"), float("nan"), False
-            print(f"{name}: {exc}", file=sys.stderr)
+            at = f" at {where}" if where else ""
+            print(f"{name}{at}: {exc}", file=sys.stderr)
         rows.append(
             {
                 "bound": name,
@@ -202,7 +205,8 @@ def run_sweep(args) -> int:
     for index, values in enumerate(_grid_points(args.grid)):
         point = dict(zip(axis_names, values))
         model = _load_model(argparse.Namespace(**{**vars(args), **point}))
-        rows, failed = _bound_rows(model, args.bounds, args.tol)
+        where = " ".join(f"{k}={_fmt(v)}" for k, v in point.items())
+        rows, failed = _bound_rows(model, args.bounds, args.tol, where)
         any_failed = any_failed or failed
         for row in rows:
             record = {"index": index, **point}
@@ -239,7 +243,8 @@ def run_fig1(args) -> int:
         row = {"eps": float(eps)}
         for count, params in ((1, "x"), (2, "xy"), (3, "xyz")):
             model = phase_damping_model(float(eps), params=params)
-            (h, nh), failed = _bound_rows(model, ("holevo", "nh"), args.tol)
+            where = f"eps={_fmt(float(eps))} params={params}"
+            (h, nh), failed = _bound_rows(model, ("holevo", "nh"), args.tol, where)
             any_failed = any_failed or failed
             row[f"prec_h{count}"] = count / h["value"]
             row[f"prec_nh{count}"] = count / nh["value"]

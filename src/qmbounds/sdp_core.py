@@ -545,16 +545,18 @@ def _tril_inv(lower: np.ndarray) -> np.ndarray:
     inv([[A, 0], [B, C]]) = [[A^-1, 0], [-C^-1 B A^-1, C^-1]] (Higham,
     Accuracy and Stability of Numerical Algorithms, 2nd ed., ch. 14).
     About m^3/3 flops, almost all in matrix products, where the general
-    LU inverse below `_SPLIT_ROWS` rows takes about 2m^3."""
+    LU inverse below `_SPLIT_ROWS` rows takes about 2m^3.  From
+    `_SPLIT_ROWS` rows the inverse is written over `lower`, whose upper
+    triangle must be zero, and returned; below, it is a new array."""
     m = len(lower)
     if m < _SPLIT_ROWS:
         return np.linalg.inv(lower)
     h = m // 2
-    out = np.zeros_like(lower)
-    out[:h, :h] = _tril_inv(lower[:h, :h])
-    out[h:, h:] = _tril_inv(lower[h:, h:])
-    out[h:, :h] = -out[h:, h:] @ (lower[h:, :h] @ out[:h, :h])
-    return out
+    # assigning a block its own in-place inverse copies nothing
+    lower[:h, :h] = _tril_inv(lower[:h, :h])
+    lower[h:, h:] = _tril_inv(lower[h:, h:])
+    lower[h:, :h] = -lower[h:, h:] @ (lower[h:, :h] @ lower[:h, :h])
+    return lower
 
 
 def _max_neg_curvature(sig: np.ndarray, delta: np.ndarray) -> float:
@@ -623,7 +625,11 @@ def solve(
     order and has no groups, and its factor is one Cholesky factor of the
     whole matrix, as a block-arrow system whose link rows are all the rows.
     On the NH program of `hb` N=10, 539 of 545 rows touch one of its 11
-    blocks.
+    blocks.  A step holds one work stack per dense block and one Newton
+    system: the last step's system, maps and directions are dropped before
+    the next step's NT factors are formed, a Schur part over all the rows,
+    in their order, is added into M in place, and each Cholesky factor of
+    `_SPLIT_ROWS` rows or more is inverted over itself.
 
     Deterministic: fixed reduction orders, no randomization.  Builder
     hints on the problem are used as starting points when present.
@@ -663,7 +669,12 @@ def solve(
     formulas = _block_formulas(problem)
     order, spans = _arrow_order([f.rows for f in formulas], m)
     at = np.argsort(order)  # each row's place in that order
-    places = [np.ix_(at[f.rows], at[f.rows]) for f in formulas]
+    # where each block's Schur part goes in M: a part over all the rows, in
+    # their order, is added in place, not through a fancy-indexed copy of M
+    places = [
+        slice(None) if np.array_equal(at[f.rows], np.arange(m)) else np.ix_(at[f.rows], at[f.rows])
+        for f in formulas
+    ]
     dtype = problem.store.val.dtype
     C = [problem.objective.get(l, np.zeros((d, d), dtype)) for l, d in enumerate(dims)]
     c_scale = 1.0 + max((float(np.max(np.abs(cb))) for cb in C), default=0.0)
@@ -743,6 +754,8 @@ def solve(
             rc = sig_c * mu * np.eye(dims[l]) - np.diag(sig * sig) - corr
             T_corr.append(2.0 * rc / (sig[:, None] + sig[None, :]))
         dy, dYb, dZb = directions(T_corr)
+        # the step's Newton system goes before the next step forms its own
+        del M, newton, maps, directions
         ap = _step_length(sigmas, dYb)
         ad = _step_length(sigmas, dZb)
 

@@ -23,6 +23,7 @@ from qmbounds.bound_builders import (
     nh_u_bound,
     recover_nh_estimators,
 )
+from qmbounds.linalg import SUPPORT_TOL
 from qmbounds.model import (
     StatisticalModel,
     holland_burnett_probe,
@@ -364,6 +365,16 @@ class TestRankDeficientModels:
         assert nagaoka_hayashi_bound(rotated).value == pytest.approx(
             rn.value, rel=1e-7
         )
+
+    def test_stats_record_the_support_and_dropped_rows(self):
+        # hb N=4: each of the five photon-number blocks of the state has rank one
+        model = interferometer_model(holland_burnett_probe(4), 0.6)
+        for result in (holevo_bound(model), nagaoka_hayashi_bound(model)):
+            stats = result.solver_stats
+            assert stats["support_ranks"] == (1, 1, 1, 1, 1)
+            assert stats["support_tol"] == SUPPORT_TOL
+            assert stats["dropped_rows"] == result.problem.dropped == 0
+            assert stats["status"] == "optimal"
 
     def test_block_outside_the_support_adds_nothing(self):
         # the state and its derivatives vanish on a second, one-dim block

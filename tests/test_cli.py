@@ -378,7 +378,7 @@ class TestSweepCommand:
         assert [(r["index"], r["ok"]) for r in rows] == [("0", "true"), ("1", "false"), ("2", "true")]
         assert rows[1]["value"] == "nan"
         assert float(rows[2]["value"]) == pytest.approx(4 / 1.5, abs=1e-5)
-        assert err == "nh: solver failed: Newton system factorization failed: Schur complement is numerically singular\n"
+        assert err == "nh at eps=0.3: solver failed: Newton system factorization failed: Schur complement is numerically singular\n"
 
     def test_byte_stable_output(self, tmp_path):
         argv = [
@@ -465,7 +465,7 @@ class TestFig1Command:
                   if row[col] == "nan"]
         assert failed == [("0.99", "prec_nh3")]
         assert float(rows[0]["prec_nh3"]) == pytest.approx(3 / (4 / 1.02 + 1 / 0.02 ** 2), rel=1e-7)
-        assert err.startswith("nh: solver finished with status 'stalled'")
+        assert err.startswith("nh at eps=0.99 params=xyz: solver finished with status 'stalled'")
 
     def test_byte_stable_output(self, tmp_path):
         argv = ["fig1", "--steps", "4", "--eps-stop", "0.6"]

@@ -24,6 +24,7 @@ from qmbounds.sdp_core import (
     _factor_newton,
     _FactoredRows,
     _nt_factor,
+    _tril_inv,
     check_certificate,
     make_problem,
     read_sdpa,
@@ -468,6 +469,18 @@ class TestNewtonSystem:
         assert 0.0 < np.diag(shift).min() and np.diag(shift).max() <= 1e-6 * scale
         assert np.ptp(np.diag(shift)) <= 1e-12 * scale
 
+    # numpy's inverse below 96 rows, and from 96 one by 2 x 2 blocks that
+    # is written over the factor; 545 rows split three levels deep
+    @pytest.mark.parametrize("n", [95, 96, 97, 239, 545])
+    def test_factor_inverse_matches_numpy(self, n):
+        a = np.random.default_rng(n).standard_normal((n, n))
+        lower = np.linalg.cholesky(a @ a.T + n * np.eye(n))
+        expected = np.linalg.inv(lower)
+        inv = _tril_inv(lower)
+        assert (inv is lower) == (n >= 96)
+        assert np.array_equal(inv, np.tril(inv))
+        assert np.linalg.norm(inv - expected) <= 1e-12 * np.linalg.norm(expected)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("where", ["group", "link"])
     def test_non_finite_grouped_system_raises(self, bad, where):
@@ -841,6 +854,25 @@ class TestSchurFormulas:
         finally:
             tracemalloc.stop()
         assert peak <= 0.35 * formula.work.nbytes
+
+    def test_solve_holds_one_newton_system_per_step(self):
+        # the same block, m = 406 rows.  Over its work stack, the solve
+        # peaks at 5.1 Newton systems of m^2 doubles: the rows' slices
+        # (about 2), M, and the block's Gram matrix and its copy in work
+        # order.  It read 7.7 while the last step's M and inverse factor
+        # lived on as the next step formed its own, and 5.7 with each
+        # factor inverted into a new array; the bound sits between
+        problem = build_nh_sdp(random_model(3, 10, 2))[0]
+        m, (d,) = problem.num_constraints, problem.block_dims
+        tracemalloc.start()
+        try:
+            sol = solve(problem)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sol.status == "optimal"
+        assert (m, d) == (406, 60)
+        assert peak - m * d * d * 8 <= 6.5 * m * m * 8
 
 
 class TestMakeProblem:
