@@ -27,10 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import SUPPORT_TOL, derealify, hermitize, psd_sqrt, trace_abs
-from .model import (
-    BoundError, ModelError, StatisticalModel, Support, checked_hermitian, checked_state, sld, state_support,
-)
+from .linalg import SUPPORT_TOL, checked_hermitian, checked_state, derealify, hermitize, psd_sqrt, trace_abs
+from .model import BoundError, StatisticalModel, Support, sld, state_support
 from .sdp_core import SDPError, SDPProblem, SDPSolution, make_problem, realified, solve
 
 DEFAULT_TOL = 1e-9
@@ -444,6 +442,7 @@ def _checked_stats(model, xs, problem: SDPProblem, sol: SDPSolution, ranks) -> d
         "support_ranks": tuple(ranks),
         "support_tol": SUPPORT_TOL,
         "dropped_rows": problem.dropped,
+        "newton_jitter": sol.newton_jitter,
     }
 
 
@@ -652,11 +651,8 @@ def nh_u_bound(
     must be finite and Hermitian of the state's shape; BoundError otherwise.
     """
     d = len(state) if np.ndim(state) else 0
-    try:
-        state = checked_state(state, d)
-        xs_in = [checked_hermitian(x, d, f"estimator {j}") for j, x in enumerate(xs)]
-    except ModelError as exc:
-        raise BoundError(str(exc)) from exc
+    state = checked_state(state, d, BoundError)
+    xs_in = [checked_hermitian(x, d, f"estimator {j}", BoundError) for j, x in enumerate(xs)]
     if not xs_in:
         raise BoundError("at least one estimator is required")
     n = len(xs_in)
@@ -680,11 +676,12 @@ def nagaoka_explicit_two_obs(state: np.ndarray, x1: np.ndarray, x2: np.ndarray) 
 
     Quadratic cost plus the trace norm of the state-weighted commutator;
     the square root of the state symmetrizes the commutator term so the
-    trace norm sees a Hermitian matrix with the same spectrum.
+    trace norm sees a Hermitian matrix with the same spectrum.  The inputs
+    follow the rules of `nh_u_bound`; BoundError otherwise.
     """
-    state = hermitize(np.asarray(state, dtype=complex))
-    x1 = hermitize(np.asarray(x1, dtype=complex))
-    x2 = hermitize(np.asarray(x2, dtype=complex))
+    d = len(state) if np.ndim(state) else 0
+    state = checked_state(state, d, BoundError)
+    x1, x2 = (checked_hermitian(x, d, f"estimator {j}", BoundError) for j, x in enumerate((x1, x2)))
     root = psd_sqrt(state)
     quad = np.trace(state @ (x1 @ x1 + x2 @ x2)).real
     comm = trace_abs(1j * root @ (x1 @ x2 - x2 @ x1) @ root)

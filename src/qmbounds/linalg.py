@@ -1,10 +1,11 @@
-"""Dense Hermitian matrix kernel: eigendecomposition, PSD square root,
-trace norm, and the complex-to-real symmetric embedding."""
+"""Dense Hermitian matrix kernel: the Hermitian-input rule that every
+matrix handed to the package passes (`checked_hermitian`, `checked_state`),
+eigendecomposition, PSD square root, trace norm, and the complex-to-real
+symmetric embedding."""
 from __future__ import annotations
 
 import numpy as np
 
-HERM_RTOL = 1e-12
 # eigenvalues of a state at or below this are its kernel; model.state_support
 # and psd_sqrt are the two places that split a spectrum
 SUPPORT_TOL = 1e-10
@@ -19,23 +20,39 @@ def hermitize(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + a.conj().T)
 
 
-def herm_defect(a: np.ndarray) -> float:
-    """Max entrywise |A - A†|."""
-    return float(np.max(np.abs(a - a.conj().T))) if a.size else 0.0
+def is_hermitian(a: np.ndarray) -> bool:
+    """Whether max |A - A†| is at most 1e-10 of max(1, largest |entry|)."""
+    if not a.size:
+        return True
+    return float(np.max(np.abs(a - a.conj().T))) <= 1e-10 * max(1.0, float(np.max(np.abs(a))))
 
 
-def is_hermitian(a: np.ndarray, rtol: float = HERM_RTOL) -> bool:
-    scale = max(1.0, float(np.max(np.abs(a)))) if a.size else 1.0
-    return herm_defect(a) <= rtol * scale
+def checked_hermitian(mat, d: int, what: str, error: type[Exception], dtype=complex) -> np.ndarray:
+    """The Hermitian part (A + A†)/2 of `mat` as `dtype`, once it is d x d,
+    finite, and Hermitian (symmetric when real) by `is_hermitian`; `error`
+    naming it as `what` otherwise.  The one rule for every matrix the
+    package takes in: model states and derivatives, POVM outcomes,
+    estimators, program objectives and hints, and the input of `herm_eig`
+    and `realify`."""
+    mat = np.asarray(mat, dtype=dtype)
+    if mat.shape != (d, d):
+        raise error(f"{what} must be {d} x {d}, got {mat.shape}")
+    if not np.all(np.isfinite(mat)):
+        raise error(f"{what} has non-finite entries")
+    if not is_hermitian(mat):
+        raise error(f"{what} is not {'Hermitian' if mat.dtype.kind == 'c' else 'symmetric'}")
+    return hermitize(mat)
 
 
-def _require_hermitian(a: np.ndarray, where: str) -> None:
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise LinalgError(f"{where}: expected a square matrix, got shape {a.shape}")
-    if not is_hermitian(a):
-        raise LinalgError(
-            f"{where}: input is not Hermitian (defect {herm_defect(a):.3e})"
-        )
+def checked_state(state, d: int, error: type[Exception]) -> np.ndarray:
+    """A d x d density matrix under the rule of `checked_hermitian`, with
+    trace 1 and no eigenvalue below -1e-10, to 1e-10; `error` otherwise."""
+    state = checked_hermitian(state, d, "state", error)
+    if abs(np.trace(state).real - 1.0) > 1e-10:
+        raise error(f"state trace is {float(np.trace(state).real)!r}, not 1")
+    if float(np.linalg.eigvalsh(state)[0]) < -1e-10:
+        raise error("state has an eigenvalue below -1e-10")
+    return state
 
 
 def herm_eig(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -45,8 +62,8 @@ def herm_eig(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     The input is symmetrized first so accumulated rounding in matrix
     products cannot push eigh off the Hermitian branch.
     """
-    _require_hermitian(h, "herm_eig")
-    w, u = np.linalg.eigh(hermitize(np.asarray(h, dtype=complex)))
+    d = len(h) if np.ndim(h) else 0
+    w, u = np.linalg.eigh(checked_hermitian(h, d, "herm_eig input", LinalgError))
     return w, u
 
 
@@ -80,8 +97,8 @@ def realify(h: np.ndarray) -> np.ndarray:
     PSD cone and doubles the multiplicity of every eigenvalue, so
     trace(realify(H)) = 2 trace(H).
     """
-    _require_hermitian(h, "realify")
-    h = np.asarray(h, dtype=complex)
+    d = len(h) if np.ndim(h) else 0
+    h = checked_hermitian(h, d, "realify input", LinalgError)
     re, im = h.real, h.imag
     return np.block([[re, -im], [im, re]]).astype(float)
 

@@ -12,12 +12,13 @@ sum_m p_m xi_jm = 0, and tracelessness of each state derivative collapses
 the second to sum_m tr(d_k S Pi_m) xi_jm = delta_jk; every check in this
 module works in that xi form.
 
-Besides the generic types and checks, two analytic estimator families
-are provided: a five-outcome measurement saturating the separable-
-measurement bound for the dephased two-qubit pair (with an optional
-seven-outcome refinement that also estimates the longitudinal
-parameter), and a four-outcome measurement saturating the collective
-bound for the single-photon lossy interferometer.
+POVM outcomes enter under the Hermitian-input rule of
+`linalg.checked_hermitian`.  Besides the generic types and checks, two
+analytic estimator families are provided: a five-outcome measurement
+saturating the separable-measurement bound for the dephased two-qubit
+pair (with an optional seven-outcome refinement that also estimates the
+longitudinal parameter), and a four-outcome measurement saturating the
+collective bound for the single-photon lossy interferometer.
 """
 from __future__ import annotations
 
@@ -25,11 +26,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import hermitize
+from .linalg import checked_hermitian, hermitize
 from .model import (
-    ModelError,
     StatisticalModel,
-    checked_hermitian,
     decode_matrix,
     encode_matrix,
     is_number,
@@ -56,7 +55,7 @@ class MeasurementFormatError(ValueError):
 class POVM:
     """Finite collection of outcome operators on one Hilbert space, each
     square, finite and Hermitian to 1e-10 relative (the rule of
-    `model.checked_hermitian`), and stored as its Hermitian part."""
+    `linalg.checked_hermitian`), and stored as its Hermitian part."""
 
     outcomes: tuple[np.ndarray, ...]
 
@@ -75,10 +74,7 @@ class POVM:
                 raise MeasurementError(
                     f"outcome {i} has dimension {mat.shape[0]}, expected {d}"
                 )
-            try:
-                ops.append(checked_hermitian(mat, d, f"outcome {i}"))
-            except ModelError as exc:
-                raise MeasurementError(str(exc)) from exc
+            ops.append(checked_hermitian(mat, d, f"outcome {i}", MeasurementError))
         object.__setattr__(self, "outcomes", tuple(ops))
 
     @property
@@ -279,7 +275,7 @@ def phase_damping_povm(
     if not abs(split_delta - weight) <= 1e-9:
         raise MeasurementError(
             "split_delta must equal (a^2 + b^2)/2 = "
-            f"{weight!r}, got {split_delta!r}"
+            f"{float(weight)!r}, got {split_delta!r}"
         )
     if epsilon >= 1.0:
         raise MeasurementError("the split form needs epsilon < 1")
@@ -333,7 +329,7 @@ def interferometer_povm(a0: float, a1: float, eta: float) -> Estimator:
     denom = (1.0 - eta) * (1.0 + 2.0 * eta) * a0sq - eta * a1sq
     if denom <= 0.0:
         raise MeasurementError(
-            f"support denominator {denom!r} is not positive at eta={eta!r}"
+            f"support denominator {float(denom)!r} is not positive at eta={eta!r}"
         )
     bsq = a0sq / denom
     gap = 1.0 - bsq
@@ -411,7 +407,7 @@ def sample(
     total = p.sum()
     if abs(total - 1.0) > 1e-6:
         raise MeasurementError(
-            f"outcome probabilities sum to {total!r}, not 1"
+            f"outcome probabilities sum to {float(total)!r}, not 1"
         )
     p = p / total
     rng = np.random.Generator(np.random.PCG64(seed))

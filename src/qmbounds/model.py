@@ -2,7 +2,8 @@
 families (dephased two-qubit states, lossy interferometer with
 definite-photon probes), random models for property tests, the support
 rule shared by all three bounds, symmetric logarithmic derivatives, and
-the classical Fisher-trace bound."""
+the classical Fisher-trace bound.  Matrices enter under the Hermitian-input
+rule of `linalg.checked_hermitian`."""
 from __future__ import annotations
 
 import numbers
@@ -11,7 +12,7 @@ from math import comb
 
 import numpy as np
 
-from .linalg import SUPPORT_TOL, herm_eig, hermitize, is_hermitian
+from .linalg import SUPPORT_TOL, checked_hermitian, checked_state, herm_eig, hermitize
 
 
 class ModelError(ValueError):
@@ -39,7 +40,9 @@ class StatisticalModel:
     with respect to the parameters, `theta` the true parameter values, and
     `labels` the parameter names.  `block_dims`, when set, records a
     block-diagonal structure shared by the state and every derivative,
-    which bound builders may exploit.
+    which bound builders may exploit.  The state passes
+    `linalg.checked_state` and each derivative `linalg.checked_hermitian`,
+    and is kept as its Hermitian part; ModelError otherwise.
     """
 
     dim: int
@@ -51,12 +54,12 @@ class StatisticalModel:
 
     def __post_init__(self):
         d = int(self.dim)
-        state = checked_state(self.state, d)
+        state = checked_state(self.state, d, ModelError)
         derivs = []
         for j, dm in enumerate(self.derivs):
-            dm = checked_hermitian(dm, d, f"derivative {j}")
+            dm = checked_hermitian(dm, d, f"derivative {j}", ModelError)
             if abs(np.trace(dm)) > 1e-10:
-                raise ModelError(f"derivative {j} has trace {np.trace(dm)!r}, not 0")
+                raise ModelError(f"derivative {j} has trace {complex(np.trace(dm))!r}, not 0")
             derivs.append(dm)
         if not derivs:
             raise ModelError("at least one parameter derivative is required")
@@ -94,30 +97,6 @@ class StatisticalModel:
     @property
     def num_params(self) -> int:
         return len(self.derivs)
-
-
-def checked_hermitian(mat, d: int, what: str) -> np.ndarray:
-    """The Hermitian part of `mat`, once it is d x d, finite, and Hermitian
-    to 1e-10 relative; ModelError naming it as `what` otherwise."""
-    mat = np.asarray(mat, dtype=complex)
-    if mat.shape != (d, d):
-        raise ModelError(f"{what} must be {d} x {d}, got {mat.shape}")
-    if not np.all(np.isfinite(mat)):
-        raise ModelError(f"{what} has non-finite entries")
-    if not is_hermitian(mat, 1e-10):
-        raise ModelError(f"{what} is not Hermitian")
-    return hermitize(mat)
-
-
-def checked_state(state, d: int) -> np.ndarray:
-    """A d x d density matrix under the rules of `checked_hermitian`, with
-    trace 1 and no eigenvalue below -1e-10, to 1e-10; ModelError otherwise."""
-    state = checked_hermitian(state, d, "state")
-    if abs(np.trace(state).real - 1.0) > 1e-10:
-        raise ModelError(f"state trace is {float(np.trace(state).real)!r}, not 1")
-    if float(np.linalg.eigvalsh(state)[0]) < -1e-10:
-        raise ModelError("state has an eigenvalue below -1e-10")
-    return state
 
 
 def _off_block_mass(mat: np.ndarray, blocks: tuple[int, ...]) -> float:
@@ -275,7 +254,7 @@ def interferometer_model(
     if n < 1:
         raise ModelError("need at least two amplitudes")
     if abs(np.sum(np.abs(a) ** 2) - 1.0) > 1e-10:
-        raise ModelError(f"amplitudes are not normalized: sum of squares is {np.sum(np.abs(a)**2)!r}")
+        raise ModelError(f"amplitudes are not normalized: sum of squares is {float(np.sum(np.abs(a)**2))!r}")
     if not 0.0 < eta <= 1.0:
         raise ModelError(f"eta must lie in (0, 1], got {eta!r}")
     dim = (n + 1) * (n + 2) // 2
@@ -378,7 +357,7 @@ def sld_bound(model: StatisticalModel) -> float:
     """
     fisher = sld(model).fisher
     w = np.linalg.eigvalsh(fisher)
-    if w[0] <= 1e-10 * max(1.0, float(w[-1])):
+    if w[0] <= 1e-10 * w[-1]:
         raise BoundError(
             f"SLD Fisher information is singular (smallest eigenvalue {w[0]:.2e}, "
             f"largest {w[-1]:.2e}): the parameters are not all identifiable"

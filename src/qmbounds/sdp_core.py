@@ -38,7 +38,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import realify
+from .linalg import checked_hermitian, realify
 
 DEP_TOL = 1e-10
 DEFAULT_TOL = 1e-8
@@ -108,6 +108,7 @@ class SDPSolution:
     status: str
     primal_infeas: float = 0.0
     dual_infeas: float = 0.0
+    newton_jitter: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -126,18 +127,6 @@ def _bincount(index, weights, size) -> np.ndarray:
     if weights.dtype.kind == "c":
         return _bincount(index, weights.real, size) + 1j * _bincount(index, weights.imag, size)
     return np.bincount(index, weights=weights, minlength=size)
-
-
-def _as_sym(mat: np.ndarray, dim: int, what: str, dtype) -> np.ndarray:
-    m = np.asarray(mat, dtype=dtype)
-    if m.shape != (dim, dim):
-        raise SDPError(f"{what}: expected shape ({dim}, {dim}), got {m.shape}")
-    if not np.all(np.isfinite(m)):
-        raise SDPError(f"{what}: matrix has non-finite entries")
-    scale = max(1.0, float(np.max(np.abs(m)))) if m.size else 1.0
-    if np.max(np.abs(m - m.conj().T)) > 1e-10 * scale:
-        raise SDPError(f"{what}: matrix is not {'Hermitian' if np.iscomplexobj(m) else 'symmetric'}")
-    return 0.5 * (m + m.conj().T)
 
 
 def _real_vector(v, what: str) -> np.ndarray:
@@ -179,7 +168,8 @@ def make_problem(
     subset to them.  A dropped row whose right-hand side is inconsistent
     with the rows that imply it raises, since the problem is then
     infeasible at construction time.  `b` and the dual hint must be real
-    and finite, and the primal hint must have one block per block.
+    and finite, and the primal hint must have one block per block; each
+    objective and hint block passes `linalg.checked_hermitian`.
     """
     dims = tuple(int(d) for d in block_dims)
     if any(d <= 0 for d in dims):
@@ -192,7 +182,7 @@ def make_problem(
     data = (entries[4], *objective.values(), *(() if primal_hint is None else primal_hint))
     dtype = complex if any(np.iscomplexobj(a) for a in data) else float
     obj = {
-        int(l): _as_sym(mat, dims[int(l)], f"objective block {l}", dtype)
+        int(l): checked_hermitian(mat, dims[int(l)], f"objective block {l}", SDPError, dtype)
         for l, mat in objective.items()
     }
     bvec = _real_vector(b, "b")
@@ -205,7 +195,7 @@ def make_problem(
         if len(primal_hint) != len(dims):
             raise SDPError(f"primal hint has {len(primal_hint)} blocks for {len(dims)}")
         primal_hint = tuple(
-            _as_sym(blk, dims[l], f"primal hint block {l}", dtype)
+            checked_hermitian(blk, dims[l], f"primal hint block {l}", SDPError, dtype)
             for l, blk in enumerate(primal_hint)
         )
     if dual_hint is not None:
@@ -478,6 +468,7 @@ class _Newton(NamedTuple):
     matrix: np.ndarray  # M
     groups: list  # per group: its slice of `order`, L_g^-1 and W_g
     link_inv: np.ndarray  # L_S^-1
+    jitter: float  # the shift factored, over max(1, M's largest diagonal entry)
 
     def _inverse(self, r):
         """(L L^T)^-1 r, by forward and back substitution over the groups."""
@@ -512,7 +503,8 @@ def _factor_newton(M: np.ndarray, order: np.ndarray, spans) -> _Newton:
     per iteration, by `_tril_inv`, and applied by matrix products.  When M
     is not numerically positive definite, a growing multiple of its largest
     diagonal entry is added to every D_g and to S before factoring again;
-    the factor is then that of M plus the same multiple of the identity.
+    the factor is then that of M plus the same multiple of the identity,
+    and the system's `jitter` is that multiple.
     """
     if not np.all(np.isfinite(M)):
         raise SDPError(
@@ -531,7 +523,7 @@ def _factor_newton(M: np.ndarray, order: np.ndarray, spans) -> _Newton:
             link_inv = _tril_inv(np.linalg.cholesky(comp))
         except np.linalg.LinAlgError:
             continue
-        return _Newton(order, M, list(zip(spans, inv, cross)), link_inv)
+        return _Newton(order, M, list(zip(spans, inv, cross)), link_inv, jit)
     raise SDPError("Newton system factorization failed: Schur complement is numerically singular")
 
 
@@ -654,7 +646,9 @@ def solve(
     the status, and the solution is the iterate that was judged, so
     `solve(max_iter=k)` ends at iterate k of the same path.  `max_iter` = 0
     judges the starting point alone; a negative one raises, as does a `tol`
-    that is not finite and positive.
+    that is not finite and positive.  `newton_jitter` is the largest shift,
+    over max(1, its largest diagonal entry), that `_factor_newton` added to
+    a Newton matrix over the solve, 0.0 when none.
     """
     if max_iter < 0:
         raise SDPError(f"max_iter must be >= 0, got {max_iter}")
@@ -689,7 +683,7 @@ def solve(
             out[f.rows] += f.values(blk)
         return out
 
-    best, idle = math.inf, 0
+    best, idle, jitter = math.inf, 0, 0.0
     for it in range(max_iter + 1):
         pobj = sum(float(np.vdot(C[l], Y[l]).real) for l in range(nb))
         dobj = float(b @ y)
@@ -728,6 +722,7 @@ def solve(
             maps.append((f.rows, apply, adjoint))
         del part
         newton = _factor_newton(M, order, spans)
+        jitter = max(jitter, newton.jitter)
 
         def directions(T):
             h = rp.copy()
@@ -777,6 +772,7 @@ def solve(
         status=status,
         primal_infeas=pinf,
         dual_infeas=dinf,
+        newton_jitter=jitter,
     )
 
 

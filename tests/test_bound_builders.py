@@ -111,6 +111,10 @@ class TestGellmannBasis:
         assert len(b) == 1
         np.testing.assert_allclose(b[0], [[1.0]], atol=1e-12)
 
+    def test_dimension_zero_raises(self):
+        with pytest.raises(BoundError, match="^basis dimension must be >= 1, got 0$"):
+            gellmann_basis(0)
+
 
 class TestProgramShape:
     def test_compressed_constraint_families(self):
@@ -376,6 +380,14 @@ class TestRankDeficientModels:
             assert stats["dropped_rows"] == result.problem.dropped == 0
             assert stats["status"] == "optimal"
 
+    def test_stats_record_the_newton_jitter(self):
+        # on pd xyz the NH Newton matrix needs a shift to factor, and the
+        # Holevo one on the same model does not
+        model = phase_damping_model(0.5, "xyz")
+        assert holevo_bound(model).solver_stats["newton_jitter"] == 0.0
+        nh = nagaoka_hayashi_bound(model)
+        assert 0.0 < nh.solver_stats["newton_jitter"] == nh.solution.newton_jitter <= 1e-6
+
     def test_block_outside_the_support_adds_nothing(self):
         # the state and its derivatives vanish on a second, one-dim block
         m = phase_damping_model(0.3, params="xy")
@@ -398,6 +410,21 @@ class TestRankDeficientModels:
         assert nagaoka_hayashi_bound(padded).value == pytest.approx(
             nagaoka_hayashi_bound(m).value, rel=1e-7
         )
+
+
+# inputs that are not a state and estimators, and the BoundError each raises
+REJECTED_INPUTS = [
+    ("shifted", r"state trace is -0\.19"),
+    ("indefinite", "state has an eigenvalue below -1e-10"),
+    ("nan state", "state has non-finite entries"),
+    ("skew state", "state is not Hermitian"),
+    ("state shape", r"state must be 4 x 4, got \(4, 3\)"),
+    ("nan estimator", "estimator 0 has non-finite entries"),
+    ("inf estimator", "estimator 1 has non-finite entries"),
+    ("skew estimator", "estimator 1 is not Hermitian"),
+    ("estimator shape", r"estimator 0 must be 4 x 4, got \(3, 3\)"),
+    ("no estimator", "at least one estimator is required"),
+]
 
 
 class TestFixedEstimatorBound:
@@ -438,21 +465,15 @@ class TestFixedEstimatorBound:
         assert nh_u_bound(model.state, w) >= r.value - 1e-6
 
     @pytest.mark.parametrize(
-        "case, match",
+        "bound, case, match",
         [
-            ("shifted", r"state trace is -0\.19"),
-            ("indefinite", "state has an eigenvalue below -1e-10"),
-            ("nan state", "state has non-finite entries"),
-            ("skew state", "state is not Hermitian"),
-            ("state shape", r"state must be 4 x 4, got \(4, 3\)"),
-            ("nan estimator", "estimator 0 has non-finite entries"),
-            ("inf estimator", "estimator 1 has non-finite entries"),
-            ("skew estimator", "estimator 1 is not Hermitian"),
-            ("estimator shape", r"estimator 0 must be 4 x 4, got \(3, 3\)"),
-            ("no estimator", "at least one estimator is required"),
+            (bound, case, match)
+            for bound in ("nh_u_bound", "nagaoka_explicit_two_obs")
+            for case, match in REJECTED_INPUTS
+            if bound == "nh_u_bound" or case != "no estimator"  # the closed form takes two
         ],
     )
-    def test_rejects_what_is_not_a_state_or_an_estimator(self, dephasing_xy, case, match):
+    def test_rejects_what_is_not_a_state_or_an_estimator(self, dephasing_xy, bound, case, match):
         # the state rules are those of StatisticalModel
         model, r = dephasing_xy
         s, w = model.state, [x - t * np.eye(4) for x, t in zip(r.X, model.theta)]
@@ -471,7 +492,10 @@ class TestFixedEstimatorBound:
             "no estimator": (s, []),
         }[case]
         with pytest.raises(BoundError, match=match):
-            nh_u_bound(state, xs)
+            if bound == "nh_u_bound":
+                nh_u_bound(state, xs)
+            else:
+                nagaoka_explicit_two_obs(state, *xs)
 
 
 class TestExplicitTwoObs:

@@ -109,7 +109,6 @@ def case(bound, at, why):
 
 
 SCALE_FAILURES = {
-    ("sld", 1e-6): "the Fisher singularity test is absolute",
     **{(bound, 1e6): "the derivative trace test is absolute" for bound in BOUND_VALUES},
     **{(bound, 1e-6): "the solver's absolute floors leave it at max_iter" for bound in ("holevo", "nh")},
     **{(bound, c): "the solver's absolute floors leave it stalled"

@@ -1,9 +1,13 @@
 """Tests for the dense Hermitian kernel."""
+import re
+
 import numpy as np
 import pytest
 
 from qmbounds.linalg import (
     LinalgError,
+    checked_hermitian,
+    checked_state,
     derealify,
     herm_eig,
     hermitize,
@@ -30,6 +34,66 @@ def dephased_state(eps):
         [[0, 0, 0, 0], [0, 2, 2 * e, 0], [0, 2 * e, 2, 0], [0, 0, 0, 0]],
         dtype=complex,
     )
+
+
+class TestCheckedHermitian:
+    @pytest.mark.parametrize("scale", [1.0, 1e-3, 1e6])
+    def test_tolerance_is_relative_to_the_largest_entry_over_one(self, scale):
+        # a defect of 1e-10 max(1, largest entry) passes, and 2e-10 of it fails
+        base = scale * np.array([[1.0, 0.5], [0.5, 1.0]], dtype=complex)
+        for defect, ok in ((0.9e-10, True), (2e-10, False)):
+            mat = base.copy()
+            mat[0, 1] += defect * max(1.0, scale)
+            if ok:
+                got = checked_hermitian(mat, 2, "m", LinalgError)
+                assert np.array_equal(got, 0.5 * (mat + mat.conj().T))
+            else:
+                with pytest.raises(LinalgError, match="^m is not Hermitian$"):
+                    checked_hermitian(mat, 2, "m", LinalgError)
+
+    @pytest.mark.parametrize(
+        "mat, dtype, message",
+        [
+            (np.eye(3), complex, r"m must be 2 x 2, got \(3, 3\)"),
+            (np.ones(2), complex, r"m must be 2 x 2, got \(2,\)"),
+            (np.diag([1.0, np.nan]), complex, "m has non-finite entries"),
+            (np.array([[1.0, 1j], [1j, 1.0]]), complex, "m is not Hermitian"),
+            (np.array([[1.0, 1.0], [0.0, 1.0]]), float, "m is not symmetric"),
+        ],
+    )
+    def test_raises_the_callers_error(self, mat, dtype, message):
+        with pytest.raises(KeyError, match=message):
+            checked_hermitian(mat, 2, "m", KeyError, dtype)
+
+    @pytest.mark.parametrize("func", [herm_eig, realify])
+    @pytest.mark.parametrize(
+        "mat, message",
+        [
+            (np.array(1.0), r"must be 0 x 0, got \(\)"),
+            (np.ones(2), r"must be 2 x 2, got \(2,\)"),
+            (np.ones((2, 3)), r"must be 2 x 2, got \(2, 3\)"),
+            (np.array([[0.0, 1.0], [0.0, 0.0]]), "is not Hermitian"),
+        ],
+    )
+    def test_kernel_inputs_raise_linalg_error(self, func, mat, message):
+        with pytest.raises(LinalgError, match=f"^{func.__name__} input {message}$"):
+            func(mat)
+
+    def test_real_dtype_stays_real(self):
+        got = checked_hermitian([[1.0, 2.0], [2.0, 3.0]], 2, "m", LinalgError, float)
+        assert got.dtype == float and np.array_equal(got, [[1.0, 2.0], [2.0, 3.0]])
+
+    @pytest.mark.parametrize(
+        "state, message",
+        [
+            (np.diag([0.6, 0.6]), r"state trace is 1\.2, not 1"),
+            (np.diag([1.5, -0.5]), "state has an eigenvalue below -1e-10"),
+        ],
+    )
+    def test_state_needs_unit_trace_and_no_negative_eigenvalue(self, state, message):
+        with pytest.raises(LinalgError, match=f"^{message}$"):
+            checked_state(state, 2, LinalgError)
+        assert np.array_equal(checked_state(np.diag([1.0, 0.0]), 2, LinalgError), np.diag([1.0, 0.0]))
 
 
 class TestHermEig:
@@ -154,6 +218,11 @@ class TestRealify:
         rng = np.random.default_rng(31)
         h = random_hermitian(rng, 4)
         assert np.max(np.abs(derealify(realify(h)) - h)) < 1e-14
+
+    @pytest.mark.parametrize("shape", [(3, 3), (2, 4), (4,)])
+    def test_derealify_rejects_what_is_not_even_square(self, shape):
+        with pytest.raises(LinalgError, match=rf"^derealify: expected even square shape, got {re.escape(str(shape))}$"):
+            derealify(np.zeros(shape))
 
     def test_derealify_averages_blocks(self):
         # a symmetric perturbation that is not in the image of realify

@@ -78,6 +78,19 @@ class TestPovmValidation:
         with pytest.raises(MeasurementError, match="^outcome 0 has non-finite entries$"):
             POVM(outcomes=(np.diag([value, 1.0]), np.eye(2)))
 
+    @pytest.mark.parametrize(
+        "outcomes, message",
+        [
+            ((), "a POVM needs at least one outcome"),
+            ((np.ones((2, 3)),), "outcome 0 is not a square matrix"),
+            ((np.eye(2), np.ones(2)), "outcome 1 is not a square matrix"),
+        ],
+        ids=["empty", "oblong", "vector"],
+    )
+    def test_malformed_outcomes_rejected(self, outcomes, message):
+        with pytest.raises(MeasurementError, match=f"^{message}$"):
+            POVM(outcomes=outcomes)
+
     def test_outcome_stored_as_its_hermitian_part(self):
         near = np.array([[1.0, 1e-12], [0.0, 0.0]])
         stored = POVM(outcomes=(near, np.diag([0.0, 1.0]))).outcomes[0]
@@ -92,6 +105,7 @@ class TestPovmValidation:
             # not cut to its real part, nor a bare TypeError from a list
             (np.array([[1.0 + 1j]]), "xi is complex"),
             ([[1.0 + 1j]], "xi is complex"),
+            (np.zeros(1), "xi must be a 2-d array"),
         ],
     )
     def test_non_finite_or_complex_xi_rejected(self, xi, message):
@@ -158,6 +172,18 @@ class TestDephasingMeasurement:
             np.testing.assert_allclose(xs[0], xx, atol=1e-10)
             np.testing.assert_allclose(xs[1], xy, atol=1e-10)
 
+    @pytest.mark.parametrize(
+        "eps, split, message",
+        [
+            (1.5, None, r"epsilon must lie in \[0, 1\]"),
+            (-0.1, None, r"epsilon must lie in \[0, 1\]"),
+            (1.0, 0.01, "the split form needs epsilon < 1"),
+        ],
+    )
+    def test_rejects_damping_out_of_range(self, eps, split, message):
+        with pytest.raises(MeasurementError, match=f"^{message}$"):
+            phase_damping_povm(eps, 0.1, 0.1, split_delta=split)
+
     def test_rejects_zero_amplitude(self):
         with pytest.raises(MeasurementError, match="non-zero"):
             phase_damping_povm(0.3, 0.0, 0.5)
@@ -203,6 +229,11 @@ class TestDephasingSplit:
     def test_wrong_split_weight_rejected(self):
         with pytest.raises(MeasurementError, match="split_delta"):
             phase_damping_povm(0.3, 0.2, 0.4, split_delta=0.2)
+
+    def test_wrong_split_weight_message_prints_plain_numbers(self):
+        # numpy amplitudes, not a np.float64(...) repr in the message
+        with pytest.raises(MeasurementError, match=r"^split_delta must equal \(a\^2 \+ b\^2\)/2 = 0\.1\d*, got 0\.2$"):
+            phase_damping_povm(0.3, np.float64(0.2), np.float64(0.4), split_delta=0.2)
 
     def test_split_needs_room_below_unit_radius(self):
         with pytest.raises(MeasurementError, match="a\\^2 \\+ b\\^2 < 1"):
@@ -268,6 +299,20 @@ class TestInterferometerMeasurement:
         mid = interferometer_povm(a0, a1, 0.25)
         assert not mid.meta["eta_lt_half_gap"]
         assert mid.meta["eta_lt_scaled_gap"]
+
+    @pytest.mark.parametrize(
+        "a0sq, eta, message",
+        [
+            (0.0, 0.1, "amplitudes must be positive"),
+            (0.7, 1.0, r"eta must lie in \(0, 1\)"),
+            (0.7, 0.0, r"eta must lie in \(0, 1\)"),
+            # (1 - eta)(1 + 2 eta) a0^2 - eta a1^2 = 0.1 - 0.45
+            (0.1, 0.5, r"support denominator -0\.35\d* is not positive at eta=0\.5"),
+        ],
+    )
+    def test_rejects_parameters_outside_the_family(self, a0sq, eta, message):
+        with pytest.raises(MeasurementError, match=f"^{message}$"):
+            interferometer_povm(np.sqrt(a0sq), np.sqrt(1.0 - a0sq), eta)
 
     def test_unnormalized_amplitudes_rejected(self):
         with pytest.raises(MeasurementError, match="a0\\^2 \\+ a1\\^2"):
@@ -339,6 +384,24 @@ class TestSampler:
         other = sample(m, est, 10**4, seed=43)
         assert np.max(np.abs(other.matrix - one.matrix)) > 0
 
+    @pytest.mark.parametrize(
+        "outcomes, shots, message",
+        [
+            (None, -1, "shots must be non-negative"),
+            ((2.0, -1.0), 10, r"outcome probability -1\.000e\+00 is negative beyond tolerance"),
+            ((0.25, 0.25), 10, "outcome probabilities sum to 0.5, not 1"),
+        ],
+        ids=["negative shots", "negative probability", "incomplete"],
+    )
+    def test_rejects_what_cannot_be_sampled(self, outcomes, shots, message):
+        est = phase_damping_povm(0.4, 0.5, 0.5)
+        if outcomes is not None:  # multiples of the identity, one coefficient each
+            est = Estimator(povm=POVM(outcomes=tuple(c * np.eye(4) for c in outcomes)),
+                            xi=np.zeros((2, len(outcomes))))
+        m = phase_damping_model(0.4, params="xy")
+        with pytest.raises(MeasurementError, match=f"^{message}$"):
+            sample(m, est, shots, seed=1)
+
     def test_zero_shots_flagged(self):
         est = phase_damping_povm(0.4, 0.5, 0.5)
         m = phase_damping_model(0.4, params="xy")
@@ -356,6 +419,19 @@ class TestJsonRoundTrip:
         for a, b in zip(back.povm.outcomes, est.povm.outcomes):
             np.testing.assert_allclose(a, b, atol=1e-15)
         np.testing.assert_allclose(back.xi, est.xi, atol=1e-15)
+
+    @pytest.mark.parametrize(
+        "payload, message",
+        [
+            ([], "payload must be a JSON object"),
+            ({"outcomes": [[]], "xi": [[0.0]]}, "field 'outcomes': entry 0 must be a non-empty matrix"),
+            ({"outcomes": [[[[1.0, 0.0]]]]}, "field 'xi': expected a non-empty list of rows"),
+        ],
+        ids=["not an object", "empty outcome", "no xi"],
+    )
+    def test_malformed_payload_cited(self, payload, message):
+        with pytest.raises(MeasurementFormatError, match=f"^{message}$"):
+            estimator_from_dict(payload)
 
     def test_missing_outcomes_cited(self):
         with pytest.raises(MeasurementFormatError, match="'outcomes'"):

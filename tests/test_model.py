@@ -53,6 +53,17 @@ class TestStatisticalModel:
             )
 
 
+    def test_messages_print_plain_numbers(self):
+        # not numpy's np.complex128(...) and np.float64(...) reprs
+        with pytest.raises(ModelError, match=r"^derivative 0 has trace \(2\+0j\), not 0$"):
+            StatisticalModel(dim=2, state=0.5 * np.eye(2), derivs=(np.eye(2),), theta=(0.0,), labels=("a",))
+        with pytest.raises(ModelError, match=r"^amplitudes are not normalized: sum of squares is 2\.0$"):
+            interferometer_model([1.0, 1.0], 0.5)
+
+    def test_rejects_no_derivative(self):
+        with pytest.raises(ModelError, match="^at least one parameter derivative is required$"):
+            StatisticalModel(dim=2, state=0.5 * np.eye(2), derivs=(), theta=(), labels=())
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_rejects_non_finite_numbers(self, bad):
         state = 0.5 * np.eye(2, dtype=complex)
@@ -227,9 +238,16 @@ class TestInterferometer:
             interferometer_model([1.0, 1.0], 0.5)
         with pytest.raises(ModelError, match="eta"):
             interferometer_model([1.0, 0.0], 0.0)
+        with pytest.raises(ModelError, match="^need at least two amplitudes$"):
+            interferometer_model([1.0], 0.5)
 
 
 class TestRandomModel:
+    @pytest.mark.parametrize("dim, n", [(1, 1), (2, 0)])
+    def test_rejects_bad_size(self, dim, n):
+        with pytest.raises(ModelError, match=f"^need dim >= 2 and num_params >= 1, got {dim}, {n}$"):
+            random_model(0, dim, n)
+
     def test_invariants_hold(self):
         for seed in range(10):
             m = random_model(seed, 4, 3)
@@ -331,6 +349,28 @@ class TestJsonSchema:
             model_from_dict(data)
         data["block_dims"] = [2, 2]
         with pytest.raises(ModelFormatError, match="weight outside the declared blocks"):
+            model_from_dict(data)
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            (None, [], "top level: expected a JSON object"),
+            ("dim", 1, "field 'dim': expected an integer >= 2, got 1"),
+            ("dim", "4", "field 'dim': expected an integer >= 2, got '4'"),
+            ("state", [[[0.0, 0.0]] * 4] * 3, "field 'state': expected 4 rows"),
+            ("state", [[[0.0, 0.0]] * 3] * 4, "field 'state': row 0 must have 4 entries"),
+            ("derivs", [], "field 'derivs': expected a non-empty list of matrices"),
+            ("labels", [1], "field 'labels': expected a list of strings"),
+        ],
+        ids=["not an object", "dim 1", "dim string", "state rows", "state row", "no derivs", "labels"],
+    )
+    def test_malformed_payload_named(self, field, value, message):
+        data = model_to_dict(phase_damping_model(0.1, "x"))
+        if field is None:
+            data = value
+        else:
+            data[field] = value
+        with pytest.raises(ModelFormatError, match=f"^{message}$"):
             model_from_dict(data)
 
     def test_missing_field_named(self):

@@ -391,11 +391,16 @@ class TestNewtonSystem:
     def test_singular_psd_matrix_is_jittered(self):
         a = np.array([1.0, 2.0, 3.0])
         mat = np.outer(a, a)  # rank one, exactly singular
-        lower = np.linalg.inv(whole(mat).link_inv)
+        system = whole(mat)
+        lower = np.linalg.inv(system.link_inv)
         shift = lower @ lower.T - mat
-        # the factor is of mat plus a small multiple of the identity
+        # the factor is of mat plus a small multiple of the identity, and the
+        # system records that multiple relative to the largest diagonal entry
         assert np.abs(shift - np.diag(np.diag(shift))).max() <= 1e-12
         assert 0.0 < np.diag(shift).min() and np.diag(shift).max() <= 1e-6 * 9.0
+        assert 0.0 < system.jitter <= 1e-6
+        assert np.allclose(np.diag(shift), system.jitter * 9.0, rtol=0, atol=1e-12)
+        assert whole(mat + np.eye(3)).jitter == 0.0
 
     def test_indefinite_matrix_is_singular(self):
         with pytest.raises(SDPError, match="numerically singular"):
@@ -1027,6 +1032,19 @@ class TestMakeProblem:
             make_problem([3], {0: np.eye(2)}, as_entries([]), [])
 
     @pytest.mark.parametrize(
+        "dims, objective, dual_hint, message",
+        [
+            ([2, 0], {}, None, r"block dims must be positive, got \(2, 0\)"),
+            ([2], {1: np.eye(2)}, None, "objective references unknown block 1"),
+            ([2], {0: np.eye(2)}, [1.0, 2.0], "dual hint length must match the original constraint count"),
+        ],
+        ids=["zero dimension", "unknown block", "dual hint length"],
+    )
+    def test_rejects_bad_dims_objective_or_dual_hint(self, dims, objective, dual_hint, message):
+        with pytest.raises(SDPError, match=f"^{message}$"):
+            make_problem(dims, objective, as_entries([{0: np.eye(2)}]), [1.0], dual_hint=dual_hint)
+
+    @pytest.mark.parametrize(
         "entry, match",
         [
             ((0, 0, 1, 0, 1.0), "lower-triangle"),
@@ -1064,7 +1082,7 @@ class TestMakeProblem:
         bad = np.array([[1.0, 1j], [1j, 1.0]])
         good = np.array([[1.0, 1j], [-1j, 2.0]])
         obj, hint = (bad, good) if where == "objective" else (good, bad)
-        with pytest.raises(SDPError, match=f"^{where} block 0: matrix is not Hermitian$"):
+        with pytest.raises(SDPError, match=f"^{where} block 0 is not Hermitian$"):
             make_problem([2], {0: obj}, as_entries([{0: np.eye(2)}]), [1.0], primal_hint=(hint,))
         problem = make_problem([2], {0: good}, as_entries([{0: np.eye(2)}]), [1.0], primal_hint=(good,))
         assert np.array_equal(problem.objective[0], good)
@@ -1091,7 +1109,7 @@ class TestMakeProblem:
         rows = as_entries([{0: np.eye(2)}])
         with pytest.raises(SDPError, match="b has non-finite"):
             make_problem([2], {0: np.eye(2)}, rows, [bad])
-        with pytest.raises(SDPError, match="objective block 0: matrix has non-finite"):
+        with pytest.raises(SDPError, match="^objective block 0 has non-finite entries$"):
             make_problem([2], {0: np.diag([1.0, bad])}, rows, [1.0])
         with pytest.raises(SDPError, match="not finite"):
             make_problem([2], {0: np.eye(2)}, as_entries([{0: np.diag([1.0, bad])}]), [1.0])
@@ -1424,6 +1442,10 @@ class TestSdpaFormat:
             ("1\n1\n1_0\n1.0\n", "line 3: bad block dimension '1_0'"),
             # entry keys of this block would overflow int64
             ("1\n1\n10000000000\n1.0\n1 1 1 1 1.0\n", "line 3: block dimension 10000000000 is too large"),
+            # the counts of the header's lists, and a zero block
+            ("1\n2\n2\n1.0\n", "line 3: expected 2 block dims, got 1"),
+            ("1\n2\n2 0\n1.0\n", "line 3: zero block dimension"),
+            ("2\n1\n2\n1.0\n", "line 4: expected 2 right-hand-side values, got 1"),
         ],
     )
     def test_bad_header_number_names_its_line(self, text, message):

@@ -1,7 +1,10 @@
 """The solve digest tool runs against the benchmark workloads as they stand."""
+import re
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "solve_digest.py"
 
@@ -22,3 +25,23 @@ def test_digest_lists_each_ladder_solve_once():
     for *_, status, iterations, sha in lines:
         assert status == "optimal" and int(iterations) > 0
         assert len(sha) == 16 and int(sha, 16) >= 0
+
+
+@pytest.mark.parametrize("workload, count", [("small-grid", 20), ("file-verify", 9)])
+def test_digest_lists_each_solve_of_the_other_workloads_once(workload, count):
+    # statuses are not pinned: a solver change may settle a known failure
+    proc = subprocess.run(
+        [sys.executable, str(TOOL), "--seed", "3", "--tiny", "--workload", workload],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = [line.split("\t") for line in proc.stdout.splitlines()]
+    assert len(lines) == count
+    assert len({(label, bound) for _, label, bound, *_ in lines}) == count
+    for fields in lines:
+        assert len(fields) == 6
+        name, label, bound, status, iterations, sha = fields
+        assert name == workload and label and bound in ("holevo", "nh")
+        assert status in ("optimal", "infeasible_suspect", "stalled", "max_iter")
+        assert iterations.isdigit()
+        assert re.fullmatch("[0-9a-f]{16}", sha)
