@@ -44,7 +44,7 @@ from .model import (
     phase_damping_model,
     sld_bound,
 )
-from .sdp_core import SDPError, check_certificate, read_sdpa, solve
+from .sdp_core import SDPError, check_certificate, hermitian_form, read_sdpa, solve
 
 
 class CliError(ValueError):
@@ -324,6 +324,8 @@ def run_verify_povm(args) -> int:
 
 def run_solve_sdp(args) -> int:
     problem = _read_file(args.file, "problem file", read_sdpa)
+    # a Hermitian program's file holds its real embedding, of twice the dimension
+    problem = hermitian_form(problem) or problem
     sol = solve(problem, tol=args.tol, max_iter=args.max_iter)
     report = check_certificate(problem, sol, tol=max(args.tol, 1e-7))
     lines = [

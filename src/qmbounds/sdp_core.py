@@ -15,6 +15,9 @@ A_i, under one set of rules (`_check_entries`).  Builders and `read_sdpa`
 hand these to `make_problem`, which keeps them once, in a `ConstraintStore`.
 The text format is real: `write_sdpa` writes a Hermitian program as its
 real embedding, `realified`, which `read_sdpa` reads as a real one.
+`hermitian_form` gives back the Hermitian program of such a file, of half
+the block dimension, when the file reproduces its embedding exactly; the
+`solve-sdp` command solves that.
 
 The solver forms each block's Schur complement by one of two formulas,
 picked by cost: from the congruences G^H A_i G, each formed on the rows
@@ -254,7 +257,8 @@ def realified(problem: SDPProblem) -> SDPProblem:
     (i+d, j+d, Re z), (i, j+d, -Im z) and (i+d, j, Im z).  The embedding
     doubles every inner product, so `b` doubles and `scale` halves, and it
     keeps independent rows independent, so the rows that `make_problem` kept,
-    the dual hint and the `dropped` count carry over.
+    the dual hint and the `dropped` count carry over.  `hermitian_form` is
+    its inverse.
     """
     row, block, col, z = problem.store
     d = np.array(problem.block_dims, dtype=np.int64)[block]
@@ -267,6 +271,56 @@ def realified(problem: SDPProblem) -> SDPProblem:
     hint = problem.primal_hint and tuple(map(realify, problem.primal_hint))
     return replace(problem, block_dims=dims, objective=objective, store=store, b=2 * problem.b,
                    scale=problem.scale / 2, primal_hint=hint)
+
+
+def hermitian_form(problem: SDPProblem) -> SDPProblem | None:
+    """The Hermitian program whose `realified` is `problem`, or None.
+
+    For a real program without hints whose blocks all have even dimension
+    2n, the candidate takes Re H from each matrix's top-left n x n quadrant
+    and Im H from its bottom-left one, halves `b` and doubles `scale`.  It
+    is returned only when `realified` of it gives back the store arrays,
+    objective, `b` and `scale` of `problem` exactly (an identity, not a
+    tolerance): halving and doubling are exact, and in every matrix the
+    bottom-right quadrant equals the top-left one and the top-right one is
+    minus the bottom-left one, entry for entry.  The programs then have the
+    same value and dual vector; the data of such a real program commute
+    with J = [[0, -I], [I, 0]] (Gatermann and Parrilo, J. Pure Appl.
+    Algebra 192, 2004).
+    """
+    dims = problem.block_dims
+    if (np.iscomplexobj(problem.store.val) or problem.primal_hint is not None
+            or problem.dual_hint is not None or any(d % 2 for d in dims)):
+        return None
+    half = tuple(d // 2 for d in dims)
+    b, scale = problem.b / 2, 2 * problem.scale
+    if not (np.array_equal(2 * b, problem.b) and scale / 2 == problem.scale):
+        return None
+    objective = {}
+    for l, mat in problem.objective.items():
+        n = half[l]
+        if not (np.array_equal(mat[n:, n:], mat[:n, :n]) and np.array_equal(mat[:n, n:], -mat[n:, :n])):
+            return None
+        objective[l] = mat[:n, :n].astype(complex)
+        objective[l].imag = mat[n:, :n]  # antisymmetric, as `mat` is symmetric
+    row, block, col, val = problem.store
+    n = np.array(half, dtype=np.int64)[block]
+    i, j = np.divmod(col, 2 * n)
+    low, right = i >= n, j >= n
+    shape = (len(b), len(dims), max(half, default=0) ** 2)
+    key = np.ravel_multi_index((row, block, (i - n * low) * n + j - n * right), shape)
+    # the store is sorted by (row, block, col), so each quadrant's entries
+    # come sorted by key, and twin quadrants hold the same keys in order
+    tl, br, bl, tr = ~low & ~right, low & right, low & ~right, ~low & right
+    if not (np.array_equal(key[tl], key[br]) and np.array_equal(val[tl], val[br])
+            and np.array_equal(key[bl], key[tr]) and np.array_equal(val[bl], -val[tr])):
+        return None
+    # an entry of Re H and its twin of Im H share a key, and sum exactly
+    left = ~right
+    key, at = np.unique(key[left], return_inverse=True)
+    z = _bincount(at, np.where(low[left], 1j, 1.0) * val[left], len(key))
+    return replace(problem, block_dims=half, objective=objective,
+                   store=ConstraintStore(*np.unravel_index(key, shape), z), b=b, scale=scale)
 
 
 def _keys_fit(rows, dims) -> bool:
@@ -619,9 +673,10 @@ def solve(
     On the NH program of `hb` N=10, 539 of 545 rows touch one of its 11
     blocks.  A step holds one work stack per dense block and one Newton
     system: the last step's system, maps and directions are dropped before
-    the next step's NT factors are formed, a Schur part over all the rows,
-    in their order, is added into M in place, and each Cholesky factor of
-    `_SPLIT_ROWS` rows or more is inverted over itself.
+    the next step's NT factors are formed, each block's Schur part is
+    added into M in place, from the order its formula forms it in
+    (`_add_part`), and each Cholesky factor of `_SPLIT_ROWS` rows or more is
+    inverted over itself.
 
     Deterministic: fixed reduction orders, no randomization.  Builder
     hints on the problem are used as starting points when present.
@@ -663,12 +718,10 @@ def solve(
     formulas = _block_formulas(problem)
     order, spans = _arrow_order([f.rows for f in formulas], m)
     at = np.argsort(order)  # each row's place in that order
-    # where each block's Schur part goes in M: a part over all the rows, in
-    # their order, is added in place, not through a fancy-indexed copy of M
-    places = [
-        slice(None) if np.array_equal(at[f.rows], np.arange(m)) else np.ix_(at[f.rows], at[f.rows])
-        for f in formulas
-    ]
+    # where the rows of each block's Schur part, in its work order, go in M;
+    # None when they are all the rows, in M's order
+    places = [at[f.rows if f.order is None else f.rows[f.order]] for f in formulas]
+    places = [None if np.array_equal(q, np.arange(m)) else q for q in places]
     dtype = problem.store.val.dtype
     C = [problem.objective.get(l, np.zeros((d, d), dtype)) for l, d in enumerate(dims)]
     c_scale = 1.0 + max((float(np.max(np.abs(cb))) for cb in C), default=0.0)
@@ -718,7 +771,7 @@ def solve(
         maps = []
         for f, G, place in zip(formulas, Gs, places):
             part, apply, adjoint = f.scaled(G)
-            M[place] += part
+            _add_part(M, place, part)
             maps.append((f.rows, apply, adjoint))
         del part
         newton = _factor_newton(M, order, spans)
@@ -774,6 +827,20 @@ def solve(
         dual_infeas=dinf,
         newton_jitter=jitter,
     )
+
+
+def _add_part(M: np.ndarray, place, part: np.ndarray) -> None:
+    """M[np.ix_(place, place)] += part, in place and with no m x m copy of
+    either: numpy's unbuffered `add.at`, by chunks of 64 rows of `part`.
+    Each entry of M takes the one addition that the fancy-indexed sum
+    makes.  A part over all the rows, in M's order (`place` None), is added
+    whole."""
+    if place is None:
+        M += part
+        return
+    flat = M.reshape(-1)
+    for s in range(0, len(place), 64):
+        np.add.at(flat, (place[s : s + 64, None] * len(M) + place).ravel(), part[s : s + 64].ravel())
 
 
 def _initial_primal(problem, dims, dtype):
@@ -841,10 +908,11 @@ class _DenseRows(NamedTuple):
         return sum(parts[1:], parts[0]).reshape(d, d)
 
     def scaled(self, G):
-        """The block's Schur part, X -> (Tr(G^H A_i G X))_i, and
-        v -> sum_i v_i G^H A_i G.  Each congruence is formed on its row's
-        support R alone, as G^H[:, R] (A_i[R, :] G): the terms left out are
-        products with exact zeros.  A full-support row keeps full width."""
+        """The block's Schur part, with its rows in `work` order (`order`),
+        X -> (Tr(G^H A_i G X))_i, and v -> sum_i v_i G^H A_i G.  Each
+        congruence is formed on its row's support R alone, as
+        G^H[:, R] (A_i[R, :] G): the terms left out are products with exact
+        zeros.  A full-support row keeps full width."""
         Gh, Gc = G.conj().T, G.conj()
         for _, sup, rows, span in self.groups:
             gh = Gh if sup is None else np.swapaxes(Gc[sup], 1, 2)
@@ -857,7 +925,7 @@ class _DenseRows(NamedTuple):
             return (gram, lambda X: (abar @ X.conj().ravel()).real,
                     lambda v: (abar.T @ v).reshape(G.shape))
         at = np.argsort(order)  # each row's place in `work`
-        return (gram[np.ix_(at, at)], lambda X: (abar @ X.conj().ravel()).real[at],
+        return (gram, lambda X: (abar @ X.conj().ravel()).real[at],
                 lambda v: (abar.T @ v[order]).reshape(G.shape))
 
 
@@ -912,6 +980,7 @@ class _FactoredRows(NamedTuple):
     pos: np.ndarray  # (m, k): row i's slot a is column used[pos[i, a]]
     cols: np.ndarray  # (d, m k): W_i in cols[:, i k : (i + 1) k]
     entries: tuple  # the block's nonzeros: row position, flat position, value
+    order = None  # the Schur part of `scaled` has the rows in their own order
 
     def values(self, Y):
         row, at, val = self.entries

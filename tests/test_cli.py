@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import qmbounds
-from qmbounds import bound_builders
+from qmbounds import bound_builders, cli
 from qmbounds.cli import FIG1_COLUMNS, main
 from qmbounds.model import (
     holland_burnett_probe,
@@ -627,7 +627,55 @@ class TestVerifyPovmCommand:
         assert "eigenvalue" in err
 
 
+def recorded_solves(monkeypatch):
+    """The (program, solution) pairs of the solves that the CLI makes."""
+    solve, solves = cli.solve, []
+
+    def recording(problem, **kwargs):
+        solves.append((problem, solve(problem, **kwargs)))
+        return solves[-1][1]
+
+    monkeypatch.setattr(cli, "solve", recording)
+    return solves
+
+
 class TestSolveSdpCommand:
+    @pytest.mark.parametrize("kind", ["holevo", "nh"])
+    def test_written_program_solves_at_its_hermitian_dims(self, capsys, tmp_path, monkeypatch, kind):
+        from qmbounds.sdp_core import read_sdpa, write_sdpa
+
+        model = interferometer_model(holland_burnett_probe(4), 0.6)
+        build, bound = {
+            "holevo": (bound_builders.build_holevo_sdp, bound_builders.holevo_bound),
+            "nh": (bound_builders.build_nh_sdp, bound_builders.nagaoka_hayashi_bound),
+        }[kind]
+        real = build(model)[0]
+        path = tmp_path / "prog.dat-s"
+        path.write_text(write_sdpa(real))
+        solves = recorded_solves(monkeypatch)
+        code, out, err = run(capsys, ["solve-sdp", str(path)])
+        assert code == 0, err
+        assert "status: optimal" in out and "certificate: pass" in out
+        ((problem, sol),) = solves
+        assert np.iscomplexobj(problem.store.val)
+        assert tuple(2 * d for d in problem.block_dims) == read_sdpa(path.read_text()).block_dims
+        # Holevo is the dual objective of its program, NH the primal one
+        value = sol.dual_obj if kind == "holevo" else sol.primal_obj
+        ref = bound(model, tol=1e-9).value
+        assert abs(value - ref) <= 1e-9 * (1 + abs(ref))
+
+    def test_real_program_solves_at_its_own_dims(self, capsys, tmp_path, monkeypatch):
+        from qmbounds.sdp_core import write_sdpa
+        from test_sdp_core import random_kkt_problem
+
+        path = tmp_path / "prog.dat-s"
+        path.write_text(write_sdpa(random_kkt_problem(23, dims=(4, 2), m=5)[0]))
+        solves = recorded_solves(monkeypatch)
+        code, out, err = run(capsys, ["solve-sdp", str(path)])
+        assert code == 0, err
+        ((problem, _),) = solves
+        assert problem.block_dims == (4, 2) and not np.iscomplexobj(problem.store.val)
+
     def test_solves_dumped_program(self, capsys, tmp_path):
         from qmbounds.bound_builders import build_nh_sdp
         from qmbounds.sdp_core import write_sdpa
@@ -689,16 +737,24 @@ class TestSolveSdpCommand:
         assert message in err and "is not finite" in err
         assert "Traceback" not in err
 
-    def test_written_program_without_rows_is_optimal(self, capsys, tmp_path):
-        from qmbounds.sdp_core import make_problem, write_sdpa
+    def test_written_program_without_rows_is_optimal(self, capsys, tmp_path, monkeypatch):
+        from qmbounds.sdp_core import make_problem, read_sdpa, solve, write_sdpa
         from test_sdp_core import as_entries
 
         path = tmp_path / "norows.dat-s"
         path.write_text(write_sdpa(make_problem([2], {0: np.eye(2)}, as_entries([]), [])))
+        solves = recorded_solves(monkeypatch)
         code, out, err = run(capsys, ["solve-sdp", str(path)])
         assert code == 0, err
         assert "status: optimal" in out
         assert "certificate: pass" in out
+        # the identity commutes with J, so the file is read as the program
+        # min Tr Y over 1 x 1 Hermitian Y >= 0, of the same value
+        ((problem, sol),) = solves
+        assert problem.block_dims == (1,) and np.iscomplexobj(problem.store.val)
+        real = solve(read_sdpa(path.read_text()))
+        assert real.status == "optimal"
+        assert sol.primal_obj == pytest.approx(real.primal_obj, abs=1e-8)
 
     def test_program_without_rows_is_optimal(self, capsys, tmp_path):
         # the only row is empty, so deduplication leaves no rows at all

@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from qmbounds import sdp_core
+from qmbounds import bound_builders, sdp_core
 from qmbounds.bound_builders import build_holevo_sdp, build_nh_sdp
 from qmbounds.linalg import realify
 from qmbounds.model import (
@@ -26,6 +26,7 @@ from qmbounds.sdp_core import (
     _nt_factor,
     _tril_inv,
     check_certificate,
+    hermitian_form,
     make_problem,
     read_sdpa,
     realified,
@@ -545,6 +546,8 @@ def check_against_einsum(problem, formula, l=0, seed=11):
     ref_h = np.einsum("iab,ba->i", Abar, X)
     ref_dz = np.tensordot(v, Abar, axes=1)
     schur, apply, adjoint = formula.scaled(G)
+    if formula.order is not None:  # the Schur part comes in work order
+        ref_schur = ref_schur[np.ix_(formula.order, formula.order)]
 
     def rel(got, ref):
         return np.max(np.abs(got - ref)) / np.max(np.abs(ref))
@@ -1238,6 +1241,101 @@ class TestRealified:
         assert back.objective.keys() == real.objective.keys()
         for l, mat in real.objective.items():
             assert np.array_equal(back.objective[l], mat)
+
+
+def hermitian_nh_program(name):
+    """The Hermitian NH program of a pinned model, before `_assemble_nh`
+    hands out its real embedding."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bound_builders, "realified", lambda problem: problem)
+        return build_nh_sdp(PIN_MODELS[name]())[0]
+
+
+def hermitian_form_cases():
+    return {**realified_cases(), **{f"nh {name}": hermitian_nh_program(name) for name in PIN_MODELS}}
+
+
+def without_hints(problem):
+    return replace(problem, primal_hint=None, dual_hint=None)
+
+
+def assert_same_program(got, want):
+    """Equal dims, b, scale, objective and store arrays, exactly."""
+    assert got.block_dims == want.block_dims
+    assert np.array_equal(got.b, want.b) and got.scale == want.scale
+    assert got.objective.keys() == want.objective.keys()
+    for l, mat in want.objective.items():
+        assert np.array_equal(got.objective[l], mat)
+    for a, b in zip(got.store, want.store):
+        assert np.array_equal(a, b)
+
+
+def nudged_file(problem, pick):
+    """`problem` read back from its file, after the value of the first entry
+    line of block 1 that `pick(matno, i, j, n)` selects (1-based indices, n
+    the Hermitian dimension) is moved by one unit in the last place."""
+    lines = write_sdpa(problem).splitlines()
+    n = problem.block_dims[0]
+    for k, line in enumerate(lines[5:], 5):
+        matno, blk, i, j, v = line.split()
+        if blk == "1" and pick(int(matno), int(i), int(j), n):
+            lines[k] = f"{matno} {blk} {i} {j} {float(np.nextafter(float(v), np.inf))!r}"
+            return read_sdpa("\n".join(lines) + "\n")
+    raise AssertionError("no entry line to nudge")
+
+
+class TestHermitianForm:
+    @pytest.mark.parametrize("name", ["two blocks", "hb N=4", "random d=4", "pd xyz", "ifo",
+                                      "nh hb N=4", "nh random d=4", "nh pd xyz", "nh ifo"])
+    def test_inverts_realified(self, name):
+        problem = hermitian_form_cases()[name]
+        real = without_hints(realified(problem))
+        herm = hermitian_form(real)
+        assert herm.store.val.dtype == complex
+        assert herm.dropped == problem.dropped and herm.primal_hint is None and herm.dual_hint is None
+        assert_same_program(herm, problem)
+        assert_same_program(realified(herm), real)
+
+    @pytest.mark.parametrize("name", ["hb N=4", "random d=4", "pd xyz", "ifo"])
+    @pytest.mark.parametrize("kind", ["holevo", "nh"])
+    def test_reads_the_hermitian_program_from_its_file(self, name, kind):
+        problem = hermitian_form_cases()[name if kind == "holevo" else f"nh {name}"]
+        written = build_holevo_sdp if kind == "holevo" else build_nh_sdp
+        back = read_sdpa(write_sdpa(written(PIN_MODELS[name]())[0]))
+        assert_same_program(hermitian_form(back), problem)
+
+    def test_none_for_a_complex_program(self):
+        assert hermitian_form(without_hints(hermitian_programs()["hb N=4"])) is None
+
+    def test_none_for_an_odd_block_dimension(self):
+        # the identity of even dimension commutes with J
+        even = make_problem([2], {0: np.eye(2)}, as_entries([]), [])
+        assert hermitian_form(even).block_dims == (1,)
+        odd = make_problem([2, 3], {0: np.eye(2), 1: np.eye(3)}, as_entries([]), [])
+        assert hermitian_form(odd) is None
+
+    def test_none_for_a_program_with_a_hint(self):
+        real = realified(hermitian_programs()["hb N=4"])
+        assert real.primal_hint is not None and real.dual_hint is not None
+        assert hermitian_form(replace(real, primal_hint=None)) is None
+        assert hermitian_form(replace(real, dual_hint=None)) is None
+        assert hermitian_form(without_hints(real)) is not None
+
+    def test_none_for_a_real_program(self):
+        problem, _, _ = random_kkt_problem(23, dims=(4, 2), m=5)
+        assert hermitian_form(problem) is None
+
+    @pytest.mark.parametrize("where, pick", [
+        # -Im H_ij, whose twin Im H_ij in the bottom-left is not moved
+        ("top-right", lambda matno, i, j, n: matno > 0 and i <= n < j),
+        # Re H_ij a second time, whose twin in the top-left is not moved
+        ("bottom-right", lambda matno, i, j, n: matno > 0 and n < i <= j),
+        ("objective", lambda matno, i, j, n: matno == 0),
+    ])
+    def test_none_for_one_entry_changed(self, where, pick):
+        problem = hermitian_programs()["hb N=4"]
+        assert hermitian_form(read_sdpa(write_sdpa(problem))) is not None
+        assert hermitian_form(nudged_file(problem, pick)) is None
 
 
 class TestSdpaFormat:

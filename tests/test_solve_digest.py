@@ -29,7 +29,8 @@ def test_digest_lists_each_ladder_solve_once():
 
 @pytest.mark.parametrize("workload, count", [("small-grid", 20), ("file-verify", 9)])
 def test_digest_lists_each_solve_of_the_other_workloads_once(workload, count):
-    # statuses are not pinned: a solver change may settle a known failure
+    # statuses are not pinned but those of the program files: a solver
+    # change may settle a known failure
     proc = subprocess.run(
         [sys.executable, str(TOOL), "--seed", "3", "--tiny", "--workload", workload],
         capture_output=True, text=True, timeout=120,
@@ -43,5 +44,7 @@ def test_digest_lists_each_solve_of_the_other_workloads_once(workload, count):
         name, label, bound, status, iterations, sha = fields
         assert name == workload and label and bound in ("holevo", "nh")
         assert status in ("optimal", "infeasible_suspect", "stalled", "max_iter")
+        if label.startswith("file "):  # no program file has a known failure
+            assert status == "optimal"
         assert iterations.isdigit()
         assert re.fullmatch("[0-9a-f]{16}", sha)

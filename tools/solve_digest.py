@@ -9,7 +9,9 @@ makes the solves of one pass of each workload, as that pass makes them:
   large-ladder  `holevo_bound` and `nagaoka_hayashi_bound` on the ladder models
   small-grid    the `fig1` and `sweep` commands (their Holevo and NH cells)
   file-verify   `solve-sdp` on each written program file, read back, and the
-                NH solve of each `verify-povm` command
+                NH solve of each `verify-povm` command; a `solve-sdp` line
+                digests the solve of the file's Hermitian form
+                (`sdp_core.hermitian_form`) when the file has one
 
 Each line is tab-separated: workload, label, bound, status, iterations, and
 the first 16 hex digits of a sha256 over the status, the iteration count,
