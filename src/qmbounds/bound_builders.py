@@ -20,6 +20,11 @@ error-operator rows compressed onto the support of the state, which
 removes every free direction while leaving the infimum unchanged.  On a
 full-rank block the compression is the identity and the program is the
 textbook one.
+
+Both builders read the model's analysis, made once per model: its block
+supports, SLDs, and the identifiability rule of all three bounds, whose
+BoundError comes before any program is posed.  A program that
+`make_problem` cannot build is a BoundError that carries no problem.
 """
 from __future__ import annotations
 
@@ -27,8 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import SUPPORT_TOL, checked_hermitian, checked_state, derealify, hermitize, psd_sqrt, trace_abs
-from .model import BoundError, StatisticalModel, Support, sld, state_support
+from .linalg import FISHER_TOL, SUPPORT_TOL, checked_hermitian, checked_state, derealify, hermitize, psd_sqrt, trace_abs
+from .model import BoundError, StatisticalModel, Support, state_support
 from .sdp_core import SDPError, SDPProblem, SDPSolution, make_problem, realified, solve
 
 DEFAULT_TOL = 1e-9
@@ -111,16 +116,6 @@ def _quotient_basis(sup: Support) -> list[np.ndarray]:
     return ops
 
 
-def _resolve_blocks(model: StatisticalModel, use_blocks: bool | None = None):
-    """(offset, size) of each block the programs follow."""
-    if use_blocks is None:
-        use_blocks = model.block_dims is not None
-    if not use_blocks or model.block_dims is None:
-        return [(0, model.dim)]
-    offs = np.cumsum((0,) + model.block_dims[:-1]).tolist()
-    return list(zip(offs, model.block_dims))
-
-
 def _entries(first: int, block: int, stack: np.ndarray, oi, oj):
     """Constraint entries of matrices stack[k] placed at (oi[k], oj[k]) of
     a Hermitian block, in row first + k: (row, block, i, j, z) arrays of the
@@ -134,46 +129,33 @@ def _entries(first: int, block: int, stack: np.ndarray, oi, oj):
 
 
 def _feasible_estimators(model: StatisticalModel) -> list[np.ndarray]:
-    """Exactly unbiased starting estimators from the SLD data.
+    """Exactly unbiased starting estimators from the model's analysis,
+    centered: W_j = X_j - theta_j.
 
-    theta_j * P + sum_k (J^-1)_kj L_k satisfies both expectation pin
-    families when the Fisher matrix is invertible; a pseudo-inverse keeps
-    the hint usable (if inexact) otherwise.  P projects onto the support
-    that sld found.
+    X_j = theta_j * P + sum_k (J^-1)_kj L_k satisfies both expectation pin
+    families, P the projector onto the support of the state.  J^-1 comes
+    from `Analysis.fisher_inverse`, so a model that no bound identifies
+    raises its BoundError here, before any program is posed.
     """
-    data = sld(model)
-    fisher = data.fisher
-    w = np.linalg.eigvalsh(fisher)
-    if w[0] > 1e-9 * max(1.0, w[-1]):
-        jinv = np.linalg.inv(fisher)
-    else:
-        jinv = np.linalg.pinv(fisher, rcond=1e-9)
+    data = model.analysis
+    jinv = data.fisher_inverse()
     keep = data.support.vecs[:, data.support.mask]
     proj = hermitize(keep @ keep.conj().T)
+    eye = np.eye(model.dim, dtype=complex)
     n = model.num_params
     return [
-        hermitize(
-            model.theta[j] * proj
-            + sum(jinv[k, j] * data.operators[k] for k in range(n))
-        )
+        hermitize(model.theta[j] * proj + sum(jinv[k, j] * data.operators[k] for k in range(n)))
+        - model.theta[j] * eye
         for j in range(n)
     ]
 
 
-def _functional_rank(tmat: np.ndarray, n: int) -> int:
-    """Rank of the unbiasedness system, whose rows are the state and the n
-    derivative expectation functionals on the estimator space.
-
-    Fewer than n + 1 independent rows means no family of unbiased
-    estimators exists, so no program is posed.
-    """
-    rank = np.linalg.matrix_rank(tmat, tol=1e-10)
-    if rank < n + 1:
-        raise BoundError(
-            "unbiasedness system is rank deficient: the state and derivative "
-            "functionals are linearly dependent on the estimator space"
-        )
-    return rank
+def _make_problem(*args, **kwargs) -> SDPProblem:
+    """`make_problem`, whose SDPError is a BoundError with no problem."""
+    try:
+        return make_problem(*args, **kwargs)
+    except SDPError as exc:
+        raise BoundError(f"program failed to build: {exc}") from exc
 
 
 def _assemble_nh(blocks, ranks, s_sup, hints, pieces, b, counts) -> SDPProblem:
@@ -223,7 +205,7 @@ def _assemble_nh(blocks, ranks, s_sup, hints, pieces, b, counts) -> SDPProblem:
     dual = np.zeros(len(b))
     for row, (off, dl) in zip(corner_rows, blocks):
         dual[row] = -np.sqrt(dl)
-    problem = make_problem(
+    problem = _make_problem(
         [n * r + dl for r, (off, dl) in zip(ranks, blocks)],
         objective,
         tuple(np.concatenate(a) for a in zip(*pieces)),
@@ -264,8 +246,10 @@ def build_nh_sdp(
     contributed the adjoint half, are implicit.
     """
     n = model.num_params
-    blocks = _resolve_blocks(model, use_blocks)
-    sups = state_support(model.state, model.derivs, blocks)
+    w0 = _feasible_estimators(model)
+    blocks, sups = model.analysis.blocks, model.analysis.block_supports
+    if use_blocks is not None and not use_blocks:
+        blocks, sups = ((0, model.dim),), (model.analysis.support,)
     # a block with no support carries no pin and no cost, like the empty
     # quotient basis Holevo gives it
     blocks, sups = zip(*[(blk, sup) for blk, sup in zip(blocks, sups) if sup.rank])
@@ -278,12 +262,6 @@ def build_nh_sdp(
         rows = np.array([hermitize(v.conj().T @ model.state[sl, sl] @ v)] + rot)[:, :r, :]
         rows[:, :, r:] *= 2.0
         pins.append(rows)
-    # expectation functionals on the block-diagonal estimators of the program
-    tmat = [
-        np.concatenate([t[o : o + dl, o : o + dl].ravel() for o, dl in blocks])
-        for t in (model.state, *model.derivs)
-    ]
-    _functional_rank(np.array(tmat), n)
 
     # The program variable holds the centered estimators W_j = X_j - theta_j,
     # whose quadratic form is the MSE about the true value; the recovery step
@@ -313,11 +291,6 @@ def build_nh_sdp(
             b.extend([0.0] * len(sup_bases[bi]))
     counts["estimator_hermitian"] = len(b) - start_len
 
-    eye_full = np.eye(model.dim, dtype=complex)
-    w0 = [
-        x - model.theta[j] * eye_full
-        for j, x in enumerate(_feasible_estimators(model))
-    ]
     hints = [
         [(v.conj().T @ w[off : off + dl, off : off + dl] @ v)[:r, :] for w in w0]
         for (off, dl), r, v in zip(blocks, ranks, rots)
@@ -424,7 +397,8 @@ def _unbiasedness_errors(model: StatisticalModel, xs) -> float:
 def _checked_stats(model, xs, problem: SDPProblem, sol: SDPSolution, ranks) -> dict:
     """Solver stats of a bound, once its recovered estimators xs pass the
     unbiasedness check; `ranks` are the support ranks of the program's
-    state blocks."""
+    state blocks.  The Fisher eigenvalues are those the identifiability
+    rule measured."""
     ub_err = _unbiasedness_errors(model, xs)
     if ub_err > 1e-6:
         raise BoundError(
@@ -441,6 +415,9 @@ def _checked_stats(model, xs, problem: SDPProblem, sol: SDPSolution, ranks) -> d
         "unbiasedness_error": ub_err,
         "support_ranks": tuple(ranks),
         "support_tol": SUPPORT_TOL,
+        "fisher_tol": FISHER_TOL,
+        "fisher_eig_min": float(model.analysis.fisher_eigs[0]),
+        "fisher_eig_max": float(model.analysis.fisher_eigs[-1]),
         "dropped_rows": problem.dropped,
         "newton_jitter": sol.newton_jitter,
     }
@@ -508,8 +485,8 @@ def build_holevo_sdp(model: StatisticalModel):
     realified only when written to a file (`sdp_core.write_sdpa`).
     """
     n = model.num_params
-    blocks = _resolve_blocks(model)
-    sups = state_support(model.state, model.derivs, blocks)
+    model.analysis.fisher_inverse()  # the identifiability rule of all three bounds
+    blocks, sups = model.analysis.blocks, model.analysis.block_supports
     # the quotient basis of each block, on that block alone: a (len, dl, dl)
     # stack, empty on a block of rank 0
     stacks = [np.array(_quotient_basis(sup), dtype=complex).reshape(-1, dl, dl) for sup, (_, dl) in zip(sups, blocks)]
@@ -521,7 +498,6 @@ def build_holevo_sdp(model: StatisticalModel):
         (targets[:, off : off + dl, off : off + dl].reshape(n + 1, -1) @ ops.transpose(0, 2, 1).reshape(-1, dl * dl).T)
         for (off, dl), ops in zip(blocks, stacks)
     ], axis=1).real
-    rank = _functional_rank(tmat, n)
     # centered estimators W_j = X_j - theta_j, as in the block-program builder
     tr_s = float(np.trace(model.state).real)
     tr_d = [float(np.trace(dm).real) for dm in model.derivs]
@@ -534,8 +510,9 @@ def build_holevo_sdp(model: StatisticalModel):
             f"unbiasedness system is inconsistent (residual {resid:.2e}): "
             "no unbiased estimator exists for this model"
         )
+    # the model is identifiable, so the n + 1 rows of tmat are independent
     _, sv, vt = np.linalg.svd(tmat)
-    null = vt[rank:].T  # one column per free direction
+    null = vt[n + 1 :].T  # one column per free direction
     q = null.shape[1]
 
     # x0 and the free directions are block-diagonal, as the basis is: each
@@ -582,7 +559,7 @@ def build_holevo_sdp(model: StatisticalModel):
     tau = 1.0 + 2.0 * float(np.linalg.norm(m0, 2)) ** 2
     dual0 = np.zeros(nv + n * q)
     dual0[:nv][vj == vk] = tau
-    problem = make_problem(
+    problem = _make_problem(
         [dim_lmi],
         {0: hermitize(g0)},
         tuple(np.concatenate(a) for a in zip(*pieces)),

@@ -9,6 +9,9 @@ import numpy as np
 # eigenvalues of a state at or below this are its kernel; model.state_support
 # and psd_sqrt are the two places that split a spectrum
 SUPPORT_TOL = 1e-10
+# an SLD Fisher matrix whose smallest eigenvalue is at most this fraction of
+# its largest is singular: model.Analysis.fisher_inverse, for all three bounds
+FISHER_TOL = 1e-10
 
 
 class LinalgError(ValueError):

@@ -3,16 +3,19 @@ families (dephased two-qubit states, lossy interferometer with
 definite-photon probes), random models for property tests, the support
 rule shared by all three bounds, symmetric logarithmic derivatives, and
 the classical Fisher-trace bound.  Matrices enter under the Hermitian-input
-rule of `linalg.checked_hermitian`."""
+rule of `linalg.checked_hermitian`.  Each model is analysed once, and its
+`Analysis` (supports, SLDs, Fisher matrix and the identifiability rule of
+all three bounds) kept on it as `StatisticalModel.analysis`."""
 from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass
+from functools import cached_property
 from math import comb
 
 import numpy as np
 
-from .linalg import SUPPORT_TOL, checked_hermitian, checked_state, herm_eig, hermitize
+from .linalg import FISHER_TOL, SUPPORT_TOL, checked_hermitian, checked_state, herm_eig, hermitize
 
 
 class ModelError(ValueError):
@@ -30,6 +33,11 @@ class BoundError(RuntimeError):
 
 class ModelFormatError(ValueError):
     """Malformed model JSON; message names the offending field."""
+
+
+def _read_only(*arrays) -> None:
+    for arr in arrays:
+        arr.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -80,13 +88,13 @@ class StatisticalModel:
             blocks = tuple(int(x) for x in blocks)
             if sum(blocks) != d or any(x <= 0 for x in blocks):
                 raise ModelError(f"block dims {blocks} do not partition dimension {d}")
-            for mat, what in [(state, "state")] + [
-                (dm, f"derivative {j}") for j, dm in enumerate(derivs)
-            ]:
-                if _off_block_mass(mat, blocks) > 1e-12:
+            outside = np.ones((d, d), dtype=bool)
+            for off, dl in zip(np.cumsum((0,) + blocks[:-1]), blocks):
+                outside[off : off + dl, off : off + dl] = False
+            for mat, what in [(state, "state")] + [(dm, f"derivative {j}") for j, dm in enumerate(derivs)]:
+                if outside.any() and np.max(np.abs(mat[outside])) > 1e-12:
                     raise ModelError(f"{what} has weight outside the declared blocks")
-        for arr in (state, *derivs):
-            arr.setflags(write=False)
+        _read_only(state, *derivs)
         object.__setattr__(self, "dim", d)
         object.__setattr__(self, "state", state)
         object.__setattr__(self, "derivs", tuple(derivs))
@@ -98,20 +106,37 @@ class StatisticalModel:
     def num_params(self) -> int:
         return len(self.derivs)
 
-
-def _off_block_mass(mat: np.ndarray, blocks: tuple[int, ...]) -> float:
-    mask = np.ones(mat.shape, dtype=bool)
-    start = 0
-    for d in blocks:
-        mask[start : start + d, start : start + d] = False
-        start += d
-    return float(np.max(np.abs(mat[mask]))) if mask.any() else 0.0
+    @cached_property
+    def analysis(self) -> Analysis:
+        """Made on first use and kept, as the model is frozen and its arrays
+        read-only; a BoundError on kernel weight is raised and not kept.  The
+        SLDs solve S L + L S = 2 dS in the eigenbasis of S, zero on its kernel."""
+        blocks = ()
+        if self.block_dims is not None:
+            blocks = tuple(zip(np.cumsum((0,) + self.block_dims[:-1]).tolist(), self.block_dims))
+        # one call: the whole state and its blocks share one kernel-weight decision
+        sup, *block_sups = state_support(self.state, self.derivs, ((0, self.dim),) + blocks)
+        w, u = sup.vals, sup.vecs
+        denom = w[:, None] + w[None, :]
+        ok = sup.mask[:, None] | sup.mask[None, :]
+        ops = []
+        for dm in self.derivs:
+            dtil = u.conj().T @ dm @ u
+            ltil = np.where(ok, 2.0 * dtil / np.where(ok, denom, 1.0), 0.0)
+            ops.append(hermitize(u @ ltil @ u.conj().T))
+        fisher = np.zeros((self.num_params, self.num_params))
+        for j, k in zip(*np.triu_indices(self.num_params)):
+            fisher[j, k] = fisher[k, j] = 0.5 * np.trace(self.state @ (ops[j] @ ops[k] + ops[k] @ ops[j])).real
+        eigs = np.linalg.eigvalsh(fisher)
+        _read_only(*ops, fisher, eigs)
+        return Analysis(tuple(ops), fisher, sup, blocks or ((0, self.dim),), tuple(block_sups) or (sup,), eigs)
 
 
 @dataclass(frozen=True)
 class Support:
     """Eigendecomposition of a state block, ascending, split at SUPPORT_TOL:
-    `mask` marks the support, the eigenvalues above the threshold."""
+    `mask` marks the support, the eigenvalues above the threshold.  Its
+    arrays are read-only."""
 
     vals: np.ndarray
     vecs: np.ndarray
@@ -151,6 +176,7 @@ def state_support(state, derivs=(), blocks=None) -> tuple[Support, ...]:
             kk = kern.conj().T @ dm[off : off + dl, off : off + dl] @ kern
             if kk.size:
                 weights[e] = max(weights[e], np.linalg.norm(kk, 2))
+        _read_only(w, u, mask)
         supports.append(Support(w, u, mask))
     for e, weight in enumerate(weights):
         if weight > SUPPORT_TOL:
@@ -163,10 +189,30 @@ def state_support(state, derivs=(), blocks=None) -> tuple[Support, ...]:
 
 
 @dataclass(frozen=True)
-class SLDData:
+class Analysis:
+    """A model's SLD operators and their Fisher matrix, with its eigenvalues
+    ascending, and the support of the whole state and of each declared
+    block (offset, size), or `(support,)` on the whole state when the model
+    declares none.  The arrays are read-only."""
+
     operators: tuple[np.ndarray, ...]
     fisher: np.ndarray
     support: Support
+    blocks: tuple[tuple[int, int], ...]
+    block_supports: tuple[Support, ...]
+    fisher_eigs: np.ndarray
+
+    def fisher_inverse(self) -> np.ndarray:
+        """J^-1, under the identifiability rule of all three bounds: J is
+        singular, and every bound infinite, when its smallest eigenvalue is
+        at most FISHER_TOL of its largest; BoundError then."""
+        w = self.fisher_eigs
+        if w[0] <= FISHER_TOL * w[-1]:
+            raise BoundError(
+                f"SLD Fisher information is singular (smallest eigenvalue {w[0]:.2e}, "
+                f"largest {w[-1]:.2e}): the parameters are not all identifiable"
+            )
+        return np.linalg.inv(self.fisher)
 
 
 def phase_damping_model(epsilon: float, params: str = "xyz") -> StatisticalModel:
@@ -321,48 +367,17 @@ def random_model(seed: int, dim: int, num_params: int) -> StatisticalModel:
     )
 
 
-def sld(model: StatisticalModel) -> SLDData:
-    """Symmetric logarithmic derivatives and their Fisher information.
-
-    Solves S L + L S = 2 dS in the eigenbasis of S from state_support,
-    which raises BoundError when a derivative has weight inside the
-    kernel; the kernel-kernel components of L are set to zero.
-    """
-    sup = state_support(model.state, model.derivs)[0]
-    w, u = sup.vals, sup.vecs
-    denom = w[:, None] + w[None, :]
-    ok = sup.mask[:, None] | sup.mask[None, :]
-    ops = []
-    for dm in model.derivs:
-        dtil = u.conj().T @ dm @ u
-        ltil = np.where(ok, 2.0 * dtil / np.where(ok, denom, 1.0), 0.0)
-        ops.append(hermitize(u @ ltil @ u.conj().T))
-    n = model.num_params
-    fisher = np.zeros((n, n))
-    s = model.state
-    for j in range(n):
-        for k in range(j, n):
-            val = 0.5 * np.trace(s @ (ops[j] @ ops[k] + ops[k] @ ops[j])).real
-            fisher[j, k] = fisher[k, j] = val
-    return SLDData(operators=tuple(ops), fisher=fisher, support=sup)
+def sld(model: StatisticalModel) -> Analysis:
+    """Symmetric logarithmic derivatives and their Fisher information: the
+    model's analysis, the same object on every call.  BoundError when a
+    derivative has weight inside the kernel of the state."""
+    return model.analysis
 
 
 def sld_bound(model: StatisticalModel) -> float:
-    """Trace of the inverse SLD Fisher information.
-
-    Raises BoundError, as sld does, when a derivative has weight inside
-    the kernel of the state, and when the Fisher matrix is singular on the
-    parameter set: some combination of the parameters is then not
-    identifiable, and the bound is infinite.
-    """
-    fisher = sld(model).fisher
-    w = np.linalg.eigvalsh(fisher)
-    if w[0] <= 1e-10 * w[-1]:
-        raise BoundError(
-            f"SLD Fisher information is singular (smallest eigenvalue {w[0]:.2e}, "
-            f"largest {w[-1]:.2e}): the parameters are not all identifiable"
-        )
-    return float(np.trace(np.linalg.inv(fisher)))
+    """Trace of the inverse SLD Fisher information; BoundError as from sld,
+    and when `Analysis.fisher_inverse` finds the Fisher matrix singular."""
+    return float(np.trace(model.analysis.fisher_inverse()))
 
 
 def encode_matrix(mat) -> list:

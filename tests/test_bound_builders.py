@@ -23,7 +23,8 @@ from qmbounds.bound_builders import (
     nh_u_bound,
     recover_nh_estimators,
 )
-from qmbounds.linalg import SUPPORT_TOL
+from qmbounds import bound_builders
+from qmbounds.linalg import FISHER_TOL, SUPPORT_TOL
 from qmbounds.model import (
     StatisticalModel,
     holland_burnett_probe,
@@ -33,7 +34,7 @@ from qmbounds.model import (
     sld_bound,
     state_support,
 )
-from qmbounds.sdp_core import check_certificate, read_sdpa, solve, write_sdpa
+from qmbounds.sdp_core import SDPError, check_certificate, read_sdpa, solve, write_sdpa
 
 
 def two_param_dephasing_optimizers(eps):
@@ -377,6 +378,11 @@ class TestRankDeficientModels:
             stats = result.solver_stats
             assert stats["support_ranks"] == (1, 1, 1, 1, 1)
             assert stats["support_tol"] == SUPPORT_TOL
+            # the identifiability rule and the Fisher spectrum it measured
+            assert stats["fisher_tol"] == FISHER_TOL
+            w = np.linalg.eigvalsh(model.analysis.fisher)
+            assert (stats["fisher_eig_min"], stats["fisher_eig_max"]) == (w[0], w[-1])
+            assert stats["fisher_eig_min"] > FISHER_TOL * stats["fisher_eig_max"]
             assert stats["dropped_rows"] == result.problem.dropped == 0
             assert stats["status"] == "optimal"
 
@@ -614,7 +620,63 @@ class TestHolevoProgram:
                 np.testing.assert_allclose(h.X[j], want, rtol=0, atol=1e-12)
 
 
+def near_dependent_model(delta):
+    # d_1 <- d_0 + delta d_1: identifiable in exact arithmetic, but the
+    # Fisher matrix is singular to FISHER_TOL at delta = 1e-6
+    m = random_model(4, 4, 2)
+    return dataclasses.replace(m, derivs=(m.derivs[0], m.derivs[0] + delta * m.derivs[1]))
+
+
 class TestFailureModes:
+    def test_near_dependent_derivatives_fail_every_bound_alike(self, monkeypatch):
+        # one identifiability rule, decided before any program is posed
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a solve was attempted")
+
+        monkeypatch.setattr(bound_builders, "solve", no_solve)
+        m = near_dependent_model(1e-6)
+        seen = set()
+        for bound in (sld_bound, holevo_bound, nagaoka_hayashi_bound, build_holevo_sdp, build_nh_sdp):
+            with pytest.raises(BoundError, match="SLD Fisher information is singular") as info:
+                bound(m)
+            assert info.value.problem is None
+            seen.add(str(info.value))
+        assert len(seen) == 1
+
+    @pytest.mark.parametrize("c", [1e-11, 1e-12])
+    def test_tiny_derivatives_fail_as_bound_errors(self, c):
+        # the Fisher rule is relative and passes; the NH program then fails
+        # to build, and Holevo's unbiasedness system is called inconsistent
+        m = random_model(4, 4, 2)
+        m = dataclasses.replace(m, derivs=tuple(c * dm for dm in m.derivs))
+        for bound, message in (
+            (build_nh_sdp, "program failed to build: constraint"),
+            (nagaoka_hayashi_bound, "program failed to build: constraint"),
+            (build_holevo_sdp, "unbiasedness system is inconsistent"),
+            (holevo_bound, "unbiasedness system is inconsistent"),
+        ):
+            with pytest.raises(BoundError, match=message):
+                bound(m)
+
+    def test_build_error_is_a_bound_error_without_a_problem(self, monkeypatch):
+        def failing(*args, **kwargs):
+            raise SDPError("constraint 2 is linearly dependent")
+
+        monkeypatch.setattr(bound_builders, "make_problem", failing)
+        m = phase_damping_model(0.3, "xy")
+        xs = two_param_dephasing_optimizers(0.3)
+        for call in (
+            lambda: build_nh_sdp(m),
+            lambda: build_holevo_sdp(m),
+            lambda: nagaoka_hayashi_bound(m),
+            lambda: holevo_bound(m),
+            lambda: nh_u_bound(m.state, xs),
+        ):
+            with pytest.raises(BoundError, match="program failed to build: constraint 2") as info:
+                call()
+            assert info.value.problem is None
+            assert isinstance(info.value.__cause__, SDPError)
+
     def test_kernel_supported_derivative_rejected(self):
         m = StatisticalModel(
             dim=2,

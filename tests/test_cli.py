@@ -1,4 +1,5 @@
 """End-to-end tests for the command-line front end."""
+import dataclasses
 import json
 import os
 import subprocess
@@ -10,6 +11,7 @@ import pytest
 
 import qmbounds
 from qmbounds import bound_builders, cli
+from qmbounds import model as model_module
 from qmbounds.cli import FIG1_COLUMNS, main
 from qmbounds.model import (
     holland_burnett_probe,
@@ -269,10 +271,14 @@ class TestBoundsCommand:
         path = tmp_path / "dependent.json"
         path.write_text(json.dumps(model_to_dict(random_model(0, 2, 4))))
         code, _, err = run(
-            capsys, ["bounds", "--model-json", str(path), "--bounds", "nh"]
+            capsys, ["bounds", "--model-json", str(path), "--bounds", "sld,holevo,nh"]
         )
         assert code == 1
-        assert "nh: unbiasedness system is rank deficient" in err
+        lines = err.splitlines()
+        assert [line.split(": ", 1)[0] for line in lines] == ["sld", "holevo", "nh"]
+        messages = {line.split(": ", 1)[1] for line in lines}
+        assert len(messages) == 1
+        assert "SLD Fisher information is singular" in messages.pop()
         assert "Traceback" not in err
 
     @pytest.mark.parametrize(
@@ -306,6 +312,28 @@ class TestBoundsCommand:
         assert "derivative 1 has weight 3.00e-01 inside the kernel" in messages.pop()
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("c", [1e-11, 1e-12])
+    def test_tiny_derivatives_exit_one_without_a_traceback(self, capsys, tmp_path, c):
+        m = random_model(4, 4, 2)
+        m = dataclasses.replace(m, derivs=tuple(c * dm for dm in m.derivs))
+        path = tmp_path / "tiny.json"
+        path.write_text(json.dumps(model_to_dict(m)))
+        code, out, err = run(capsys, ["bounds", "--model-json", str(path)])
+        assert code == 1
+        assert [r["ok"] for r in csv_rows(out)] == ["true", "false", "false"]
+        assert "nh: program failed to build" in err
+        assert "Traceback" not in err and "solver failure" not in err
+
+    @pytest.mark.parametrize("argv", [["--model", "pd", "--params", "xyz"], ["--model", "ifo", "--a1sq", "0.3"]])
+    def test_each_model_is_analysed_once(self, capsys, monkeypatch, argv):
+        # one support call for the three bounds: whole state and blocks
+        calls = []
+        real = model_module.state_support
+        monkeypatch.setattr(model_module, "state_support", lambda *a: calls.append(1) or real(*a))
+        code, _, _ = run(capsys, ["bounds", *argv, "--bounds", "sld,holevo,nh"])
+        assert code == 0
+        assert len(calls) == 1
+
     def test_unidentifiable_parameters_fail_every_bound(self, capsys):
         # a probe with no photon in the second arm carries no phase information
         code, out, err = run(
@@ -316,6 +344,7 @@ class TestBoundsCommand:
         assert [r["bound"] for r in rows] == ["sld", "holevo", "nh"]
         assert all(r["value"] == "nan" and r["ok"] == "false" for r in rows)
         assert "sld: SLD Fisher information is singular" in err
+        assert len({line.split(": ", 1)[1] for line in err.splitlines()}) == 1
         assert "Traceback" not in err
 
     def test_unreadable_json_exits_two(self, capsys, tmp_path):

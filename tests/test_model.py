@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from qmbounds import model as model_module
 from qmbounds.bound_builders import build_nh_sdp
 from qmbounds.model import (
     BoundError,
@@ -302,6 +303,33 @@ class TestSld:
         data = sld(m)
         assert data.fisher[0, 0] == pytest.approx(1.0, abs=1e-10)
         assert sld_bound(m) == pytest.approx(1.0, abs=1e-10)
+
+    def test_analysis_is_made_once_and_read_only(self, monkeypatch):
+        calls = []
+        real = model_module.state_support
+        monkeypatch.setattr(model_module, "state_support", lambda *a: calls.append(1) or real(*a))
+        for m in (phase_damping_model(0.3), interferometer_model([np.sqrt(0.7), np.sqrt(0.3)], 0.4)):
+            calls.clear()
+            assert sld(m) is sld(m) is m.analysis
+            sld_bound(m)
+            build_nh_sdp(m)
+            assert len(calls) == 1
+            a = m.analysis
+            arrays = [*a.operators, a.fisher, a.fisher_eigs]
+            arrays += [arr for sup in (a.support, *a.block_supports) for arr in (sup.vals, sup.vecs, sup.mask)]
+            for arr in arrays:
+                with pytest.raises(ValueError, match="read-only"):
+                    arr[0] = 0
+
+    def test_declared_blocks_share_the_analysis(self):
+        m = interferometer_model([np.sqrt(0.7), np.sqrt(0.3)], 0.4)
+        a = m.analysis
+        assert a.blocks == ((0, 1), (1, 2))
+        assert [sup.rank for sup in a.block_supports] == [1, 1]
+        plain = phase_damping_model(0.3)
+        assert plain.analysis.blocks == ((0, 4),)
+        (only,) = plain.analysis.block_supports
+        assert only is plain.analysis.support
 
     def test_singular_fisher_raises(self):
         # two identical parameters make J rank deficient

@@ -16,15 +16,18 @@ def test_digest_lists_each_ladder_solve_once():
     )
     assert proc.returncode == 0, proc.stderr
     lines = [line.split("\t") for line in proc.stdout.splitlines()]
-    # two hb and two random models, each with Holevo and NH
+    # two hb and two random models, each with SLD, Holevo and NH
     assert [(w, label, bound) for w, label, bound, *_ in lines] == [
         ("large-ladder", label, bound)
         for label in ("hb N=2", "hb N=4", "random d=2", "random d=3")
-        for bound in ("holevo", "nh")
+        for bound in ("sld", "holevo", "nh")
     ]
-    for *_, status, iterations, sha in lines:
-        assert status == "optimal" and int(iterations) > 0
-        assert len(sha) == 16 and int(sha, 16) >= 0
+    for _, _, bound, status, iterations, sha in lines:
+        if bound == "sld":  # a value, which no solve makes
+            assert status == "ok" and iterations == "0"
+        else:
+            assert status == "optimal" and int(iterations) > 0
+        assert re.fullmatch("[0-9a-f]{16}", sha)
 
 
 @pytest.mark.parametrize("workload, count", [("small-grid", 20), ("file-verify", 9)])

@@ -6,7 +6,8 @@ Runs from the root of a source checkout and imports the package from its
 `src/` and the workloads from `bench/workloads.py`, which it only reads. It
 makes the solves of one pass of each workload, as that pass makes them:
 
-  large-ladder  `holevo_bound` and `nagaoka_hayashi_bound` on the ladder models
+  large-ladder  `sld_bound`, `holevo_bound` and `nagaoka_hayashi_bound` on the
+                ladder models
   small-grid    the `fig1` and `sweep` commands (their Holevo and NH cells)
   file-verify   `solve-sdp` on each written program file, read back, and the
                 NH solve of each `verify-povm` command; a `solve-sdp` line
@@ -16,9 +17,11 @@ makes the solves of one pass of each workload, as that pass makes them:
 Each line is tab-separated: workload, label, bound, status, iterations, and
 the first 16 hex digits of a sha256 over the status, the iteration count,
 both objectives, the gap, both infeasibilities, `dual_y` and every primal
-and dual block.  Run it on two trees and diff the outputs: a solve whose
-arithmetic a change left alone keeps its line.  Exits 1 when a call makes
-a different number of solves than its labels expect.
+and dual block.  An `sld` line has status `ok`, 0 iterations, and the digest
+of the float64 value of the SLD bound, which makes no solve.  Run it on two
+trees and diff the outputs: a solve whose arithmetic a change left alone
+keeps its line.  Exits 1 when a call makes a different number of solves
+than its labels expect.
 """
 from __future__ import annotations
 
@@ -33,7 +36,7 @@ import numpy as np
 ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 
-from qmbounds import bound_builders, cli, sdp_core  # noqa: E402
+from qmbounds import bound_builders, cli, model, sdp_core  # noqa: E402
 
 import workloads  # noqa: E402
 
@@ -49,8 +52,16 @@ def digest(sol) -> str:
     return h.hexdigest()[:16]
 
 
+def fields(out) -> tuple[str, str, str]:
+    """Status, iterations and digest of a solve, or of an SLD bound value."""
+    if isinstance(out, float):
+        return "ok", "0", hashlib.sha256(np.float64(out).tobytes()).hexdigest()[:16]
+    return out.status, str(out.iterations), digest(out)
+
+
 def ladder_calls(seed, tiny, workdir):
     for label, m, _ in workloads.LargeLadder().setup(seed, tiny, workdir):
+        yield [(label, "sld")], lambda m=m: model.sld_bound(m)
         yield [(label, "holevo")], lambda m=m: bound_builders.holevo_bound(m)
         yield [(label, "nh")], lambda m=m: bound_builders.nagaoka_hayashi_bound(m)
 
@@ -106,15 +117,18 @@ def main(argv=None) -> int:
                 for labels, call in CALLS[name](args.seed, args.tiny, Path(workdir)):
                     solves.clear()
                     try:
-                        call()
+                        out = call()
                     except bound_builders.BoundError:
                         pass  # the solve, if one was made, is recorded
+                    else:
+                        if isinstance(out, float):
+                            solves.append(out)
                     if len(solves) != len(labels):
                         print(f"{name}: {labels[0][0]} made {len(solves)} solves, "
                               f"expected {len(labels)}", file=sys.stderr)
                         ok = False
                     for (label, bound), sol in zip(labels, solves):
-                        print("\t".join((name, label, bound, sol.status, str(sol.iterations), digest(sol))))
+                        print("\t".join((name, label, bound, *fields(sol))))
     finally:
         bound_builders.solve = cli.solve = solve
     return 0 if ok else 1
