@@ -14,7 +14,10 @@ format: (row, block, i, j, value) for the upper-triangle nonzeros of each
 A_i, under one set of rules (`_check_entries`).  Builders and `read_sdpa`
 hand these to `make_problem`, which keeps them once, in a `ConstraintStore`.
 The text format is real: `write_sdpa` writes a Hermitian program as its
-real embedding, `realified`, which `read_sdpa` reads as a real one.
+real embedding, `realified`, which `read_sdpa` reads as a real one.  The
+writer gives each float as its Python `repr`, and the entries in store
+order, so a program's text is byte-stable; the reader numbers lines as
+`str.splitlines` does.
 `hermitian_form` gives back the Hermitian program of such a file, of half
 the block dimension, when the file reproduces its embedding exactly; the
 `solve-sdp` command solves that.
@@ -35,6 +38,7 @@ has one BLAS thread pool, not two that compete for the same cores.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
@@ -315,12 +319,19 @@ def hermitian_form(problem: SDPProblem) -> SDPProblem | None:
     if not (np.array_equal(key[tl], key[br]) and np.array_equal(val[tl], val[br])
             and np.array_equal(key[bl], key[tr]) and np.array_equal(val[bl], -val[tr])):
         return None
-    # an entry of Re H and its twin of Im H share a key, and sum exactly
-    left = ~right
-    key, at = np.unique(key[left], return_inverse=True)
-    z = _bincount(at, np.where(low[left], 1j, 1.0) * val[left], len(key))
+    # the Hermitian store merges the keys of Re H (top-left) and Im H
+    # (bottom-left), each ascending in store order: numpy's stable sort of
+    # int64 keys, a timsort, merges the two runs in one pass.  An entry of
+    # Re H and its twin of Im H share a key
+    key = np.concatenate([key[tl], key[bl]])
+    order = np.argsort(key, kind="stable")
+    first = np.diff(key[order], prepend=-1) != 0  # keys are >= 0
+    slot = np.empty_like(order)
+    slot[order] = np.cumsum(first) - 1
+    z, re = np.zeros(np.count_nonzero(first), dtype=complex), np.count_nonzero(tl)
+    z.real[slot[:re]], z.imag[slot[re:]] = val[tl], val[bl]
     return replace(problem, block_dims=half, objective=objective,
-                   store=ConstraintStore(*np.unravel_index(key, shape), z), b=b, scale=scale)
+                   store=ConstraintStore(*np.unravel_index(key[order[first]], shape), z), b=b, scale=scale)
 
 
 def _keys_fit(rows, dims) -> bool:
@@ -460,18 +471,9 @@ def _certified_independent(store: ConstraintStore, m: int, dims) -> bool:
     entry of fl(S G S), whose diagonal is 1, by as much as u.  Rows that
     cannot be independent, with m above n, are not tried.
     """
-    used = [np.unique(store.col[store.block == l]) for l in range(len(dims))]
-    n = sum(len(cols) for cols in used) * (2 if np.iscomplexobj(store.val) else 1)
-    if m > n:
+    n, gram = _row_gram(store, m, dims)
+    if gram is None:
         return False
-    gram = np.zeros((m, m))
-    for l, cols in enumerate(used):
-        here = store.block == l
-        rows, r = np.unique(store.row[here], return_inverse=True)
-        dense = np.zeros((len(rows), len(cols)), dtype=store.val.dtype)
-        dense[r, np.searchsorted(cols, store.col[here])] = store.val[here]
-        dense = dense.view(float)  # Re Tr(A_i A_j) as a real inner product
-        gram[np.ix_(rows, rows)] += dense @ dense.T
     norm = np.sqrt(np.diag(gram))
     u = np.finfo(float).eps / 2
     g = (n + m + 3) * u / (1 - (n + m + 3) * u)
@@ -486,6 +488,33 @@ def _certified_independent(store: ConstraintStore, m: int, dims) -> bool:
     except np.linalg.LinAlgError:
         return False
     return True
+
+
+def _row_gram(store: ConstraintStore, m: int, dims):
+    """n and G of `_certified_independent`, G None when the m rows outnumber
+    the n columns.  No sort runs: the store is sorted by row, so a block's
+    rows come in runs, and its used columns are marked in a table of its
+    d^2 columns; both are taken in ascending order."""
+    used = []
+    for l, d in enumerate(dims):
+        mark = np.zeros(d * d, dtype=bool)
+        mark[store.col[store.block == l]] = True
+        used.append(mark)
+    n = sum(map(np.count_nonzero, used)) * (2 if np.iscomplexobj(store.val) else 1)
+    if m > n:
+        return n, None
+    gram = np.zeros((m, m))
+    for l, mark in enumerate(used):
+        here = store.block == l
+        row = store.row[here]
+        run = np.ones(len(row), dtype=bool)
+        run[1:] = row[1:] != row[:-1]
+        dense = np.zeros((np.count_nonzero(run), np.count_nonzero(mark)), dtype=store.val.dtype)
+        dense[np.cumsum(run) - 1, (np.cumsum(mark) - 1)[store.col[here]]] = store.val[here]
+        dense = dense.view(float)  # Re Tr(A_i A_j) as a real inner product
+        rows = row[run]
+        gram[np.ix_(rows, rows)] += dense @ dense.T
+    return n, gram
 
 
 # The row count from which a Newton system is factored by LMI block, and
@@ -1175,29 +1204,55 @@ def write_sdpa(problem: SDPProblem) -> str:
 
     Entries are the upper-triangle nonzeros of the objective (matrix 0) and
     then of the constraint store, in the store's (row, block, col) order.
-    A problem without constraint rows has no right-hand-side line.  A
+    A problem without constraint rows has no right-hand-side line.  Every
+    float, the scale, `b` and each entry value, is written as its Python
+    `repr`, so the text of a program is byte-stable.  Each distinct float
+    is formatted once, and the entry lines are joined from columns of
+    formatted indices and values, by chunks of `_WRITE_LINES` lines.  A
     Hermitian problem is written as its real embedding, `realified`, of
     doubled block dimensions and right-hand sides and halved scale: the
     file's real program has the same value and dual vector.
     """
     if np.iscomplexobj(problem.store.val):
         problem = realified(problem)
-    store = problem.store
+    store, m = problem.store, len(problem.b)
     dims = np.array(problem.block_dims, dtype=np.int64)
     i, j = np.divmod(store.col, dims[store.block])
     upper = i <= j
-    row, block, i, j, val = (a[upper] for a in (store.row, store.block, i, j, store.val))
-    scale, b, objective = problem.scale, problem.b, problem.objective
-    lines = [f"* scale {scale!r}", str(len(b)), str(len(dims)), " ".join(str(d) for d in dims.tolist())]
-    if len(b):
-        lines.append(" ".join(repr(float(v)) for v in b))
-    for l in sorted(objective):
-        oi, oj = np.nonzero(np.triu(objective[l]))
-        for ii, jj, v in zip(oi.tolist(), oj.tolist(), objective[l][oi, oj].tolist()):
-            lines.append(f"0 {l + 1} {ii + 1} {jj + 1} {v!r}")
-    for k, l, ii, jj, v in zip(*(a.tolist() for a in (row, block, i, j, val))):
-        lines.append(f"{k + 1} {l + 1} {ii + 1} {jj + 1} {v!r}")
-    return "\n".join(lines) + "\n"
+    obj = [(l, *np.nonzero(np.triu(problem.objective[l]))) for l in sorted(problem.objective)]
+    # the entry lines' four indices, objective (row -1) first, made 1-based
+    index = [np.concatenate(parts) + 1 for parts in zip(
+        *((np.full_like(oi, -1), np.full_like(oi, l), oi, oj) for l, oi, oj in obj),
+        (store.row[upper], store.block[upper], i[upper], j[upper]))]
+    del i, j
+    # each distinct float is formatted once, keyed on its bits: -0.0 == 0.0,
+    # but their reprs differ
+    vals = np.concatenate([problem.b, *(problem.objective[l][oi, oj] for l, oi, oj in obj), store.val[upper]])
+    bits, at = np.unique(vals.view(np.int64), return_inverse=True)
+    words = np.array(list(map(repr, bits.view(float).tolist())), dtype=object)[at]
+    b, words = words[:m], words[m:]
+    names = np.array([f"{k} " for k in range(max(m, len(dims), *dims.tolist()) + 1)], dtype=object)
+    text = [f"* scale {problem.scale!r}\n{m}\n{len(dims)}\n{' '.join(map(str, dims.tolist()))}\n"]
+    if m:
+        text.append(" ".join(b.tolist()) + "\n")
+    # the entry lines by chunks of interleaved columns, so that no chunk
+    # outweighs the text
+    for s in range(0, len(words), _WRITE_LINES):
+        at = slice(s, s + _WRITE_LINES)
+        part = np.empty((len(words[at]), 6), dtype=object)
+        for k, a in enumerate(index):
+            part[:, k] = names[a[at]]
+        part[:, 4], part[:, 5] = words[at], "\n"
+        text.append("".join(part.ravel().tolist()))
+    return "".join(text)
+
+
+# entry lines that `write_sdpa` formats at once
+_WRITE_LINES = 1024
+
+# the first bytes of the lines that `read_sdpa` strips: ASCII whitespace,
+# and those of non-ASCII characters, which may be whitespace
+_SPACE_BYTE = np.array([chr(k).isspace() or k >= 0x80 for k in range(256)])
 
 
 def read_sdpa(text: str) -> SDPProblem:
@@ -1209,20 +1264,30 @@ def read_sdpa(text: str) -> SDPProblem:
     (blank lines are skipped, so none is needed to hold its place).  Every
     number, in the header or on an entry line, is converted by numpy's text
     parser (ASCII digits, no `1_0`); entry lines are converted at once and
-    checked by `make_problem`'s rules.  SDPAFormatError names the first bad
-    line of any malformed input, non-finite numbers and block dimensions
-    too large to number entries by included.
+    checked by `make_problem`'s rules, which run once on a well-formed file.
+    Lines are numbered as `str.splitlines` numbers them, 1-based, and a line
+    is a comment or blank as it is once `str.strip` has stripped it.
+    SDPAFormatError names the first bad line of any malformed input,
+    non-finite numbers and block dimensions too large to number entries by
+    included.
     """
-    lines = list(map(str.strip, text.splitlines()))
-    # each line's first character, from one scan of the lines joined: a
-    # blank line's is the newline after it, and no line holds a newline
+    lines = text.splitlines()
+    # each line's first byte, from one scan of the lines joined: an empty
+    # line's is the newline after it, and no line holds a newline
     joined = np.frombuffer(("\n".join(lines) + "\n").encode("utf-8", "surrogatepass"), np.uint8)
-    first = joined[np.concatenate([[0], np.flatnonzero(joined == ord("\n"))[:-1] + 1])]
-    comment = np.isin(first, list(b'*"'))
-    body = np.flatnonzero(~comment & (first != ord("\n")))  # 0-based, of the lines read
+    first = joined[np.concatenate([[0], np.flatnonzero(joined == ord("\n")) + 1])[: len(lines)]]
+    comment = (first == ord("*")) | (first == ord('"'))
+    blank = first == ord("\n")
+    # a line that starts with whitespace, or with a byte of a character that
+    # may be whitespace, is stripped, as it is by str.strip: written files
+    # have none
+    for k in np.flatnonzero(_SPACE_BYTE[first]).tolist():
+        line = lines[k].strip()
+        comment[k], blank[k] = line.startswith(("*", '"')), not line
+    body = np.flatnonzero(~comment & ~blank)  # 0-based, of the lines read
     scale = 1.0
     for k in np.flatnonzero(comment).tolist():
-        parts = lines[k].lstrip("*").split()
+        parts = lines[k].strip().lstrip("*").split()
         if len(parts) == 2 and parts[0] == "scale":
             try:
                 scale = float(_numbers([parts[1]])[0])
@@ -1276,25 +1341,42 @@ def read_sdpa(text: str) -> SDPProblem:
             raise SDPAFormatError(f"line {ln}: right-hand-side value is not finite")
 
     rest = body[4 if m else 3:]
-    parsed, stop = _parse_entries([lines[k] for k in rest.tolist()])
+    entry = np.zeros(len(lines), dtype=bool)
+    entry[rest] = True
+    parsed, stop = _parse_entries(list(itertools.compress(lines, entry.tolist())))
     matno, blkno, i, j, val = (parsed[f] for f in parsed.dtype.names)
     off = np.flatnonzero((i != j) & np.isin(blkno, np.flatnonzero(diagonal) + 1))
     stop = off[0] if len(off) else stop
-    # the rules run on the lines before the first one that does not convert
-    # or is off the diagonal of a diagonal block: the first bad line is named
-    cols = (matno[:stop], blkno[:stop], i[:stop], j[:stop], val[:stop])
-    _check_entries(cols, dims, m + 1, 1, SDPAFormatError, lambda k: f"line {rest[k] + 1}")
+    entries, numbers = (matno[:stop], blkno[:stop], i[:stop], j[:stop], val[:stop]), rest[:stop]
+
+    def check(at):
+        """The entry rules on the entry lines `at` of those before `stop`,
+        the first that does not convert or is off the diagonal of a diagonal
+        block; the first bad line is named."""
+        _check_entries(tuple(a[at] for a in entries), dims, m + 1, 1, SDPAFormatError,
+                       lambda k: f"line {numbers[at][k] + 1}")
+
     if stop < len(rest):
+        check(slice(None))
         what = "off-diagonal entry in a diagonal block" if len(off) else "expected four integers and a number"
-        raise SDPAFormatError(f"line {rest[stop] + 1}: {what}, got {lines[rest[stop]]!r}")
+        raise SDPAFormatError(f"line {rest[stop] + 1}: {what}, got {lines[rest[stop]].strip()!r}")
+    del lines, joined  # they outweigh the problem's arrays
     l, i, j = blkno - 1, i - 1, j - 1
     con = matno > 0
-    objective: BlockMat = {}
-    for blk in np.unique(l[~con]).tolist():
-        here = ~con & (l == blk)
-        objective[blk] = np.zeros((dims[blk], dims[blk]))
-        objective[blk][i[here], j[here]] = objective[blk][j[here], i[here]] = val[here]
-    return make_problem(dims, objective, (matno[con] - 1, l[con], i[con], j[con], val[con]), b, scale)
+    # the rules run once: here on the objective's lines, and in make_problem
+    # on the rows'; when either finds a broken entry, they run on every line
+    # again, to name the first bad one
+    try:
+        check(~con)
+        objective: BlockMat = {}
+        for blk in np.unique(l[~con]).tolist():
+            here = ~con & (l == blk)
+            objective[blk] = np.zeros((dims[blk], dims[blk]))
+            objective[blk][i[here], j[here]] = objective[blk][j[here], i[here]] = val[here]
+        return make_problem(dims, objective, (matno[con] - 1, l[con], i[con], j[con], val[con]), b, scale)
+    except (SDPError, SDPAFormatError):
+        check(slice(None))
+        raise
 
 
 def _numbers(fields, dtype="f8") -> np.ndarray:
@@ -1317,4 +1399,5 @@ def _parse_entries(lines):
         except ValueError:
             bad = k
         k = (good + bad) // 2
-    return np.concatenate(pieces), good
+    # a file that converts whole is one piece, which is not copied
+    return pieces[-1] if len(pieces) == 2 else np.concatenate(pieces), good

@@ -24,6 +24,7 @@ from qmbounds.sdp_core import (
     _factor_newton,
     _FactoredRows,
     _nt_factor,
+    _row_gram,
     _tril_inv,
     check_certificate,
     hermitian_form,
@@ -883,6 +884,21 @@ class TestSchurFormulas:
         assert peak - m * d * d * 8 <= 6.5 * m * m * 8
 
 
+def sorted_gram(store, m, dims):
+    """n and the Gram matrix of `_row_gram`, formed with the sorts of
+    np.unique and searchsorted: the reference of its sort-free form."""
+    used = [np.unique(store.col[store.block == l]) for l in range(len(dims))]
+    gram = np.zeros((m, m))
+    for l, cols in enumerate(used):
+        here = store.block == l
+        rows, r = np.unique(store.row[here], return_inverse=True)
+        dense = np.zeros((len(rows), len(cols)), dtype=store.val.dtype)
+        dense[r, np.searchsorted(cols, store.col[here])] = store.val[here]
+        dense = dense.view(float)
+        gram[np.ix_(rows, rows)] += dense @ dense.T
+    return sum(map(len, used)) * (2 if np.iscomplexobj(store.val) else 1), gram
+
+
 class TestMakeProblem:
     def test_dependent_rows_dropped(self):
         a = np.zeros((2, 2))
@@ -985,12 +1001,26 @@ class TestMakeProblem:
             check(cons, dims)
 
     def test_builder_rows_are_certified_without_qr(self, monkeypatch):
+        # the Holevo and NH programs of the bench ladder (seed 1) and the
+        # program files of its file-verify workload (seeds 1 to 3), read back
         def no_qr(*args, **kwargs):
             raise AssertionError("np.linalg.qr called")
 
         monkeypatch.setattr(np.linalg, "qr", no_qr)
-        problem = build_nh_sdp(interferometer_model(holland_burnett_probe(4), 0.6))[0]
-        assert problem.dropped == 0
+        models = [interferometer_model(holland_burnett_probe(n), 0.6) for n in (4, 6, 8, 10)]
+        models += [random_model(1 + k, d, 2) for k, d in enumerate((6, 8, 10))]
+        programs = [build(m)[0] for m in models for build in (build_holevo_sdp, build_nh_sdp)]
+        files = [interferometer_model(holland_burnett_probe(8), 0.6), phase_damping_model(0.5, "xyz")]
+        files += [random_model(seed, 8, 2) for seed in (1, 2, 3)]
+        for m in files:
+            for build in (build_holevo_sdp, build_nh_sdp):
+                programs.append(read_sdpa(write_sdpa(build(m)[0])))
+        for problem in programs:
+            assert problem.dropped == 0
+            m = problem.num_constraints
+            n, gram = _row_gram(problem.store, m, problem.block_dims)
+            ref_n, ref = sorted_gram(problem.store, m, problem.block_dims)
+            assert n == ref_n and gram.tobytes() == ref.tobytes()
 
     def test_dependent_row_is_not_certified(self, monkeypatch):
         qr_calls = []
@@ -1405,6 +1435,78 @@ class TestSdpaFormat:
             "2 2 1 3 3.0\n2 2 3 3 -1.0\n"
             "3 1 1 1 1.0\n3 1 2 2 1.0\n3 2 1 2 1.0\n"
         )
+
+    def test_golden_text_of_hard_floats(self):
+        # each float as its repr: -0.0 and 0.0 apart, though equal as floats,
+        # and -2.5 in the objective, b and the rows alike
+        row0 = np.zeros((3, 3))
+        row0[0, 0], row0[0, 2] = 1e16, 5e-324
+        row1 = np.zeros((3, 3))
+        row1[1, 1], row1[1, 2] = -2.5, 0.1 + 0.2
+        row2 = np.zeros((3, 3))
+        row2[2, 2] = 1e-05
+        objective = np.array([[-2.5, 1e-05, 0.0], [1e-05, 0.1 + 0.2, 0.0], [0.0, 0.0, 0.0]])
+        problem = make_problem([3], {0: objective}, as_entries([{0: row0}, {0: row1}, {0: row2}]),
+                               [-0.0, 0.0, -2.5])
+        text = (
+            "* scale 1.0\n3\n1\n3\n-0.0 0.0 -2.5\n"
+            "0 1 1 1 -2.5\n0 1 1 2 1e-05\n0 1 2 2 0.30000000000000004\n"
+            "1 1 1 1 1e+16\n1 1 1 3 5e-324\n"
+            "2 1 2 2 -2.5\n2 1 2 3 0.30000000000000004\n"
+            "3 1 3 3 1e-05\n"
+        )
+        assert write_sdpa(problem) == text
+        back = read_sdpa(text)
+        assert back.b.tobytes() == np.array([-0.0, 0.0, -2.5]).tobytes()
+        assert write_sdpa(back) == text
+
+    def test_line_ends_whitespace_and_comments(self):
+        # CRLF, a lone CR and a U+2028 end lines as str.splitlines ends them;
+        # tabs, spaces, whitespace-only and comment lines come between entries
+        problem = two_block_problem()
+        clean = write_sdpa(problem)
+        head, entries = clean.splitlines()[:5], clean.splitlines()[5:]
+        messy = [f" {line}\t " for line in head]
+        for k, line in enumerate(entries):
+            messy.append("\t" + line.replace(" ", " \t ") + "  ")
+            messy.append(["", " \t ", "* a comment", '  " another'][k % 4])
+        ends = ["\r\n", "\r", "\u2028"]
+        text = "".join(line + ends[k % 3] for k, line in enumerate(messy))
+        back, want = read_sdpa(text), read_sdpa(clean)
+        assert_same_program(back, want)
+        assert write_sdpa(back) == clean
+        # a lower-triangle entry of the objective or of a row, on physical
+        # line n as str.splitlines counts lines
+        for k in (1, 5):
+            bad = entries[k].split()
+            bad[2], bad[3] = bad[3], bad[2]
+            n = 5 + 2 * k + 1
+            lines = list(messy)
+            lines[n - 1] = "  " + " ".join(bad) + "\t"
+            text = "".join(line + ends[e % 3] for e, line in enumerate(lines))
+            # counting "\n" alone would number the line otherwise
+            assert text.splitlines()[n - 1] == lines[n - 1]
+            assert text[: text.index(lines[n - 1])].count("\n") + 1 != n
+            with pytest.raises(SDPAFormatError, match=f"^line {n}: lower-triangle entry"):
+                read_sdpa(text)
+
+    def test_write_peaks_below_read(self):
+        # the random d=8 Holevo file of the file-verify workload, 31,883
+        # lines: reading it peaked at 12.6 MiB while the lines were held
+        # into `make_problem`, and the per-line writer at 6.0 MiB
+        text = write_sdpa(build_holevo_sdp(random_model(1, 8, 2))[0])
+        peaks = []
+        for step in (lambda: read_sdpa(text), lambda: write_sdpa(problem)):
+            tracemalloc.start()
+            try:
+                problem = step()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert problem == text
+        read_peak, write_peak = peaks
+        assert write_peak < read_peak <= 11 * 2**20
+        assert write_peak <= 5.5 * 2**20
 
     def test_round_trip_without_rows(self):
         problem = make_problem([2], {0: np.eye(2)}, as_entries([]), [])

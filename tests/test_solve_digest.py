@@ -30,10 +30,12 @@ def test_digest_lists_each_ladder_solve_once():
         assert re.fullmatch("[0-9a-f]{16}", sha)
 
 
-@pytest.mark.parametrize("workload, count", [("small-grid", 20), ("file-verify", 9)])
+@pytest.mark.parametrize("workload, count", [("small-grid", 20), ("file-verify", 15)])
 def test_digest_lists_each_solve_of_the_other_workloads_once(workload, count):
     # statuses are not pinned but those of the program files: a solver
-    # change may settle a known failure
+    # change may settle a known failure.  Each of the six program files
+    # also has a text line: its sha256, and that it reads and writes back
+    # to the same text
     proc = subprocess.run(
         [sys.executable, str(TOOL), "--seed", "3", "--tiny", "--workload", workload],
         capture_output=True, text=True, timeout=120,
@@ -42,7 +44,14 @@ def test_digest_lists_each_solve_of_the_other_workloads_once(workload, count):
     lines = [line.split("\t") for line in proc.stdout.splitlines()]
     assert len(lines) == count
     assert len({(label, bound) for _, label, bound, *_ in lines}) == count
+    texts = [fields for fields in lines if fields[2] == "text"]
+    assert len(texts) == (6 if workload == "file-verify" else 0)
+    for name, label, _, sha, same in texts:
+        assert name == workload and label.startswith("file ")
+        assert re.fullmatch("[0-9a-f]{64}", sha) and same == "same"
     for fields in lines:
+        if fields[2] == "text":
+            continue
         assert len(fields) == 6
         name, label, bound, status, iterations, sha = fields
         assert name == workload and label and bound in ("holevo", "nh")

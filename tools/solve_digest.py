@@ -18,9 +18,13 @@ Each line is tab-separated: workload, label, bound, status, iterations, and
 the first 16 hex digits of a sha256 over the status, the iteration count,
 both objectives, the gap, both infeasibilities, `dual_y` and every primal
 and dual block.  An `sld` line has status `ok`, 0 iterations, and the digest
-of the float64 value of the SLD bound, which makes no solve.  Run it on two
-trees and diff the outputs: a solve whose arithmetic a change left alone
-keeps its line.  Exits 1 when a call makes a different number of solves
+of the float64 value of the SLD bound, which makes no solve.  After the
+line of each program file comes its `text` line, with two fields in place
+of the last three: the sha256 of the file as `write_sdpa` wrote it, and
+`same` or `differs` for `write_sdpa(read_sdpa(text)) == text`.  Run it on
+two trees and diff the outputs: a solve whose arithmetic a change left
+alone keeps its line, and a file whose bytes it left alone keeps its text
+line.  Exits 1 when a call makes a different number of solves
 than its labels expect.
 """
 from __future__ import annotations
@@ -30,6 +34,7 @@ import hashlib
 import sys
 import tempfile
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -52,8 +57,24 @@ def digest(sol) -> str:
     return h.hexdigest()[:16]
 
 
-def fields(out) -> tuple[str, str, str]:
-    """Status, iterations and digest of a solve, or of an SLD bound value."""
+class TextDigest(NamedTuple):
+    """A written program file's sha256, and whether reading and writing it
+    back gives the same text."""
+
+    sha256: str
+    round_trip: str  # "same" or "differs"
+
+
+def text_digest(text: str) -> TextDigest:
+    same = sdp_core.write_sdpa(sdp_core.read_sdpa(text)) == text
+    return TextDigest(hashlib.sha256(text.encode()).hexdigest(), "same" if same else "differs")
+
+
+def fields(out) -> tuple[str, ...]:
+    """Status, iterations and digest of a solve, or of an SLD bound value;
+    the two fields of a `TextDigest`."""
+    if isinstance(out, TextDigest):
+        return tuple(out)
     if isinstance(out, float):
         return "ok", "0", hashlib.sha256(np.float64(out).tobytes()).hexdigest()[:16]
     return out.status, str(out.iterations), digest(out)
@@ -84,8 +105,9 @@ def grid_calls(seed, tiny, workdir):
 
 def file_calls(seed, tiny, workdir):
     inputs = workloads.FileVerify().setup(seed, tiny, workdir)
-    for _, kind, path, _ in inputs["files"]:
+    for _, kind, path, text in inputs["files"]:
         yield [(f"file {path.name}", kind)], lambda path=path: workloads.run_cli(["solve-sdp", str(path)])
+        yield [(f"file {path.name}", "text")], lambda text=text: text_digest(text)
     for label, argv in inputs["povms"]:
         yield [(f"verify-povm {label}", "nh")], lambda argv=argv: workloads.run_cli(argv)
 
@@ -121,7 +143,7 @@ def main(argv=None) -> int:
                     except bound_builders.BoundError:
                         pass  # the solve, if one was made, is recorded
                     else:
-                        if isinstance(out, float):
+                        if isinstance(out, (float, TextDigest)):
                             solves.append(out)
                     if len(solves) != len(labels):
                         print(f"{name}: {labels[0][0]} made {len(solves)} solves, "
