@@ -23,8 +23,10 @@ textbook one.
 
 Both builders read the model's analysis, made once per model: its block
 supports, SLDs, and the identifiability rule of all three bounds, whose
-BoundError comes before any program is posed.  A program that
-`make_problem` cannot build is a BoundError that carries no problem.
+BoundError comes before any program is posed.  Both start from one exactly
+unbiased estimator, the SLD estimator sum_k (J^-1)_kj L_k: it is the block
+program's primal hint and the Holevo program's constant term.  A program
+that `make_problem` cannot build is a BoundError that carries no problem.
 """
 from __future__ import annotations
 
@@ -219,7 +221,7 @@ def _assemble_nh(blocks, ranks, s_sup, hints, pieces, b, counts) -> SDPProblem:
 def build_nh_sdp(
     model: StatisticalModel,
     *,
-    use_blocks: bool | None = None,
+    use_blocks: bool = True,
 ) -> tuple[SDPProblem, NHMeta]:
     """Standard-form program for the separable-measurement MSE bound.
 
@@ -248,7 +250,7 @@ def build_nh_sdp(
     n = model.num_params
     w0 = _feasible_estimators(model)
     blocks, sups = model.analysis.blocks, model.analysis.block_supports
-    if use_blocks is not None and not use_blocks:
+    if not use_blocks:
         blocks, sups = ((0, model.dim),), (model.analysis.support,)
     # a block with no support carries no pin and no cost, like the empty
     # quotient basis Holevo gives it
@@ -439,7 +441,7 @@ def nagaoka_hayashi_bound(
     model: StatisticalModel,
     *,
     tol: float = DEFAULT_TOL,
-    use_blocks: bool | None = None,
+    use_blocks: bool = True,
 ) -> BoundResult:
     """Attainable-MSE bound over separable measurements, via the SDP.
 
@@ -478,51 +480,41 @@ def build_holevo_sdp(model: StatisticalModel):
     subject to [[V, M^dag], [M, 1]] >= 0, where M's j-th column collects
     the weighted support rows of X_j, so the Schur complement enforces
     V >= Z with Z_jk = Tr[S X_k X_j].  The program is posed so that this
-    matrix is the slack of the standard-form dual: unbiasedness is solved
-    affinely, the dual vector holds V's entries and the estimators' free
-    coefficients, and the bound is the negated dual objective (scale -1).
+    matrix is the slack of the standard-form dual: X_j is the SLD estimator
+    plus a combination of the free directions, the null space of the
+    unbiasedness rows over the quotient basis, so every X is unbiased; the
+    dual vector holds V's entries and the estimators' free coefficients,
+    and the bound is the negated dual objective (scale -1).  The constant
+    term M0 of M is the SLD estimator's, so Re(M0^dag M0) = J^-1 and the
+    program starts at the SLD bound's estimator.
     It is Hermitian, one complex block of dimension n + km, and is
     realified only when written to a file (`sdp_core.write_sdpa`).
     """
     n = model.num_params
-    model.analysis.fisher_inverse()  # the identifiability rule of all three bounds
+    # the SLD estimators, centered as in the block-program builder; this
+    # applies the identifiability rule of all three bounds
+    w0 = _feasible_estimators(model)
     blocks, sups = model.analysis.blocks, model.analysis.block_supports
     # the quotient basis of each block, on that block alone: a (len, dl, dl)
     # stack, empty on a block of rank 0
     stacks = [np.array(_quotient_basis(sup), dtype=complex).reshape(-1, dl, dl) for sup, (_, dl) in zip(sups, blocks)]
     first = np.cumsum([0] + [len(ops) for ops in stacks])
-    # affine solve of the unbiasedness system over the basis coefficients:
-    # tmat[t, a] = Re Tr[target_t op_a], from the targets' diagonal blocks
+    # the unbiasedness rows over the basis coefficients: tmat[t, a] =
+    # Re Tr[target_t op_a], from the targets' diagonal blocks
     targets = np.array([model.state] + list(model.derivs))
     tmat = np.concatenate([
         (targets[:, off : off + dl, off : off + dl].reshape(n + 1, -1) @ ops.transpose(0, 2, 1).reshape(-1, dl * dl).T)
         for (off, dl), ops in zip(blocks, stacks)
     ], axis=1).real
-    # centered estimators W_j = X_j - theta_j, as in the block-program builder
-    tr_s = float(np.trace(model.state).real)
-    tr_d = [float(np.trace(dm).real) for dm in model.derivs]
-    theta = np.asarray(model.theta, dtype=float)
-    rhs = np.vstack([theta * (1.0 - tr_s), np.eye(n) - np.outer(tr_d, theta)])
-    coef0, _, _, _ = np.linalg.lstsq(tmat, rhs, rcond=None)
-    resid = np.max(np.abs(tmat @ coef0 - rhs))
-    if resid > 1e-8:
-        raise BoundError(
-            f"unbiasedness system is inconsistent (residual {resid:.2e}): "
-            "no unbiased estimator exists for this model"
-        )
     # the model is identifiable, so the n + 1 rows of tmat are independent
-    _, sv, vt = np.linalg.svd(tmat)
+    _, _, vt = np.linalg.svd(tmat)
     null = vt[n + 1 :].T  # one column per free direction
     q = null.shape[1]
 
-    # x0 and the free directions are block-diagonal, as the basis is: each
-    # block of them is formed from that block's stack, and the directions
-    # are kept as their diagonal blocks, one (q, dl, dl) stack per block
-    x0 = np.zeros((n, model.dim, model.dim), dtype=complex)
-    null_ops = []
-    for (off, dl), ops, a, z in zip(blocks, stacks, first, first[1:]):
-        x0[:, off : off + dl, off : off + dl] = np.tensordot(coef0[a:z], ops, axes=(0, 0))
-        null_ops.append(np.tensordot(null[a:z], ops, axes=(0, 0)))
+    # the free directions are block-diagonal, as the basis is: each is kept
+    # as its diagonal blocks, one (q, dl, dl) stack per block, formed from
+    # that block's stack
+    null_ops = [np.tensordot(null[a:z], ops, axes=(0, 0)) for ops, a, z in zip(stacks, first, first[1:])]
     del stacks
     # weighted support rows D^(1/2) U^dag of each block: the Gram matrix of
     # the coordinates of X reproduces Tr[X_j S X_k]
@@ -534,7 +526,7 @@ def build_holevo_sdp(model: StatisticalModel):
     def coords(pieces):  # of an operator, given as its diagonal blocks
         return np.concatenate([(rows @ x).ravel() for (_, _, rows), x in zip(maps, pieces)])
 
-    m0 = np.stack([coords([x[off : off + dl, off : off + dl] for off, dl, _ in maps]) for x in x0], axis=1)
+    m0 = np.stack([coords([w[off : off + dl, off : off + dl] for off, dl, _ in maps]) for w in w0], axis=1)
     km = m0.shape[0]
     dim_lmi = n + km
     null_cols = np.array([coords([ops[t] for ops in null_ops]) for t in range(q)]).reshape(q, km)
@@ -569,7 +561,7 @@ def build_holevo_sdp(model: StatisticalModel):
         dual_hint=dual0,
     )
     meta = {
-        "w0": tuple(x0),
+        "w0": tuple(w0),
         "null_ops": tuple(zip((off for off, _ in blocks), null_ops)),  # (offset, stack) per block
         "num_params": n,
         "theta": tuple(float(t) for t in model.theta),

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import sys
 import time
@@ -359,6 +360,7 @@ def _parse_grid(specs):
     return tuple(axes)
 
 
+@functools.cache  # parsing leaves the parser as it was, so one serves every call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qmbounds",

@@ -544,6 +544,22 @@ class TestHolevoProgram:
         assert problem.scale == -1.0
         assert read_sdpa(write_sdpa(problem)).scale == pytest.approx(-0.5)
 
+    @pytest.mark.parametrize("model", [
+        interferometer_model(holland_burnett_probe(4), 0.6),
+        random_model(2, 4, 3),
+        phase_damping_model(0.5, "xyz"),  # rank 2
+        interferometer_model([np.sqrt(0.7), np.sqrt(0.3)], 0.2),  # theta != 0
+    ], ids=["hb N=4", "random d=4", "pd xyz", "ifo"])
+    def test_constant_term_is_the_sld_estimator(self, model):
+        # M's constant block holds the coordinates of the SLD estimator,
+        # whose MSE matrix Re(M0^dag M0) is J^-1: the program starts at the
+        # estimator that attains the SLD bound
+        problem, _ = build_holevo_sdp(model)
+        n = model.num_params
+        m0 = problem.objective[0][n:, :n]
+        want = model.analysis.fisher_inverse()
+        assert np.linalg.norm((m0.conj().T @ m0).real - want) <= 1e-10 * np.linalg.norm(want)
+
     def test_build_holds_no_dense_row_matrices(self):
         # 197 rows in one 204-dim realified block: a dense float matrix per
         # row is 0.33 MB, and building the rows that way peaked at 86 MB
@@ -646,17 +662,18 @@ class TestFailureModes:
     @pytest.mark.parametrize("c", [1e-11, 1e-12])
     def test_tiny_derivatives_fail_as_bound_errors(self, c):
         # the Fisher rule is relative and passes; the NH program then fails
-        # to build, and Holevo's unbiasedness system is called inconsistent
+        # to build, and the Holevo program, which starts from the SLD
+        # estimator of norm ~1/c, builds but does not converge
         m = random_model(4, 4, 2)
         m = dataclasses.replace(m, derivs=tuple(c * dm for dm in m.derivs))
         for bound, message in (
             (build_nh_sdp, "program failed to build: constraint"),
             (nagaoka_hayashi_bound, "program failed to build: constraint"),
-            (build_holevo_sdp, "unbiasedness system is inconsistent"),
-            (holevo_bound, "unbiasedness system is inconsistent"),
+            (holevo_bound, "solver finished with status 'max_iter'"),
         ):
             with pytest.raises(BoundError, match=message):
                 bound(m)
+        build_holevo_sdp(m)
 
     def test_build_error_is_a_bound_error_without_a_problem(self, monkeypatch):
         def failing(*args, **kwargs):

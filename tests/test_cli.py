@@ -419,6 +419,15 @@ class TestSweepCommand:
         assert main(argv + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_same_command_twice_in_one_process(self, capsys):
+        # every call parses with the one cached parser, which must carry no
+        # state from one call to the next: --grid appends to a list
+        argv = ["sweep", "--model", "pd", "--params", "xy", "--grid", "eps=0.1:0.5:3", "--bounds", "sld"]
+        first = run(capsys, argv)
+        assert first[0] == 0 and len(csv_rows(first[1])) == 3
+        assert run(capsys, argv) == first
+        assert cli.build_parser() is cli.build_parser()
+
     def test_out_of_range_grid_point_exits_two(self, capsys):
         code, out, err = run(
             capsys, ["sweep", "--model", "pd", "--grid", "eps=0:1.2:3"]

@@ -1383,15 +1383,15 @@ class TestSdpaFormat:
     @pytest.mark.parametrize(
         "name, digest",
         [
-            ("hb N=4", "8f103cd46353083d35205f23d6b0e5bdd6576a130b0a3aaedb70e841b9c8234e"),
-            ("random d=4", "dbb069b0b3ecdfd41742dd591882ecc298223e3b6313545bc0c8490b8891ee9c"),
-            ("pd xyz", "a0dc4c05779398fb0c80bc5372f2d59702cc1d7d262424f3dd8b2b05e85495c0"),
-            ("ifo", "28b288dce4fac223f4e7f4f4a55fa71c9e8c5f22ab8a579dd7201265b915cd91"),
+            ("hb N=4", "8412a938542d7142bfa5bf97ad2e6a91ac707f4dac545a2fd49cbaefa49bf32a"),
+            ("random d=4", "a08c32791911715774a0744343ca093c5c0d0174d5307de0c56e403c7f81a872"),
+            ("pd xyz", "da018f69ef9bf3a20af59bf9b82b7c960c25c420c508cbce7a0e7865bfea0865"),
+            ("ifo", "8527b3a6c1bfc0fa19a522f942322e5364ad7373e9816ad6cd352daea6642e8e"),
         ],
     )
     def test_hermitian_program_file_is_pinned(self, name, digest):
-        # the text of each Holevo program as it was when the builder realified
-        # it: a Hermitian program is written as its real embedding
+        # the text of each Holevo program, whose constant term is the SLD
+        # estimator: a Hermitian program is written as its real embedding
         problem = hermitian_programs()[name]
         assert np.iscomplexobj(problem.store.val)
         assert hashlib.sha256(write_sdpa(problem).encode()).hexdigest() == digest

@@ -9,6 +9,18 @@ import pytest
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "solve_digest.py"
 
 
+def assert_iteration_totals(proc, workload, lines):
+    # after the output, one stderr line per bound that made a solve, with
+    # the total of its iteration fields, in the order the bounds first
+    # appear; an `sld` value and a `text` line make no solve
+    totals = {}
+    for _, _, bound, *rest in lines:
+        if bound not in ("sld", "text"):
+            totals[bound] = totals.get(bound, 0) + int(rest[1])
+    assert totals
+    assert proc.stderr.splitlines() == [f"{workload}\t{bound}\titerations\t{total}" for bound, total in totals.items()]
+
+
 def test_digest_lists_each_ladder_solve_once():
     proc = subprocess.run(
         [sys.executable, str(TOOL), "--seed", "3", "--tiny", "--workload", "large-ladder"],
@@ -28,6 +40,7 @@ def test_digest_lists_each_ladder_solve_once():
         else:
             assert status == "optimal" and int(iterations) > 0
         assert re.fullmatch("[0-9a-f]{16}", sha)
+    assert_iteration_totals(proc, "large-ladder", lines)
 
 
 @pytest.mark.parametrize("workload, count", [("small-grid", 20), ("file-verify", 15)])
@@ -60,3 +73,4 @@ def test_digest_lists_each_solve_of_the_other_workloads_once(workload, count):
             assert status == "optimal"
         assert iterations.isdigit()
         assert re.fullmatch("[0-9a-f]{16}", sha)
+    assert_iteration_totals(proc, workload, lines)

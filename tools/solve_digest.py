@@ -26,6 +26,10 @@ two trees and diff the outputs: a solve whose arithmetic a change left
 alone keeps its line, and a file whose bytes it left alone keeps its text
 line.  Exits 1 when a call makes a different number of solves
 than its labels expect.
+
+After the output, stderr gets one tab-separated line per workload and
+bound that made a solve: workload, bound, `iterations`, and the sum of
+that bound's iteration fields on stdout.
 """
 from __future__ import annotations
 
@@ -132,6 +136,7 @@ def main(argv=None) -> int:
         return sol
 
     ok = True
+    totals = {}  # (workload, bound): iterations of its solves
     bound_builders.solve = cli.solve = recorded
     try:
         with tempfile.TemporaryDirectory() as workdir:
@@ -151,8 +156,13 @@ def main(argv=None) -> int:
                         ok = False
                     for (label, bound), sol in zip(labels, solves):
                         print("\t".join((name, label, bound, *fields(sol))))
+                        if isinstance(sol, sdp_core.SDPSolution):
+                            totals[name, bound] = totals.get((name, bound), 0) + sol.iterations
     finally:
         bound_builders.solve = cli.solve = solve
+    sys.stdout.flush()
+    for (name, bound), total in totals.items():
+        print(f"{name}\t{bound}\titerations\t{total}", file=sys.stderr)
     return 0 if ok else 1
 
 
