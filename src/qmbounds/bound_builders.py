@@ -19,7 +19,9 @@ the ray.  The block program is therefore always posed with its
 error-operator rows compressed onto the support of the state, which
 removes every free direction while leaving the infimum unchanged.  On a
 full-rank block the compression is the identity and the program is the
-textbook one.
+textbook one.  Both programs read each block in one frame with the same
+expectation pins (`_support_frames`); Holevo poses, and both recover, each
+estimator by its support rows in that frame (`_row_basis`, `_lift`).
 
 Both builders read the model's analysis, made once per model: its block
 supports, SLDs, and the identifiability rule of all three bounds, whose
@@ -31,11 +33,12 @@ that `make_problem` cannot build is a BoundError that carries no problem.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .linalg import FISHER_TOL, SUPPORT_TOL, checked_hermitian, checked_state, derealify, hermitize, psd_sqrt, trace_abs
-from .model import BoundError, StatisticalModel, Support, state_support
+from .model import BoundError, StatisticalModel, state_support
 from .sdp_core import SDPError, SDPProblem, SDPSolution, make_problem, realified, solve
 
 DEFAULT_TOL = 1e-9
@@ -67,55 +70,80 @@ class BoundResult:
     solution: SDPSolution | None = None
 
 
-def _traceless_gellmann(d: int) -> list[np.ndarray]:
-    ops = []
-    for j in range(d):
-        for k in range(j + 1, d):
-            m = np.zeros((d, d), dtype=complex)
-            m[j, k] = m[k, j] = 1 / np.sqrt(2)
-            ops.append(m)
-            m = np.zeros((d, d), dtype=complex)
-            m[j, k] = 1j / np.sqrt(2)
-            m[k, j] = -1j / np.sqrt(2)
-            ops.append(m)
-    for l in range(1, d):
-        m = np.zeros((d, d), dtype=complex)
-        for i in range(l):
-            m[i, i] = 1.0
-        m[l, l] = -l
-        ops.append(m / np.sqrt(l * (l + 1)))
-    return ops
-
-
 def gellmann_basis(d: int) -> tuple[np.ndarray, ...]:
-    """Orthonormal Hermitian basis of d x d operators, identity/sqrt(d) first."""
+    """Orthonormal Hermitian basis of d x d operators: identity/sqrt(d),
+    the off-diagonal elements of `_row_basis(d, d)`, then the traceless
+    diagonal ones."""
     if d < 1:
         raise BoundError(f"basis dimension must be >= 1, got {d}")
-    return (np.eye(d, dtype=complex) / np.sqrt(d), *_traceless_gellmann(d))
+    ops = [np.eye(d, dtype=complex) / np.sqrt(d), *_row_basis(d, d)[d:]]
+    for l in range(1, d):
+        m = np.zeros((d, d), dtype=complex)
+        m[np.arange(l), np.arange(l)] = 1.0
+        m[l, l] = -l
+        ops.append(m / np.sqrt(l * (l + 1)))
+    return tuple(ops)
 
 
-def _quotient_basis(sup: Support) -> list[np.ndarray]:
-    """Orthonormal Hermitian basis of the operators on a state block modulo
-    those supported entirely inside its kernel.
+class Frame(NamedTuple):
+    """A state block with support, in the frame `Support.rotation`; pins are
+    the support rows (r x size) of S and each dS_j in it, cross entries
+    doubled, so that Re <pin, x> = Tr[T X] for X with support rows x and a
+    zero kernel corner."""
 
-    The scaled identity, the traceless operators inside the support, and
-    the support-kernel cross operators: d^2 - (d-r)^2 elements, built from
-    the columns of `sup.rotation`.  On a full-rank block the rotation is the
-    identity and this is gellmann_basis(d), entry for entry.
-    """
-    v, r = sup.rotation, sup.rank
-    d = v.shape[0]
-    if r == 0:
-        return []
-    supp, kern = v[:, :r], v[:, r:]
-    ops = [np.eye(d, dtype=complex) / np.sqrt(d)]
-    ops.extend(hermitize(supp @ g @ supp.conj().T) for g in _traceless_gellmann(r))
-    for i in range(r):
-        for m in range(d - r):
-            uv = np.outer(supp[:, i], kern[:, m].conj())
-            ops.append(hermitize((uv + uv.conj().T) / np.sqrt(2)))
-            ops.append(hermitize((1j * uv - 1j * uv.conj().T) / np.sqrt(2)))
-    return ops
+    offset: int
+    size: int
+    rank: int
+    rotation: np.ndarray
+    pins: np.ndarray
+
+    def rows(self, op: np.ndarray) -> np.ndarray:
+        """The support rows of op's diagonal block, in this frame."""
+        v, at = self.rotation, slice(self.offset, self.offset + self.size)
+        return (v.conj().T @ op[at, at] @ v)[: self.rank, :]
+
+
+def _support_frames(model: StatisticalModel, use_blocks: bool = True) -> list[Frame]:
+    """The Frame, in which both programs are posed, of each model block or
+    of the whole state; a block with no support has no pin, cost or frame."""
+    blocks, sups = model.analysis.blocks, model.analysis.block_supports
+    if not use_blocks:
+        blocks, sups = ((0, model.dim),), (model.analysis.support,)
+    frames = []
+    for (off, dl), sup in zip(blocks, sups):
+        r, v = sup.rank, sup.rotation
+        if not r:
+            continue
+        sl = slice(off, off + dl)
+        rot = [v.conj().T @ dm[sl, sl] @ v for dm in model.derivs]
+        pins = np.array([hermitize(v.conj().T @ model.state[sl, sl] @ v)] + rot)[:, :r, :]
+        pins[:, :, r:] *= 2.0
+        frames.append(Frame(off, dl, r, v, pins))
+    return frames
+
+
+def _row_basis(r: int, dl: int) -> np.ndarray:
+    """Support rows, (2 r dl - r^2, r, dl), of a Hilbert-Schmidt orthonormal
+    basis of the Hermitian operators modulo the kernel corner: E_aa for
+    a < r, (E_ab + E_ba)/sqrt(2) and i(E_ab - E_ba)/sqrt(2) for a < b, a < r."""
+    a, b = np.triu_indices(dl, 1)
+    a, b = a[a < r], b[a < r]
+    k = r + 2 * np.arange(len(a))
+    ops = np.zeros((r + 2 * len(a), dl, dl), dtype=complex)
+    ops[np.arange(r), np.arange(r), np.arange(r)] = 1.0
+    ops[k, a, b] = ops[k, b, a] = 1 / np.sqrt(2)
+    ops[k + 1, a, b], ops[k + 1, b, a] = 1j / np.sqrt(2), -1j / np.sqrt(2)
+    return ops[:, :r, :]
+
+
+def _lift(rows: np.ndarray) -> np.ndarray:
+    """The Hermitian operator, in its block's frame, whose support rows are
+    rows (r x dl) and whose kernel corner is zero."""
+    r, dl = rows.shape
+    x = np.zeros((dl, dl), dtype=complex)
+    x[:r], x[r:, :r] = rows, rows[:, r:].conj().T
+    x[:r, :r] = hermitize(rows[:, :r])
+    return x
 
 
 def _entries(first: int, block: int, stack: np.ndarray, oi, oj):
@@ -249,21 +277,9 @@ def build_nh_sdp(
     """
     n = model.num_params
     w0 = _feasible_estimators(model)
-    blocks, sups = model.analysis.blocks, model.analysis.block_supports
-    if not use_blocks:
-        blocks, sups = ((0, model.dim),), (model.analysis.support,)
-    # a block with no support carries no pin and no cost, like the empty
-    # quotient basis Holevo gives it
-    blocks, sups = zip(*[(blk, sup) for blk, sup in zip(blocks, sups) if sup.rank])
-    ranks = [sup.rank for sup in sups]
-    rots = [sup.rotation for sup in sups]
-    pins = []  # per block: rotated support rows of S, then of each dS_j
-    for (off, dl), r, v in zip(blocks, ranks, rots):
-        sl = slice(off, off + dl)
-        rot = [v.conj().T @ dm[sl, sl] @ v for dm in model.derivs]
-        rows = np.array([hermitize(v.conj().T @ model.state[sl, sl] @ v)] + rot)[:, :r, :]
-        rows[:, :, r:] *= 2.0
-        pins.append(rows)
+    frames = _support_frames(model, use_blocks)
+    blocks = [(f.offset, f.size) for f in frames]
+    ranks = [f.rank for f in frames]
 
     # The program variable holds the centered estimators W_j = X_j - theta_j,
     # whose quadratic form is the MSE about the true value; the recovery step
@@ -275,7 +291,7 @@ def build_nh_sdp(
     # n + k n + j.  The pin on W_k sits in slot (k, n) of each block.
     slot = np.concatenate([np.arange(n), np.repeat(np.arange(n), n)])
     pin = np.concatenate([np.zeros(n, dtype=int), np.tile(np.arange(1, n + 1), n)])
-    pieces = [_entries(0, bi, pins[bi][pin], slot * r, n * r) for bi, r in enumerate(ranks)]
+    pieces = [_entries(0, bi, f.pins[pin], slot * f.rank, n * f.rank) for bi, f in enumerate(frames)]
     b = [2.0 * model.theta[j] * (1.0 - tr_s) for j in range(n)]
     b.extend(
         2.0 * ((1.0 if j == k else 0.0) - model.theta[k] * tr_d[j])
@@ -293,11 +309,8 @@ def build_nh_sdp(
             b.extend([0.0] * len(sup_bases[bi]))
     counts["estimator_hermitian"] = len(b) - start_len
 
-    hints = [
-        [(v.conj().T @ w[off : off + dl, off : off + dl] @ v)[:r, :] for w in w0]
-        for (off, dl), r, v in zip(blocks, ranks, rots)
-    ]
-    s_sup = [rows[0][:, :r] for rows, r in zip(pins, ranks)]
+    hints = [[f.rows(w) for w in w0] for f in frames]
+    s_sup = [f.pins[0][:, : f.rank] for f in frames]
     problem = _assemble_nh(blocks, ranks, s_sup, hints, pieces, b, counts)
     meta = NHMeta(
         num_params=n,
@@ -305,7 +318,7 @@ def build_nh_sdp(
         block_offsets=tuple(off for off, dl in blocks),
         block_sizes=tuple(dl for off, dl in blocks),
         support_ranks=tuple(ranks),
-        rotations=tuple(rots),
+        rotations=tuple(f.rotation for f in frames),
         group_counts=counts,
         theta=tuple(float(t) for t in model.theta),
     )
@@ -335,15 +348,9 @@ def recover_nh_estimators(
         yc = derealify(solution.primal[bi])
         r = meta.support_ranks[bi]
         v = meta.rotations[bi]
-        xt = []
+        xt = [_lift(yc[j * r : (j + 1) * r, n * r :]) for j in range(n)]
         for j in range(n):
-            row = yc[j * r : (j + 1) * r, n * r :]
-            xrot = np.zeros((dl, dl), dtype=complex)
-            xrot[:r, :r] = hermitize(row[:, :r])
-            xrot[:r, r:] = row[:, r:]
-            xrot[r:, :r] = row[:, r:].conj().T
-            xt.append(xrot)
-            xs[j][off : off + dl, off : off + dl] = hermitize(v @ xrot @ v.conj().T)
+            xs[j][off : off + dl, off : off + dl] = hermitize(v @ xt[j] @ v.conj().T)
         for j in range(n):
             for k in range(n):
                 ljk = yc[j * r : (j + 1) * r, k * r : (k + 1) * r]
@@ -478,15 +485,16 @@ def build_holevo_sdp(model: StatisticalModel):
 
     Minimizes trace(V) over real symmetric V and unbiased Hermitian X
     subject to [[V, M^dag], [M, 1]] >= 0, where M's j-th column collects
-    the weighted support rows of X_j, so the Schur complement enforces
-    V >= Z with Z_jk = Tr[S X_k X_j].  The program is posed so that this
-    matrix is the slack of the standard-form dual: X_j is the SLD estimator
-    plus a combination of the free directions, the null space of the
-    unbiasedness rows over the quotient basis, so every X is unbiased; the
-    dual vector holds V's entries and the estimators' free coefficients,
-    and the bound is the negated dual objective (scale -1).  The constant
-    term M0 of M is the SLD estimator's, so Re(M0^dag M0) = J^-1 and the
-    program starts at the SLD bound's estimator.
+    R^dag x_j, x_j the support rows of X_j in the block program's frames
+    and R R^dag the support square of S, so the Schur complement enforces
+    V >= Z with Z_jk = Tr[S X_k X_j].  This matrix is the slack of the
+    standard-form dual: X_j is the SLD estimator plus a combination of the
+    free directions, the null space of the block program's expectation pins
+    over a basis of support rows, so every X is unbiased; the dual vector
+    holds V's entries and the estimators' free coefficients, and the bound
+    is the negated dual objective (scale -1).  The constant term M0 of M is
+    the SLD estimator's, so Re(M0^dag M0) = J^-1 and the program starts at
+    the SLD bound's estimator.
     It is Hermitian, one complex block of dimension n + km, and is
     realified only when written to a file (`sdp_core.write_sdpa`).
     """
@@ -494,42 +502,31 @@ def build_holevo_sdp(model: StatisticalModel):
     # the SLD estimators, centered as in the block-program builder; this
     # applies the identifiability rule of all three bounds
     w0 = _feasible_estimators(model)
-    blocks, sups = model.analysis.blocks, model.analysis.block_supports
-    # the quotient basis of each block, on that block alone: a (len, dl, dl)
-    # stack, empty on a block of rank 0
-    stacks = [np.array(_quotient_basis(sup), dtype=complex).reshape(-1, dl, dl) for sup, (_, dl) in zip(sups, blocks)]
-    first = np.cumsum([0] + [len(ops) for ops in stacks])
+    frames = _support_frames(model)
+    bases = [_row_basis(f.rank, f.size) for f in frames]
+    first = np.cumsum([0] + [len(e) for e in bases])
     # the unbiasedness rows over the basis coefficients: tmat[t, a] =
-    # Re Tr[target_t op_a], from the targets' diagonal blocks
-    targets = np.array([model.state] + list(model.derivs))
+    # Re <pin_t, e_a> = Tr[target_t E_a], E_a the lifted basis element
     tmat = np.concatenate([
-        (targets[:, off : off + dl, off : off + dl].reshape(n + 1, -1) @ ops.transpose(0, 2, 1).reshape(-1, dl * dl).T)
-        for (off, dl), ops in zip(blocks, stacks)
-    ], axis=1).real
+        (f.pins.reshape(n + 1, -1).conj() @ e.reshape(len(e), -1).T).real for f, e in zip(frames, bases)
+    ], axis=1)
     # the model is identifiable, so the n + 1 rows of tmat are independent
     _, _, vt = np.linalg.svd(tmat)
-    null = vt[n + 1 :].T  # one column per free direction
-    q = null.shape[1]
+    null = vt[n + 1 :]  # one row per free direction
+    # each free direction by its support rows, one (q, r, dl) stack per block
+    null_rows = [np.tensordot(null[:, a:z], e, axes=1) for e, a, z in zip(bases, first, first[1:])]
+    # R^dag of each block: the Gram matrix of the coordinates R^dag x of
+    # support rows reproduces Tr[X_j S X_k]
+    weights = [np.linalg.cholesky(f.pins[0][:, : f.rank]).conj().T for f in frames]
 
-    # the free directions are block-diagonal, as the basis is: each is kept
-    # as its diagonal blocks, one (q, dl, dl) stack per block, formed from
-    # that block's stack
-    null_ops = [np.tensordot(null[a:z], ops, axes=(0, 0)) for ops, a, z in zip(stacks, first, first[1:])]
-    del stacks
-    # weighted support rows D^(1/2) U^dag of each block: the Gram matrix of
-    # the coordinates of X reproduces Tr[X_j S X_k]
-    maps = [
-        (off, dl, (sup.vecs[:, sup.mask] * np.sqrt(sup.vals[sup.mask])).conj().T)
-        for (off, dl), sup in zip(blocks, sups)
-    ]
+    def coords(stacks):  # of a stack of operators, given by their support rows per block
+        return np.concatenate([(w @ x).reshape(len(x), x.shape[1] * x.shape[2]) for w, x in zip(weights, stacks)], axis=1)
 
-    def coords(pieces):  # of an operator, given as its diagonal blocks
-        return np.concatenate([(rows @ x).ravel() for (_, _, rows), x in zip(maps, pieces)])
-
-    m0 = np.stack([coords([w[off : off + dl, off : off + dl] for off, dl, _ in maps]) for w in w0], axis=1)
+    m0 = coords([np.array([f.rows(w) for w in w0]) for f in frames]).T
     km = m0.shape[0]
     dim_lmi = n + km
-    null_cols = np.array([coords([ops[t] for ops in null_ops]) for t in range(q)]).reshape(q, km)
+    null_cols = coords(null_rows)
+    q = len(null_cols)
 
     g0 = np.zeros((dim_lmi, dim_lmi), dtype=complex)
     g0[n:, n:] = np.eye(km)
@@ -562,10 +559,10 @@ def build_holevo_sdp(model: StatisticalModel):
     )
     meta = {
         "w0": tuple(w0),
-        "null_ops": tuple(zip((off for off, _ in blocks), null_ops)),  # (offset, stack) per block
+        "frames": tuple(frames),
+        "null_rows": tuple(null_rows),  # (q, r, dl) support rows per frame
         "num_params": n,
         "theta": tuple(float(t) for t in model.theta),
-        "support_ranks": tuple(sup.rank for sup in sups if sup.rank),
     }
     return problem, meta
 
@@ -580,17 +577,18 @@ def holevo_bound(
     sol = _solve_optimal(problem, tol)
     n = meta["num_params"]
     # the dual vector holds V's upper triangle, then each X_j's q free
-    # coefficients in turn; X_j is rebuilt block by block
-    ys = sol.dual_y[n * (n + 1) // 2 :].reshape(n, len(meta["null_ops"][0][1]))
+    # coefficients in turn; X_j is rebuilt block by block, lifted from
+    # support rows through each frame
+    ys = sol.dual_y[n * (n + 1) // 2 :].reshape(n, len(meta["null_rows"][0]))
     eye = np.eye(model.dim, dtype=complex)
     xs = []
     for j in range(n):
         x = np.array(meta["w0"][j])
-        for off, ops in meta["null_ops"]:
-            at = slice(off, off + ops.shape[1])
-            x[at, at] += np.tensordot(ys[j], ops, axes=1)
+        for f, rows in zip(meta["frames"], meta["null_rows"]):
+            at, v = slice(f.offset, f.offset + f.size), f.rotation
+            x[at, at] += v @ _lift(np.tensordot(ys[j], rows, axes=1)) @ v.conj().T
         xs.append(hermitize(x) + meta["theta"][j] * eye)
-    stats = _checked_stats(model, xs, problem, sol, meta["support_ranks"])
+    stats = _checked_stats(model, xs, problem, sol, [f.rank for f in meta["frames"]])
     return BoundResult(
         value=sol.dual_obj,
         kind="holevo",

@@ -31,6 +31,7 @@ from .model import (
     StatisticalModel,
     decode_matrix,
     encode_matrix,
+    is_integer,
     is_number,
 )
 
@@ -387,8 +388,13 @@ def sample(
     the result so runs can be reproduced.
     """
     _check_dims(model, estimator)
+    for name, v in (("shots", shots), ("seed", seed)):
+        if not is_integer(v):
+            raise MeasurementError(f"{name} must be an integer, got {v!r}")
     if shots < 0:
         raise MeasurementError("shots must be non-negative")
+    if seed < 0:
+        raise MeasurementError(f"seed must be non-negative, got {seed!r}")
     n = estimator.num_params
     if shots == 0:
         return SampleResult(

@@ -267,6 +267,8 @@ def holland_burnett_probe(n_photons: int) -> np.ndarray:
     exponential at angle pi/4.  The global phase is stripped so the first
     nonzero amplitude is positive; odd-k amplitudes vanish.
     """
+    if not is_integer(n_photons):
+        raise ModelError(f"photon number must be an integer, got {n_photons!r}")
     n = int(n_photons)
     if n < 2 or n % 2:
         raise ModelError(f"photon number must be even and >= 2, got {n_photons!r}")
@@ -303,6 +305,8 @@ def interferometer_model(
         raise ModelError(f"amplitudes are not normalized: sum of squares is {float(np.sum(np.abs(a)**2))!r}")
     if not 0.0 < eta <= 1.0:
         raise ModelError(f"eta must lie in (0, 1], got {eta!r}")
+    if not is_number(phi) or not np.isfinite(phi):
+        raise ModelError(f"phi must be a finite real number, got {phi!r}")
     dim = (n + 1) * (n + 2) // 2
     state = np.zeros((dim, dim), dtype=complex)
     d_phi = np.zeros((dim, dim), dtype=complex)
@@ -346,6 +350,11 @@ def interferometer_model(
 
 def random_model(seed: int, dim: int, num_params: int) -> StatisticalModel:
     """Full-rank random model, deterministic in the seed."""
+    for name, v in (("seed", seed), ("dim", dim), ("num_params", num_params)):
+        if not is_integer(v):
+            raise ModelError(f"{name} must be an integer, got {v!r}")
+    if seed < 0:
+        raise ModelError(f"seed must be non-negative, got {seed!r}")
     if dim < 2 or num_params < 1:
         raise ModelError(f"need dim >= 2 and num_params >= 1, got {dim}, {num_params}")
     rng = np.random.default_rng(seed)
@@ -404,6 +413,11 @@ def is_number(v) -> bool:
     """Whether `v` is a real number, Python's or numpy's: not complex, not a
     string, and not `true` or `false`, though Python's bool is an int."""
     return isinstance(v, numbers.Real) and not isinstance(v, bool)
+
+
+def is_integer(v) -> bool:
+    """Whether `v` is an integer, Python's or numpy's, and not a bool."""
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
 
 
 def decode_matrix(obj, dim, field: str, error: type[Exception]) -> np.ndarray:

@@ -13,7 +13,9 @@ import pytest
 
 from qmbounds.bound_builders import (
     BoundError,
-    _quotient_basis,
+    _lift,
+    _row_basis,
+    _support_frames,
     build_holevo_sdp,
     build_nh_sdp,
     gellmann_basis,
@@ -31,8 +33,8 @@ from qmbounds.model import (
     interferometer_model,
     phase_damping_model,
     random_model,
+    sld,
     sld_bound,
-    state_support,
 )
 from qmbounds.sdp_core import SDPError, check_certificate, read_sdpa, solve, write_sdpa
 
@@ -82,31 +84,6 @@ class TestGellmannBasis:
         for op in b:
             np.testing.assert_allclose(op, op.conj().T, atol=1e-12)
 
-    def test_support_projection_drops_kernel_block(self):
-        # a rank-2 state on a random basis: the quotient basis is built from
-        # its support and kernel eigenvectors
-        rng = np.random.default_rng(3)
-        u, _ = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
-        state = u @ np.diag([0.0, 0.0, 0.3, 0.7]) @ u.conj().T
-        (sup,) = state_support(state)
-        assert sup.rank == 2
-        b = _quotient_basis(sup)
-        assert len(b) == 12
-        gram = np.array(
-            [[np.vdot(p, q).real for q in b] for p in b]
-        )
-        np.testing.assert_allclose(gram, np.eye(12), atol=1e-12)
-        kernel = u[:, :2] @ u[:, :2].conj().T
-        for op in b:
-            # nothing kept may live entirely inside the kernel corner
-            outside = np.max(np.abs(op - kernel @ op @ kernel))
-            assert outside > 1e-6
-
-    def test_full_rank_quotient_is_the_whole_basis(self):
-        (sup,) = state_support(np.diag([0.2, 0.3, 0.5]).astype(complex))
-        for got, want in zip(_quotient_basis(sup), gellmann_basis(3), strict=True):
-            assert np.array_equal(got, want)
-
     def test_dimension_one(self):
         b = gellmann_basis(1)
         assert len(b) == 1
@@ -115,6 +92,62 @@ class TestGellmannBasis:
     def test_dimension_zero_raises(self):
         with pytest.raises(BoundError, match="^basis dimension must be >= 1, got 0$"):
             gellmann_basis(0)
+
+
+def zero_block_model():
+    # the state and its derivatives vanish on a second, one-dim block
+    m = phase_damping_model(0.3, params="xy")
+
+    def pad(a):
+        out = np.zeros((5, 5), dtype=complex)
+        out[:4, :4] = a
+        return out
+
+    return StatisticalModel(dim=5, state=pad(m.state), derivs=tuple(pad(dm) for dm in m.derivs),
+                            theta=m.theta, labels=m.labels, block_dims=(4, 1))
+
+
+FRAME_MODELS = {
+    "hb N=4": lambda: interferometer_model(holland_burnett_probe(4), 0.6),
+    "pd xyz": lambda: phase_damping_model(0.5, "xyz"),  # rank 2
+    "random d=4": lambda: random_model(2, 4, 3),
+    "zero block": zero_block_model,
+}
+
+
+class TestSupportFrames:
+    @pytest.mark.parametrize("name", FRAME_MODELS)
+    def test_both_builders_read_one_frame(self, name):
+        model = FRAME_MODELS[name]()
+        frames = build_holevo_sdp(model)[1]["frames"]
+        meta = build_nh_sdp(model)[1]
+        assert [(f.offset, f.size) for f in frames] == list(zip(meta.block_offsets, meta.block_sizes))
+        assert tuple(f.rank for f in frames) == meta.support_ranks
+        assert len(frames) == len(meta.rotations)
+        for f, v in zip(frames, meta.rotations):
+            assert np.array_equal(f.rotation, v)
+
+    @pytest.mark.parametrize("name", FRAME_MODELS)
+    def test_row_basis_spans_the_operators_modulo_the_kernel_corner(self, name):
+        model = FRAME_MODELS[name]()
+        for f in _support_frames(model):
+            r, d, v = f.rank, f.size, f.rotation
+            basis = _row_basis(r, d)
+            assert len(basis) == 2 * r * d - r * r
+            ops = np.zeros((len(basis), model.dim, model.dim), dtype=complex)
+            at = slice(f.offset, f.offset + d)
+            for op, e in zip(ops, basis):
+                op[at, at] = v @ _lift(e) @ v.conj().T
+                # lifted and rotated back, an element returns its support rows
+                np.testing.assert_allclose(f.rows(op), e, rtol=0, atol=1e-12)
+                np.testing.assert_allclose(op, op.conj().T, rtol=0, atol=1e-12)
+            gram = np.einsum("aij,bij->ab", ops.conj(), ops).real
+            np.testing.assert_allclose(gram, np.eye(len(basis)), rtol=0, atol=1e-12)
+            # nothing kept may live entirely inside the kernel corner
+            kernel = np.zeros((model.dim, model.dim), dtype=complex)
+            kernel[at, at] = v[:, r:] @ v[:, r:].conj().T
+            for op in ops:
+                assert np.max(np.abs(op - kernel @ op @ kernel)) > 1e-6
 
 
 class TestProgramShape:
@@ -600,6 +633,23 @@ class TestHolevoProgram:
         assert h.solver_stats["status"] == "optimal"
         assert peak <= 20 * 2**20
 
+    @pytest.mark.parametrize("seed, value", [(1, 93.98415884), (5, 4.49250885)])
+    def test_qubit_with_three_parameters_has_no_free_direction(self, seed, value):
+        # 2 r d - r^2 = 4 basis elements and n + 1 = 4 pins leave q = 0: the
+        # bound is Tr Re Z + ||Im Z||_1 at the SLD estimator, with
+        # Z_jk = Tr[S W_j W_k] and W_j = sum_k (J^-1)_kj L_k
+        model = random_model(seed, 2, 3)
+        h = holevo_bound(model)
+        assert [len(rows) for rows in build_holevo_sdp(model)[1]["null_rows"]] == [0]
+        assert h.solution.dual_y.shape == (6,)
+        data = sld(model)
+        jinv = np.linalg.inv(data.fisher)
+        ws = [sum(jinv[k, j] * data.operators[k] for k in range(3)) for j in range(3)]
+        z = np.array([[np.trace(model.state @ wj @ wk) for wk in ws] for wj in ws])
+        form = np.trace(z.real) + np.linalg.norm(z.imag, "nuc")
+        assert abs(h.value - form) <= 1e-9 * (1 + form)
+        assert form == pytest.approx(value, rel=1e-8)
+
     def test_dual_value_is_reported(self, dephasing_xy):
         model, _ = dephasing_xy
         h = holevo_bound(model)
@@ -609,18 +659,21 @@ class TestHolevoProgram:
     def test_recovery_matches_per_coefficient_sum(self):
         # reference: X_j = W0_j + sum_b y[row of (j, b)] N_b, one term at a
         # time; the dual vector lists V's upper triangle, then q rows per X_j.
-        # Each free direction N_b is held as its diagonal blocks, one stack
-        # per model block, from which it is put together here
+        # Each free direction N_b is held as its support rows in the frame of
+        # each model block, from which it is lifted and put together here
         for model in (random_model(1, 4, 3), interferometer_model(holland_burnett_probe(4), 0.6)):
             h = holevo_bound(model)
             _, meta = build_holevo_sdp(model)
+            frames = meta["frames"]
             dims = model.block_dims or (model.dim,)
-            assert [(off, ops.shape[1:]) for off, ops in meta["null_ops"]] == [
-                (off, (d, d)) for off, d in zip(np.cumsum((0,) + dims[:-1]).tolist(), dims)]
-            n, q = model.num_params, len(meta["null_ops"][0][1])
+            assert [(f.offset, f.size) for f in frames] == list(zip(np.cumsum((0,) + dims[:-1]).tolist(), dims))
+            n, q = model.num_params, len(meta["null_rows"][0])
+            assert [rows.shape for rows in meta["null_rows"]] == [(q, f.rank, f.size) for f in frames]
             null_ops = np.zeros((q, model.dim, model.dim), dtype=complex)
-            for off, ops in meta["null_ops"]:
-                null_ops[:, off : off + len(ops[0]), off : off + len(ops[0])] = ops
+            for f, rows in zip(frames, meta["null_rows"]):
+                at = slice(f.offset, f.offset + f.size)
+                for b in range(q):
+                    null_ops[b, at, at] = f.rotation @ _lift(rows[b]) @ f.rotation.conj().T
             nv = n * (n + 1) // 2
             assert h.solution.dual_y.shape == (nv + n * q,)
             hint = np.zeros(nv + n * q)

@@ -402,6 +402,18 @@ class TestSampler:
         with pytest.raises(MeasurementError, match=f"^{message}$"):
             sample(m, est, shots, seed=1)
 
+    @pytest.mark.parametrize("shots, seed, message", [
+        (2.5, 1, "shots must be an integer, got 2.5"),
+        (True, 1, "shots must be an integer, got True"),
+        (10, 1.0, "seed must be an integer, got 1.0"),
+        (10, -1, "seed must be non-negative, got -1"),
+    ])
+    def test_rejects_bad_shots_and_seeds_by_name(self, shots, seed, message):
+        est = phase_damping_povm(0.4, 0.5, 0.5)
+        m = phase_damping_model(0.4, params="xy")
+        with pytest.raises(MeasurementError, match=f"^{message}$"):
+            sample(m, est, shots, seed)
+
     def test_zero_shots_flagged(self):
         est = phase_damping_povm(0.4, 0.5, 0.5)
         m = phase_damping_model(0.4, params="xy")

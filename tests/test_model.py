@@ -159,6 +159,15 @@ class TestHollandBurnett:
         with pytest.raises(ModelError):
             holland_burnett_probe(0)
 
+    @pytest.mark.parametrize("n", [4.7, 4.0, "4", True])
+    def test_rejects_what_is_not_an_integer(self, n):
+        # int() would truncate 4.7 to the 4-photon probe
+        with pytest.raises(ModelError, match=f"^photon number must be an integer, got {n!r}$"):
+            holland_burnett_probe(n)
+
+    def test_accepts_a_numpy_integer(self):
+        assert np.array_equal(holland_burnett_probe(np.int64(4)), holland_burnett_probe(4))
+
 
 class TestInterferometer:
     def test_single_photon_matches_printed_matrices(self):
@@ -242,12 +251,29 @@ class TestInterferometer:
         with pytest.raises(ModelError, match="^need at least two amplitudes$"):
             interferometer_model([1.0], 0.5)
 
+    @pytest.mark.parametrize("phi", [np.nan, np.inf, 1j, "0.1", None])
+    def test_rejects_a_phase_that_is_not_a_finite_real(self, phi):
+        with pytest.raises(ModelError, match=r"^phi must be a finite real number, got "):
+            interferometer_model([np.sqrt(0.7), np.sqrt(0.3)], 0.5, phi=phi)
+
 
 class TestRandomModel:
     @pytest.mark.parametrize("dim, n", [(1, 1), (2, 0)])
     def test_rejects_bad_size(self, dim, n):
         with pytest.raises(ModelError, match=f"^need dim >= 2 and num_params >= 1, got {dim}, {n}$"):
             random_model(0, dim, n)
+
+    @pytest.mark.parametrize("args, name", [
+        ((1, 3.5, 2), "dim"), ((1, 3, 2.0), "num_params"), ((1.5, 3, 2), "seed"), ((1, True, 2), "dim"),
+    ])
+    def test_rejects_what_is_not_an_integer(self, args, name):
+        bad = args[("seed", "dim", "num_params").index(name)]
+        with pytest.raises(ModelError, match=f"^{name} must be an integer, got {bad!r}$"):
+            random_model(*args)
+
+    def test_rejects_a_negative_seed(self):
+        with pytest.raises(ModelError, match="^seed must be non-negative, got -1$"):
+            random_model(-1, 3, 2)
 
     def test_invariants_hold(self):
         for seed in range(10):

@@ -1383,10 +1383,10 @@ class TestSdpaFormat:
     @pytest.mark.parametrize(
         "name, digest",
         [
-            ("hb N=4", "8412a938542d7142bfa5bf97ad2e6a91ac707f4dac545a2fd49cbaefa49bf32a"),
-            ("random d=4", "a08c32791911715774a0744343ca093c5c0d0174d5307de0c56e403c7f81a872"),
-            ("pd xyz", "da018f69ef9bf3a20af59bf9b82b7c960c25c420c508cbce7a0e7865bfea0865"),
-            ("ifo", "8527b3a6c1bfc0fa19a522f942322e5364ad7373e9816ad6cd352daea6642e8e"),
+            ("hb N=4", "a4f8a3f62b0ff13b268036bba4829f74d22bfeb89f8d1e0b4cac3a850c9c1c69"),
+            ("random d=4", "d891944c692f1cd4d07430b87369b09eb4917bee34833a59f5ea6f053ff3388a"),
+            ("pd xyz", "1744c54a2eaaec4713ec230fd08068180ce2f73352653ca485de1cd445f95629"),
+            ("ifo", "e808f671825fc62a29756b1edc83b3da5900d3951d472d3700e1ba99287d47de"),
         ],
     )
     def test_hermitian_program_file_is_pinned(self, name, digest):

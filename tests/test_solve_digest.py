@@ -34,11 +34,15 @@ def test_digest_lists_each_ladder_solve_once():
         for label in ("hb N=2", "hb N=4", "random d=2", "random d=3")
         for bound in ("sld", "holevo", "nh")
     ]
-    for _, _, bound, status, iterations, sha in lines:
-        if bound == "sld":  # a value, which no solve makes
+    for _, _, bound, status, iterations, sha, *values in lines:
+        if bound == "sld":  # a value, which no solve makes, and that value
             assert status == "ok" and iterations == "0"
-        else:
+            assert len(values) == 1 and float(values[0]) > 0
+        else:  # the primal and the dual objective
             assert status == "optimal" and int(iterations) > 0
+            assert len(values) == 2
+            primal, dual = map(float, values)
+            assert abs(primal - dual) <= 1e-6 * (1 + abs(dual))
         assert re.fullmatch("[0-9a-f]{16}", sha)
     assert_iteration_totals(proc, "large-ladder", lines)
 
@@ -65,12 +69,13 @@ def test_digest_lists_each_solve_of_the_other_workloads_once(workload, count):
     for fields in lines:
         if fields[2] == "text":
             continue
-        assert len(fields) == 6
-        name, label, bound, status, iterations, sha = fields
+        assert len(fields) == 8
+        name, label, bound, status, iterations, sha, primal, dual = fields
         assert name == workload and label and bound in ("holevo", "nh")
         assert status in ("optimal", "infeasible_suspect", "stalled", "max_iter")
         if label.startswith("file "):  # no program file has a known failure
             assert status == "optimal"
         assert iterations.isdigit()
         assert re.fullmatch("[0-9a-f]{16}", sha)
+        float(primal), float(dual)  # each the repr of a float
     assert_iteration_totals(proc, workload, lines)

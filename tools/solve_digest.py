@@ -17,11 +17,13 @@ makes the solves of one pass of each workload, as that pass makes them:
 Each line is tab-separated: workload, label, bound, status, iterations, and
 the first 16 hex digits of a sha256 over the status, the iteration count,
 both objectives, the gap, both infeasibilities, `dual_y` and every primal
-and dual block.  An `sld` line has status `ok`, 0 iterations, and the digest
-of the float64 value of the SLD bound, which makes no solve.  After the
-line of each program file comes its `text` line, with two fields in place
-of the last three: the sha256 of the file as `write_sdpa` wrote it, and
-`same` or `differs` for `write_sdpa(read_sdpa(text)) == text`.  Run it on
+and dual block, then the `repr` of the primal and of the dual objective, so
+that two outputs can also be compared by value.  An `sld` line has status
+`ok`, 0 iterations, the digest of the float64 value of the SLD bound, which
+makes no solve, and the `repr` of that value.  After the line of each
+program file comes its `text` line, with two fields after the bound: the
+sha256 of the file as `write_sdpa` wrote it, and `same` or `differs` for
+`write_sdpa(read_sdpa(text)) == text`.  Run it on
 two trees and diff the outputs: a solve whose arithmetic a change left
 alone keeps its line, and a file whose bytes it left alone keeps its text
 line.  Exits 1 when a call makes a different number of solves
@@ -75,13 +77,15 @@ def text_digest(text: str) -> TextDigest:
 
 
 def fields(out) -> tuple[str, ...]:
-    """Status, iterations and digest of a solve, or of an SLD bound value;
-    the two fields of a `TextDigest`."""
+    """Status, iterations, digest and the `repr` of both objectives of a
+    solve, or of an SLD bound value and that value; the two fields of a
+    `TextDigest`."""
     if isinstance(out, TextDigest):
         return tuple(out)
     if isinstance(out, float):
-        return "ok", "0", hashlib.sha256(np.float64(out).tobytes()).hexdigest()[:16]
-    return out.status, str(out.iterations), digest(out)
+        return "ok", "0", hashlib.sha256(np.float64(out).tobytes()).hexdigest()[:16], repr(float(out))
+    return (out.status, str(out.iterations), digest(out),
+            repr(float(out.primal_obj)), repr(float(out.dual_obj)))
 
 
 def ladder_calls(seed, tiny, workdir):
