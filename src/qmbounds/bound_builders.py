@@ -39,7 +39,7 @@ import numpy as np
 
 from .linalg import FISHER_TOL, SUPPORT_TOL, checked_hermitian, checked_state, derealify, hermitize, psd_sqrt, trace_abs
 from .model import BoundError, StatisticalModel, state_support
-from .sdp_core import SDPError, SDPProblem, SDPSolution, make_problem, realified, solve
+from .sdp_core import START_FLOOR, SDPError, SDPProblem, SDPSolution, make_problem, realified, solve
 
 DEFAULT_TOL = 1e-9
 
@@ -493,8 +493,14 @@ def build_holevo_sdp(model: StatisticalModel):
     over a basis of support rows, so every X is unbiased; the dual vector
     holds V's entries and the estimators' free coefficients, and the bound
     is the negated dual objective (scale -1).  The constant term M0 of M is
-    the SLD estimator's, so Re(M0^dag M0) = J^-1 and the program starts at
-    the SLD bound's estimator.
+    the SLD estimator's, so Re Z0 = J^-1 with Z0 = M0^dag M0.  The hints
+    start both sides there, each exactly feasible: V0 = Re Z0 + cI with zero
+    free coefficients, and Y0 = [[I, -M0^dag], [-M0, M0 M0^dag + cI]], whose
+    free rows hold as the SLD estimator is optimal; c = 2 max(||Im Z0||_2,
+    1e-4 Tr Re Z0 / n).  Where Im Z0 = 0, Y0 times the dual slack is cI.  A
+    Y0 whose least eigenvalue is below START_FLOOR of its largest falls back
+    to Y = I and V = tau I, tau = 1 + 2||M0||^2; meta records `start`
+    ("centred" or "identity") and `start_c`.
     It is Hermitian, one complex block of dimension n + km, and is
     realified only when written to a file (`sdp_core.write_sdpa`).
     """
@@ -544,17 +550,25 @@ def build_holevo_sdp(model: StatisticalModel):
         pieces.append(_entries(nv + j * q, 0, border, j, n))
     b.extend([0.0] * (n * q))
 
-    # the dual hint puts tau on V's diagonal and zero on the X rows
-    tau = 1.0 + 2.0 * float(np.linalg.norm(m0, 2)) ** 2
+    # the hints: the centred start at the SLD estimator, else the identity
+    z0 = hermitize(m0.conj().T @ m0)
+    c = 2.0 * max(float(np.linalg.norm(z0.imag, 2)), 1e-4 * float(np.trace(z0.real)) / n)
+    y0 = hermitize(np.block([[np.eye(n), -m0.conj().T], [-m0, m0 @ m0.conj().T + c * np.eye(km)]]))
+    w = np.linalg.eigvalsh(y0)
     dual0 = np.zeros(nv + n * q)
-    dual0[:nv][vj == vk] = tau
+    if w[0] >= START_FLOOR * w[-1]:
+        start = "centred"
+        dual0[:nv] = z0.real[vj, vk] + c * (vj == vk)
+    else:  # Y0 too near singular for the solver's floor: Y = I, V = tau I
+        start, y0 = "identity", np.eye(dim_lmi)
+        dual0[:nv][vj == vk] = 1.0 + 2.0 * float(np.linalg.norm(m0, 2)) ** 2
     problem = _make_problem(
         [dim_lmi],
         {0: hermitize(g0)},
         tuple(np.concatenate(a) for a in zip(*pieces)),
         b,
         scale=-1.0,
-        primal_hint=(np.eye(dim_lmi),),
+        primal_hint=(y0,),
         dual_hint=dual0,
     )
     meta = {
@@ -563,6 +577,8 @@ def build_holevo_sdp(model: StatisticalModel):
         "null_rows": tuple(null_rows),  # (q, r, dl) support rows per frame
         "num_params": n,
         "theta": tuple(float(t) for t in model.theta),
+        "start": start,
+        "start_c": c,
     }
     return problem, meta
 
@@ -589,6 +605,7 @@ def holevo_bound(
             x[at, at] += v @ _lift(np.tensordot(ys[j], rows, axes=1)) @ v.conj().T
         xs.append(hermitize(x) + meta["theta"][j] * eye)
     stats = _checked_stats(model, xs, problem, sol, [f.rank for f in meta["frames"]])
+    stats["start"], stats["start_c"] = meta["start"], meta["start_c"]
     return BoundResult(
         value=sol.dual_obj,
         kind="holevo",

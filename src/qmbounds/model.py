@@ -222,6 +222,8 @@ def phase_damping_model(epsilon: float, params: str = "xyz") -> StatisticalModel
     the three rotation parameters are estimated and fixes their order.
     The state has rank at most 2.
     """
+    if not is_number(epsilon):
+        raise ModelError(f"epsilon must be a real number, got {epsilon!r}")
     if not 0.0 <= epsilon <= 1.0:
         raise ModelError(f"epsilon must lie in [0, 1], got {epsilon!r}")
     chosen = list(params)
@@ -303,6 +305,8 @@ def interferometer_model(
         raise ModelError("need at least two amplitudes")
     if abs(np.sum(np.abs(a) ** 2) - 1.0) > 1e-10:
         raise ModelError(f"amplitudes are not normalized: sum of squares is {float(np.sum(np.abs(a)**2))!r}")
+    if not is_number(eta):
+        raise ModelError(f"eta must be a real number, got {eta!r}")
     if not 0.0 < eta <= 1.0:
         raise ModelError(f"eta must lie in (0, 1], got {eta!r}")
     if not is_number(phi) or not np.isfinite(phi):

@@ -53,6 +53,9 @@ DEFAULT_MAX_ITER = 200
 _STEP_BACKOFF = 0.98
 _PROGRESS = 0.5
 _STALL_LIMIT = 10
+# a starting block's least eigenvalue is lifted to at least this much of
+# its largest (`_initial_primal`, `_initial_dual`)
+START_FLOOR = 1e-6
 
 BlockMat = dict[int, np.ndarray]
 
@@ -880,7 +883,7 @@ def _initial_primal(problem, dims, dtype):
         Y = [tau * np.eye(d, dtype=dtype) for d in dims]
     for l, d in enumerate(dims):
         w = np.linalg.eigvalsh(Y[l])
-        floor = 1e-6 * max(1.0, float(w[-1]))
+        floor = START_FLOOR * max(1.0, float(w[-1]))
         if w[0] < floor:
             Y[l] = Y[l] + (floor - w[0]) * np.eye(d)
     return Y
@@ -893,7 +896,7 @@ def _initial_dual(problem, formulas, C):
         zb = C[l] - f.combination(y[f.rows])
         zb = 0.5 * (zb + zb.conj().T)
         w = np.linalg.eigvalsh(zb)
-        floor = 1e-6 * max(1.0, float(np.max(np.abs(zb))), float(w[-1]) if d else 1.0)
+        floor = START_FLOOR * max(1.0, float(np.max(np.abs(zb))), float(w[-1]) if d else 1.0)
         if problem.dual_hint is None:
             floor = max(floor, 10.0)
         if w[0] < floor:

@@ -656,6 +656,52 @@ class TestHolevoProgram:
         assert h.value == pytest.approx(h.solution.dual_obj)
         assert h.gap <= 1e-7
 
+    @pytest.mark.parametrize("model, real", [
+        (phase_damping_model(0.5, "x"), True),
+        (phase_damping_model(0.5, "xy"), True),
+        (phase_damping_model(0.5, "xyz"), True),
+        (interferometer_model(holland_burnett_probe(4), 0.6), False),
+        (random_model(2, 4, 3), False),
+    ], ids=["pd x", "pd xy", "pd xyz", "hb N=4", "random d=4"])
+    def test_start_is_feasible_and_centred_at_the_sld_estimator(self, model, real):
+        # Y0 = [[I, -M0^H], [-M0, M0 M0^H + cI]] meets A(Y) = b, and
+        # V0 = Re Z0 + cI with zero free coefficients leaves a positive
+        # definite slack, Z0 = M0^H M0; their product is cI when Im Z0 = 0
+        problem, meta = build_holevo_sdp(model)
+        assert meta["start"] == "centred"
+        store, d, n = problem.store, problem.block_dims[0], model.num_params
+        (y0,) = problem.primal_hint
+        ay = np.bincount(store.row, (store.val.conj() * y0.ravel()[store.col]).real, problem.num_constraints)
+        assert np.max(np.abs(problem.b - ay)) <= 1e-13 * np.max(np.abs(y0))
+        aty = np.zeros(d * d, dtype=complex)
+        np.add.at(aty, store.col, problem.dual_hint[store.row] * store.val)
+        slack = problem.objective[0] - aty.reshape(d, d)
+        assert np.linalg.eigvalsh(slack)[0] > 0
+        m0 = problem.objective[0][n:, :n]
+        z0 = m0.conj().T @ m0
+        c = meta["start_c"]
+        assert (np.linalg.norm(z0.imag, 2) <= 1e-12 * np.linalg.norm(z0.real, 2)) == real
+        if real:
+            assert np.max(np.abs(y0 @ slack - c * np.eye(d))) <= 1e-10 * c
+        h = holevo_bound(model)
+        assert (h.solver_stats["start"], h.solver_stats["start_c"]) == ("centred", c)
+
+    def test_start_falls_back_to_the_identity_when_near_singular(self):
+        # derivatives scaled by 1e-11 put M0 at ~1e11: the centred Y0 is
+        # singular to the solver's start floor, so Y = I and V = tau I
+        m = random_model(4, 4, 2)
+        m = dataclasses.replace(m, derivs=tuple(1e-11 * dm for dm in m.derivs))
+        problem, meta = build_holevo_sdp(m)
+        assert meta["start"] == "identity"
+        d, n = problem.block_dims[0], m.num_params
+        assert np.array_equal(problem.primal_hint[0], np.eye(d))
+        m0 = problem.objective[0][n:, :n]
+        tau = 1.0 + 2.0 * np.linalg.norm(m0, 2) ** 2
+        nv = n * (n + 1) // 2
+        hint = np.zeros(problem.num_constraints)
+        hint[:nv][np.equal(*np.triu_indices(n))] = tau
+        np.testing.assert_allclose(problem.dual_hint, hint, rtol=1e-12, atol=0)
+
     def test_recovery_matches_per_coefficient_sum(self):
         # reference: X_j = W0_j + sum_b y[row of (j, b)] N_b, one term at a
         # time; the dual vector lists V's upper triangle, then q rows per X_j.
@@ -676,11 +722,13 @@ class TestHolevoProgram:
                     null_ops[b, at, at] = f.rotation @ _lift(rows[b]) @ f.rotation.conj().T
             nv = n * (n + 1) // 2
             assert h.solution.dual_y.shape == (nv + n * q,)
+            # the centred start: V's rows hold Re Z0 + cI, the X rows zero
+            m0 = h.problem.objective[0][n:, :n]
+            v0 = (m0.conj().T @ m0).real + h.solver_stats["start_c"] * np.eye(n)
             hint = np.zeros(nv + n * q)
-            for t, (j, k) in enumerate(zip(*np.triu_indices(n))):
-                if j == k:
-                    hint[t] = h.problem.dual_hint[0]
-            assert np.array_equal(h.problem.dual_hint, hint)
+            hint[:nv] = v0[np.triu_indices(n)]
+            assert h.solver_stats["start"] == "centred"
+            np.testing.assert_allclose(h.problem.dual_hint, hint, rtol=0, atol=1e-14 * np.max(np.abs(v0)))
             for j in range(n):
                 x = np.array(meta["w0"][j])
                 for b in range(q):

@@ -133,6 +133,13 @@ class TestPhaseDamping:
         with pytest.raises(ModelError):
             phase_damping_model(0.5, "xq")
 
+    @pytest.mark.parametrize("eps", ["0.5", 0.5 + 0j, True], ids=["str", "complex", "bool"])
+    def test_rejects_a_damping_that_is_not_a_real_number(self, eps):
+        # a string or complex value once met '<=' as a bare TypeError, and
+        # True passed as 1.0
+        with pytest.raises(ModelError, match=r"^epsilon must be a real number, got "):
+            phase_damping_model(eps)
+
 
 class TestHollandBurnett:
     def test_two_photons(self):
@@ -250,6 +257,11 @@ class TestInterferometer:
             interferometer_model([1.0, 0.0], 0.0)
         with pytest.raises(ModelError, match="^need at least two amplitudes$"):
             interferometer_model([1.0], 0.5)
+
+    @pytest.mark.parametrize("eta", ["0.5", 0.5 + 0j, True], ids=["str", "complex", "bool"])
+    def test_rejects_a_transmissivity_that_is_not_a_real_number(self, eta):
+        with pytest.raises(ModelError, match=r"^eta must be a real number, got "):
+            interferometer_model([0.6, 0.8], eta)
 
     @pytest.mark.parametrize("phi", [np.nan, np.inf, 1j, "0.1", None])
     def test_rejects_a_phase_that_is_not_a_finite_real(self, phi):

@@ -79,3 +79,50 @@ def test_digest_lists_each_solve_of_the_other_workloads_once(workload, count):
         assert re.fullmatch("[0-9a-f]{16}", sha)
         float(primal), float(dual)  # each the repr of a float
     assert_iteration_totals(proc, workload, lines)
+
+
+COMPARE = TOOL.with_name("digest_compare.py")
+
+
+def test_compare_passes_two_digests_of_one_tree_and_fails_a_doctored_one(tmp_path):
+    # two runs of the tool on one tree agree line for line; a changed
+    # status, or a value moved by more than 1e-9 (1 + |value|), exits 1
+    paths = []
+    for name in ("a", "b"):
+        proc = subprocess.run(
+            [sys.executable, str(TOOL), "--seed", "3", "--tiny",
+             "--workload", "large-ladder", "--workload", "file-verify"],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        paths.append(tmp_path / name)
+        paths[-1].write_text(proc.stdout)
+
+    def compare(b):
+        proc = subprocess.run([sys.executable, str(COMPARE), str(paths[0]), str(b)],
+                              capture_output=True, text=True, timeout=60)
+        return proc.returncode, [line.split("\t") for line in proc.stdout.splitlines()]
+
+    code, rows = compare(paths[1])
+    assert code == 0
+    lines = paths[0].read_text().splitlines()
+    groups = {(w, bound) for w, _, bound, *_ in (line.split("\t") for line in lines)}
+    assert len(rows) == len(groups)
+    for workload, bound, _, same, _, changes, _, it_a, it_b, _, top in rows:
+        count = sum(line.startswith(f"{workload}\t") and line.split("\t")[2] == bound for line in lines)
+        assert (workload, bound) in groups
+        assert same == f"{count}/{count}" and changes == "0" and it_a == it_b and float(top) == 0.0
+
+    fields = lines[1].split("\t")  # hb N=2's Holevo line
+    assert fields[2] == "holevo" and fields[3] == "optimal"
+    doctored = tmp_path / "doctored"
+    doctored.write_text("\n".join(lines[:1] + ["\t".join(fields[:3] + ["max_iter"] + fields[4:])] + lines[2:]) + "\n")
+    code, rows = compare(doctored)
+    assert code == 1
+    assert ["status", *fields[:3], "optimal", "max_iter"] in rows
+
+    moved = fields[:-1] + [repr(float(fields[-1]) * (1 + 1e-6))]
+    doctored.write_text("\n".join(lines[:1] + ["\t".join(moved)] + lines[2:]) + "\n")
+    code, rows = compare(doctored)
+    assert code == 1
+    assert [row[:5] for row in rows if row[0] == "move"] == [["move", *fields[:3], "1"]]
