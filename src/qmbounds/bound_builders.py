@@ -21,7 +21,10 @@ removes every free direction while leaving the infimum unchanged.  On a
 full-rank block the compression is the identity and the program is the
 textbook one.  Both programs read each block in one frame with the same
 expectation pins (`_support_frames`); Holevo poses, and both recover, each
-estimator by its support rows in that frame (`_row_basis`, `_lift`).
+estimator by its support rows in that frame (`_row_basis`, `_lift`).  Of
+the kernel, the frame keeps only the k columns that the derivatives reach,
+so both programs are posed at its width r + k, not at the block size
+(facial reduction on the column side: Borwein and Wolkowicz, 1981).
 
 Both builders read the model's analysis, made once per model: its block
 supports, SLDs, and the identifiability rule of all three bounds, whose
@@ -86,16 +89,27 @@ def gellmann_basis(d: int) -> tuple[np.ndarray, ...]:
 
 
 class Frame(NamedTuple):
-    """A state block with support, in the frame `Support.rotation`; pins are
-    the support rows (r x size) of S and each dS_j in it, cross entries
-    doubled, so that Re <pin, x> = Tr[T X] for X with support rows x and a
-    zero kernel corner."""
+    """A state block with support, in a frame of `width` orthonormal
+    columns (`rotation`, size x width): the support, then the kernel
+    columns that the derivatives reach.  Pins are the support rows
+    (r x width) of S and each dS_j in it, cross entries doubled, so that
+    Re <pin, x> = Tr[T X] for X with support rows x and a zero kernel
+    corner."""
 
     offset: int
     size: int
     rank: int
     rotation: np.ndarray
     pins: np.ndarray
+
+    @property
+    def width(self) -> int:
+        return self.rotation.shape[1]
+
+    @property
+    def reach(self) -> tuple[int, int, int]:
+        """(r, k, size): the rank, the kernel columns kept, the block size."""
+        return self.rank, self.width - self.rank, self.size
 
     def rows(self, op: np.ndarray) -> np.ndarray:
         """The support rows of op's diagonal block, in this frame."""
@@ -105,7 +119,16 @@ class Frame(NamedTuple):
 
 def _support_frames(model: StatisticalModel, use_blocks: bool = True) -> list[Frame]:
     """The Frame, in which both programs are posed, of each model block or
-    of the whole state; a block with no support has no pin, cost or frame."""
+    of the whole state; a block with no support has no pin, cost or frame.
+
+    An estimator's kernel columns x_c enter only the derivative pins
+    Re <D_j, x_c>, D_j the cross part of dS_j in `Support.rotation`.  The
+    part of x_c outside the row span of the D_j moves no pin and adds a PSD
+    term to the cost of both programs, so the frame keeps the kernel
+    columns times the right singular vectors of the stacked D_j above
+    SUPPORT_TOL of the largest, and is `Support.rotation` when that drops
+    nothing.  The SLD estimator's cross part, 2 S_sup^-1 D_j, lies in that
+    span."""
     blocks, sups = model.analysis.blocks, model.analysis.block_supports
     if not use_blocks:
         blocks, sups = ((0, model.dim),), (model.analysis.support,)
@@ -116,20 +139,27 @@ def _support_frames(model: StatisticalModel, use_blocks: bool = True) -> list[Fr
             continue
         sl = slice(off, off + dl)
         rot = [v.conj().T @ dm[sl, sl] @ v for dm in model.derivs]
+        if r < dl:
+            s, vh = np.linalg.svd(np.vstack([m[:r, r:] for m in rot]), full_matrices=False)[1:]
+            k = int(np.count_nonzero(s > SUPPORT_TOL * s[0]))
+            if k < dl - r:
+                v = np.hstack([v[:, :r], v[:, r:] @ vh[:k].conj().T])
+                rot = [v.conj().T @ dm[sl, sl] @ v for dm in model.derivs]
         pins = np.array([hermitize(v.conj().T @ model.state[sl, sl] @ v)] + rot)[:, :r, :]
         pins[:, :, r:] *= 2.0
         frames.append(Frame(off, dl, r, v, pins))
     return frames
 
 
-def _row_basis(r: int, dl: int) -> np.ndarray:
-    """Support rows, (2 r dl - r^2, r, dl), of a Hilbert-Schmidt orthonormal
-    basis of the Hermitian operators modulo the kernel corner: E_aa for
-    a < r, (E_ab + E_ba)/sqrt(2) and i(E_ab - E_ba)/sqrt(2) for a < b, a < r."""
-    a, b = np.triu_indices(dl, 1)
+def _row_basis(r: int, width: int) -> np.ndarray:
+    """Support rows, (2 r width - r^2, r, width), of a Hilbert-Schmidt
+    orthonormal basis of the Hermitian operators on a frame of that width
+    modulo the kernel corner: E_aa for a < r, (E_ab + E_ba)/sqrt(2) and
+    i(E_ab - E_ba)/sqrt(2) for a < b, a < r."""
+    a, b = np.triu_indices(width, 1)
     a, b = a[a < r], b[a < r]
     k = r + 2 * np.arange(len(a))
-    ops = np.zeros((r + 2 * len(a), dl, dl), dtype=complex)
+    ops = np.zeros((r + 2 * len(a), width, width), dtype=complex)
     ops[np.arange(r), np.arange(r), np.arange(r)] = 1.0
     ops[k, a, b] = ops[k, b, a] = 1 / np.sqrt(2)
     ops[k + 1, a, b], ops[k + 1, b, a] = 1j / np.sqrt(2), -1j / np.sqrt(2)
@@ -138,9 +168,9 @@ def _row_basis(r: int, dl: int) -> np.ndarray:
 
 def _lift(rows: np.ndarray) -> np.ndarray:
     """The Hermitian operator, in its block's frame, whose support rows are
-    rows (r x dl) and whose kernel corner is zero."""
-    r, dl = rows.shape
-    x = np.zeros((dl, dl), dtype=complex)
+    rows (r x width) and whose kernel corner is zero."""
+    r, width = rows.shape
+    x = np.zeros((width, width), dtype=complex)
     x[:r], x[r:, :r] = rows, rows[:, r:].conj().T
     x[:r, :r] = hermitize(rows[:, :r])
     return x
@@ -188,17 +218,18 @@ def _make_problem(*args, **kwargs) -> SDPProblem:
         raise BoundError(f"program failed to build: {exc}") from exc
 
 
-def _assemble_nh(blocks, ranks, s_sup, hints, pieces, b, counts) -> SDPProblem:
+def _assemble_nh(widths, ranks, s_sup, hints, pieces, b, counts) -> SDPProblem:
     """Finish a block program whose leading pin rows are already in pieces.
 
     The variable of block bi is [[L, X], [X^T, 1]]: n error rows of size
-    r = ranks[bi], then the d_l-dim corner.  Appends the Hermiticity pins
-    of the off-diagonal error blocks and the fully pinned identity corner
-    to pieces (the `_entries` of the rows), b and counts, poses the
-    objective sum_j Tr[S L_jj] with s_sup the support square of each state
-    block, and returns the Hermitian problem `realified`.  hints[bi] holds
-    the n estimator rows (r x d_l, support basis) that seed a strictly
-    feasible primal point; the identity-corner duals seed the dual one.
+    r = ranks[bi], then the corner of its frame's width w = widths[bi].
+    Appends the Hermiticity pins of the off-diagonal error blocks and the
+    fully pinned identity corner to pieces (the `_entries` of the rows), b
+    and counts, poses the objective sum_j Tr[S L_jj] with s_sup the support
+    square of each state block, and returns the Hermitian problem
+    `realified`.  hints[bi] holds the n estimator rows (r x w, support
+    basis) that seed a strictly feasible primal point; the identity-corner
+    duals seed the dual one.
     """
     n = len(hints[0])
     sup_bases = [1j * np.array(gellmann_basis(r)) for r in ranks]
@@ -211,32 +242,32 @@ def _assemble_nh(blocks, ranks, s_sup, hints, pieces, b, counts) -> SDPProblem:
     counts["error_block_symmetry"] = len(b) - start_len
     start_len = len(b)
     corner_rows = []
-    for bi, (r, (off, dl)) in enumerate(zip(ranks, blocks)):
-        ops = np.array(gellmann_basis(dl))
+    for bi, (r, w) in enumerate(zip(ranks, widths)):
+        ops = np.array(gellmann_basis(w))
         corner_rows.append(len(b))
         pieces.append(_entries(len(b), bi, ops, n * r, n * r))
-        b.extend([np.sqrt(dl)] + [0.0] * (len(ops) - 1))
+        b.extend([np.sqrt(w)] + [0.0] * (len(ops) - 1))
     counts["identity_corner"] = len(b) - start_len
 
     objective, primal = {}, []
-    for bi, ((off, dl), r, xt) in enumerate(zip(blocks, ranks, hints)):
-        g = np.zeros((n * r + dl, n * r + dl), dtype=complex)
+    for bi, (w, r, xt) in enumerate(zip(widths, ranks, hints)):
+        g = np.zeros((n * r + w, n * r + w), dtype=complex)
         for j in range(n):
             g[j * r : (j + 1) * r, j * r : (j + 1) * r] += s_sup[bi]
         objective[bi] = g
         lam = 1.0 + 2.0 * float(np.linalg.norm(np.vstack(xt), 2)) ** 2
-        y0 = np.zeros((n * r + dl, n * r + dl), dtype=complex)
+        y0 = np.zeros((n * r + w, n * r + w), dtype=complex)
         y0[: n * r, : n * r] = lam * np.eye(n * r)
-        y0[n * r :, n * r :] = np.eye(dl)
+        y0[n * r :, n * r :] = np.eye(w)
         for j in range(n):
             y0[j * r : (j + 1) * r, n * r :] = xt[j]
             y0[n * r :, j * r : (j + 1) * r] = xt[j].conj().T
         primal.append(y0)
     dual = np.zeros(len(b))
-    for row, (off, dl) in zip(corner_rows, blocks):
-        dual[row] = -np.sqrt(dl)
+    for row, w in zip(corner_rows, widths):
+        dual[row] = -np.sqrt(w)
     problem = _make_problem(
-        [n * r + dl for r, (off, dl) in zip(ranks, blocks)],
+        [n * r + w for r, w in zip(ranks, widths)],
         objective,
         tuple(np.concatenate(a) for a in zip(*pieces)),
         b,
@@ -255,11 +286,13 @@ def build_nh_sdp(
 
     Variable per model block: [[L, X], [X^T, 1]] with the error rows
     restricted to the support of the state block (L is nr x nr, each X
-    slot is r x d).  The estimator's kernel-kernel corner and the kernel
-    rows of L never enter the objective or the expectation pins, and any
-    PSD-feasible point of the uncompressed program compresses to one of
-    equal cost, so the optimum equals the uncompressed infimum while every
-    cost-free direction is gone.  On a full-rank block (r = d) this is the
+    slot is r x w, w = r + k the width of the block's frame: its support
+    and the k kernel columns that the derivatives reach, `_support_frames`).
+    The estimator's kernel-kernel corner and the kernel rows of L never
+    enter the objective or the expectation pins, and any PSD-feasible point
+    of the uncompressed program compresses to one of equal or lower cost,
+    so the optimum equals the uncompressed infimum while every cost-free
+    direction is gone.  On a full-rank block (r = w = d) this is the
     textbook layout.
 
     Five constraint families pin, in order: the state expectations of the
@@ -268,9 +301,9 @@ def build_nh_sdp(
     blocks, and the identity corner.  The program is built Hermitian, of
     scale 1.  An estimator slot is off the diagonal, and its adjoint mirror
     doubles the inner product, so an expectation pin Tr[A X] = c has
-    right-hand side 2c; the identity-corner pin of I/sqrt(d) has sqrt(d).
+    right-hand side 2c; the identity-corner pin of I/sqrt(w) has sqrt(w).
     The solver gets `realified` of it, which doubles each right-hand side
-    (4c and 2 sqrt(d)) and halves the scale.  Cross entries
+    (4c and 2 sqrt(w)) and halves the scale.  Cross entries
     of a pin matrix are doubled because the compressed variable keeps only
     the support rows of each estimator: the kernel rows, which would have
     contributed the adjoint half, are implicit.
@@ -278,7 +311,6 @@ def build_nh_sdp(
     n = model.num_params
     w0 = _feasible_estimators(model)
     frames = _support_frames(model, use_blocks)
-    blocks = [(f.offset, f.size) for f in frames]
     ranks = [f.rank for f in frames]
 
     # The program variable holds the centered estimators W_j = X_j - theta_j,
@@ -311,12 +343,12 @@ def build_nh_sdp(
 
     hints = [[f.rows(w) for w in w0] for f in frames]
     s_sup = [f.pins[0][:, : f.rank] for f in frames]
-    problem = _assemble_nh(blocks, ranks, s_sup, hints, pieces, b, counts)
+    problem = _assemble_nh([f.width for f in frames], ranks, s_sup, hints, pieces, b, counts)
     meta = NHMeta(
         num_params=n,
         dim=model.dim,
-        block_offsets=tuple(off for off, dl in blocks),
-        block_sizes=tuple(dl for off, dl in blocks),
+        block_offsets=tuple(f.offset for f in frames),
+        block_sizes=tuple(f.size for f in frames),
         support_ranks=tuple(ranks),
         rotations=tuple(f.rotation for f in frames),
         group_counts=counts,
@@ -403,11 +435,12 @@ def _unbiasedness_errors(model: StatisticalModel, xs) -> float:
     return worst
 
 
-def _checked_stats(model, xs, problem: SDPProblem, sol: SDPSolution, ranks) -> dict:
+def _checked_stats(model, xs, problem: SDPProblem, sol: SDPSolution, reach) -> dict:
     """Solver stats of a bound, once its recovered estimators xs pass the
-    unbiasedness check; `ranks` are the support ranks of the program's
-    state blocks.  The Fisher eigenvalues are those the identifiability
-    rule measured."""
+    unbiasedness check; `reach` holds the `Frame.reach` (r, k, d_l) of the
+    program's state blocks, whose kernel columns were cut at SUPPORT_TOL of
+    the largest singular value.  The Fisher eigenvalues are those the
+    identifiability rule measured."""
     ub_err = _unbiasedness_errors(model, xs)
     if ub_err > 1e-6:
         raise BoundError(
@@ -422,8 +455,9 @@ def _checked_stats(model, xs, problem: SDPProblem, sol: SDPSolution, ranks) -> d
         "constraints": problem.num_constraints,
         "sdp_block_dims": problem.block_dims,
         "unbiasedness_error": ub_err,
-        "support_ranks": tuple(ranks),
+        "support_ranks": tuple(r for r, _, _ in reach),
         "support_tol": SUPPORT_TOL,
+        "kernel_reach": {"frames": tuple(reach), "relative_cut": SUPPORT_TOL},
         "fisher_tol": FISHER_TOL,
         "fisher_eig_min": float(model.analysis.fisher_eigs[0]),
         "fisher_eig_max": float(model.analysis.fisher_eigs[-1]),
@@ -460,7 +494,8 @@ def nagaoka_hayashi_bound(
     problem, meta = build_nh_sdp(model, use_blocks=use_blocks)
     sol = _solve_optimal(problem, tol)
     lgrid, xs = recover_nh_estimators(meta, sol)
-    stats = _checked_stats(model, xs, problem, sol, meta.support_ranks)
+    reach = [(r, v.shape[1] - r, dl) for r, v, dl in zip(meta.support_ranks, meta.rotations, meta.block_sizes)]
+    stats = _checked_stats(model, xs, problem, sol, reach)
     floor = _schur_floor(lgrid, xs, meta.num_params, meta.dim)
     if floor < -1e-7:
         raise BoundError(
@@ -485,8 +520,9 @@ def build_holevo_sdp(model: StatisticalModel):
 
     Minimizes trace(V) over real symmetric V and unbiased Hermitian X
     subject to [[V, M^dag], [M, 1]] >= 0, where M's j-th column collects
-    R^dag x_j, x_j the support rows of X_j in the block program's frames
-    and R R^dag the support square of S, so the Schur complement enforces
+    R^dag x_j, x_j the support rows (r x w, w = r + k the frame's width)
+    of X_j in the block program's frames and R R^dag the support square of
+    S, so the Schur complement enforces
     V >= Z with Z_jk = Tr[S X_k X_j].  This matrix is the slack of the
     standard-form dual: X_j is the SLD estimator plus a combination of the
     free directions, the null space of the block program's expectation pins
@@ -501,15 +537,16 @@ def build_holevo_sdp(model: StatisticalModel):
     Y0 whose least eigenvalue is below START_FLOOR of its largest falls back
     to Y = I and V = tau I, tau = 1 + 2||M0||^2; meta records `start`
     ("centred" or "identity") and `start_c`.
-    It is Hermitian, one complex block of dimension n + km, and is
-    realified only when written to a file (`sdp_core.write_sdpa`).
+    It is Hermitian, one complex block of dimension n + km, km the sum of
+    r w over the frames, and is realified only when written to a file
+    (`sdp_core.write_sdpa`).
     """
     n = model.num_params
     # the SLD estimators, centered as in the block-program builder; this
     # applies the identifiability rule of all three bounds
     w0 = _feasible_estimators(model)
     frames = _support_frames(model)
-    bases = [_row_basis(f.rank, f.size) for f in frames]
+    bases = [_row_basis(f.rank, f.width) for f in frames]
     first = np.cumsum([0] + [len(e) for e in bases])
     # the unbiasedness rows over the basis coefficients: tmat[t, a] =
     # Re <pin_t, e_a> = Tr[target_t E_a], E_a the lifted basis element
@@ -519,7 +556,7 @@ def build_holevo_sdp(model: StatisticalModel):
     # the model is identifiable, so the n + 1 rows of tmat are independent
     _, _, vt = np.linalg.svd(tmat)
     null = vt[n + 1 :]  # one row per free direction
-    # each free direction by its support rows, one (q, r, dl) stack per block
+    # each free direction by its support rows, one (q, r, width) stack per block
     null_rows = [np.tensordot(null[:, a:z], e, axes=1) for e, a, z in zip(bases, first, first[1:])]
     # R^dag of each block: the Gram matrix of the coordinates R^dag x of
     # support rows reproduces Tr[X_j S X_k]
@@ -574,7 +611,7 @@ def build_holevo_sdp(model: StatisticalModel):
     meta = {
         "w0": tuple(w0),
         "frames": tuple(frames),
-        "null_rows": tuple(null_rows),  # (q, r, dl) support rows per frame
+        "null_rows": tuple(null_rows),  # (q, r, width) support rows per frame
         "num_params": n,
         "theta": tuple(float(t) for t in model.theta),
         "start": start,
@@ -604,7 +641,7 @@ def holevo_bound(
             at, v = slice(f.offset, f.offset + f.size), f.rotation
             x[at, at] += v @ _lift(np.tensordot(ys[j], rows, axes=1)) @ v.conj().T
         xs.append(hermitize(x) + meta["theta"][j] * eye)
-    stats = _checked_stats(model, xs, problem, sol, [f.rank for f in meta["frames"]])
+    stats = _checked_stats(model, xs, problem, sol, [f.reach for f in meta["frames"]])
     stats["start"], stats["start_c"] = meta["start"], meta["start_c"]
     return BoundResult(
         value=sol.dual_obj,
@@ -651,7 +688,7 @@ def nh_u_bound(
     pieces = [(rows, np.zeros_like(rows), j * r + a, n * r + c, np.tile([1.0, 1j], n * r * d))]
     xa = np.array(xt)
     b = (2.0 * np.stack([xa.real, xa.imag], axis=-1).ravel()).tolist()
-    problem = _assemble_nh([(0, d)], [r], [s_sup], [xt], pieces, b, {})
+    problem = _assemble_nh([d], [r], [s_sup], [xt], pieces, b, {})
     return _solve_optimal(problem, tol).primal_obj
 
 

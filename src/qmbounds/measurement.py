@@ -242,6 +242,8 @@ def phase_damping_povm(
     split weight must equal (a^2 + b^2)/2, and the longitudinal variance
     is 1/((1-eps)^2 (1-2 delta)).
     """
+    if not is_number(epsilon):
+        raise MeasurementError(f"epsilon must be a real number, got {epsilon!r}")
     if not 0.0 <= epsilon <= 1.0:
         raise MeasurementError("epsilon must lie in [0, 1]")
     # written so that a NaN fails each check
@@ -324,6 +326,8 @@ def interferometer_povm(a0: float, a1: float, eta: float) -> Estimator:
         raise MeasurementError("amplitudes must be positive")
     if abs(a0 * a0 + a1 * a1 - 1.0) > 1e-9:
         raise MeasurementError("amplitudes must satisfy a0^2 + a1^2 = 1")
+    if not is_number(eta):
+        raise MeasurementError(f"eta must be a real number, got {eta!r}")
     if not 0.0 < eta < 1.0:
         raise MeasurementError("eta must lie in (0, 1)")
     a0sq, a1sq = a0 * a0, a1 * a1

@@ -131,9 +131,9 @@ class TestSupportFrames:
     def test_row_basis_spans_the_operators_modulo_the_kernel_corner(self, name):
         model = FRAME_MODELS[name]()
         for f in _support_frames(model):
-            r, d, v = f.rank, f.size, f.rotation
-            basis = _row_basis(r, d)
-            assert len(basis) == 2 * r * d - r * r
+            r, w, d, v = f.rank, f.width, f.size, f.rotation
+            basis = _row_basis(r, w)
+            assert len(basis) == 2 * r * w - r * r
             ops = np.zeros((len(basis), model.dim, model.dim), dtype=complex)
             at = slice(f.offset, f.offset + d)
             for op, e in zip(ops, basis):
@@ -148,6 +148,81 @@ class TestSupportFrames:
             kernel[at, at] = v[:, r:] @ v[:, r:].conj().T
             for op in ops:
                 assert np.max(np.abs(op - kernel @ op @ kernel)) > 1e-6
+
+
+def full_frames(model):
+    """The frames of `model` with every kernel column kept, in
+    `Support.rotation`: the uncompressed program's frames."""
+    frames = []
+    for (off, dl), sup in zip(model.analysis.blocks, model.analysis.block_supports):
+        r, v, at = sup.rank, sup.rotation, slice(off, off + dl)
+        if r:
+            pins = np.array([v.conj().T @ a[at, at] @ v for a in (model.state, *model.derivs)])[:, :r, :]
+            pins[:, :, r:] *= 2.0
+            frames.append(bound_builders.Frame(off, dl, r, v, pins))
+    return frames
+
+
+def hint_residual(problem):
+    """max |b - A(Y0)| over max |Y0|, Y0 the primal hint."""
+    store, y0 = problem.store, problem.primal_hint
+    flat = np.concatenate([y.ravel() for y in y0])
+    at = np.cumsum([0] + [y.size for y in y0])[store.block] + store.col
+    ay = np.bincount(store.row, (store.val.conj() * flat[at]).real, problem.num_constraints)
+    return np.max(np.abs(problem.b - ay)) / max(np.max(np.abs(y)) for y in y0)
+
+
+REACH_MODELS = {
+    "hb N=4": (lambda: interferometer_model(holland_burnett_probe(4), 0.6), [1, 1, 2, 2, 2]),
+    "hb N=6": (lambda: interferometer_model(holland_burnett_probe(6), 0.6), [1, 1, 2, 2, 2, 2, 2]),
+    "pd xy eps=0": (lambda: phase_damping_model(0.0, "xy"), [3]),
+}
+
+
+class TestKernelReach:
+    @pytest.mark.parametrize("name", REACH_MODELS)
+    def test_frames_keep_the_kernel_columns_the_derivatives_reach(self, name, monkeypatch):
+        build, widths = REACH_MODELS[name]
+        model = build()
+        frames = _support_frames(model)
+        assert [f.width for f in frames] == widths
+        assert sum(f.size for f in frames) > sum(widths)
+        for f in frames:
+            r, k, d = f.reach
+            v, at = f.rotation, slice(f.offset, f.offset + f.size)
+            np.testing.assert_allclose(v.conj().T @ v, np.eye(r + k), rtol=0, atol=1e-14)
+            # every kept kernel column is reached, and no derivative's support
+            # rows reach one left out
+            cross = np.vstack(f.pins[1:, :, r:])
+            assert k == 0 or np.linalg.svd(cross, compute_uv=False)[-1] > 1e-6 * np.max(np.abs(cross))
+            for dm in model.derivs:
+                rest = v[:, :r].conj().T @ dm[at, at] @ (np.eye(d) - v @ v.conj().T)
+                assert np.max(np.abs(rest)) <= 1e-13 * np.max(np.abs(dm))
+        nh, h = nagaoka_hayashi_bound(model), holevo_bound(model)
+        reach = {"frames": tuple(f.reach for f in frames), "relative_cut": SUPPORT_TOL}
+        assert nh.solver_stats["kernel_reach"] == h.solver_stats["kernel_reach"] == reach
+        # each hint still meets its program's constraints
+        for problem in (nh.problem, h.problem):
+            assert hint_residual(problem) <= 1e-13
+        # and both values are those of the uncompressed programs
+        monkeypatch.setattr(bound_builders, "_support_frames", lambda model, use_blocks=True: full_frames(model))
+        for got, want in ((nh, nagaoka_hayashi_bound(model)), (h, holevo_bound(model))):
+            assert got.problem.block_dims < want.problem.block_dims
+            assert abs(got.value - want.value) <= 1e-9 * (1 + abs(want.value))
+            assert hint_residual(want.problem) <= 1e-13
+
+    @pytest.mark.parametrize("model", [
+        phase_damping_model(0.5, "xyz"),
+        interferometer_model([np.sqrt(0.7), np.sqrt(0.3)], 0.5),
+        random_model(2, 4, 3),
+    ], ids=["pd xyz", "ifo", "random d=4"])
+    def test_a_frame_that_drops_nothing_is_not_turned(self, model):
+        frames = _support_frames(model)
+        want = full_frames(model)
+        assert len(frames) == len(want)
+        for f, g in zip(frames, want):
+            assert np.array_equal(f.rotation, g.rotation)
+            assert f.reach == (f.rank, f.size - f.rank, f.size)
 
 
 class TestProgramShape:
@@ -714,7 +789,7 @@ class TestHolevoProgram:
             dims = model.block_dims or (model.dim,)
             assert [(f.offset, f.size) for f in frames] == list(zip(np.cumsum((0,) + dims[:-1]).tolist(), dims))
             n, q = model.num_params, len(meta["null_rows"][0])
-            assert [rows.shape for rows in meta["null_rows"]] == [(q, f.rank, f.size) for f in frames]
+            assert [rows.shape for rows in meta["null_rows"]] == [(q, f.rank, f.width) for f in frames]
             null_ops = np.zeros((q, model.dim, model.dim), dtype=complex)
             for f, rows in zip(frames, meta["null_rows"]):
                 at = slice(f.offset, f.offset + f.size)

@@ -8,7 +8,8 @@ parameters, Holevo lies between a max-min value found by least squares,
 with no SDP, and the value of the SDP's own estimators.  Scaling the
 derivatives by c scales each bound by 1/c^2, and near full damping
 the dephased pair keeps its closed forms.  The cases of the last two that
-fail today are marked strict xfail, with what makes them fail.
+fail today are marked strict xfail, with what makes them fail, as is NH on
+an interferometer with almost all of its light lost.
 """
 import numpy as np
 import pytest
@@ -155,6 +156,14 @@ def test_dephased_pair_closed_forms_near_full_damping(bound, eps):
     want = {"holevo": 2 + 1 / (1 - eps) ** 2, "nh": 4 / (2 - eps) + 1 / (1 - eps) ** 2}[bound]
     value = BOUND_VALUES[bound](phase_damping_model(eps, "xyz"))
     assert value == pytest.approx(want, rel=1e-7)
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP items 5 and 11: NH of value 25030 stalls at gap 8.8e-9 under the "
+    "solver's absolute floors; posed uncompressed it was optimal, 6e-10 below Holevo"))
+def test_nh_lies_above_holevo_at_low_transmission():
+    model = interferometer_model(holland_burnett_probe(4), 0.001)
+    assert holevo_bound(model).value <= nagaoka_hayashi_bound(model).value * (1 + 1e-9)
 
 
 def holevo_parts(problem):

@@ -184,6 +184,14 @@ class TestDephasingMeasurement:
         with pytest.raises(MeasurementError, match=f"^{message}$"):
             phase_damping_povm(eps, 0.1, 0.1, split_delta=split)
 
+    @pytest.mark.parametrize("eps, message", [
+        ("0.5", r"epsilon must be a real number, got '0\.5'"),
+        (True, "epsilon must be a real number, got True"),
+    ], ids=["str", "bool"])
+    def test_rejects_damping_that_is_not_a_number(self, eps, message):
+        with pytest.raises(MeasurementError, match=f"^{message}$"):
+            phase_damping_povm(eps, 0.5, 0.5)
+
     def test_rejects_zero_amplitude(self):
         with pytest.raises(MeasurementError, match="non-zero"):
             phase_damping_povm(0.3, 0.0, 0.5)
@@ -313,6 +321,10 @@ class TestInterferometerMeasurement:
     def test_rejects_parameters_outside_the_family(self, a0sq, eta, message):
         with pytest.raises(MeasurementError, match=f"^{message}$"):
             interferometer_povm(np.sqrt(a0sq), np.sqrt(1.0 - a0sq), eta)
+
+    def test_rejects_eta_that_is_not_a_number(self):
+        with pytest.raises(MeasurementError, match=r"^eta must be a real number, got '0\.5'$"):
+            interferometer_povm(0.8, 0.6, "0.5")
 
     def test_unnormalized_amplitudes_rejected(self):
         with pytest.raises(MeasurementError, match="a0\\^2 \\+ a1\\^2"):
