@@ -40,7 +40,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import FISHER_TOL, SUPPORT_TOL, checked_hermitian, checked_state, derealify, hermitize, psd_sqrt, trace_abs
+from .linalg import (
+    FISHER_TOL, SUPPORT_TOL, checked_hermitian, checked_state, derealify, hermitize, is_integer, psd_sqrt, trace_abs,
+)
 from .model import BoundError, StatisticalModel, state_support
 from .sdp_core import START_FLOOR, SDPError, SDPProblem, SDPSolution, make_problem, realified, solve
 
@@ -77,6 +79,8 @@ def gellmann_basis(d: int) -> tuple[np.ndarray, ...]:
     """Orthonormal Hermitian basis of d x d operators: identity/sqrt(d),
     the off-diagonal elements of `_row_basis(d, d)`, then the traceless
     diagonal ones."""
+    if not is_integer(d):
+        raise BoundError(f"basis dimension must be an integer, got {d!r}")
     if d < 1:
         raise BoundError(f"basis dimension must be >= 1, got {d}")
     ops = [np.eye(d, dtype=complex) / np.sqrt(d), *_row_basis(d, d)[d:]]

@@ -1,8 +1,11 @@
 """Dense Hermitian matrix kernel: the Hermitian-input rule that every
 matrix handed to the package passes (`checked_hermitian`, `checked_state`),
-eigendecomposition, PSD square root, trace norm, and the complex-to-real
-symmetric embedding."""
+eigendecomposition, PSD square root, trace norm, the complex-to-real
+symmetric embedding, and the rules for scalar arguments (`is_number`,
+`is_integer`)."""
 from __future__ import annotations
+
+import numbers
 
 import numpy as np
 
@@ -16,6 +19,17 @@ FISHER_TOL = 1e-10
 
 class LinalgError(ValueError):
     pass
+
+
+def is_number(v) -> bool:
+    """Whether `v` is a real number, Python's or numpy's: not complex, not a
+    string, and not `true` or `false`, though Python's bool is an int."""
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)
+
+
+def is_integer(v) -> bool:
+    """Whether `v` is an integer, Python's or numpy's, and not a bool."""
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
 
 
 def hermitize(a: np.ndarray) -> np.ndarray:

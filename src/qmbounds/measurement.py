@@ -26,14 +26,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import checked_hermitian, hermitize
-from .model import (
-    StatisticalModel,
-    decode_matrix,
-    encode_matrix,
-    is_integer,
-    is_number,
-)
+from .linalg import checked_hermitian, hermitize, is_integer, is_number
+from .model import StatisticalModel, decode_matrix, encode_matrix
 
 
 # validate_povm passes an outcome whose lowest eigenvalue is at least
@@ -246,6 +240,8 @@ def phase_damping_povm(
         raise MeasurementError(f"epsilon must be a real number, got {epsilon!r}")
     if not 0.0 <= epsilon <= 1.0:
         raise MeasurementError("epsilon must lie in [0, 1]")
+    if not (is_number(a) and is_number(b)):
+        raise MeasurementError(f"a and b must be real numbers, got {a!r}, {b!r}")
     # written so that a NaN fails each check
     if not (abs(a) > 0.0 and abs(b) > 0.0):
         raise MeasurementError(f"a and b must be non-zero numbers, got {a:g}, {b:g}")

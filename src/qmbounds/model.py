@@ -8,14 +8,13 @@ rule of `linalg.checked_hermitian`.  Each model is analysed once, and its
 all three bounds) kept on it as `StatisticalModel.analysis`."""
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from math import comb
 
 import numpy as np
 
-from .linalg import FISHER_TOL, SUPPORT_TOL, checked_hermitian, checked_state, herm_eig, hermitize
+from .linalg import FISHER_TOL, SUPPORT_TOL, checked_hermitian, checked_state, herm_eig, hermitize, is_integer, is_number
 
 
 class ModelError(ValueError):
@@ -299,7 +298,10 @@ def interferometer_model(
     rank-one matrix.  Parameters are ordered (phi, eta) and the block
     dimensions are recorded on the model.
     """
-    a = np.asarray(amplitudes, dtype=complex).ravel()
+    a = np.asarray(amplitudes)
+    if a.dtype.kind not in "iufc":
+        raise ModelError(f"amplitudes must be numbers, got {amplitudes!r}")
+    a = a.astype(complex).ravel()
     n = len(a) - 1
     if n < 1:
         raise ModelError("need at least two amplitudes")
@@ -411,17 +413,6 @@ def model_to_dict(model: StatisticalModel) -> dict:
     if model.block_dims is not None:
         data["block_dims"] = list(model.block_dims)
     return data
-
-
-def is_number(v) -> bool:
-    """Whether `v` is a real number, Python's or numpy's: not complex, not a
-    string, and not `true` or `false`, though Python's bool is an int."""
-    return isinstance(v, numbers.Real) and not isinstance(v, bool)
-
-
-def is_integer(v) -> bool:
-    """Whether `v` is an integer, Python's or numpy's, and not a bool."""
-    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
 
 
 def decode_matrix(obj, dim, field: str, error: type[Exception]) -> np.ndarray:

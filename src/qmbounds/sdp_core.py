@@ -28,13 +28,12 @@ where A_i is nonzero, or from factors that a small cover of each row gives
 (see `solve`).
 
 All dense linear algebra goes through numpy's LAPACK.  The Newton matrix
-is formed in block-arrow order and factored by LMI block: the rows that
-touch one block alone are factored with that block, and the rows that link
-blocks last.  It is solved with the inverses of its Cholesky factors,
-formed by 2 x 2 blocks in matrix products.  Row dedupe keeps every row
-when a Cholesky factor of the rows' scaled Gram matrix proves them
-independent, and otherwise decides by numpy's QR.  No second BLAS library is loaded, so the process
-has one BLAS thread pool, not two that compete for the same cores.
+is factored whole, by one Cholesky factor, and solved with the inverse of
+that factor, formed by 2 x 2 blocks in matrix products.  Row dedupe keeps
+every row when a Cholesky factor of the rows' scaled Gram matrix proves
+them independent, and otherwise decides by numpy's QR.  No second BLAS
+library is loaded, so the process has one BLAS thread pool, not two that
+compete for the same cores.
 """
 from __future__ import annotations
 
@@ -45,7 +44,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import checked_hermitian, realify
+from .linalg import checked_hermitian, is_integer, is_number, realify
 
 DEP_TOL = 1e-10
 DEFAULT_TOL = 1e-8
@@ -520,102 +519,50 @@ def _row_gram(store: ConstraintStore, m: int, dims):
     return n, gram
 
 
-# The row count from which a Newton system is factored by LMI block, and
-# from which `_tril_inv` inverts by 2 x 2 blocks, not by numpy's inverse
+# The row count from which `_tril_inv` inverts by 2 x 2 blocks, not by
+# numpy's inverse
 _SPLIT_ROWS = 96
 
 
-def _arrow_order(block_rows, m: int):
-    """The rows of an m-row Newton system whose block l has the rows
-    `block_rows[l]`, in block-arrow order, and the slice of that order that
-    holds each group.  Each block with rows that touch it alone has a group
-    of them, ascending, in block order; the rows that touch several blocks,
-    the link rows, come last, ascending.  A system of fewer than
-    `_SPLIT_ROWS` rows, or of one block, keeps its own order and has no
-    groups: all its rows are link rows."""
-    if m < _SPLIT_ROWS or len(block_rows) == 1:
-        return np.arange(m), []
-    touched = np.bincount(np.concatenate(block_rows), minlength=m)
-    groups = [g for g in (rows[touched[rows] == 1] for rows in block_rows) if len(g)]
-    ends = np.cumsum([0] + [len(g) for g in groups]).tolist()
-    spans = [slice(a, b) for a, b in zip(ends, ends[1:])]
-    return np.concatenate(groups + [np.flatnonzero(touched != 1)]), spans
-
-
 class _Newton(NamedTuple):
-    """The Newton system M dy = h, with M in block-arrow order,
-    M = [[D, E^T], [E, S]]: D is block diagonal, with one block D_g per
-    group, E holds the link rows' entries in the groups' columns, E_g by
-    group, and S is the link rows' own square.  Its lower Cholesky factor
-    is [[L_D, 0], [W, L_S]], with W_g = E_g L_g^-T and
-    L_S L_S^T = S - sum_g W_g W_g^T.  With no groups, S is all of M."""
+    """The Newton system M dy = h, with the inverse of its lower Cholesky
+    factor L."""
 
-    order: np.ndarray  # the system's rows in block-arrow order
     matrix: np.ndarray  # M
-    groups: list  # per group: its slice of `order`, L_g^-1 and W_g
-    link_inv: np.ndarray  # L_S^-1
+    inv: np.ndarray  # L^-1
     jitter: float  # the shift factored, over max(1, M's largest diagonal entry)
-
-    def _inverse(self, r):
-        """(L L^T)^-1 r, by forward and back substitution over the groups."""
-        rk, z = r[len(r) - len(self.link_inv):], []
-        for at, li, w in self.groups:
-            z.append(li @ r[at])
-            rk = rk - w @ z[-1]
-        xk = self.link_inv.T @ (self.link_inv @ rk)
-        if not z:
-            return xk
-        return np.concatenate([li.T @ (zi - w.T @ xk) for (_, li, w), zi in zip(self.groups, z)] + [xk])
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve M x = rhs with the factor, then take two steps of iterative
         refinement against M itself, which also undo the effect of any
         jitter."""
-        r = rhs[self.order]
-        x = self._inverse(r)
+        x = self.inv.T @ (self.inv @ rhs)
         for _ in range(2):
-            x = x + self._inverse(r - self.matrix @ x)
-        out = np.empty_like(x)
-        out[self.order] = x
-        return out
+            x = x + self.inv.T @ (self.inv @ (rhs - self.matrix @ x))
+        return x
 
 
-def _factor_newton(M: np.ndarray, order: np.ndarray, spans) -> _Newton:
-    """The Newton system M, in the block-arrow order `order` of
-    `_arrow_order`, factored by the groups that `spans` hold.  D_g, E_g and
-    S are slices of M.
+def _factor_newton(M: np.ndarray) -> _Newton:
+    """The Newton system M, factored whole by one Cholesky factor.
 
-    numpy has no triangular solve, so each Cholesky factor is inverted once
-    per iteration, by `_tril_inv`, and applied by matrix products.  When M
-    is not numerically positive definite, a growing multiple of its largest
-    diagonal entry is added to every D_g and to S before factoring again;
-    the factor is then that of M plus the same multiple of the identity,
-    and the system's `jitter` is that multiple.
+    numpy has no triangular solve, so the factor is inverted once per
+    iteration, by `_tril_inv`, and applied by matrix products.  When M is
+    not numerically positive definite, a growing multiple of its largest
+    diagonal entry is added to its diagonal before factoring again; the
+    system's `jitter` is that multiple.
     """
     if not np.all(np.isfinite(M)):
         raise SDPError(
             "Newton system is not finite: the Schur complement has NaN or inf entries"
         )
-    k = spans[-1].stop if spans else 0
     scale = max(1.0, float(np.max(np.abs(np.diag(M))))) if len(M) else 1.0
     for jit in (0.0, 1e-14, 1e-12, 1e-10, 1e-8, 1e-6):
-        shift = jit * scale
         try:
-            inv = [_tril_inv(np.linalg.cholesky(_shifted(M[s, s], shift))) for s in spans]
-            cross = [M[k:, s] @ li.T for s, li in zip(spans, inv)]
-            comp = _shifted(M[k:, k:], shift)
-            for w in cross:
-                comp = comp - w @ w.T
-            link_inv = _tril_inv(np.linalg.cholesky(comp))
+            inv = _tril_inv(np.linalg.cholesky(M + jit * scale * np.eye(len(M)) if jit else M))
         except np.linalg.LinAlgError:
             continue
-        return _Newton(order, M, list(zip(spans, inv, cross)), link_inv, jit)
+        return _Newton(M, inv, jit)
     raise SDPError("Newton system factorization failed: Schur complement is numerically singular")
-
-
-def _shifted(a: np.ndarray, shift: float) -> np.ndarray:
-    """a + shift I, or a itself, not a copy, when the shift is zero."""
-    return a + shift * np.eye(len(a)) if shift else a
 
 
 def _tril_inv(lower: np.ndarray) -> np.ndarray:
@@ -635,6 +582,11 @@ def _tril_inv(lower: np.ndarray) -> np.ndarray:
     lower[h:, h:] = _tril_inv(lower[h:, h:])
     lower[h:, :h] = -lower[h:, h:] @ (lower[h:, :h] @ lower[:h, :h])
     return lower
+
+
+def _check_tol(tol) -> None:
+    if not (is_number(tol) and math.isfinite(tol) and tol > 0):
+        raise SDPError(f"tol must be finite and positive, got {tol!r}")
 
 
 def _max_neg_curvature(sig: np.ndarray, delta: np.ndarray) -> float:
@@ -672,13 +624,13 @@ def solve(
     rows that touch the block, by the formula `_factored_pays` picks for it.
     Dense: the Gram matrix of the congruences G^H A_i G, about
     2md^3 + m^2 d^2 multiply-adds in dimension d, less where a row's
-    support R_i, the rows of A_i that hold a nonzero, is narrow: its
+    support R_i, the rows of A_i that hold a nonzero, is small: its
     congruence is G^H[:, R_i] (A_i[R_i, :] G) (`_support_groups`).  On the
     realified NH block of `random_model(3, 10, 2)` (d = 60), 365 of 406 rows
     have supports of at most 8 rows.  The rows are held once, densely, by
     support group, as their slices A_i[R_i, :], and each group writes its
     congruences in place, into its own span of one (m, d, d) work stack
-    that every iteration reuses; the residuals take the rows of narrow
+    that every iteration reuses; the residuals take the rows of thin
     groups from their nonzeros.  Factored: row i is zero outside the rows
     and columns of its greedy cover H_i, so with E_i the columns H_i of the
     identity and W_i = A_i[:, H_i] with its rows H_i halved, it is exactly
@@ -694,21 +646,13 @@ def solve(
     so there u = n.
 
     The Newton matrix, the sum of the blocks' Schur parts, is formed once
-    per iteration with its rows in block-arrow order (`_arrow_order`): the
-    rows that touch one block alone form that block's group, whose diagonal
-    block is factored on its own, and the few rows that touch several
-    blocks come last and are eliminated last, as in the correlative-sparsity
-    elimination of Kobayashi, Kim and Kojima (Appl. Math. Optim. 58, 2008).
-    A system of fewer than `_SPLIT_ROWS` rows, or of one block, keeps its
-    order and has no groups, and its factor is one Cholesky factor of the
-    whole matrix, as a block-arrow system whose link rows are all the rows.
-    On the NH program of `hb` N=10, 539 of 545 rows touch one of its 11
-    blocks.  A step holds one work stack per dense block and one Newton
-    system: the last step's system, maps and directions are dropped before
-    the next step's NT factors are formed, each block's Schur part is
-    added into M in place, from the order its formula forms it in
-    (`_add_part`), and each Cholesky factor of `_SPLIT_ROWS` rows or more is
-    inverted over itself.
+    per iteration in constraint order and factored whole by one Cholesky
+    factor (`_factor_newton`).  A step holds one work stack per dense
+    block and one Newton system: the last step's system, maps and
+    directions are dropped before the next step's NT factors are formed,
+    each block's Schur part is added into M in place, from the order its
+    formula forms it in (`_add_part`), and a Cholesky factor of
+    `_SPLIT_ROWS` rows or more is inverted over itself.
 
     Deterministic: fixed reduction orders, no randomization.  Builder
     hints on the problem are used as starting points when present.
@@ -732,15 +676,17 @@ def solve(
     at step 26 with it.  `iterations` is the number of steps taken, whatever
     the status, and the solution is the iterate that was judged, so
     `solve(max_iter=k)` ends at iterate k of the same path.  `max_iter` = 0
-    judges the starting point alone; a negative one raises, as does a `tol`
-    that is not finite and positive.  `newton_jitter` is the largest shift,
+    judges the starting point alone; one that is negative or not an integer
+    (a bool is not) raises, as does a `tol` that is not a finite and
+    positive real number.  `newton_jitter` is the largest shift,
     over max(1, its largest diagonal entry), that `_factor_newton` added to
     a Newton matrix over the solve, 0.0 when none.
     """
+    if not is_integer(max_iter):
+        raise SDPError(f"max_iter must be an integer, got {max_iter!r}")
     if max_iter < 0:
         raise SDPError(f"max_iter must be >= 0, got {max_iter}")
-    if not (math.isfinite(tol) and tol > 0):
-        raise SDPError(f"tol must be finite and positive, got {tol!r}")
+    _check_tol(tol)
     dims = problem.block_dims
     nb = len(dims)
     m = problem.num_constraints
@@ -748,11 +694,9 @@ def solve(
     b = problem.b
 
     formulas = _block_formulas(problem)
-    order, spans = _arrow_order([f.rows for f in formulas], m)
-    at = np.argsort(order)  # each row's place in that order
     # where the rows of each block's Schur part, in its work order, go in M;
     # None when they are all the rows, in M's order
-    places = [at[f.rows if f.order is None else f.rows[f.order]] for f in formulas]
+    places = [f.rows if f.order is None else f.rows[f.order] for f in formulas]
     places = [None if np.array_equal(q, np.arange(m)) else q for q in places]
     dtype = problem.store.val.dtype
     C = [problem.objective.get(l, np.zeros((d, d), dtype)) for l, d in enumerate(dims)]
@@ -806,7 +750,7 @@ def solve(
             _add_part(M, place, part)
             maps.append((f.rows, apply, adjoint))
         del part
-        newton = _factor_newton(M, order, spans)
+        newton = _factor_newton(M)
         jitter = max(jitter, newton.jitter)
 
         def directions(T):
@@ -909,7 +853,7 @@ class _DenseRows(NamedTuple):
     """A block's m rows, dense and held once: by the support groups of
     `_support_groups`, each the slices A_i[R, :] of its rows.  `values` and
     `combination`, (<A_i, Y>)_i and sum_i v_i A_i over these rows, take a
-    full-width group's rows whole, and the rows of the narrow groups from
+    full-width group's rows whole, and the rows of the thin groups from
     their nonzeros, `entries`.  `work` is an (m, d, d) stack that every
     iteration reuses.  It holds the congruences of `scaled` group after
     group, each group's written in place in its own span; `order` lists the
@@ -918,7 +862,7 @@ class _DenseRows(NamedTuple):
     rows: np.ndarray
     groups: tuple
     order: np.ndarray | None
-    entries: tuple  # the narrow groups' nonzeros: row position, flat position, value
+    entries: tuple  # the thin groups' nonzeros: row position, flat position, value
     work: np.ndarray
 
     def values(self, Y):
@@ -996,8 +940,8 @@ def _support_groups(r, i, j, val, m: int, d: int):
             sup = np.sort(np.argsort(~present[pos], axis=1, kind="stable")[:, :w], axis=1)
             groups.append((pos, sup, stack[pos[:, None], sup], span))
     order = np.concatenate([np.arange(m)[pos] for pos, *_ in groups])
-    narrow = width[r] < d
-    entries = (r[narrow], (i * d + j)[narrow], val[narrow])
+    thin = width[r] < d
+    entries = (r[thin], (i * d + j)[thin], val[thin])
     return tuple(groups), None if np.array_equal(order, np.arange(m)) else order, entries
 
 
@@ -1151,7 +1095,8 @@ def check_certificate(
     problem: SDPProblem, solution: SDPSolution, tol: float = 1e-7
 ) -> CertificateReport:
     """Recompute feasibility, PSD floors, and the duality gap from scratch,
-    in the problem's own dtype."""
+    in the problem's own dtype.  `tol` must be finite and positive."""
+    _check_tol(tol)
     dims = problem.block_dims
     m = problem.num_constraints
     Y = solution.primal

@@ -92,6 +92,8 @@ class TestGellmannBasis:
     def test_dimension_zero_raises(self):
         with pytest.raises(BoundError, match="^basis dimension must be >= 1, got 0$"):
             gellmann_basis(0)
+        with pytest.raises(BoundError, match=r"^basis dimension must be an integer, got 2\.5$"):
+            gellmann_basis(2.5)
 
 
 def zero_block_model():

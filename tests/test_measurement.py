@@ -195,6 +195,8 @@ class TestDephasingMeasurement:
     def test_rejects_zero_amplitude(self):
         with pytest.raises(MeasurementError, match="non-zero"):
             phase_damping_povm(0.3, 0.0, 0.5)
+        with pytest.raises(MeasurementError, match=r"^a and b must be real numbers, got '0\.5', 0\.5$"):
+            phase_damping_povm(0.5, "0.5", 0.5)
 
     def test_rejects_overlong_amplitudes(self):
         with pytest.raises(MeasurementError, match="exceed"):

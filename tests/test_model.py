@@ -257,6 +257,8 @@ class TestInterferometer:
             interferometer_model([1.0, 0.0], 0.0)
         with pytest.raises(ModelError, match="^need at least two amplitudes$"):
             interferometer_model([1.0], 0.5)
+        with pytest.raises(ModelError, match=r"^amplitudes must be numbers, got \['a', 'b'\]$"):
+            interferometer_model(["a", "b"], 0.5)
 
     @pytest.mark.parametrize("eta", ["0.5", 0.5 + 0j, True], ids=["str", "complex", "bool"])
     def test_rejects_a_transmissivity_that_is_not_a_real_number(self, eta):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from qmbounds import bound_builders, sdp_core
-from qmbounds.bound_builders import build_holevo_sdp, build_nh_sdp
+from qmbounds.bound_builders import BoundError, build_holevo_sdp, build_nh_sdp, nagaoka_hayashi_bound
 from qmbounds.linalg import realify
 from qmbounds.model import (
     holland_burnett_probe,
@@ -18,7 +18,6 @@ from qmbounds.model import (
 from qmbounds.sdp_core import (
     SDPAFormatError,
     SDPError,
-    _arrow_order,
     _block_formulas,
     _DenseRows,
     _factor_newton,
@@ -248,6 +247,20 @@ class TestSolve:
         with pytest.raises(SDPError, match="tol must be finite and positive"):
             solve(toy_problem(), tol=tol)
 
+    @pytest.mark.parametrize("call, error, message", [
+        (lambda: solve(toy_problem(), max_iter=1.5), SDPError, r"max_iter must be an integer, got 1\.5"),
+        (lambda: solve(toy_problem(), max_iter=True), SDPError, "max_iter must be an integer, got True"),
+        (lambda: solve(toy_problem(), tol="1e-9"), SDPError, "tol must be finite and positive, got '1e-9'"),
+        (lambda: check_certificate(toy_problem(), solve(toy_problem()), tol=float("nan")), SDPError,
+         "tol must be finite and positive, got nan"),
+        # the bound reports the solver's error as its own
+        (lambda: nagaoka_hayashi_bound(phase_damping_model(0.3), tol="x"), BoundError,
+         "solver failed: tol must be finite and positive, got 'x'"),
+    ], ids=["max_iter float", "max_iter bool", "tol str", "certificate tol nan", "bound tol str"])
+    def test_argument_of_the_wrong_kind_is_named(self, call, error, message):
+        with pytest.raises(error, match=f"^{message}$"):
+            call()
+
     def test_without_rows(self):
         problem = make_problem([2], {0: np.eye(2)}, as_entries([]), [])
         sol = solve(problem)
@@ -261,8 +274,8 @@ class TestSolve:
         ((0, 2), ()), ((0, 1, 2), ()), ((0,), (1, 2)), ((1,), ()),
         ((2,), (1,)), ((0, 1), ()), ((0, 1, 2), ()),
     ]
-    # 97 rows, enough for the Newton system to be factored by block: 85
-    # touch one block and 12 link two or all three; interleaved
+    # 97 rows, enough for the Newton factor to be inverted by 2 x 2 blocks:
+    # 85 touch one block and 12 link two or all three; interleaved
     MANY_ROWS = (
         [((0,), ())] * 28 + [((0,), (1, 2))] * 2 + [((1,), ())] * 40 + [((2,), (1,))] * 15
         + [((0, 1), ()), ((1, 2), (0,)), ((0, 2), ()), ((0, 1, 2), ())] * 3
@@ -292,9 +305,6 @@ class TestSolve:
             obj[l] = g @ g.T + 0.1 * np.eye(d)
         problem = make_problem(dims, obj, as_entries(cons), b)
         assert problem.num_constraints == len(cons)
-        _, spans = _arrow_order([f.rows for f in _block_formulas(problem)], len(cons))
-        links = sum(len(support) > 1 for support, _ in supports)
-        assert len(cons) - (spans[-1].stop if spans else 0) == (len(cons) if len(cons) < 96 else links)
         blocked = solve(problem)
 
         offsets = np.cumsum((0,) + dims)
@@ -312,61 +322,6 @@ class TestSolve:
         assert blocked.primal_obj == pytest.approx(merged.primal_obj, rel=1e-7)
 
 
-def whole(mat):
-    """The Newton system of one block whose Schur part is `mat`: no groups."""
-    n = len(mat)
-    return _factor_newton(mat, *_arrow_order([np.arange(n)], n))
-
-
-def arrow(rows, mat):
-    """The Newton system of blocks with rows `rows` whose matrix is `mat`,
-    in the rows' own order, factored in block-arrow order."""
-    order, spans = _arrow_order(rows, len(mat))
-    return _factor_newton(mat[np.ix_(order, order)], order, spans)
-
-
-def block_arrow(rng, own, links, cond=1.0):
-    """Block rows and Schur parts of a Newton system in which block l has
-    own[l] rows that touch it alone, and link row k touches the blocks in
-    links[k]; rows are numbered in a shuffled order.  Each part is SPD, of
-    condition number `cond`."""
-    m = sum(own) + len(links)
-    label = np.concatenate([np.repeat(np.arange(len(own)), own), np.full(len(links), -1)])
-    perm = rng.permutation(m)
-    label = label[perm]
-    link_of = {int(r): links[k - sum(own)] for r, k in zip(range(m), perm) if k >= sum(own)}
-    rows = [np.array([r for r in range(m) if label[r] == l or l in link_of.get(r, ())])
-            for l in range(len(own))]
-    parts = []
-    for r in rows:
-        q, _ = np.linalg.qr(rng.standard_normal((len(r), len(r))))
-        parts.append((q * np.logspace(0, -np.log10(cond), len(r))) @ q.T)
-        parts[-1] = 0.5 * (parts[-1] + parts[-1].T)
-    mat = np.zeros((m, m))
-    for r, part in zip(rows, parts):
-        mat[np.ix_(r, r)] += part
-    return rows, parts, mat
-
-
-def full_factor(system):
-    """The lower Cholesky factor that a Newton system holds in pieces, in
-    its block-arrow order."""
-    n = len(system.order) - len(system.link_inv)
-    out = np.zeros((len(system.order),) * 2)
-    for at, li, w in system.groups:
-        out[at, at] = np.linalg.inv(li)
-        out[n:, at] = w
-    out[n:, n:] = np.linalg.inv(system.link_inv)
-    return out
-
-
-# blocks with 30, 25, 40 and 20 rows of their own; link rows that touch
-# two blocks and all four
-ARROW = ((30, 25, 40, 20), [(0, 1), (1, 3), (0, 2), (2, 3), (0, 1, 2, 3), (1, 2), (0, 1, 2, 3)])
-# block 1 has no rows of its own: all its rows are link rows
-NO_OWN = ((30, 0, 40, 26), [(0, 1), (1, 2), (1, 3), (0, 2, 3), (1, 2), (0, 1, 2, 3)])
-
-
 class TestNewtonSystem:
     # sizes on both sides of the 96 rows below which the inverse of the
     # factor is numpy's, and of the split of 191 rows into 95 and 96
@@ -379,9 +334,8 @@ class TestNewtonSystem:
         mat = (q * np.logspace(0, -np.log10(cond), n)) @ q.T
         mat = 0.5 * (mat + mat.T)
         assert np.linalg.cond(mat) == pytest.approx(cond, rel=0.01)
-        system = whole(mat)
-        assert not system.groups and np.array_equal(system.order, np.arange(n))
-        linv = system.link_inv
+        system = _factor_newton(mat)
+        linv = system.inv
         # the inverse of the unjittered factor, to within n eps cond(L)
         lower = np.linalg.cholesky(mat)
         err = np.linalg.norm(linv @ lower - np.eye(n), 2)
@@ -393,8 +347,8 @@ class TestNewtonSystem:
     def test_singular_psd_matrix_is_jittered(self):
         a = np.array([1.0, 2.0, 3.0])
         mat = np.outer(a, a)  # rank one, exactly singular
-        system = whole(mat)
-        lower = np.linalg.inv(system.link_inv)
+        system = _factor_newton(mat)
+        lower = np.linalg.inv(system.inv)
         shift = lower @ lower.T - mat
         # the factor is of mat plus a small multiple of the identity, and the
         # system records that multiple relative to the largest diagonal entry
@@ -402,79 +356,18 @@ class TestNewtonSystem:
         assert 0.0 < np.diag(shift).min() and np.diag(shift).max() <= 1e-6 * 9.0
         assert 0.0 < system.jitter <= 1e-6
         assert np.allclose(np.diag(shift), system.jitter * 9.0, rtol=0, atol=1e-12)
-        assert whole(mat + np.eye(3)).jitter == 0.0
+        assert _factor_newton(mat + np.eye(3)).jitter == 0.0
 
     def test_indefinite_matrix_is_singular(self):
         with pytest.raises(SDPError, match="numerically singular"):
-            whole(np.diag([1.0, -1.0]))
+            _factor_newton(np.diag([1.0, -1.0]))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_matrix_raises(self, bad):
         mat = np.eye(3)
         mat[1, 2] = mat[2, 1] = bad
         with pytest.raises(SDPError, match="not finite"):
-            whole(mat)
-
-    @pytest.mark.parametrize("own, links", [ARROW, NO_OWN], ids=["arrow", "no own rows"])
-    def test_arrow_order_groups_rows_by_block(self, own, links):
-        rows, _, mat = block_arrow(np.random.default_rng(19), own, links)
-        order, spans = _arrow_order(rows, len(mat))
-        assert np.array_equal(np.sort(order), np.arange(len(mat)))
-        touched = np.bincount(np.concatenate(rows), minlength=len(mat))
-        # one group per block with rows of its own, in block order, ascending
-        alone = [r[touched[r] == 1] for r in rows]
-        assert [order[at].tolist() for at in spans] == [a.tolist() for a in alone if len(a)]
-        assert spans[0].start == 0 and all(a.stop == b.start for a, b in zip(spans, spans[1:]))
-        link = order[spans[-1].stop:]
-        assert np.array_equal(link, np.flatnonzero(touched > 1))
-        assert len(link) == len(links)
-
-    @pytest.mark.parametrize(
-        "rows, m", [([np.arange(95), np.arange(90, 95)], 95), ([np.arange(200)], 200), ([], 0)],
-        ids=["95 rows", "one block", "no rows"],
-    )
-    def test_arrow_order_of_small_or_one_block_system_is_identity(self, rows, m):
-        order, spans = _arrow_order(rows, m)
-        assert np.array_equal(order, np.arange(m)) and spans == []
-
-    def test_arrow_order_groups_from_96_rows(self):
-        order, spans = _arrow_order([np.arange(50), np.arange(48, 96)], 96)
-        assert [order[at].tolist() for at in spans] == [list(range(48)), list(range(50, 96))]
-        assert order[spans[-1].stop:].tolist() == [48, 49]
-
-    @pytest.mark.parametrize("own, links", [ARROW, NO_OWN], ids=["arrow", "no own rows"])
-    @pytest.mark.parametrize("cond", [1.0, 1e6])
-    def test_block_arrow_system_is_solved_by_groups(self, cond, own, links):
-        rng = np.random.default_rng(23)
-        rows, _, mat = block_arrow(rng, own, links, cond)
-        system = arrow(rows, mat)
-        assert [at.stop - at.start for at, _, _ in system.groups] == [k for k in own if k]
-        assert len(system.link_inv) == len(links)
-        order = system.order
-        assert np.allclose(full_factor(system) @ full_factor(system).T, mat[np.ix_(order, order)],
-                           rtol=0, atol=1e-12)
-        rhs = mat @ rng.standard_normal(len(mat))
-        x = system.solve(rhs)
-        assert np.linalg.norm(mat @ x - rhs) <= 1e-12 * np.linalg.norm(rhs)
-
-    def test_singular_diagonal_block_is_jittered(self):
-        rng = np.random.default_rng(29)
-        own, links = ARROW
-        rows, parts, mat = block_arrow(rng, own, links)
-        # block 1's part is rank one, so its own rows' diagonal block is singular
-        a = rng.standard_normal(len(rows[1]))
-        parts[1] = np.outer(a, a)
-        mat = np.zeros_like(mat)
-        for r, part in zip(rows, parts):
-            mat[np.ix_(r, r)] += part
-        system = arrow(rows, mat)
-        lower = full_factor(system)
-        shift = lower @ lower.T - mat[np.ix_(system.order, system.order)]
-        # the factor is of the whole matrix plus a small multiple of the identity
-        scale = np.max(np.diag(mat))
-        assert np.abs(shift - np.diag(np.diag(shift))).max() <= 1e-12 * scale
-        assert 0.0 < np.diag(shift).min() and np.diag(shift).max() <= 1e-6 * scale
-        assert np.ptp(np.diag(shift)) <= 1e-12 * scale
+            _factor_newton(mat)
 
     # numpy's inverse below 96 rows, and from 96 one by 2 x 2 blocks that
     # is written over the factor; 545 rows split three levels deep
@@ -487,19 +380,6 @@ class TestNewtonSystem:
         assert (inv is lower) == (n >= 96)
         assert np.array_equal(inv, np.tril(inv))
         assert np.linalg.norm(inv - expected) <= 1e-12 * np.linalg.norm(expected)
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    @pytest.mark.parametrize("where", ["group", "link"])
-    def test_non_finite_grouped_system_raises(self, bad, where):
-        own, links = ARROW
-        rows, _, mat = block_arrow(np.random.default_rng(31), own, links)
-        order, spans = _arrow_order(rows, len(mat))
-        mat = mat[np.ix_(order, order)]
-        # a diagonal entry of block 2's group, or of a link row
-        k = spans[2].start if where == "group" else len(mat) - 1
-        mat[k, k] = bad
-        with pytest.raises(SDPError, match="not finite"):
-            _factor_newton(mat, order, spans)
 
 
 def dense_rows(problem, l):

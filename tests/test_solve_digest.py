@@ -1,4 +1,5 @@
 """The solve digest tool runs against the benchmark workloads as they stand."""
+import os
 import re
 import subprocess
 import sys
@@ -126,3 +127,26 @@ def test_compare_passes_two_digests_of_one_tree_and_fails_a_doctored_one(tmp_pat
     code, rows = compare(doctored)
     assert code == 1
     assert [row[:5] for row in rows if row[0] == "move"] == [["move", *fields[:3], "1"]]
+
+
+LEDGER = TOOL.with_name("digest_seed1.tsv")
+
+
+def test_seed1_digest_matches_the_ledger(tmp_path):
+    # the committed ledger is the seed-1 digest at one BLAS thread: every
+    # status and every value (within digest_compare's 1e-9 (1 + |value|))
+    # must hold.  Hashes track the BLAS build, so only values are judged;
+    # the iteration totals are printed, not gated.  A change that moves a
+    # value remakes the ledger:
+    #   OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=1 \
+    #       python3 tools/solve_digest.py --seed 1 > tools/digest_seed1.tsv
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, str(TOOL), "--seed", "1"],
+                          capture_output=True, text=True, timeout=300, env=env)
+    assert proc.returncode == 0, proc.stderr
+    fresh = tmp_path / "fresh.tsv"
+    fresh.write_text(proc.stdout)
+    proc = subprocess.run([sys.executable, str(COMPARE), str(LEDGER), str(fresh)],
+                          capture_output=True, text=True, timeout=60)
+    print(proc.stdout)
+    assert proc.returncode == 0, proc.stdout
