@@ -322,6 +322,36 @@ class TestSolve:
         assert blocked.primal_obj == pytest.approx(merged.primal_obj, rel=1e-7)
 
 
+def block_arrow(rng, own, links, cond=1.0):
+    """Block rows and Schur parts of a Newton system in which block l has
+    own[l] rows that touch it alone, and link row k touches the blocks in
+    links[k]; rows are numbered in a shuffled order.  Each part is SPD, of
+    condition number `cond`."""
+    m = sum(own) + len(links)
+    label = np.concatenate([np.repeat(np.arange(len(own)), own), np.full(len(links), -1)])
+    perm = rng.permutation(m)
+    label = label[perm]
+    link_of = {int(r): links[k - sum(own)] for r, k in zip(range(m), perm) if k >= sum(own)}
+    rows = [np.array([r for r in range(m) if label[r] == l or l in link_of.get(r, ())])
+            for l in range(len(own))]
+    parts = []
+    for r in rows:
+        q, _ = np.linalg.qr(rng.standard_normal((len(r), len(r))))
+        parts.append((q * np.logspace(0, -np.log10(cond), len(r))) @ q.T)
+        parts[-1] = 0.5 * (parts[-1] + parts[-1].T)
+    mat = np.zeros((m, m))
+    for r, part in zip(rows, parts):
+        mat[np.ix_(r, r)] += part
+    return rows, parts, mat
+
+
+# blocks with 30, 25, 40 and 20 rows of their own; link rows that touch
+# two blocks and all four
+ARROW = ((30, 25, 40, 20), [(0, 1), (1, 3), (0, 2), (2, 3), (0, 1, 2, 3), (1, 2), (0, 1, 2, 3)])
+# block 1 has no rows of its own: all its rows are link rows
+NO_OWN = ((30, 0, 40, 26), [(0, 1), (1, 2), (1, 3), (0, 2, 3), (1, 2), (0, 1, 2, 3)])
+
+
 class TestNewtonSystem:
     # sizes on both sides of the 96 rows below which the inverse of the
     # factor is numpy's, and of the split of 191 rows into 95 and 96
@@ -366,6 +396,54 @@ class TestNewtonSystem:
     def test_non_finite_matrix_raises(self, bad):
         mat = np.eye(3)
         mat[1, 2] = mat[2, 1] = bad
+        with pytest.raises(SDPError, match="not finite"):
+            _factor_newton(mat)
+
+    # A program of several blocks makes a Newton system of block-arrow
+    # shape: rows that touch one block alone, and link rows.  It is
+    # factored whole, in the rows' own order, whatever the blocks.
+    @pytest.mark.parametrize("own, links", [ARROW, NO_OWN], ids=["arrow", "no own rows"])
+    @pytest.mark.parametrize("cond", [1.0, 1e6])
+    def test_block_arrow_system_is_solved_by_groups(self, cond, own, links):
+        rng = np.random.default_rng(23)
+        _, _, mat = block_arrow(rng, own, links, cond)
+        system = _factor_newton(mat)
+        assert system.jitter == 0.0
+        lower = np.linalg.inv(system.inv)
+        assert np.allclose(lower @ lower.T, mat, rtol=0, atol=1e-12)
+        rhs = mat @ rng.standard_normal(len(mat))
+        x = system.solve(rhs)
+        assert np.linalg.norm(mat @ x - rhs) <= 1e-12 * np.linalg.norm(rhs)
+
+    def test_singular_diagonal_block_is_jittered(self):
+        rng = np.random.default_rng(29)
+        own, links = ARROW
+        rows, parts, mat = block_arrow(rng, own, links)
+        # block 1's part is rank one, so its own rows' diagonal block is singular
+        a = rng.standard_normal(len(rows[1]))
+        parts[1] = np.outer(a, a)
+        mat = np.zeros_like(mat)
+        for r, part in zip(rows, parts):
+            mat[np.ix_(r, r)] += part
+        system = _factor_newton(mat)
+        lower = np.linalg.inv(system.inv)
+        shift = lower @ lower.T - mat
+        # the factor is of the whole matrix plus a small multiple of the identity
+        scale = np.max(np.diag(mat))
+        assert np.abs(shift - np.diag(np.diag(shift))).max() <= 1e-12 * scale
+        assert 0.0 < np.diag(shift).min() and np.diag(shift).max() <= 1e-6 * scale
+        assert np.ptp(np.diag(shift)) <= 1e-12 * scale
+        assert 0.0 < system.jitter <= 1e-6
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("where", ["group", "link"])
+    def test_non_finite_grouped_system_raises(self, bad, where):
+        own, links = ARROW
+        rows, _, mat = block_arrow(np.random.default_rng(31), own, links)
+        touched = np.bincount(np.concatenate(rows), minlength=len(mat))
+        # a diagonal entry of a row of block 2's own, or of a link row
+        k = rows[2][touched[rows[2]] == 1][0] if where == "group" else np.flatnonzero(touched > 1)[-1]
+        mat[k, k] = bad
         with pytest.raises(SDPError, match="not finite"):
             _factor_newton(mat)
 
